@@ -62,7 +62,14 @@ def cmd_verify(parser, args):
         parser.error("--imax must be at least 1")
     if args.deg < 1:
         parser.error("--deg must be at least 1")
-    b_eval = Fraction(args.b_eval) if args.b_eval is not None else None
+    b_eval = None
+    if args.b_eval is not None:
+        try:
+            b_eval = Fraction(args.b_eval)
+        except (ValueError, ZeroDivisionError):
+            parser.error("--b-eval expects a rational number such as 1 or -1/2")
+        if b_eval == -1:
+            parser.error("--b-eval -1 is not allowed: 1/(1+b) is undefined at b = -1")
 
     def stream(entry):
         # partial progress on stderr; stdout stays deterministic

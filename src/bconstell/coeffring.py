@@ -9,56 +9,142 @@ time instead of producing an approximation.
 
 Values are immutable and kept in canonical form: the numerator is not
 divisible by ``(1+b)`` unless the denominator power is zero.
+
+Representation.  ``num`` maps a packed monomial key to its coefficient and
+``dp`` is the power of ``(1+b)`` in the denominator.  A key packs the seven
+exponents into fixed fields of ``FIELD_BITS`` bits, ``b`` in the most
+significant field and ``q3`` in the least (packed exponent vectors, after
+Monagan & Pearce, ISSAC 2007).  The product of two monomials is then the sum
+of their keys, and integer order on keys equals lexicographic order on the
+exponent tuples ``(b, u1, ..., q3)``, the order in which ``str`` prints
+terms.  Exponents stay below the top bit of their field, so adding two keys
+never carries into a neighbouring field; a result that reaches that guard
+bit raises OverflowError instead of wrapping.  A coefficient is a plain
+``int`` whenever it is integral and a ``Fraction`` only otherwise; products
+run on integers throughout, with any denominators lifted out first.
 """
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 VARS = ("b", "u1", "u2", "u3", "q1", "q2", "q3")
 NVARS = len(VARS)
-_VAR_INDEX = {v: i for i, v in enumerate(VARS)}
-_ZERO_EXP = (0,) * NVARS
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+FIELD_BITS = 12
+MAX_EXP = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_SHIFTS = tuple(FIELD_BITS * (NVARS - 1 - i) for i in range(NVARS))
+_VAR_SHIFT = dict(zip(VARS, _SHIFTS))
+_B_SHIFT = _SHIFTS[0]
+_REST_MASK = (1 << _B_SHIFT) - 1
+# a key is valid iff it has no guard bit and nothing above the top field
+_BAD_BITS = sum(1 << (s + FIELD_BITS - 1) for s in _SHIFTS) | -(1 << (FIELD_BITS * NVARS))
+
+
+def _overflow():
+    return OverflowError(
+        "exponent exceeds the packed field limit %d of the scalar ring" % MAX_EXP
+    )
+
+
+def _pack(exps):
+    """Key of the exponent tuple in VARS order."""
+    key = 0
+    for e in exps:
+        if not 0 <= e <= MAX_EXP:
+            raise _overflow()
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def _unpack(key):
+    return tuple((key >> s) & _FIELD_MASK for s in _SHIFTS)
+
+
+def _check_keys(num):
+    if any(map(_BAD_BITS.__and__, num)):
+        raise _overflow()
+
+
+def add_term(out, key, c):
+    """``out[key] += c`` on a sparse dict that never stores a zero value."""
+    old = out.get(key)
+    if old is None:
+        if c:
+            out[key] = c
+    else:
+        s = old + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
 
 
 def _poly_add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
     out = dict(p)
     for e, c in q.items():
-        s = out.get(e, _F0) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
+        if e in out:
+            s = out[e] + c
+            if s:
+                out[e] = s if s.__class__ is int or s.denominator != 1 else s.numerator
+            else:
+                del out[e]
+        else:
+            out[e] = c
     return out
+
+
+def _lift(p):
+    """(d, P) with P = d * p integral, d the least common denominator."""
+    d = 1
+    for c in p.values():
+        if c.__class__ is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return 1, p
+    return d, {e: c.numerator * (d // c.denominator) for e, c in p.items()}
+
+
+def _divide(num, den):
+    """``num / den`` termwise for an int-valued dict, as int where integral."""
+    if den == 1:
+        return num
+    return {e: Fraction(c, den) if c % den else c // den for e, c in num.items()}
 
 
 def _poly_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
+    den_p, p = _lift(p)
+    den_q, q = _lift(q)
+    if len(p) < len(q):
+        p, q = q, p
+    if len(q) == 1:
+        (e2, c2), = q.items()
+        out = {e1 + e2: c1 * c2 for e1, c1 in p.items()}
+    else:
+        acc = {}
+        get = acc.get
+        pitems = p.items()
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, _F0) + c1 * c2
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
+            for e1, c1 in pitems:
+                e = e1 + e2
+                acc[e] = get(e, 0) + c1 * c2
+        out = {e: c for e, c in acc.items() if c}
+    _check_keys(out)
+    return _divide(out, den_p * den_q)
 
 
 def _poly_scale(p, f):
-    if not f:
-        return {}
-    return {e: c * f for e, c in p.items()}
+    return _poly_mul(p, {0: f}) if f else {}
 
 
 def _div_one_plus_b(num):
-    """Divide by (1+b) as a polynomial in b; return the quotient or None."""
+    """Divide an int-valued numerator by (1+b); return the quotient or None."""
     groups = {}
-    for exps, c in num.items():
-        groups.setdefault(exps[1:], {})[exps[0]] = c
+    for key, c in num.items():
+        groups.setdefault(key & _REST_MASK, {})[key >> _B_SHIFT] = c
     quot = {}
     for rest, coeffs in groups.items():
         d = max(coeffs)
@@ -69,14 +155,50 @@ def _div_one_plus_b(num):
         qk = coeffs[d]
         q[d - 1] = qk
         for k in range(d - 1, 0, -1):
-            qk = coeffs.get(k, _F0) - qk
+            qk = coeffs.get(k, 0) - qk
             q[k - 1] = qk
-        if coeffs.get(0, _F0) - q[0] != 0:
+        if coeffs.get(0, 0) != q[0]:
             return None
         for k, c in q.items():
             if c:
-                quot[(k,) + rest] = c
+                quot[(k << _B_SHIFT) | rest] = c
     return quot
+
+
+def _one_plus_b_pow(e):
+    if e > MAX_EXP:
+        raise _overflow()
+    return {k << _B_SHIFT: comb(e, k) for k in range(e + 1)}
+
+
+def _make(num, dp):
+    """Coeff from an owned, normalised dict already in canonical form."""
+    c = object.__new__(Coeff)
+    c.num = num
+    c.dp = dp if num else 0
+    return c
+
+
+def _canon(num, dp):
+    """Coeff from an owned, normalised dict, reduced to canonical form."""
+    if dp <= 0 or not num:
+        return _make(num, dp)
+    den, lifted = _lift(num)
+    reduced = False
+    while dp > 0:
+        quot = _div_one_plus_b(lifted)
+        if quot is None:
+            break
+        lifted, dp, reduced = quot, dp - 1, True
+    return _make(_divide(lifted, den) if reduced else num, dp)
+
+
+def _rational(x):
+    """x as an int when integral, else as a Fraction."""
+    if x.__class__ is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Coeff:
@@ -85,43 +207,35 @@ class Coeff:
     __slots__ = ("num", "dp")
 
     def __init__(self, num=None, dp=0):
-        num = dict(num) if num else {}
-        while dp > 0 and num:
-            quot = _div_one_plus_b(num)
-            if quot is None:
-                break
-            num = quot
-            dp -= 1
-        if not num:
-            dp = 0
-        self.num = num
-        self.dp = dp
+        num = {e: _rational(c) for e, c in num.items() if c} if num else {}
+        _check_keys(num)
+        canon = _canon(num, dp)
+        self.num = canon.num
+        self.dp = canon.dp
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls):
-        return cls()
+        return _make({}, 0)
 
     @classmethod
     def one(cls):
-        return cls({_ZERO_EXP: _F1})
+        return _make({0: 1}, 0)
 
     @classmethod
     def from_rational(cls, x):
-        x = Fraction(x)
-        return cls({_ZERO_EXP: x} if x else {})
+        x = _rational(x)
+        return _make({0: x} if x else {}, 0)
 
     @classmethod
     def var(cls, name):
-        exps = [0] * NVARS
-        exps[_VAR_INDEX[name]] = 1
-        return cls({tuple(exps): _F1})
+        return _make({1 << _VAR_SHIFT[name]: 1}, 0)
 
     @classmethod
     def inv_one_plus_b(cls, power=1):
         """1/(1+b)^power."""
-        return cls({_ZERO_EXP: _F1}, power)
+        return _make({0: 1}, power)
 
     @classmethod
     def one_plus_b(cls):
@@ -141,19 +255,22 @@ class Coeff:
         other = Coeff._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        e = max(self.dp, other.dp)
-        a = self.num
-        if e > self.dp:
-            a = _poly_mul(a, _one_plus_b_pow(e - self.dp))
-        b = other.num
-        if e > other.dp:
-            b = _poly_mul(b, _one_plus_b_pow(e - other.dp))
-        return Coeff(_poly_add(a, b), e)
+        a, b = self, other
+        if a.dp == b.dp:
+            num = _poly_add(a.num, b.num)
+            return _canon(num, a.dp) if a.dp else _make(num, 0)
+        if a.dp < b.dp:
+            a, b = b, a
+        # a's numerator is not divisible by (1+b) and the rescaled b's is,
+        # so the sum is not either: it is already canonical.
+        return _make(
+            _poly_add(a.num, _poly_mul(b.num, _one_plus_b_pow(a.dp - b.dp))), a.dp
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coeff({e: -c for e, c in self.num.items()}, self.dp)
+        return _make({e: -c for e, c in self.num.items()}, self.dp)
 
     def __sub__(self, other):
         other = Coeff._coerce(other)
@@ -165,11 +282,20 @@ class Coeff:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Coeff(_poly_scale(self.num, Fraction(other)), self.dp)
-        if not isinstance(other, Coeff):
-            return NotImplemented
-        return Coeff(_poly_mul(self.num, other.num), self.dp + other.dp)
+        if other.__class__ is not Coeff:
+            if isinstance(other, (int, Fraction)):
+                return _make(_poly_scale(self.num, _rational(other)), self.dp)
+            if not isinstance(other, Coeff):
+                return NotImplemented
+        num = _poly_mul(self.num, other.num)
+        dp = self.dp + other.dp
+        # (1+b) is prime, so a product of numerators not divisible by it is
+        # not divisible either; only a dp = 0 factor with several terms can
+        # bring (1+b) factors that cancel against the other's denominator.
+        if self.dp and other.dp or not dp:
+            return _make(num, dp)
+        plain = self.num if not self.dp else other.num
+        return _make(num, dp) if len(plain) == 1 else _canon(num, dp)
 
     __rmul__ = __mul__
 
@@ -181,8 +307,9 @@ class Coeff:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # a square past the top bit is unused and may overflow
+                base = base * base
         return out
 
     def __bool__(self):
@@ -207,10 +334,10 @@ class Coeff:
         vals = [Fraction(assignment[v]) for v in VARS]
         if self.dp and vals[0] == -1:
             raise ZeroDivisionError("evaluation at b = -1 with a (1+b) denominator")
-        total = _F0
-        for exps, c in self.num.items():
+        total = Fraction(0)
+        for key, c in self.num.items():
             t = c
-            for v, e in zip(vals, exps):
+            for v, e in zip(vals, _unpack(key)):
                 if e:
                     t *= v ** e
             total += t
@@ -220,29 +347,22 @@ class Coeff:
 
     def subs(self, assignment):
         """Substitute rationals for a subset of the variables."""
-        vals = {_VAR_INDEX[v]: Fraction(x) for v, x in assignment.items()}
+        vals = {_VAR_SHIFT[v]: Fraction(x) for v, x in assignment.items()}
         num = {}
-        for exps, c in self.num.items():
+        for key, c in self.num.items():
             t = c
-            new = list(exps)
-            for idx, v in vals.items():
-                e = exps[idx]
+            for shift, v in vals.items():
+                e = (key >> shift) & _FIELD_MASK
                 if e:
                     t *= v ** e
-                    new[idx] = 0
-            if t:
-                key = tuple(new)
-                s = num.get(key, _F0) + t
-                if s:
-                    num[key] = s
-                elif key in num:
-                    del num[key]
+                    key &= ~(_FIELD_MASK << shift)
+            add_term(num, key, t)
         dp = self.dp
-        if 0 in vals and dp:
-            scale = 1 + vals[0]
+        if _B_SHIFT in vals and dp:
+            scale = 1 + vals[_B_SHIFT]
             if scale == 0:
                 raise ZeroDivisionError("substituting b = -1 with a (1+b) denominator")
-            num = _poly_scale(num, _F1 / scale ** dp)
+            num = _poly_scale(num, 1 / scale ** dp)
             dp = 0
         return Coeff(num, dp)
 
@@ -250,7 +370,7 @@ class Coeff:
         """Total numerator degree, -1 for zero."""
         if not self.num:
             return -1
-        return max(sum(e) for e in self.num)
+        return max(sum(_unpack(key)) for key in self.num)
 
     # -- serialization -----------------------------------------------------
 
@@ -258,11 +378,11 @@ class Coeff:
         if not self.num:
             return "0"
         parts = []
-        for exps in sorted(self.num, reverse=True):
-            c = self.num[exps]
+        for key in sorted(self.num, reverse=True):
+            c = self.num[key]
             factors = [
                 v if e == 1 else "%s^%d" % (v, e)
-                for v, e in zip(VARS, exps)
+                for v, e in zip(VARS, _unpack(key))
                 if e
             ]
             if not factors:
@@ -299,36 +419,20 @@ class Coeff:
                 s = s[1:-1]
         num = {}
         for term in re.findall(r"[+-]?[^+-]+", s):
-            sign = _F1
+            coeff = Fraction(1)
             if term.startswith("-"):
-                sign, term = -_F1, term[1:]
+                coeff, term = -coeff, term[1:]
             elif term.startswith("+"):
                 term = term[1:]
-            coeff = sign
-            exps = [0] * NVARS
+            exps = dict.fromkeys(VARS, 0)
             for factor in term.split("*"):
                 mono = cls._MONO_RE.match(factor)
                 if mono:
-                    exps[_VAR_INDEX[mono.group(1)]] += int(mono.group(2) or 1)
+                    exps[mono.group(1)] += int(mono.group(2) or 1)
                 else:
                     coeff *= Fraction(factor)
-            if coeff:
-                key = tuple(exps)
-                t = num.get(key, _F0) + coeff
-                if t:
-                    num[key] = t
-                elif key in num:
-                    del num[key]
+            add_term(num, _pack(exps.values()), coeff)
         return cls(num, dp)
-
-
-def _one_plus_b_pow(e):
-    exps = [0] * NVARS
-    out = {}
-    for k in range(e + 1):
-        exps[0] = k
-        out[tuple(exps)] = Fraction(comb(e, k))
-    return out
 
 
 ZERO = Coeff.zero()

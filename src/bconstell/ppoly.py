@@ -8,7 +8,7 @@ not exist, constructors for them yield the zero polynomial.
 
 from fractions import Fraction
 
-from .coeffring import Coeff
+from .coeffring import Coeff, add_term
 
 
 def pm_mul(a, b):
@@ -78,11 +78,7 @@ class PPoly:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Coeff.zero()) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+            add_term(out, m, c)
         p = PPoly.__new__(PPoly)
         p.terms = out
         return p
@@ -109,11 +105,7 @@ class PPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = pm_mul(m1, m2)
-                s = out.get(m, Coeff.zero()) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+                add_term(out, m, c1 * c2)
         p = PPoly.__new__(PPoly)
         p.terms = out
         return p
@@ -154,11 +146,7 @@ class PPoly:
             else:
                 d[i] = e - 1
             key = tuple(sorted(d.items()))
-            s = out.get(key, Coeff.zero()) + c * e
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            add_term(out, key, c * e)
         return PPoly(out)
 
     def map_coeff(self, fn):

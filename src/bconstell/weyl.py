@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-from .coeffring import Coeff
+from .coeffring import Coeff, add_term
 from .ppoly import EMPTY, PPoly, pm_degree, pm_mul, pm_sort_key
 
 
@@ -137,11 +137,7 @@ class WeylOp:
         d = min(self.working_degree, other.working_degree)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, Coeff.zero()) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            add_term(out, k, c)
         return WeylOp(out, d)
 
     def __neg__(self):
@@ -191,11 +187,7 @@ class WeylOp:
                 if not ok:
                     continue
                 key = pm_mul(tuple(sorted(md.items())), cr)
-                s = out.get(key, Coeff.zero()) + c * mc * factor
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                add_term(out, key, c * mc * factor)
         return PPoly(out)
 
     def compose(self, other):
@@ -233,11 +225,7 @@ class WeylOp:
                         continue
                     cr = pm_mul(cr1, _pm_sub(cr2, gm))
                     key = (cr, an)
-                    s = out.get(key, Coeff.zero()) + base * factor
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
+                    add_term(out, key, base * factor)
         return WeylOp(out, new_d)
 
     def commutator(self, other):

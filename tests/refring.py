@@ -1,0 +1,133 @@
+"""Reference scalar kernel, kept for tests only.
+
+This is the original arithmetic behind ``Coeff``: numerators keyed by
+exponent tuples in ``VARS`` order with ``Fraction`` coefficients, values as
+``(num, dp)`` pairs meaning ``num / (1+b)^dp``.  The packed integer kernel
+in ``bconstell.coeffring`` must agree with it on every operation.
+"""
+
+from fractions import Fraction
+from math import comb
+
+VARS = ("b", "u1", "u2", "u3", "q1", "q2", "q3")
+NVARS = len(VARS)
+ZERO_EXP = (0,) * NVARS
+
+_F0 = Fraction(0)
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        s = out.get(e, _F0) + c
+        if s:
+            out[e] = s
+        elif e in out:
+            del out[e]
+    return out
+
+
+def poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, _F0) + c1 * c2
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    return out
+
+
+def div_one_plus_b(num):
+    """Divide by (1+b) as a polynomial in b; return the quotient or None."""
+    groups = {}
+    for exps, c in num.items():
+        groups.setdefault(exps[1:], {})[exps[0]] = c
+    quot = {}
+    for rest, coeffs in groups.items():
+        d = max(coeffs)
+        if d == 0:
+            return None
+        q = {}
+        qk = coeffs[d]
+        q[d - 1] = qk
+        for k in range(d - 1, 0, -1):
+            qk = coeffs.get(k, _F0) - qk
+            q[k - 1] = qk
+        if coeffs.get(0, _F0) - q[0] != 0:
+            return None
+        for k, c in q.items():
+            if c:
+                quot[(k,) + rest] = c
+    return quot
+
+
+def one_plus_b_pow(e):
+    return {(k,) + ZERO_EXP[1:]: Fraction(comb(e, k)) for k in range(e + 1)}
+
+
+def canon(num, dp):
+    """Canonical (num, dp): strip every (1+b) factor the denominator allows."""
+    num = {e: Fraction(c) for e, c in num.items() if c}
+    while dp > 0 and num:
+        quot = div_one_plus_b(num)
+        if quot is None:
+            break
+        num = quot
+        dp -= 1
+    return num, dp if num else 0
+
+
+def add(x, y):
+    (a, da), (b, db) = x, y
+    e = max(da, db)
+    if e > da:
+        a = poly_mul(a, one_plus_b_pow(e - da))
+    if e > db:
+        b = poly_mul(b, one_plus_b_pow(e - db))
+    return canon(poly_add(a, b), e)
+
+
+def neg(x):
+    num, dp = x
+    return {e: -c for e, c in num.items()}, dp
+
+
+def mul(x, y):
+    return canon(poly_mul(x[0], y[0]), x[1] + y[1])
+
+
+def power(x, n):
+    out = ({ZERO_EXP: Fraction(1)}, 0)
+    for _ in range(n):
+        out = mul(out, x)
+    return out
+
+
+def to_str(x):
+    """The text form Coeff.__str__ must print for the value x."""
+    num, dp = x
+    if not num:
+        return "0"
+    parts = []
+    for exps in sorted(num, reverse=True):
+        c = num[exps]
+        factors = [v if e == 1 else "%s^%d" % (v, e) for v, e in zip(VARS, exps) if e]
+        if not factors:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(abs(c))] + factors)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append((" + " if c > 0 else " - ") + body)
+    num_s = "".join(parts)
+    if not dp:
+        return num_s
+    if len(num) > 1 or num_s.startswith("-"):
+        num_s = "(" + num_s + ")"
+    return "%s/(1+b)^%d" % (num_s, dp)

@@ -150,3 +150,14 @@ def test_stdout_deterministic():
     td1 = run_cli("tau", "--model", "biple3", "--order", "2", "--json")
     td2 = run_cli("tau", "--model", "biple3", "--order", "2", "--json")
     assert td1[1] == td2[1]
+
+
+@pytest.mark.parametrize("model", ["bip", "threeconst", "biple3"])
+@pytest.mark.parametrize("value", ["abc", "1/0", "-1", "-2/2"])
+def test_verify_bad_b_eval_exits_two(model, value):
+    code, out, err = run_cli(
+        "verify", "--model", model, "--imax", "1", "--deg", "2", "--b-eval", value
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and "--b-eval" in err

@@ -1,0 +1,110 @@
+"""The packed integer kernel of Coeff against the reference tuple kernel."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+import refring
+from bconstell.coeffring import B, INV_1PB, MAX_EXP, ONE_PLUS_B, Q, U, Coeff
+
+nonzero = st.integers(-20, 20).filter(bool)
+rational = st.builds(Fraction, nonzero, st.integers(1, 6))
+monomial = st.dictionaries(st.sampled_from(refring.VARS), st.integers(1, 12), max_size=4)
+
+# (terms, content, j, k) stands for content * sum(terms) * (1+b)^j / (1+b)^k;
+# j > 0 lets canonical reduction cancel part of the denominator.
+spec_strategy = st.tuples(
+    st.lists(st.tuples(rational, monomial), min_size=1, max_size=5),
+    rational,
+    st.integers(0, 3),
+    st.integers(0, 4),
+)
+
+
+def build(spec):
+    """The same value as a Coeff, built by public arithmetic, and as a reference pair."""
+    terms, content, j, k = spec
+    value = Coeff.zero()
+    num = {}
+    for c, mono in terms:
+        term = Coeff.from_rational(c)
+        for v, e in mono.items():
+            term = term * Coeff.var(v) ** e
+        value = value + term
+        exps = tuple(mono.get(v, 0) for v in refring.VARS)
+        num = refring.poly_add(num, {exps: c})
+    value = value * content * ONE_PLUS_B ** j * INV_1PB ** k
+    num = refring.poly_mul(num, {refring.ZERO_EXP: content})
+    num = refring.poly_mul(num, refring.one_plus_b_pow(j))
+    return value, refring.canon(num, k)
+
+
+def assert_matches(value, ref):
+    num, dp = ref
+    assert value.dp == dp
+    assert len(value.num) == len(num)
+    assert str(value) == refring.to_str(ref)
+    assert Coeff.parse(str(value)) == value
+    for c in value.num.values():
+        assert (type(c) is int and c != 0) or (
+            type(c) is Fraction and c.denominator != 1
+        )
+
+
+@given(spec_strategy, spec_strategy)
+def test_ring_operations_match_reference(sx, sy):
+    x, rx = build(sx)
+    y, ry = build(sy)
+    assert_matches(x, rx)
+    assert_matches(y, ry)
+    assert_matches(x + y, refring.add(rx, ry))
+    assert_matches(x - y, refring.add(rx, refring.neg(ry)))
+    assert_matches(x - x, ({}, 0))
+    assert_matches(x * y, refring.mul(rx, ry))
+    # x*b + x = x*(1+b): a sum whose numerator loses a (1+b) factor
+    rb = ({(1,) + refring.ZERO_EXP[1:]: Fraction(1)}, 0)
+    assert_matches(x * B + x, refring.add(refring.mul(rx, rb), rx))
+
+
+@given(spec_strategy, st.integers(0, 3))
+def test_power_matches_reference(sx, n):
+    x, rx = build(sx)
+    assert_matches(x ** n, refring.power(rx, n))
+
+
+def test_largest_exponent_is_exact():
+    top = B ** MAX_EXP
+    assert str(top) == "b^%d" % MAX_EXP
+    assert Coeff.parse(str(top)) == top
+    assert str(Q[3] ** MAX_EXP * U[1]) == "u1*q3^%d" % MAX_EXP
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: B ** (MAX_EXP + 1),
+        lambda: Q[3] ** (MAX_EXP + 1),
+        lambda: (U[2] ** MAX_EXP + Q[1]) * (U[2] * B + 1),
+        lambda: (Q[1] ** 1500 + B) * (Q[1] ** 1500 - U[3]),
+        lambda: Coeff.parse("b^%d" % (MAX_EXP + 1)),
+        lambda: Coeff.parse("u1*q2^%d" % (MAX_EXP + 1)),
+        lambda: Coeff.parse("q1^%d*q1" % MAX_EXP),
+        lambda: INV_1PB ** (MAX_EXP + 1) + 1,
+    ],
+)
+def test_exponent_overflow_raises(make):
+    # an exponent past its field must never wrap into a neighbouring
+    # variable's field: every such value is refused loudly
+    with pytest.raises(OverflowError, match="exponent"):
+        make()
+
+
+def test_integral_coefficients_are_int():
+    half = Coeff.from_rational(Fraction(1, 2))
+    assert (half * 2).num == {0: 1} and type((half * 2).num[0]) is int
+    assert type(Coeff.from_rational(Fraction(6, 3)).num[0]) is int
+    assert type(Coeff({0: Fraction(4, 2)}).num[0]) is int
+    x = (half * B + half) * (B * 2 - 2)
+    assert all(type(c) is int for c in x.num.values())
+    assert str(x) == "b^2 - 1"
