@@ -21,7 +21,7 @@ from .constraints import (
     verify_commutators,
 )
 from .currents import build_A, build_M, current
-from .jack import compare_with_engine, jack
+from .jack import JACK_BOUND, compare_with_engine, jack
 from .tau import check_constraints, check_rooted_fixed_point, tau_evolve
 
 SCHEMA = 1
@@ -48,6 +48,11 @@ def _emit(report, as_json):
     for flag in report.get("denominator_flags", []):
         print("denominator flag: %s" % flag)
     print("overall: %s" % ("pass" if report["ok"] else "FAIL"))
+
+
+def _oracle_order(parser, flag, n):
+    if n > JACK_BOUND:
+        parser.error("%s %d exceeds the oracle bound %d" % (flag, n, JACK_BOUND))
 
 
 def _model(parser, name):
@@ -94,6 +99,8 @@ def cmd_tau(parser, args):
     model = _model(parser, args.model)
     if args.order < 0:
         parser.error("--order must be non-negative")
+    if args.oracle:
+        _oracle_order(parser, "--order", args.order)
     series = tau_evolve(model, args.order)
     ok = True
     out = {
@@ -183,6 +190,7 @@ def cmd_jack(parser, args):
         parser.error("--lambda expects a comma-separated partition, e.g. 2,1")
     if any(x < 1 for x in lam):
         parser.error("partition parts must be positive")
+    _oracle_order(parser, "--lambda of size", sum(lam))
     vec = jack(lam)
     parts = sorted(vec, reverse=True)
     obj = {
@@ -204,6 +212,7 @@ def cmd_oracle(parser, args):
     model = _model(parser, args.model)
     if args.order < 0:
         parser.error("--order must be non-negative")
+    _oracle_order(parser, "--order", args.order)
     report = compare_with_engine(model, args.order)
     report["schema"] = SCHEMA
     print(json.dumps(report, sort_keys=True))

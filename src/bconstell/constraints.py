@@ -537,6 +537,10 @@ def verify_final_commutator(model, i_max, d_check):
             entry = {"i": i, "j": j, "status": "pass" if ok else "fail"}
             if not ok:
                 ok_all = False
+                cr, an, c = lhs.diff_up_to(rhs, d_check)[0]
+                entry["first_mismatch"] = "coeff %s on create=%s annihilate=%s" % (
+                    c, cr, an
+                )
             items.append(entry)
     return {
         "params": {"model": model.name, "imax": i_max, "degree": d_check},

@@ -6,13 +6,28 @@ the face variables and in the vertex-degree variables, weighted by a
 content product and divided by the squared norm.  Nothing here touches the
 evolution engine, so exact agreement of the two series is a real check.
 
-The deformed polynomials are constructed by Gram-Schmidt against the
-dominance order over the alpha-deformed power-sum pairing, normalized so
-the coefficient of p_1^n is 1.  The internal scalar field is the exact
-rational function field Q(alpha, u1, u2, u3, q1, q2, q3); the engine's
-scalar ring cannot host the intermediate norms (their denominators are not
-powers of 1+b), and keeping the oracle on a separate arithmetic stack is
-the point.
+The deformed polynomials J_lam are constructed by Gram-Schmidt against the
+lexicographic order (which refines dominance) over the alpha-deformed
+power-sum pairing, normalized so the coefficient of p_1^n is 1.  Their
+p-coordinates are polynomials in alpha, so the tables live in QQ[alpha]
+and the Gram-Schmidt is fraction-free: each projection step is
+v <- <g,g> v - <v,g> g against a finished J_mu (both factors divided by
+their gcd, which keeps the degrees down), and the p_1^n coefficient is
+divided out exactly at the end.  Every norm <J_lam, J_lam> is checked
+against Stanley's closed form j_lam = prod_s (alpha a(s) + l(s) + 1)
+(alpha a(s) + l(s) + alpha); an inexact division or a differing norm
+raises JackTableError.
+
+The series at order n is accumulated in the polynomial ring
+QQ[alpha, u1, u2, u3, q1, q2, q3]: every weight is scaled by D_n / j_lam,
+where D_n is the lcm of the norms of size n, and each output p-monomial
+becomes one fraction over D_n in the rational function field, whose
+denominator must reduce to a power of alpha = 1+b.  The engine's scalar
+ring cannot host the intermediate norms (their denominators are not powers
+of 1+b), and keeping the oracle on a separate arithmetic stack is the
+point; values cross into Coeff only in _field_to_coeff.  jack, jack_norm
+and content_product return elements of the field
+Q(alpha, u1, u2, u3, q1, q2, q3).
 
 The deformed content of a box is a convention to calibrate, not to assume:
 c(row r, column c) = alpha*(c-1) - (r-1) ("standard") or its transpose
@@ -22,7 +37,7 @@ is told which one matched.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .coeffring import Coeff, ONE_PLUS_B, U as COEFF_U, Q as COEFF_Q
 from .ppoly import PPoly
@@ -41,6 +56,10 @@ class OracleDenominatorError(ArithmeticError):
 
 class OracleCalibrationError(ArithmeticError):
     """Neither content convention reproduced the engine series."""
+
+
+class JackTableError(ArithmeticError):
+    """The Gram-Schmidt table failed its exact division or its norm check."""
 
 
 # -- partitions --------------------------------------------------------------
@@ -114,10 +133,25 @@ def _field():
     return field, gens
 
 
-def _fld(x):
+@lru_cache(maxsize=1)
+def _rings():
+    """QQ[alpha] for the tables and QQ[alpha, u, q] for the series."""
+    from sympy.polys.domains import QQ
+
     field, _ = _field()
-    x = Fraction(x)
-    return field(x.numerator) / field(x.denominator)
+    series_ring = field.field.ring
+    return QQ.poly_ring(series_ring.symbols[0]).ring, series_ring
+
+
+def _lift(p):
+    """A QQ[alpha] element inside QQ[alpha, u, q]."""
+    return p.set_ring(_rings()[1])
+
+
+def _to_field(p):
+    """A polynomial of either ring as a (cancelled) field element."""
+    field, _ = _field()
+    return field.field(_lift(p))
 
 
 @lru_cache(maxsize=None)
@@ -170,10 +204,10 @@ def _m_in_p(n):
 
 
 def _inner_field(f, g):
-    """alpha-deformed pairing of two p-coordinate vectors over the field."""
-    field, gens = _field()
-    alpha = gens["alpha"]
-    acc = field.zero
+    """alpha-deformed pairing of two p-coordinate vectors over QQ[alpha]."""
+    ring, _ = _rings()
+    alpha = ring.gens[0]
+    acc = ring.zero
     for lam, cf in f.items():
         cg = g.get(lam)
         if cg:
@@ -181,48 +215,91 @@ def _inner_field(f, g):
     return acc
 
 
+def _stanley_norm(lam):
+    """Closed form prod_s (alpha a(s) + l(s) + 1)(alpha a(s) + l(s) + alpha).
+
+    a(s) and l(s) are the arm and leg of box s (Stanley 1989, Adv. Math. 77;
+    Macdonald, Symmetric Functions and Hall Polynomials, VI.10); returned
+    in QQ[alpha].
+    """
+    ring, _ = _rings()
+    alpha = ring.gens[0]
+    acc = ring.one
+    for r, row_len in enumerate(lam):
+        for c in range(row_len):
+            arm = row_len - c - 1
+            leg = sum(1 for below in lam[r + 1:] if below > c)
+            acc *= (alpha * arm + leg + 1) * (alpha * arm + leg + alpha)
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _jack_table(n):
-    """All deformed polynomials of size n as p-coordinate vectors."""
+    """All deformed polynomials of size n as p-coordinate vectors in QQ[alpha]."""
     if n > JACK_BOUND:
         raise JackBoundError("size %d exceeds the configured bound %d" % (n, JACK_BOUND))
-    field, _ = _field()
+    from sympy.polys.domains import QQ
+    from sympy.polys.polyerrors import ExactQuotientFailed
+
+    ring, _ = _rings()
     if n == 0:
-        return {(): {(): field.one}}
-    parts = partitions(n)
+        return {(): {(): ring.one}}
     m_in_p = _m_in_p(n)
+    ones = (1,) * n
     done = []
     table = {}
     # increasing lexicographic order refines dominance upward
-    for lam in reversed(parts):
-        v = {mu: _fld(c) for mu, c in m_in_p[lam].items() if c}
+    for lam in reversed(partitions(n)):
+        v = {
+            mu: ring(QQ(c.numerator, c.denominator))
+            for mu, c in m_in_p[lam].items() if c
+        }
         for g, norm in done:
-            c = _inner_field(v, g) / norm
+            c = _inner_field(v, g)
             if c:
+                _, scale, c = norm.cofactors(c)
                 v = {
-                    mu: v.get(mu, field.zero) - c * g.get(mu, field.zero)
+                    mu: scale * v.get(mu, ring.zero) - c * g.get(mu, ring.zero)
                     for mu in set(v) | set(g)
                 }
                 v = {mu: x for mu, x in v.items() if x}
-        done.append((v, _inner_field(v, v)))
-        ones = (1,) * n
         lead = v[ones]
-        table[lam] = {mu: x / lead for mu, x in v.items()}
+        try:
+            vec = {mu: x.exquo(lead) for mu, x in v.items()}
+        except ExactQuotientFailed:
+            raise JackTableError(
+                "J%s: the p_1^%d coefficient %s does not divide the Gram-Schmidt "
+                "vector exactly" % (lam, n, lead)
+            ) from None
+        norm = _inner_field(vec, vec)
+        expected = _stanley_norm(lam)
+        if norm != expected:
+            raise JackTableError(
+                "J%s: Gram-Schmidt norm %s differs from the closed form %s"
+                % (lam, norm, expected)
+            )
+        done.append((vec, norm))
+        table[lam] = vec
     return table
 
 
-def jack(lam):
-    """The deformed polynomial indexed by lam, as {partition: field coeff}."""
+def _table_entry(lam):
+    """The QQ[alpha] p-coordinates of the deformed polynomial indexed by lam."""
     lam = tuple(sorted(lam, reverse=True))
     if any(part <= 0 for part in lam):
         raise ValueError("partitions have positive parts")
     return _jack_table(sum(lam))[lam]
 
 
+def jack(lam):
+    """The deformed polynomial indexed by lam, as {partition: field coeff}."""
+    return {mu: _to_field(c) for mu, c in _table_entry(lam).items()}
+
+
 def jack_norm(lam):
     """Squared norm of the deformed polynomial under the pairing."""
-    v = jack(lam)
-    return _inner_field(v, v)
+    v = _table_entry(lam)
+    return _to_field(_inner_field(v, v))
 
 
 def _field_to_coeff(elem):
@@ -251,26 +328,28 @@ def _field_to_coeff(elem):
     return out * (1 / scale) * Coeff.inv_one_plus_b(e) if e else out * (1 / scale)
 
 
+def _ppoly_key(mu):
+    """The PPoly monomial key of the power-sum product p_mu."""
+    counts = {}
+    for part in mu:
+        counts[part] = counts.get(part, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 def jack_to_ppoly(lam):
     """The deformed polynomial as a PPoly with alpha evaluated at 1+b."""
-    out = {}
-    for mu, c in jack(lam).items():
-        counts = {}
-        for part in mu:
-            counts[part] = counts.get(part, 0) + 1
-        out[tuple(sorted(counts.items()))] = _field_to_coeff(c)
-    return PPoly(out)
+    return PPoly({_ppoly_key(mu): _field_to_coeff(c) for mu, c in jack(lam).items()})
 
 
 # -- the oracle series -------------------------------------------------------
 
 
-def content_product(lam, k, convention="standard"):
-    """Product over boxes and colors of (u_l + deformed content)."""
-    field, gens = _field()
-    alpha = gens["alpha"]
-    us = [gens["u1"], gens["u2"], gens["u3"]][:k]
-    acc = field.one
+def _content_poly(lam, k, convention):
+    """Product over boxes and colors of (u_l + deformed content) in QQ[alpha, u, q]."""
+    _, ring = _rings()
+    alpha = ring.gens[0]
+    us = ring.gens[1:1 + k]
+    acc = ring.one
     for r, row_len in enumerate(lam, start=1):
         for c in range(1, row_len + 1):
             if convention == "standard":
@@ -284,23 +363,28 @@ def content_product(lam, k, convention="standard"):
     return acc
 
 
+def content_product(lam, k, convention="standard"):
+    """Product over boxes and colors of (u_l + deformed content)."""
+    return _to_field(_content_poly(lam, k, convention))
+
+
 def content_product_coeff(lam, k, convention="standard"):
     """Same product converted to Coeff (alpha -> 1+b)."""
     return _field_to_coeff(content_product(lam, k, convention))
 
 
-def _vertex_weight(lam, model):
-    """The vertex-side evaluation of the deformed polynomial."""
-    field, gens = _field()
+def _vertex_weight(vec, model):
+    """The vertex-side evaluation of a deformed polynomial, in QQ[alpha, u, q]."""
+    _, ring = _rings()
     if model.r == 1:
         # q_j = [j == 1]: only the p_1^n coordinate survives, which is 1
-        return field.one
-    acc = field.zero
-    qs = [None, gens["q1"], gens["q2"], gens["q3"]]
-    for mu, c in jack(lam).items():
+        return ring.one
+    qs = (None,) + ring.gens[4:7]
+    acc = ring.zero
+    for mu, c in vec.items():
         if mu and max(mu) > 3:
             continue
-        term = c
+        term = _lift(c)
         for part in mu:
             term *= qs[part]
         acc += term
@@ -308,35 +392,41 @@ def _vertex_weight(lam, model):
 
 
 def tau_jack(model, order, convention="standard"):
-    """The oracle series up to t^order as a TauSeries."""
+    """The oracle series up to t^order as a TauSeries.
+
+    Order n is summed in QQ[alpha, u, q] over the common denominator D_n,
+    the lcm of the norms of size n; each p-monomial is then one fraction.
+    """
     from .tau import TauSeries
 
     if order > JACK_BOUND:
         raise JackBoundError(
             "order %d exceeds the configured bound %d" % (order, JACK_BOUND)
         )
+    field, _ = _field()
+    _, ring = _rings()
     coeffs = [PPoly.one()]
     for n in range(1, order + 1):
+        table = _jack_table(n)
+        norms = {lam: _inner_field(v, v) for lam, v in table.items()}
+        common = reduce(lambda x, y: x.lcm(y), norms.values())
         vec = {}
         for lam in partitions(n):
+            v = table[lam]
             weight = (
-                content_product(lam, model.k, convention)
-                * _vertex_weight(lam, model)
-                / jack_norm(lam)
+                _content_poly(lam, model.k, convention)
+                * _vertex_weight(v, model)
+                * _lift(common.exquo(norms[lam]))
             )
             if not weight:
                 continue
-            for mu, c in jack(lam).items():
-                vec[mu] = vec.get(mu, 0) + c * weight
-        terms = {}
-        for mu, c in vec.items():
-            if not c:
-                continue
-            counts = {}
-            for part in mu:
-                counts[part] = counts.get(part, 0) + 1
-            terms[tuple(sorted(counts.items()))] = _field_to_coeff(c)
-        coeffs.append(PPoly(terms))
+            for mu, c in v.items():
+                vec[mu] = vec.get(mu, ring.zero) + _lift(c) * weight
+        denom = _lift(common)
+        coeffs.append(PPoly({
+            _ppoly_key(mu): _field_to_coeff(field.field.new(c, denom))
+            for mu, c in vec.items() if c
+        }))
     return TauSeries(model, coeffs)
 
 

@@ -1,0 +1,116 @@
+"""Reference Jack oracle, kept for tests only.
+
+This is the original arithmetic behind ``bconstell.jack``: Gram-Schmidt
+and series reassembly directly in the rational function field
+Q(alpha, u1, u2, u3, q1, q2, q3), where every product cancels a
+multivariate gcd.  The fraction-free QQ[alpha] tables and the
+common-denominator assembly in ``bconstell.jack`` must agree with it.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from bconstell.jack import _field, _field_to_coeff, _m_in_p, _ppoly_key, partitions, z_of
+from bconstell.ppoly import PPoly
+
+
+def _fld(x):
+    field, _ = _field()
+    x = Fraction(x)
+    return field(x.numerator) / field(x.denominator)
+
+
+def inner(f, g):
+    """alpha-deformed pairing of two p-coordinate vectors over the field."""
+    field, gens = _field()
+    alpha = gens["alpha"]
+    acc = field.zero
+    for lam, cf in f.items():
+        cg = g.get(lam)
+        if cg:
+            acc += cf * cg * alpha ** len(lam) * z_of(lam)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def jack_table(n):
+    """All deformed polynomials of size n as p-coordinate vectors over the field."""
+    field, _ = _field()
+    if n == 0:
+        return {(): {(): field.one}}
+    parts = partitions(n)
+    m_in_p = _m_in_p(n)
+    done = []
+    table = {}
+    for lam in reversed(parts):
+        v = {mu: _fld(c) for mu, c in m_in_p[lam].items() if c}
+        for g, norm in done:
+            c = inner(v, g) / norm
+            if c:
+                v = {
+                    mu: v.get(mu, field.zero) - c * g.get(mu, field.zero)
+                    for mu in set(v) | set(g)
+                }
+                v = {mu: x for mu, x in v.items() if x}
+        done.append((v, inner(v, v)))
+        lead = v[(1,) * n]
+        table[lam] = {mu: x / lead for mu, x in v.items()}
+    return table
+
+
+def jack(lam):
+    return jack_table(sum(lam))[tuple(lam)]
+
+
+def content_product(lam, k, convention):
+    field, gens = _field()
+    alpha = gens["alpha"]
+    us = [gens["u1"], gens["u2"], gens["u3"]][:k]
+    acc = field.one
+    for r, row_len in enumerate(lam, start=1):
+        for c in range(1, row_len + 1):
+            if convention == "standard":
+                content = alpha * (c - 1) - (r - 1)
+            else:
+                content = alpha * (r - 1) - (c - 1)
+            for u in us:
+                acc *= u + content
+    return acc
+
+
+def vertex_weight(lam, model):
+    field, gens = _field()
+    if model.r == 1:
+        return field.one
+    acc = field.zero
+    qs = [None, gens["q1"], gens["q2"], gens["q3"]]
+    for mu, c in jack(lam).items():
+        if mu and max(mu) > 3:
+            continue
+        term = c
+        for part in mu:
+            term *= qs[part]
+        acc += term
+    return acc
+
+
+def tau_coeffs(model, order, convention="standard"):
+    """The oracle series coefficients t^0 .. t^order as PPoly values."""
+    coeffs = [PPoly.one()]
+    for n in range(1, order + 1):
+        vec = {}
+        for lam in partitions(n):
+            v = jack(lam)
+            weight = (
+                content_product(lam, model.k, convention)
+                * vertex_weight(lam, model)
+                / inner(v, v)
+            )
+            if not weight:
+                continue
+            for mu, c in v.items():
+                vec[mu] = vec.get(mu, 0) + c * weight
+        coeffs.append(PPoly({
+            _ppoly_key(mu): _field_to_coeff(c) for mu, c in vec.items() if c
+        }))
+    return coeffs

@@ -161,3 +161,39 @@ def test_verify_bad_b_eval_exits_two(model, value):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err and "--b-eval" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["jack", "--lambda", "7"],
+    ["jack", "--lambda", "4,3"],
+    ["oracle", "--model", "bip", "--order", "7"],
+    ["tau", "--model", "bip", "--order", "7", "--oracle"],
+])
+def test_beyond_jack_bound_exits_two(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and "oracle bound 6" in err
+
+
+def test_tau_oracle_bound_checked_before_engine(monkeypatch, capsys):
+    import bconstell.cli as cli_mod
+
+    def engine_must_not_run(model, order):
+        raise AssertionError("the engine ran before the oracle bound was checked")
+
+    monkeypatch.setattr(cli_mod, "tau_evolve", engine_must_not_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["tau", "--model", "biple3", "--order", "7", "--oracle"])
+    assert exc.value.code == 2
+    assert "oracle bound" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bconstell", "jack", "--lambda", "2,1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "p_[3]: -alpha\np_[2, 1]: alpha - 1\np_[1, 1, 1]: 1\n"

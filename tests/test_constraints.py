@@ -276,3 +276,32 @@ def test_mixed_level_values():
 def test_final_commutator_small():
     assert verify_final_commutator(BIP, 3, 6)["ok"]
     assert verify_final_commutator(BIPLE3, 3, 6)["ok"]
+
+
+def test_final_commutator_failure_carries_first_mismatch(monkeypatch):
+    import importlib
+
+    constraints_mod = importlib.import_module("bconstell.constraints")
+    real = constraints_mod.final_commutator_rhs
+    added = []
+
+    def off_by_one_op(model, i, j, ops, d_outer):
+        rhs = real(model, i, j, ops, d_outer)
+        if (i, j) != (1, 2):
+            return rhs
+        added.append(ops[1])
+        return rhs + ops[1]
+
+    monkeypatch.setattr(constraints_mod, "final_commutator_rhs", off_by_one_op)
+    report = verify_final_commutator(BIP, 2, 4)
+    assert not report["ok"]
+    by_pair = {(p["i"], p["j"]): p for p in report["pairs"]}
+    # lhs - (rhs + op) = -op at degree <= 4
+    cr, an, c = WeylOp.zero(added[0].working_degree).diff_up_to(added[0], 4)[0]
+    assert by_pair[(1, 2)]["status"] == "fail"
+    assert by_pair[(1, 2)]["first_mismatch"] == (
+        "coeff %s on create=%s annihilate=%s" % (c, cr, an)
+    )
+    for pair, entry in by_pair.items():
+        if pair != (1, 2):
+            assert entry["status"] == "pass" and "first_mismatch" not in entry

@@ -169,3 +169,54 @@ def test_bound_errors():
         jack((7,))
     with pytest.raises(JackBoundError):
         tau_jack(BIP, 7)
+
+
+import importlib
+
+from bconstell.jack import JackTableError, jack_norm
+
+jackmod = importlib.import_module("bconstell.jack")
+
+
+def _closed_form_norm(lam):
+    # Stanley's j_lam = prod_s (alpha a(s) + l(s) + 1)(alpha a(s) + l(s) + alpha),
+    # with legs read off the conjugate partition
+    field, gens = _field()
+    alpha = gens["alpha"]
+    conj = [sum(1 for part in lam if part > c) for c in range(lam[0])]
+    acc = field.one
+    for r, row in enumerate(lam):
+        for c in range(row):
+            arm, leg = row - c - 1, conj[c] - r - 1
+            acc *= (alpha * arm + leg + 1) * (alpha * arm + leg + alpha)
+    return acc
+
+
+def test_norms_match_stanley_closed_form_up_to_six():
+    for n in range(1, 7):
+        for lam in partitions(n):
+            assert jack_norm(lam) == _closed_form_norm(lam), lam
+
+
+@pytest.fixture
+def fresh_tables():
+    jackmod._jack_table.cache_clear()
+    yield
+    jackmod._jack_table.cache_clear()
+
+
+def test_norm_disagreeing_with_closed_form_is_loud(monkeypatch, fresh_tables):
+    ring = jackmod._rings()[0]
+    monkeypatch.setattr(jackmod, "_stanley_norm", lambda lam: ring.one)
+    with pytest.raises(JackTableError, match="closed form"):
+        jackmod._jack_table(2)
+
+
+def test_corrupted_projection_is_loud(monkeypatch, fresh_tables):
+    # doubling every cross pairing leaves a vector that is no Jack polynomial
+    real = jackmod._inner_field
+    monkeypatch.setattr(
+        jackmod, "_inner_field", lambda f, g: real(f, g) if f is g else 2 * real(f, g)
+    )
+    with pytest.raises(JackTableError):
+        jackmod._jack_table(3)
