@@ -120,7 +120,7 @@ def cmd_tau(parser, args):
         ok = ok and rep["ok"]
         out["checks"].append({"fixed_point": rep["ok"], "imax": args.fixed_point})
     if args.oracle:
-        rep = compare_with_engine(model, args.order)
+        rep = compare_with_engine(model, args.order, engine=series)
         ok = ok and rep["ok"]
         out["checks"].append({"oracle": rep["ok"],
                               "convention": rep["params"]["convention"],
@@ -195,7 +195,7 @@ def cmd_jack(parser, args):
     parts = sorted(vec, reverse=True)
     obj = {
         "schema": SCHEMA,
-        "partition": list(lam),
+        "partition": sorted(lam, reverse=True),
         "coefficients": [
             {"p_basis": list(mu), "coeff": str(vec[mu])} for mu in parts
         ],

@@ -331,6 +331,26 @@ def _build_l_family(model, d_check):
     return ls, d_build, d_outer
 
 
+def _antisymmetric_sweep(i_max, build):
+    """Yield (i, j, build(i, j)) for 1 <= i, j <= i_max, i outer, j inner.
+
+    `build` must be antisymmetric, as every commutator sweep is:
+    build(j, i) == -build(i, j).  It is called only for i <= j; the
+    negation is held until the pair (j, i) comes up, so at most
+    C(i_max, 2) results are held at once.
+    """
+    later = {}
+    for i in range(1, i_max + 1):
+        for j in range(1, i_max + 1):
+            if i > j:
+                yield i, j, later.pop((i, j))
+                continue
+            lhs = build(i, j)
+            if i < j:
+                later[j, i] = -lhs
+            yield i, j, lhs
+
+
 def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
     """Check [L_i, L_j] against both right-hand sides for all 1 <= i,j <= i_max.
 
@@ -348,25 +368,26 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
 
     pairs = []
     ok_all = True
-    for i in range(1, i_max + 1):
-        for j in range(1, i_max + 1):
-            lhs = post(ls[i].commutator(ls[j]))
-            rhs_struct = post(structure_rhs(model, i, j, ls, d_outer))
-            rhs_explicit = post(explicit_rhs(model, i, j, ls, d_build, d_outer))
-            ok = lhs.equal_up_to(rhs_struct, d_check)
-            explicit_ok = lhs.equal_up_to(rhs_explicit, d_check)
-            entry = {"i": i, "j": j, "status": "pass" if ok else "fail"}
-            if not ok:
-                entry["first_mismatch"] = lhs.first_mismatch(rhs_struct, d_check)
-                ok_all = False
-            if not explicit_ok:
-                entry["explicit_form"] = "deviates"
-                entry["explicit_first_mismatch"] = lhs.first_mismatch(
-                    rhs_explicit, d_check
-                )
-            if progress is not None:
-                progress(entry)
-            pairs.append(entry)
+    commutators = _antisymmetric_sweep(
+        i_max, lambda i, j: post(ls[i].commutator(ls[j]))
+    )
+    for i, j, lhs in commutators:
+        rhs_struct = post(structure_rhs(model, i, j, ls, d_outer))
+        rhs_explicit = post(explicit_rhs(model, i, j, ls, d_build, d_outer))
+        ok = lhs.equal_up_to(rhs_struct, d_check)
+        explicit_ok = lhs.equal_up_to(rhs_explicit, d_check)
+        entry = {"i": i, "j": j, "status": "pass" if ok else "fail"}
+        if not ok:
+            entry["first_mismatch"] = lhs.first_mismatch(rhs_struct, d_check)
+            ok_all = False
+        if not explicit_ok:
+            entry["explicit_form"] = "deviates"
+            entry["explicit_first_mismatch"] = lhs.first_mismatch(
+                rhs_explicit, d_check
+            )
+        if progress is not None:
+            progress(entry)
+        pairs.append(entry)
     return {
         "params": {
             "model": model.name,
@@ -419,52 +440,42 @@ def verify_simplified(model, which, levels, i_max, d_check, progress=None):
                 acc = acc + TGradedOp({0: dd.compose(op)})
         return acc
 
-    combos = []
-    if which == "dstruct":
-        combos = [(s, s) for s in levels]
-    elif which == "mixed":
+    def lhs_of(s, sp, i, j):
+        if which == "dstruct":
+            op = ops[s][i].commutator(ops[s][j])
+        elif which == "mixed":
+            op = ops[s][i].commutator(ops[sp][j]) - ops[s][j].commutator(ops[sp][i])
+        else:
+            op = WeylOp.p_star(i, d_outer).commutator(ops[s][j]) - WeylOp.p_star(
+                j, d_outer
+            ).commutator(ops[s][i])
+        return TGradedOp({0: op})
+
+    def rhs_of(s, sp, i, j):
+        if which == "dstruct":
+            return dsum(s, i, j, ops[s])
+        if which == "mixed":
+            return dsum(sp, i, j, ops[s]) + dsum(s, i, j, ops[sp])
+        return dsum(s, i, j, {l: WeylOp.p_star(l, d_outer + 2) for l in ops[s]})
+
+    if which == "mixed":
         combos = [(s, sp) for s in levels for sp in levels]
     else:
         combos = [(s, s) for s in levels]
 
     for s, sp in combos:
-        for i in range(1, i_max + 1):
-            for j in range(1, i_max + 1):
-                if which == "dstruct":
-                    lhs = TGradedOp({0: ops[s][i].commutator(ops[s][j])})
-                    rhs = dsum(s, i, j, ops[s])
-                    label = {"level": s}
-                elif which == "mixed":
-                    lhs = TGradedOp(
-                        {
-                            0: ops[s][i].commutator(ops[sp][j])
-                            - ops[s][j].commutator(ops[sp][i])
-                        }
-                    )
-                    rhs = dsum(sp, i, j, ops[s]) + dsum(s, i, j, ops[sp])
-                    label = {"level": s, "level2": sp}
-                else:
-                    lhs_op = WeylOp.p_star(i, d_outer).commutator(
-                        ops[s][j]
-                    ) - WeylOp.p_star(j, d_outer).commutator(ops[s][i])
-                    lhs = TGradedOp({0: lhs_op})
-                    acc = TGradedOp.zero()
-                    for l in ops[s]:
-                        dd = dfun(s, i, j, l, d_outer)
-                        if not dd.is_zero():
-                            acc = acc + TGradedOp(
-                                {0: dd.compose(WeylOp.p_star(l, d_outer + 2))}
-                            )
-                    rhs = acc
-                    label = {"level": s}
-                ok = lhs.equal_up_to(rhs, d_check)
-                entry = dict(label, i=i, j=j, status="pass" if ok else "fail")
-                if not ok:
-                    entry["first_mismatch"] = lhs.first_mismatch(rhs, d_check)
-                    ok_all = False
-                if progress is not None:
-                    progress(entry)
-                items.append(entry)
+        label = {"level": s, "level2": sp} if which == "mixed" else {"level": s}
+        commutators = _antisymmetric_sweep(i_max, lambda i, j: lhs_of(s, sp, i, j))
+        for i, j, lhs in commutators:
+            rhs = rhs_of(s, sp, i, j)
+            ok = lhs.equal_up_to(rhs, d_check)
+            entry = dict(label, i=i, j=j, status="pass" if ok else "fail")
+            if not ok:
+                entry["first_mismatch"] = lhs.first_mismatch(rhs, d_check)
+                ok_all = False
+            if progress is not None:
+                progress(entry)
+            items.append(entry)
     return {
         "params": {
             "model": model.name,
@@ -529,19 +540,20 @@ def verify_final_commutator(model, i_max, d_check):
     ops = {l: op for l, op in ops.items() if not op.is_zero()}
     items = []
     ok_all = True
-    for i in range(1, i_max + 1):
-        for j in range(1, i_max + 1):
-            lhs = ops[i].commutator(ops[j])
-            rhs = final_commutator_rhs(model, i, j, ops, d_outer)
-            ok = lhs.equal_up_to(rhs, d_check)
-            entry = {"i": i, "j": j, "status": "pass" if ok else "fail"}
-            if not ok:
-                ok_all = False
-                cr, an, c = lhs.diff_up_to(rhs, d_check)[0]
-                entry["first_mismatch"] = "coeff %s on create=%s annihilate=%s" % (
-                    c, cr, an
-                )
-            items.append(entry)
+    commutators = _antisymmetric_sweep(
+        i_max, lambda i, j: ops[i].commutator(ops[j])
+    )
+    for i, j, lhs in commutators:
+        rhs = final_commutator_rhs(model, i, j, ops, d_outer)
+        ok = lhs.equal_up_to(rhs, d_check)
+        entry = {"i": i, "j": j, "status": "pass" if ok else "fail"}
+        if not ok:
+            ok_all = False
+            cr, an, c = lhs.diff_up_to(rhs, d_check)[0]
+            entry["first_mismatch"] = "coeff %s on create=%s annihilate=%s" % (
+                c, cr, an
+            )
+        items.append(entry)
     return {
         "params": {"model": model.name, "imax": i_max, "degree": d_check},
         "pairs": items,

@@ -430,16 +430,19 @@ def tau_jack(model, order, convention="standard"):
     return TauSeries(model, coeffs)
 
 
-def calibrate_convention(model, order=2):
+def calibrate_convention(model, order=2, reference=None):
     """Pick the content convention that matches the evolution engine.
 
     Tries sizes up to `order` (2 is enough to separate the conventions) and
-    returns the matching convention name.  Raises if neither matches; that
-    situation is a finding about the series itself and must be reported.
+    returns the matching convention name.  `reference` is an engine series
+    of order >= `order` to compare against; without one the engine is run.
+    Raises if neither matches; that situation is a finding about the series
+    itself and must be reported.
     """
-    from .tau import tau_evolve
+    if reference is None or reference.order < order:
+        from .tau import tau_evolve
 
-    reference = tau_evolve(model, order)
+        reference = tau_evolve(model, order)
     matched = []
     for convention in ("standard", "transpose"):
         series = tau_jack(model, order, convention)
@@ -453,13 +456,18 @@ def calibrate_convention(model, order=2):
     return matched[0]
 
 
-def compare_with_engine(model, order, convention=None):
-    """Full oracle comparison; returns a report dict."""
-    from .tau import tau_evolve
+def compare_with_engine(model, order, convention=None, engine=None):
+    """Full oracle comparison; returns a report dict.
 
+    `engine` is the engine series through `order`, when the caller already
+    holds it; otherwise it is evolved here.  Calibration reuses it.
+    """
+    if engine is None:
+        from .tau import tau_evolve
+
+        engine = tau_evolve(model, order)
     if convention is None:
-        convention = calibrate_convention(model)
-    engine = tau_evolve(model, order)
+        convention = calibrate_convention(model, reference=engine)
     oracle = tau_jack(model, order, convention)
     first_diff = None
     for n in range(order + 1):

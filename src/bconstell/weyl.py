@@ -26,6 +26,8 @@ class DegreeBudgetError(Exception):
 
 
 def _pm_sub(a, b):
+    if not b:
+        return a
     d = dict(a)
     for i, e in b:
         r = d[i] - e
@@ -202,15 +204,35 @@ class WeylOp:
                 "composition budget exhausted (degrees %d and %d, jump %d)"
                 % (self.working_degree, other.working_degree, other.max_jump())
             )
+        # A contraction gamma (gamma_i p_i* of the left meeting gamma_i p_i of
+        # the right) leaves deg(an1) + deg(an2) - sum_i i * gamma_i
+        # derivatives.  Terms left above new_d are dropped by the truncation
+        # contract, so they are skipped before any coefficient or monomial is
+        # built: a whole term pair when even full contraction stays above.
+        rights = [
+            (cr2, an2, dict(cr2), pm_degree(an2), c2)
+            for (cr2, an2), c2 in other.terms.items()
+        ]
         out = {}
         for (cr1, an1), c1 in self.terms.items():
             an1d = dict(an1)
-            for (cr2, an2), c2 in other.terms.items():
-                cr2d = dict(cr2)
+            an1_deg = pm_degree(an1)
+            for cr2, an2, cr2d, an2_deg, c2 in rights:
+                an_deg = an1_deg + an2_deg
                 common = [i for i in an1d if i in cr2d]
+                tops = [min(an1d[i], cr2d[i]) for i in common]
+                floor = an_deg
+                for i, g in zip(common, tops):
+                    floor -= i * g
+                if floor > new_d:
+                    continue
                 base = c1 * c2
-                ranges = [range(min(an1d[i], cr2d[i]) + 1) for i in common]
-                for gammas in product(*ranges):
+                for gammas in product(*[range(g + 1) for g in tops]):
+                    left = an_deg
+                    for i, g in zip(common, gammas):
+                        left -= i * g
+                    if left > new_d:
+                        continue
                     factor = 1
                     for i, g in zip(common, gammas):
                         if g:
@@ -221,11 +243,8 @@ class WeylOp:
                         (i, g) for i, g in sorted(zip(common, gammas)) if g
                     )
                     an = pm_mul(_pm_sub(an1, gm), an2)
-                    if pm_degree(an) > new_d:
-                        continue
                     cr = pm_mul(cr1, _pm_sub(cr2, gm))
-                    key = (cr, an)
-                    add_term(out, key, base * factor)
+                    add_term(out, (cr, an), base if factor == 1 else base * factor)
         return WeylOp(out, new_d)
 
     def commutator(self, other):

@@ -197,3 +197,51 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert proc.stdout == "p_[3]: -alpha\np_[2, 1]: alpha - 1\np_[1, 1, 1]: 1\n"
+
+
+def test_tau_oracle_evolves_the_series_once(monkeypatch, capsys):
+    import bconstell.cli as cli_mod
+    import bconstell.tau as tau_mod
+
+    real = tau_mod.tau_evolve
+    calls = []
+
+    def counting(model, order):
+        calls.append((model.name, order))
+        return real(model, order)
+
+    monkeypatch.setattr(tau_mod, "tau_evolve", counting)
+    monkeypatch.setattr(cli_mod, "tau_evolve", counting)
+    code = main(["tau", "--model", "bip", "--order", "3", "--oracle", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["ok"]
+    assert calls == [("bip", 3)]
+
+
+def test_oracle_subcommand_evolves_once(monkeypatch, capsys):
+    import bconstell.tau as tau_mod
+
+    real = tau_mod.tau_evolve
+    calls = []
+
+    def counting(model, order):
+        calls.append(order)
+        return real(model, order)
+
+    monkeypatch.setattr(tau_mod, "tau_evolve", counting)
+    assert main(["oracle", "--model", "bip", "--order", "3"]) == 0
+    assert calls == [3]
+    capsys.readouterr()
+    # below order 2 the conventions are calibrated on their own order-2 series
+    calls.clear()
+    assert main(["oracle", "--model", "bip", "--order", "1"]) == 0
+    assert calls == [1, 2]
+
+
+def test_jack_echoes_the_sorted_partition(capsys):
+    assert main(["jack", "--lambda", "1,2", "--json"]) == 0
+    unsorted = json.loads(capsys.readouterr().out)
+    assert main(["jack", "--lambda", "2,1", "--json"]) == 0
+    ordered = json.loads(capsys.readouterr().out)
+    assert unsorted["partition"] == [2, 1]
+    assert unsorted == ordered

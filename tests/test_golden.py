@@ -1,0 +1,51 @@
+"""Byte-exact stdout of the CLI, pinned before the sweeps began reusing products.
+
+Each file under ``tests/golden/`` is the stdout the engine printed for one
+argv; the sweeps, the oracle comparison and the README examples that run in
+a few seconds must reproduce it byte for byte with exit code 0.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from bconstell.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SMALL = ["--imax", "4", "--deg", "6"]
+PROP = ["--imax", "3", "--deg", "6"]
+
+CASES = {
+    "verify_bip": ["verify", "--model", "bip", *SMALL, "--json"],
+    "verify_threeconst": ["verify", "--model", "threeconst", *SMALL, "--json"],
+    "verify_biple3": ["verify", "--model", "biple3", *SMALL, "--json"],
+    "verify_biple3_text": ["verify", "--model", "biple3", *SMALL],
+    **{
+        "prop_%s_%s" % (prop, model): [
+            "verify", "--model", model, *PROP, "--prop", prop, "--json"
+        ]
+        for prop in ("dstruct", "mixed", "pstar")
+        for model in ("bip", "threeconst", "biple3")
+    },
+    "readme_verify_bip": ["verify", "--model", "bip", "--imax", "8", "--deg", "12"],
+    "readme_tau_bip_oracle": ["tau", "--model", "bip", "--order", "4", "--oracle"],
+    "readme_dump_A": ["dump", "--op", "A", "--i", "2", "--s", "1", "--deg", "6"],
+    "readme_jack": ["jack", "--lambda", "2,1"],
+    "jack_json": ["jack", "--lambda", "2,1", "--json"],
+    "tau_bip_order1_oracle": ["tau", "--model", "bip", "--order", "1", "--oracle",
+                              "--json"],
+    "oracle_bip": ["oracle", "--model", "bip", "--order", "3"],
+}
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, capsys):
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / (name + ".out")).read_text()

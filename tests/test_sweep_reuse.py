@@ -1,0 +1,194 @@
+"""The commutator sweeps build [X_i, X_j] once per unordered pair.
+
+The pair (j, i) reuses -[X_i, X_j].  Each sweep's report must equal the one
+from a plain loop that computes every ordered pair's left-hand side
+directly, also when right-hand sides are corrupted so that the (j, i)
+entries fail and carry a first mismatch.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import bconstell.constraints as C
+from bconstell.constraints import BIP, BIPLE3, THREECONST
+from bconstell.weyl import WeylOp
+
+
+def ordered_pairs(i_max):
+    return [(i, j) for i in range(1, i_max + 1) for j in range(1, i_max + 1)]
+
+
+def direct_commutators(model, i_max, d_check, b_eval=None):
+    ls, d_build, d_outer = C._build_l_family(model, d_check)
+    subs = {"b": Fraction(b_eval)} if b_eval is not None else None
+
+    def post(op):
+        return op.map_coeff(lambda c: c.subs(subs)) if subs else op
+
+    pairs = []
+    for i, j in ordered_pairs(i_max):
+        lhs = post(ls[i].commutator(ls[j]))
+        rhs = post(C.structure_rhs(model, i, j, ls, d_outer))
+        grouped = post(C.explicit_rhs(model, i, j, ls, d_build, d_outer))
+        entry = {"i": i, "j": j, "status": "pass"}
+        if not lhs.equal_up_to(rhs, d_check):
+            entry["status"] = "fail"
+            entry["first_mismatch"] = lhs.first_mismatch(rhs, d_check)
+        if not lhs.equal_up_to(grouped, d_check):
+            entry["explicit_form"] = "deviates"
+            entry["explicit_first_mismatch"] = lhs.first_mismatch(grouped, d_check)
+        pairs.append(entry)
+    return pairs
+
+
+def direct_simplified(model, which, levels, i_max, d_check):
+    ops, dfun, d_outer = C._family_ops(model, levels, d_check)
+
+    def dsum(s, i, j, targets):
+        acc = C.TGradedOp.zero()
+        for l, op in targets.items():
+            dd = dfun(s, i, j, l, d_outer)
+            if not dd.is_zero():
+                acc = acc + C.TGradedOp({0: dd.compose(op)})
+        return acc
+
+    combos = [(s, sp) for s in levels for sp in levels] if which == "mixed" else [
+        (s, s) for s in levels
+    ]
+    items = []
+    for s, sp in combos:
+        for i, j in ordered_pairs(i_max):
+            if which == "dstruct":
+                lhs = ops[s][i].commutator(ops[s][j])
+                rhs = dsum(s, i, j, ops[s])
+                label = {"level": s}
+            elif which == "mixed":
+                lhs = ops[s][i].commutator(ops[sp][j]) - ops[s][j].commutator(ops[sp][i])
+                rhs = dsum(sp, i, j, ops[s]) + dsum(s, i, j, ops[sp])
+                label = {"level": s, "level2": sp}
+            else:
+                lhs = WeylOp.p_star(i, d_outer).commutator(ops[s][j]) - WeylOp.p_star(
+                    j, d_outer
+                ).commutator(ops[s][i])
+                pstars = {l: WeylOp.p_star(l, d_outer + 2) for l in ops[s]}
+                rhs = dsum(s, i, j, pstars)
+                label = {"level": s}
+            lhs = C.TGradedOp({0: lhs})
+            entry = dict(label, i=i, j=j, status="pass")
+            if not lhs.equal_up_to(rhs, d_check):
+                entry["status"] = "fail"
+                entry["first_mismatch"] = lhs.first_mismatch(rhs, d_check)
+            items.append(entry)
+    return items
+
+
+def direct_final(model, i_max, d_check):
+    h = model.headroom()
+    d_build = d_check + h
+    d_outer = d_build + h
+    if model.r == 1:
+        ops = {l: C.build_A(l, 3, d_build) for l in range(1, d_build + 2)}
+    else:
+        ops = {l: C.build_M(1, 3, l, d_build) for l in range(1, d_build + 4)}
+    ops = {l: op for l, op in ops.items() if not op.is_zero()}
+    items = []
+    for i, j in ordered_pairs(i_max):
+        lhs = ops[i].commutator(ops[j])
+        rhs = C.final_commutator_rhs(model, i, j, ops, d_outer)
+        entry = {"i": i, "j": j, "status": "pass"}
+        if not lhs.equal_up_to(rhs, d_check):
+            entry["status"] = "fail"
+            cr, an, c = lhs.diff_up_to(rhs, d_check)[0]
+            entry["first_mismatch"] = "coeff %s on create=%s annihilate=%s" % (c, cr, an)
+        items.append(entry)
+    return items
+
+
+def check_report(report, direct, streamed=None):
+    assert report["pairs"] == direct
+    assert report["ok"] == all(p["status"] == "pass" for p in direct)
+    if streamed is not None:
+        assert streamed == direct
+
+
+@pytest.mark.parametrize(
+    "model, i_max, d_check, b_eval",
+    [(BIP, 4, 6, None), (THREECONST, 4, 6, None), (THREECONST, 3, 5, 1),
+     (BIPLE3, 4, 5, None)],
+    ids=["bip", "threeconst", "threeconst-b1", "biple3"],
+)
+def test_verify_commutators_matches_direct_loop(model, i_max, d_check, b_eval):
+    streamed = []
+    report = C.verify_commutators(
+        model, i_max, d_check, b_eval=b_eval, progress=streamed.append
+    )
+    check_report(report, direct_commutators(model, i_max, d_check, b_eval), streamed)
+
+
+@pytest.mark.parametrize("which", ["dstruct", "mixed", "pstar"])
+@pytest.mark.parametrize("model", [BIP, BIPLE3], ids=lambda m: m.name)
+def test_verify_simplified_matches_direct_loop(model, which):
+    levels = range(0, 4) if model.r == 1 else range(1, 4)
+    streamed = []
+    report = C.verify_simplified(model, which, levels, 3, 5, progress=streamed.append)
+    check_report(report, direct_simplified(model, which, levels, 3, 5), streamed)
+
+
+@pytest.mark.parametrize("model", [BIP, BIPLE3], ids=lambda m: m.name)
+def test_verify_final_commutator_matches_direct_loop(model):
+    check_report(C.verify_final_commutator(model, 4, 5), direct_final(model, 4, 5))
+
+
+def test_failing_structure_rhs_mismatches_match_direct_loop(monkeypatch):
+    real = C.structure_rhs
+
+    def corrupted(model, i, j, ls, d_outer):
+        rhs = real(model, i, j, ls, d_outer)
+        # differ on both halves of the unordered pairs {1,2} and {2,3}
+        if (i, j) in ((1, 2), (2, 1), (3, 2)):
+            return rhs + ls[i + j].tshift(i)
+        return rhs
+
+    monkeypatch.setattr(C, "structure_rhs", corrupted)
+    report = C.verify_commutators(THREECONST, 3, 5)
+    direct = direct_commutators(THREECONST, 3, 5)
+    check_report(report, direct)
+    failed = {(p["i"], p["j"]) for p in report["pairs"] if p["status"] == "fail"}
+    assert failed == {(1, 2), (2, 1), (3, 2)}
+    assert all(p["first_mismatch"] for p in report["pairs"] if p["status"] == "fail")
+
+
+def test_failing_final_commutator_mismatches_match_direct_loop(monkeypatch):
+    real = C.final_commutator_rhs
+
+    def corrupted(model, i, j, ops, d_outer):
+        rhs = real(model, i, j, ops, d_outer)
+        return rhs + ops[1] if i > j else rhs
+
+    monkeypatch.setattr(C, "final_commutator_rhs", corrupted)
+    report = C.verify_final_commutator(BIP, 3, 5)
+    direct = direct_final(BIP, 3, 5)
+    check_report(report, direct)
+    failed = {(p["i"], p["j"]) for p in report["pairs"] if p["status"] == "fail"}
+    assert failed == {(2, 1), (3, 1), (3, 2)}
+
+
+def test_failing_structure_operator_mismatches_match_direct_loop(monkeypatch):
+    real = C.build_D
+
+    def corrupted(s, i, j, l, working_degree):
+        op = real(s, i, j, l, working_degree)
+        if (i, j, l) == (3, 1, 2):
+            return op + WeylOp.identity(working_degree)
+        return op
+
+    monkeypatch.setattr(C, "build_D", corrupted)
+    levels = range(0, 4)
+    for which in ("dstruct", "mixed"):
+        report = C.verify_simplified(BIP, which, levels, 3, 5)
+        direct = direct_simplified(BIP, which, levels, 3, 5)
+        check_report(report, direct)
+        assert not report["ok"]
+        assert any((p["i"], p["j"]) == (3, 1) and p["status"] == "fail"
+                   for p in report["pairs"])

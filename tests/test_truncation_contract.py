@@ -1,0 +1,111 @@
+"""The truncation contract, property-tested over every builder.
+
+An operator built at working degree D + k and truncated to D must equal the
+operator built at D, and a composition of operators built at raised degrees,
+truncated to the lower composition's working degree, must equal that
+composition.  The pruning in WeylOp.compose relies on exactly this: a term
+whose derivative part lies above the working degree is never needed.
+"""
+
+import random
+
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from bconstell.constraints import BIP, BIPLE3, THREECONST, build_D, build_Dtilde, build_L
+from bconstell.coeffring import U
+from bconstell.currents import build_A, build_M, current
+from bconstell.weyl import WeylOp
+
+from randops import random_op
+
+D = 4
+RAISES = (1, 3)
+
+
+def assert_truncates_to(big, small, d):
+    assert small.working_degree == d
+    cut = big.truncated(d)
+    assert cut.working_degree == d
+    assert cut.terms == small.terms
+
+
+BUILDERS = {
+    "current": [lambda d, i=i, c=c: current(i, d, charge=c)
+                for i in (-3, -1, 0, 2, 5) for c in (None, U[1])],
+    "A_rec": [lambda d, i=i, s=s: build_A(i, s, d, route="rec")
+              for i in (1, 2, 4) for s in (0, 2, 3)],
+    "A_y": [lambda d, i=i, s=s: build_A(i, s, d, route="y")
+            for i in (1, 2, 4) for s in (0, 2, 3)],
+    "M": [lambda d, k=k, m=m, i=i: build_M(k, m, i, d)
+          for k, m in ((1, 1), (1, 3), (2, 1), (3, 1)) for i in (1, 3)],
+    "M_rec": [lambda d, m=m, i=i: build_M(1, m, i, d, route="rec")
+              for m in (2, 3) for i in (1, 3)],
+    "D": [lambda d, s=s, i=i, j=j, l=l: build_D(s, i, j, l, d)
+          for s in (2, 3) for i, j, l in ((3, 1, 1), (3, 1, 3), (2, 4, 3), (4, 2, 5))],
+    "Dtilde": [lambda d, m=m, i=i, j=j, l=l: build_Dtilde(m, i, j, l, d)
+               for m in (2, 3) for i, j, l in ((3, 2, 2), (3, 1, 1), (2, 4, 3), (4, 2, 3))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("k", RAISES)
+def test_builder_truncates(name, k):
+    for build in BUILDERS[name]:
+        assert_truncates_to(build(D + k), build(D), D)
+
+
+@pytest.mark.parametrize("model", [BIP, THREECONST, BIPLE3], ids=lambda m: m.name)
+@pytest.mark.parametrize("k", RAISES)
+def test_build_L_truncates(model, k):
+    for i in (1, 2, 4):
+        big, small = build_L(model, i, D + k), build_L(model, i, D)
+        assert set(small.pieces) <= set(big.pieces)
+        for m, op in big.pieces.items():
+            assert_truncates_to(op, small.piece(m, D), D)
+
+
+def assert_compose_truncates(x, y, k):
+    """x(d1 + k).compose(y(d2 + k)), truncated, == x(d1).compose(y(d2))."""
+    small = x(0).compose(y(0))
+    big = x(k).compose(y(k))
+    assert big.working_degree >= small.working_degree
+    assert big.truncated(small.working_degree).terms == small.terms
+
+
+@pytest.mark.parametrize("k", RAISES)
+def test_compose_of_builders_truncates(k):
+    pairs = [
+        (lambda r: build_A(3, 2, D + r), lambda r: build_A(1, 3, D + r)),
+        (lambda r: build_A(1, 3, D + r), lambda r: build_A(2, 1, D + r)),
+        (lambda r: build_M(1, 3, 2, D + r), lambda r: build_M(1, 2, 3, D + r)),
+        (lambda r: current(2, D + 2 + r), lambda r: build_M(3, 1, 1, D + r)),
+        (lambda r: build_D(3, 4, 2, 3, D + 1 + r), lambda r: build_A(3, 3, D + r)),
+        (lambda r: build_L(THREECONST, 2, D + r).pieces[1],
+         lambda r: build_L(THREECONST, 1, D + r).pieces[1]),
+        (lambda r: build_L(BIPLE3, 1, D + 2 + r).pieces[3],
+         lambda r: build_L(BIPLE3, 4, D + r).pieces[2]),
+    ]
+    for x, y in pairs:
+        assert_compose_truncates(x, y, k)
+        assert_compose_truncates(y, x, k)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d1=st.integers(0, 7),
+    d2=st.integers(0, 7),
+    k=st.integers(1, 4),
+)
+def test_compose_of_random_ops_truncates(seed, d1, d2, k):
+    rng = random.Random(seed)
+    x_terms = random_op(rng, 20, max_terms=5).terms
+    y_terms = random_op(rng, 20, max_terms=5).terms
+    x_small, y_small = WeylOp(x_terms, d1), WeylOp(y_terms, d2)
+    x_big, y_big = WeylOp(x_terms, d1 + k), WeylOp(y_terms, d2 + k)
+    new_d = min(d2, d1 - y_small.max_jump())
+    # terms of y that only appear at the raised degree may raise its jump
+    assume(new_d >= 0 and min(d2 + k, d1 + k - y_big.max_jump()) >= new_d)
+    assert_compose_truncates(
+        lambda r: x_big if r else x_small, lambda r: y_big if r else y_small, k
+    )

@@ -1,0 +1,120 @@
+"""WeylOp.compose against the unpruned reference loop in refweyl.py.
+
+The kernel skips term pairs and contractions whose derivative part lands
+above the result's working degree before it multiplies any coefficient.
+These tests pin that the skipped work is exactly the work the truncation
+contract drops: the same terms, the same working degree, and no dead key
+reaching the accumulator.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, strategies as st
+
+import refweyl
+from bconstell import weyl
+from bconstell.coeffring import Coeff, ONE_PLUS_B, U
+from bconstell.ppoly import pm_degree
+from bconstell.weyl import DegreeBudgetError, WeylOp
+
+from randops import random_homogeneous_op, random_op
+
+
+def compose_checked(left, right):
+    """left.compose(right), asserting every accumulated key is live."""
+    keys = []
+    real = weyl.add_term
+
+    def recording(out, key, c):
+        keys.append(key)
+        real(out, key, c)
+
+    with mock.patch.object(weyl, "add_term", recording):
+        got = left.compose(right)
+    dead = [k for k in keys if pm_degree(k[1]) > got.working_degree]
+    assert not dead, "dead contractions reached the accumulator: %r" % (dead,)
+    return got
+
+
+def assert_same_compose(left, right):
+    try:
+        want = refweyl.compose(left, right)
+    except DegreeBudgetError:
+        with pytest.raises(DegreeBudgetError):
+            left.compose(right)
+        return
+    got = compose_checked(left, right)
+    assert got.working_degree == want.working_degree
+    assert got.terms == want.terms
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d1=st.integers(0, 9),
+    d2=st.integers(0, 9),
+    terms=st.integers(1, 6),
+)
+def test_compose_matches_reference(seed, d1, d2, terms):
+    rng = random.Random(seed)
+    left = random_op(rng, d1, max_terms=terms)
+    right = random_op(rng, d2, max_terms=terms)
+    assert_same_compose(left, right)
+    assert_same_compose(right, left)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d1=st.integers(2, 9),
+    d2=st.integers(0, 9),
+    jump=st.integers(-3, 2),
+)
+def test_compose_matches_reference_homogeneous(seed, d1, d2, jump):
+    rng = random.Random(seed)
+    left = random_op(rng, d1, max_terms=5)
+    right = random_homogeneous_op(rng, d2, jump)
+    assert_same_compose(left, right)
+    assert_same_compose(right, left)
+
+
+def test_every_contraction_dead_does_no_work():
+    # p3* p1* after p2: no index is shared, so the four derivatives survive,
+    # and new_d = min(1, 8 - 2) = 1 drops the only term pair
+    left = WeylOp({((), ((1, 1), (3, 1))): U[1]}, 8)
+    right = WeylOp.p(2, 1, ONE_PLUS_B)
+    products = []
+    real_mul = Coeff.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return real_mul(a, b)
+
+    with mock.patch.object(Coeff, "__mul__", counting):
+        got = compose_checked(left, right)
+    assert products == []
+    assert got.is_zero() and got.working_degree == 1
+    want = refweyl.compose(left, right)
+    assert want.is_zero() and want.working_degree == 1
+
+
+def test_partly_dead_contractions():
+    # p2*^2 after p2 p1*: gamma = 0 leaves degree 5 > new_d = 3 and is
+    # skipped; gamma = 1 leaves p2* p1* (degree 3) with factor 2 * 1 * 2
+    left = WeylOp({((), ((2, 2),)): Coeff.one()}, 8)
+    right = WeylOp({(((2, 1),), ((1, 1),)): U[2]}, 3)
+    got = compose_checked(left, right)
+    assert got.working_degree == 3
+    assert got.terms == {((), ((1, 1), (2, 1))): U[2] * 4}
+    assert got.terms == refweyl.compose(left, right).terms
+
+
+def test_floor_exactly_at_new_d_is_kept():
+    # full contraction lands exactly on new_d: the term must stay
+    left = WeylOp.p_star(1, 6)
+    right = WeylOp({(((1, 1),), ((2, 1),)): Coeff.one()}, 2)
+    got = compose_checked(left, right)
+    want = refweyl.compose(left, right)
+    assert got.working_degree == want.working_degree == 2
+    assert got.terms == want.terms
+    assert ((), ((2, 1),)) in got.terms
