@@ -3,7 +3,7 @@
 from .coeffring import Coeff
 from .ppoly import PPoly
 from .weyl import DegreeBudgetError, WeylOp
-from .currents import YVector, build_A, build_M, current, esym
+from .currents import YVector, build_A, build_M, clear_caches, current, esym
 from .constraints import (
     BIP,
     BIPLE3,
@@ -50,6 +50,7 @@ __all__ = [
     "build_M",
     "current",
     "esym",
+    "clear_caches",
     "Model",
     "TGradedOp",
     "MODELS",

@@ -99,6 +99,10 @@ def cmd_tau(parser, args):
     model = _model(parser, args.model)
     if args.order < 0:
         parser.error("--order must be non-negative")
+    for flag, imax in (("--check-constraints", args.check_constraints),
+                       ("--fixed-point", args.fixed_point)):
+        if imax is not None and imax < 1:
+            parser.error("%s must be at least 1" % flag)
     if args.oracle:
         _oracle_order(parser, "--order", args.order)
     series = tau_evolve(model, args.order)

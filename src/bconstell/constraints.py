@@ -13,6 +13,11 @@ Two right-hand sides are materialized for [L_i, L_j]:
 * the explicit grouped form, with the infinite sums truncated by the
   minimal-annihilation-degree rule.
 
+D^(s) (charge 0) and Dtilde^(m) (charge u) are one piecewise table,
+`_structure_op`, up to the index shift.  Every sweep runs through one pair
+runner, `_pair_sweep`, and every check's ok is derived from its entries by
+`sweep_report`.  An index beyond a built family is the zero operator.
+
 For the single-color model with vertex degrees up to 3 the grouped form, as
 usually displayed, carries a uniform charge term 3u(i-j)L_{i+j-3}; this is
 only correct when min(i,j) >= 2.  The sweeps therefore check both forms and
@@ -21,6 +26,7 @@ patching either side.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from .coeffring import Coeff, B, ONE, ONE_PLUS_B, Q, U, ZERO
 from .currents import build_A, build_M, current, esym
@@ -115,9 +121,6 @@ class TGradedOp:
     def map_coeff(self, fn):
         return TGradedOp({m: op.map_coeff(fn) for m, op in self.pieces.items()})
 
-    def min_working_degree(self):
-        return min((op.working_degree for op in self.pieces.values()), default=None)
-
     def equal_up_to(self, other, d):
         for m in set(self.pieces) | set(other.pieces):
             a = self.piece(m, d)
@@ -129,10 +132,9 @@ class TGradedOp:
     def first_mismatch(self, other, d):
         """Human-readable first differing term, or None when equal."""
         for m in sorted(set(self.pieces) | set(other.pieces)):
-            diff = self.piece(m, d).diff_up_to(other.piece(m, d), d)
-            if diff:
-                cr, an, c = diff[0]
-                return "t^%d: coeff %s on create=%s annihilate=%s" % (m, c, cr, an)
+            found = self.piece(m, d).first_mismatch(other.piece(m, d), d)
+            if found:
+                return "t^%d: %s" % (m, found)
         return None
 
     def to_json_obj(self):
@@ -171,60 +173,59 @@ def _sgn(x):
     return (x > 0) - (x < 0)
 
 
+def _structure_op(level, shift, charge, i, j, l, working_degree):
+    """D^(level) for shift 1 and charge None, Dtilde^(level) for shift 3 and charge u.
+
+    The charge-u index ranges sit one lower.  Level 3 is c * J_{i+j-shift-l}
+    plus, for l = i + j - shift, a multiple of b * Id.
+    """
+    d = working_degree
+    low = (shift - 1) // 2
+    if level <= 1 or i == j:
+        return WeylOp.zero(d)
+    if level == 2:
+        if l == i + j - 1 - low:
+            return WeylOp.identity(d).scale(Coeff.from_rational(i - j))
+        return WeylOp.zero(d)
+    mu, M = min(i, j), max(i, j)
+    coeff = 0
+    if l >= M - low:
+        coeff += 2 * (i - j)
+    if M - low <= l <= i + j - shift:
+        coeff += i - j
+    if mu - low <= l <= M - 1 - low:
+        coeff += _sgn(i - j) * (2 * l - 3 * mu + shift)
+    out = WeylOp.zero(d)
+    if coeff:
+        cur = current(i + j - shift - l, d, charge=charge)
+        out = out + cur.scale(Coeff.from_rational(coeff))
+    if l == i + j - shift:
+        out = out + WeylOp.identity(d).scale(B * ((i - j) * (i + j - 2 - low)))
+    return out
+
+
 def build_D(s, i, j, l, working_degree):
     """Structure operator for the multi-color family (charge 0), 0 <= s <= 3."""
     if not 0 <= s <= 3:
         raise ValueError("s must be within 0..3")
-    d = working_degree
-    if s <= 1 or i == j:
-        return WeylOp.zero(d)
-    if s == 2:
-        if l == i + j - 1:
-            return WeylOp.identity(d).scale(Coeff.from_rational(i - j))
-        return WeylOp.zero(d)
-    mu, M = min(i, j), max(i, j)
-    out = WeylOp.zero(d)
-    coeff = Fraction(0)
-    if l >= M:
-        coeff += 2 * (i - j)
-    if M <= l <= i + j - 1:
-        coeff += i - j
-    if mu <= l <= M - 1:
-        coeff += _sgn(i - j) * (2 * l - 3 * mu + 1)
-    if coeff:
-        out = out + current(i + j - 1 - l, d).scale(Coeff.from_rational(coeff))
-    if l == i + j - 1:
-        out = out + WeylOp.identity(d).scale(B * ((i - j) * (i + j - 2)))
-    return out
+    return _structure_op(s, 1, None, i, j, l, working_degree)
 
 
 def build_Dtilde(m, i, j, l, working_degree):
     """Structure operator for the single-color family (charge u), 1 <= m <= 3."""
     if not 1 <= m <= 3:
         raise ValueError("m must be within 1..3")
-    d = working_degree
-    if m == 1 or i == j:
-        return WeylOp.zero(d)
-    if m == 2:
-        if l == i + j - 2:
-            return WeylOp.identity(d).scale(Coeff.from_rational(i - j))
-        return WeylOp.zero(d)
-    mu, M = min(i, j), max(i, j)
-    out = WeylOp.zero(d)
-    coeff = Fraction(0)
-    if l >= M - 1:
-        coeff += 2 * (i - j)
-    if M - 1 <= l <= i + j - 3:
-        coeff += i - j
-    if mu - 1 <= l <= M - 2:
-        coeff += _sgn(i - j) * (2 * l - 3 * mu + 3)
-    if coeff:
-        out = out + current(i + j - 3 - l, d, charge=U[1]).scale(
-            Coeff.from_rational(coeff)
-        )
-    if l == i + j - 3:
-        out = out + WeylOp.identity(d).scale(B * ((i - j) * (i + j - 3)))
-    return out
+    return _structure_op(m, 3, U[1], i, j, l, working_degree)
+
+
+def dsum(dfun, s, i, j, targets, d_outer):
+    """sum_l dfun(s, i, j, l) . targets[l], the structure operators at d_outer."""
+    acc = WeylOp.zero(min(op.working_degree for op in targets.values()))
+    for l, op in targets.items():
+        dd = dfun(s, i, j, l, d_outer)
+        if not dd.is_zero():
+            acc = acc + dd.compose(op)
+    return acc
 
 
 def structure_coefficient(model, i, j, l, working_degree):
@@ -351,6 +352,35 @@ def _antisymmetric_sweep(i_max, build):
             yield i, j, lhs
 
 
+def _pair_sweep(params, i_max, d_check, relations, extra=None, progress=None):
+    """Report on lhs_of(i, j) == rhs_of(i, j) at degree <= d_check.
+
+    relations lists (label, lhs_of, rhs_of) with an antisymmetric lhs_of;
+    each gives one entry per ordered pair, i outer and j inner, that is
+    streamed to `progress`.  extra(i, j, lhs) adds fields to an entry.
+    """
+    entries = []
+    for label, lhs_of, rhs_of in relations:
+        for i, j, lhs in _antisymmetric_sweep(i_max, lhs_of):
+            rhs = rhs_of(i, j)
+            entry = dict(label, i=i, j=j, status="pass")
+            if not lhs.equal_up_to(rhs, d_check):
+                entry["status"] = "fail"
+                entry["first_mismatch"] = lhs.first_mismatch(rhs, d_check)
+            if extra is not None:
+                entry.update(extra(i, j, lhs))
+            if progress is not None:
+                progress(entry)
+            entries.append(entry)
+    return sweep_report(params, entries)
+
+
+def sweep_report(params, entries, key="pairs", **extra):
+    """A check's report: ok exactly when every entry has status "pass"."""
+    ok = all(entry["status"] == "pass" for entry in entries)
+    return {"params": params, key: entries, **extra, "ok": ok}
+
+
 def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
     """Check [L_i, L_j] against both right-hand sides for all 1 <= i,j <= i_max.
 
@@ -362,42 +392,35 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
         raise ValueError("i_max must be at least 1")
     ls, d_build, d_outer = _build_l_family(model, d_check)
     subs = {"b": Fraction(b_eval)} if b_eval is not None else None
+    zero = TGradedOp.zero()
 
     def post(op):
         return op.map_coeff(lambda c: c.subs(subs)) if subs else op
 
-    pairs = []
-    ok_all = True
-    commutators = _antisymmetric_sweep(
-        i_max, lambda i, j: post(ls[i].commutator(ls[j]))
-    )
-    for i, j, lhs in commutators:
-        rhs_struct = post(structure_rhs(model, i, j, ls, d_outer))
-        rhs_explicit = post(explicit_rhs(model, i, j, ls, d_build, d_outer))
-        ok = lhs.equal_up_to(rhs_struct, d_check)
-        explicit_ok = lhs.equal_up_to(rhs_explicit, d_check)
-        entry = {"i": i, "j": j, "status": "pass" if ok else "fail"}
-        if not ok:
-            entry["first_mismatch"] = lhs.first_mismatch(rhs_struct, d_check)
-            ok_all = False
-        if not explicit_ok:
-            entry["explicit_form"] = "deviates"
-            entry["explicit_first_mismatch"] = lhs.first_mismatch(
-                rhs_explicit, d_check
-            )
-        if progress is not None:
-            progress(entry)
-        pairs.append(entry)
-    return {
-        "params": {
-            "model": model.name,
-            "imax": i_max,
-            "degree": d_check,
-            "b_eval": None if b_eval is None else str(b_eval),
-        },
-        "pairs": pairs,
-        "ok": ok_all,
+    def lhs_of(i, j):
+        return post(ls.get(i, zero).commutator(ls.get(j, zero)))
+
+    def rhs_of(i, j):
+        return post(structure_rhs(model, i, j, ls, d_outer))
+
+    def grouped(i, j, lhs):
+        rhs = post(explicit_rhs(model, i, j, ls, d_build, d_outer))
+        if lhs.equal_up_to(rhs, d_check):
+            return {}
+        return {
+            "explicit_form": "deviates",
+            "explicit_first_mismatch": lhs.first_mismatch(rhs, d_check),
+        }
+
+    params = {
+        "model": model.name,
+        "imax": i_max,
+        "degree": d_check,
+        "b_eval": None if b_eval is None else str(b_eval),
     }
+    return _pair_sweep(
+        params, i_max, d_check, [({}, lhs_of, rhs_of)], extra=grouped, progress=progress
+    )
 
 
 def _family_ops(model, levels, d_check):
@@ -429,133 +452,75 @@ def verify_simplified(model, which, levels, i_max, d_check, progress=None):
     if which not in ("dstruct", "mixed", "pstar"):
         raise ValueError("unknown relation family %r" % (which,))
     ops, dfun, d_outer = _family_ops(model, levels, d_check)
-    items = []
-    ok_all = True
+    zero = WeylOp.zero(d_check + model.headroom())
 
-    def dsum(s, i, j, targets):
-        acc = TGradedOp.zero()
-        for l, op in targets.items():
-            dd = dfun(s, i, j, l, d_outer)
-            if not dd.is_zero():
-                acc = acc + TGradedOp({0: dd.compose(op)})
-        return acc
+    def op(s, i):
+        return ops[s].get(i, zero)
 
     def lhs_of(s, sp, i, j):
         if which == "dstruct":
-            op = ops[s][i].commutator(ops[s][j])
+            out = op(s, i).commutator(op(s, j))
         elif which == "mixed":
-            op = ops[s][i].commutator(ops[sp][j]) - ops[s][j].commutator(ops[sp][i])
+            out = op(s, i).commutator(op(sp, j)) - op(s, j).commutator(op(sp, i))
         else:
-            op = WeylOp.p_star(i, d_outer).commutator(ops[s][j]) - WeylOp.p_star(
+            out = WeylOp.p_star(i, d_outer).commutator(op(s, j)) - WeylOp.p_star(
                 j, d_outer
-            ).commutator(ops[s][i])
-        return TGradedOp({0: op})
+            ).commutator(op(s, i))
+        return TGradedOp({0: out})
 
     def rhs_of(s, sp, i, j):
         if which == "dstruct":
-            return dsum(s, i, j, ops[s])
-        if which == "mixed":
-            return dsum(sp, i, j, ops[s]) + dsum(s, i, j, ops[sp])
-        return dsum(s, i, j, {l: WeylOp.p_star(l, d_outer + 2) for l in ops[s]})
+            out = dsum(dfun, s, i, j, ops[s], d_outer)
+        elif which == "mixed":
+            out = dsum(dfun, sp, i, j, ops[s], d_outer) + dsum(
+                dfun, s, i, j, ops[sp], d_outer
+            )
+        else:
+            pstars = {l: WeylOp.p_star(l, d_outer + 2) for l in ops[s]}
+            out = dsum(dfun, s, i, j, pstars, d_outer)
+        return TGradedOp({0: out})
 
     if which == "mixed":
-        combos = [(s, sp) for s in levels for sp in levels]
+        combos = [({"level": s, "level2": sp}, s, sp) for s in levels for sp in levels]
     else:
-        combos = [(s, s) for s in levels]
-
-    for s, sp in combos:
-        label = {"level": s, "level2": sp} if which == "mixed" else {"level": s}
-        commutators = _antisymmetric_sweep(i_max, lambda i, j: lhs_of(s, sp, i, j))
-        for i, j, lhs in commutators:
-            rhs = rhs_of(s, sp, i, j)
-            ok = lhs.equal_up_to(rhs, d_check)
-            entry = dict(label, i=i, j=j, status="pass" if ok else "fail")
-            if not ok:
-                entry["first_mismatch"] = lhs.first_mismatch(rhs, d_check)
-                ok_all = False
-            if progress is not None:
-                progress(entry)
-            items.append(entry)
-    return {
-        "params": {
-            "model": model.name,
-            "relation": which,
-            "levels": list(levels),
-            "imax": i_max,
-            "degree": d_check,
-        },
-        "pairs": items,
-        "ok": ok_all,
+        combos = [({"level": s}, s, s) for s in levels]
+    relations = [
+        (label, partial(lhs_of, s, sp), partial(rhs_of, s, sp))
+        for label, s, sp in combos
+    ]
+    params = {
+        "model": model.name,
+        "relation": which,
+        "levels": list(levels),
+        "imax": i_max,
+        "degree": d_check,
     }
+    return _pair_sweep(params, i_max, d_check, relations, progress=progress)
 
 
 def final_commutator_rhs(model, i, j, ops, d_outer):
-    """The standalone top-level commutator in its grouped form."""
-    mu, M = min(i, j), max(i, j)
-    if model.r == 1:
-        charge = None
-        base = i + j - 1
-        lo_double, hi_mid = M, i + j - 1
-        sgn_lo, sgn_hi = mu, M - 1
-        sgn_shift = 1
-        b_coeff = B * ((i - j) * (i + j - 2))
-    else:
-        charge = U[1]
-        base = i + j - 3
-        lo_double, hi_mid = M - 1, i + j - 3
-        sgn_lo, sgn_hi = mu - 1, M - 2
-        sgn_shift = 3
-        b_coeff = B * ((i - j) * (i + j - 3))
-    acc = None
-    for n, op in ops.items():
-        coeff = Fraction(0)
-        if n >= lo_double:
-            coeff += 2 * (i - j)
-        if lo_double <= n <= hi_mid:
-            coeff += i - j
-        if sgn_lo <= n <= sgn_hi:
-            coeff += _sgn(i - j) * (2 * n - 3 * mu + sgn_shift)
-        if coeff:
-            cur = current(base - n, d_outer, charge=charge)
-            if not cur.is_zero():
-                term = cur.compose(op).scale(Coeff.from_rational(coeff))
-                acc = term if acc is None else acc + term
-    if base in ops:
-        term = ops[base].scale(b_coeff)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = WeylOp.zero(min(op.working_degree for op in ops.values()))
-    return acc
+    """The standalone top-level commutator: sum_l D^(3)_{ij,l} . ops[l].
+
+    The single-color model uses Dtilde^(3) in place of D^(3).
+    """
+    dfun = build_D if model.r == 1 else build_Dtilde
+    return dsum(dfun, 3, i, j, ops, d_outer)
 
 
 def verify_final_commutator(model, i_max, d_check):
-    """Check the grouped top-level commutator for all pairs up to i_max."""
-    h = model.headroom()
-    d_build = d_check + h
-    d_outer = d_build + h
-    if model.r == 1:
-        ops = {l: build_A(l, 3, d_build) for l in range(1, d_build + 2)}
-    else:
-        ops = {l: build_M(1, 3, l, d_build) for l in range(1, d_build + 4)}
-    ops = {l: op for l, op in ops.items() if not op.is_zero()}
-    items = []
-    ok_all = True
-    commutators = _antisymmetric_sweep(
-        i_max, lambda i, j: ops[i].commutator(ops[j])
-    )
-    for i, j, lhs in commutators:
-        rhs = final_commutator_rhs(model, i, j, ops, d_outer)
-        ok = lhs.equal_up_to(rhs, d_check)
-        entry = {"i": i, "j": j, "status": "pass" if ok else "fail"}
-        if not ok:
-            ok_all = False
-            cr, an, c = lhs.diff_up_to(rhs, d_check)[0]
-            entry["first_mismatch"] = "coeff %s on create=%s annihilate=%s" % (
-                c, cr, an
-            )
-        items.append(entry)
-    return {
-        "params": {"model": model.name, "imax": i_max, "degree": d_check},
-        "pairs": items,
-        "ok": ok_all,
-    }
+    """Check the top-level commutator [A_i(3), A_j(3)] for all pairs up to i_max.
+
+    The single-color model uses its level-3 modes M_i(3).
+    """
+    families, _, d_outer = _family_ops(model, [3], d_check)
+    ops = families[3]
+    zero = WeylOp.zero(d_check + model.headroom())
+
+    def lhs_of(i, j):
+        return ops.get(i, zero).commutator(ops.get(j, zero))
+
+    def rhs_of(i, j):
+        return final_commutator_rhs(model, i, j, ops, d_outer)
+
+    params = {"model": model.name, "imax": i_max, "degree": d_check}
+    return _pair_sweep(params, i_max, d_check, [({}, lhs_of, rhs_of)])

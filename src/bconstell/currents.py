@@ -235,7 +235,9 @@ def esym(j, values):
 
 
 def clear_caches():
-    _a_state.cache_clear()
-    _m_state.cache_clear()
-    _a_rec_level.cache_clear()
-    _m1_rec_level.cache_clear()
+    """Empty the unbounded memo tables of the modes and of the Jack oracle."""
+    from .jack import _field, _jack_table, _m_in_p, _p_in_m, _rings, partitions
+
+    for cached in (_a_state, _m_state, _a_rec_level, _m1_rec_level, partitions,
+                   _field, _rings, _p_in_m, _m_in_p, _jack_table):
+        cached.cache_clear()

@@ -11,19 +11,21 @@ inside the truncated operator algebra at working degree N.
 H = (1+b) log tau collects connected objects; the rooted fixed point checks
 that extracting a marked face out of H reproduces i dH/dp_i when the
 transfer operator is fed the rooted series back.
+
+One series type, TauSeries, carries tau, H and the rooted series alike.
 """
 
 from fractions import Fraction
 
 from .coeffring import Coeff, B, INV_1PB, ONE_PLUS_B
-from .constraints import build_L
+from .constraints import build_L, sweep_report
 from .currents import build_M
 from .ppoly import PPoly
 from .weyl import WeylOp
 
 
 class TauSeries:
-    """Coefficients [t^n] tau for 0 <= n <= order; entry n is homogeneous of degree n."""
+    """A series in t through t^order with PPoly coefficients; `model` may be None."""
 
     __slots__ = ("model", "order", "coeffs")
 
@@ -32,13 +34,54 @@ class TauSeries:
         self.coeffs = list(coeffs)
         self.order = len(self.coeffs) - 1
 
+    @classmethod
+    def zero(cls, order):
+        return cls(None, [PPoly.zero()] * (order + 1))
+
+    @classmethod
+    def one(cls, order):
+        return cls(None, [PPoly.one()] + [PPoly.zero()] * order)
+
     def coeff(self, n):
         if 0 <= n <= self.order:
             return self.coeffs[n]
         return PPoly.zero()
 
+    def __add__(self, other):
+        return TauSeries(self.model, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return TauSeries(self.model, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def mul_series(self, other):
+        """The product, truncated at this series' order."""
+        N = self.order
+        out = [PPoly.zero() for _ in range(N + 1)]
+        for a, ca in enumerate(self.coeffs):
+            if not ca:
+                continue
+            for bidx in range(0, N - a + 1):
+                cb = other.coeffs[bidx]
+                if cb:
+                    out[a + bidx] = out[a + bidx] + ca * cb
+        return TauSeries(self.model, out)
+
+    def map(self, fn):
+        return TauSeries(self.model, [fn(c) for c in self.coeffs])
+
     def map_coeff(self, fn):
-        return TauSeries(self.model, [c.map_coeff(fn) for c in self.coeffs])
+        return self.map(lambda c: c.map_coeff(fn))
+
+    def scale(self, c):
+        return self.map(lambda x: x * c)
+
+    def tshift(self, k):
+        """t^k times the series, truncated at the same order."""
+        shifted = [PPoly.zero()] * k + self.coeffs
+        return TauSeries(self.model, shifted[: self.order + 1])
+
+    def is_zero(self):
+        return not any(self.coeffs)
 
     def denom_pow_profile(self):
         """Observed maximal (1+b)-denominator power per order."""
@@ -47,28 +90,9 @@ class TauSeries:
             out.append(max((v.dp for v in c.terms.values()), default=0))
         return out
 
-    def to_json_obj(self):
-        return {
-            "model": self.model.name,
-            "order": self.order,
-            "coeffs": [c.to_json_obj() for c in self.coeffs],
-        }
 
-
-class HSeries:
-    """Coefficients [t^n] H of the connected series H = (1+b) log tau."""
-
-    __slots__ = ("model", "order", "coeffs")
-
-    def __init__(self, model, coeffs):
-        self.model = model
-        self.coeffs = list(coeffs)
-        self.order = len(self.coeffs) - 1
-
-    def coeff(self, n):
-        if 0 <= n <= self.order:
-            return self.coeffs[n]
-        return PPoly.zero()
+# H = (1+b) log tau is a series of the same type.
+HSeries = TauSeries
 
 
 def _transfer_operator(model, m, order):
@@ -116,12 +140,11 @@ def check_constraints(tau, i_max, subs=None):
     N = tau.order
     series = tau.map_coeff(lambda c: c.subs(subs)) if subs else tau
     items = []
-    ok_all = True
-    denom_flags = []
-    for n, c in enumerate(series.coeffs):
-        bound = max((v.dp for v in c.terms.values()), default=0)
-        if bound > n:
-            denom_flags.append({"order": n, "denom_pow": bound})
+    denom_flags = [
+        {"order": n, "denom_pow": bound}
+        for n, bound in enumerate(series.denom_pow_profile())
+        if bound > n
+    ]
     for i in range(1, i_max + 1):
         L = build_L(model, i, N)
         if subs:
@@ -133,38 +156,18 @@ def check_constraints(tau, i_max, subs=None):
                     continue
                 part = piece.apply(series.coeff(n - m))
                 if not part.is_homogeneous(n - i):
-                    items.append(
-                        {
-                            "i": i,
-                            "n": n,
-                            "status": "fail",
-                            "reason": "t^%d piece is not homogeneous of degree %d"
-                            % (m, n - i),
-                        }
-                    )
-                    ok_all = False
+                    reason = "t^%d piece is not homogeneous of degree %d" % (m, n - i)
+                    items.append({"i": i, "n": n, "status": "fail", "reason": reason})
                 slice_sum = slice_sum + part
+            item = {"i": i, "n": n, "status": "pass"}
             if slice_sum:
-                items.append(
-                    {
-                        "i": i,
-                        "n": n,
-                        "status": "fail",
-                        "first_nonzero": str(
-                            PPoly({min(slice_sum.terms): slice_sum.terms[min(slice_sum.terms)]})
-                        ),
-                    }
-                )
-                ok_all = False
-            else:
-                items.append({"i": i, "n": n, "status": "pass"})
-    return {
-        "params": {"model": model.name, "imax": i_max, "order": N,
-                   "subs": {k: str(v) for k, v in (subs or {}).items()}},
-        "items": items,
-        "denominator_flags": denom_flags,
-        "ok": ok_all,
-    }
+                first = min(slice_sum.terms)
+                item["status"] = "fail"
+                item["first_nonzero"] = str(PPoly({first: slice_sum.terms[first]}))
+            items.append(item)
+    params = {"model": model.name, "imax": i_max, "order": N,
+              "subs": {k: str(v) for k, v in (subs or {}).items()}}
+    return sweep_report(params, items, "items", denominator_flags=denom_flags)
 
 
 def h_series(tau):
@@ -178,11 +181,11 @@ def h_series(tau):
         for j in range(1, n):
             acc = acc - logs[j] * tau.coeff(n - j) * j
         logs.append(acc * Coeff.from_rational(Fraction(1, n)))
-    return HSeries(tau.model, [c * ONE_PLUS_B for c in logs])
+    return TauSeries(tau.model, [c * ONE_PLUS_B for c in logs])
 
 
 def tau_from_h(h):
-    """exp(H/(1+b)) back from an HSeries; inverse of h_series."""
+    """exp(H/(1+b)) back from H; inverse of h_series."""
     N = h.order
     s = [c * INV_1PB for c in h.coeffs]
     coeffs = [PPoly.one()]
@@ -195,65 +198,6 @@ def tau_from_h(h):
 
 
 # -- rooted fixed point ------------------------------------------------------
-
-
-class TSeries:
-    """Truncated series in t with PPoly coefficients (plain container)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, order=None):
-        coeffs = list(coeffs)
-        if order is not None:
-            coeffs = coeffs[: order + 1]
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, order):
-        return cls([PPoly.zero()] * (order + 1))
-
-    @classmethod
-    def one(cls, order):
-        return cls([PPoly.one()] + [PPoly.zero()] * order)
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def __add__(self, other):
-        return TSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other):
-        return TSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def mul_series(self, other):
-        N = self.order
-        out = [PPoly.zero() for _ in range(N + 1)]
-        for a, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            for bidx in range(0, N - a + 1):
-                cb = other.coeffs[bidx]
-                if cb:
-                    out[a + bidx] = out[a + bidx] + ca * cb
-        return TSeries(out)
-
-    def map(self, fn):
-        return TSeries([fn(c) for c in self.coeffs])
-
-    def scale(self, c):
-        return TSeries([x * c for x in self.coeffs])
-
-    def tshift(self, k):
-        N = self.order
-        return TSeries([PPoly.zero()] * k + self.coeffs, N)
-
-    def is_zero(self):
-        return not any(self.coeffs)
 
 
 def _j_act(delta, series, charge):
@@ -296,16 +240,18 @@ def check_rooted_fixed_point(model, tau, i_max, order=None):
     """Check i dH/dp_i against the rooted transfer formula, order by order."""
     h = h_series(tau)
     N = tau.order if order is None else min(order, tau.order)
-    feedback = {}
-    for a in range(1, N + 1):
-        g = TSeries([h.coeff(n).dp(a) * a for n in range(N + 1)])
-        if not g.is_zero():
-            feedback[a] = g
+
+    def rooted(a):
+        """G_a = a dH/dp_a through t^N."""
+        return TauSeries(model, [h.coeff(n).dp(a) * a for n in range(N + 1)])
+
+    feedback = {a: rooted(a) for a in range(1, N + 1)}
+    feedback = {a: g for a, g in feedback.items() if not g.is_zero()}
     charge = model.charge()
-    shifts = [None] if model.k == 1 else [Coeff.var("u%d" % c) for c in range(1, model.k + 1)]
+    shifts = [None] if model.k == 1 else model.us()
     qs = model.q_weights()
 
-    entries = {0: TSeries.one(N)}
+    entries = {0: TauSeries.one(N)}
     per_round = []
     for _ in range(1, model.r + 1):
         for shift in shifts:
@@ -314,25 +260,17 @@ def check_rooted_fixed_point(model, tau, i_max, order=None):
         per_round.append(dict(entries))
 
     items = []
-    ok_all = True
     for i in range(1, i_max + 1):
-        lhs = TSeries([h.coeff(n).dp(i) * i for n in range(N + 1)])
-        rhs = TSeries.zero(N)
+        lhs = rooted(i)
+        rhs = TauSeries.zero(N)
         for m in range(1, model.r + 1):
             entry = per_round[m - 1].get(i)
             if entry is not None:
                 rhs = rhs + entry.scale(qs[m]).tshift(m)
-        diff = lhs - rhs
-        for n in range(N + 1):
-            if diff.coeffs[n]:
-                items.append(
-                    {"i": i, "n": n, "status": "fail", "first_mismatch": str(diff.coeffs[n])}
-                )
-                ok_all = False
-            else:
-                items.append({"i": i, "n": n, "status": "pass"})
-    return {
-        "params": {"model": model.name, "imax": i_max, "order": N},
-        "items": items,
-        "ok": ok_all,
-    }
+        for n, c in enumerate((lhs - rhs).coeffs):
+            item = {"i": i, "n": n, "status": "pass"}
+            if c:
+                item["status"] = "fail"
+                item["first_mismatch"] = str(c)
+            items.append(item)
+    return sweep_report({"model": model.name, "imax": i_max, "order": N}, items, "items")

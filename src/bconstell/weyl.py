@@ -273,6 +273,14 @@ class WeylOp:
         out.sort(key=lambda t: (pm_sort_key(t[1]), pm_sort_key(t[0])))
         return out
 
+    def first_mismatch(self, other, d):
+        """The first term of diff_up_to, human-readable, or None when equal."""
+        diff = self.diff_up_to(other, d)
+        if not diff:
+            return None
+        cr, an, c = diff[0]
+        return "coeff %s on create=%s annihilate=%s" % (c, cr, an)
+
     # -- serialization -------------------------------------------------------
 
     def sorted_terms(self):

@@ -245,3 +245,36 @@ def test_jack_echoes_the_sorted_partition(capsys):
     ordered = json.loads(capsys.readouterr().out)
     assert unsorted["partition"] == [2, 1]
     assert unsorted == ordered
+
+
+@pytest.mark.parametrize("prop", [None, "dstruct", "mixed", "pstar"])
+@pytest.mark.parametrize("model", ["bip", "threeconst", "biple3"])
+def test_verify_imax_beyond_the_built_family(model, prop):
+    # indices past the support bound are the zero operator at the build degree
+    argv = ["verify", "--model", model, "--imax", "6", "--deg", "1", "--json"]
+    code, out, err = run_cli(*argv, *(["--prop", prop] if prop else []))
+    assert code == 0, err
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert report["ok"]
+    assert len(report["pairs"]) % 36 == 0
+
+
+@pytest.mark.parametrize("model", ["bip", "threeconst", "biple3"])
+def test_final_commutator_imax_beyond_the_built_family(model):
+    from bconstell.constraints import MODELS, verify_final_commutator
+
+    report = verify_final_commutator(MODELS[model], 7, 1)
+    assert report["ok"]
+    assert [(p["i"], p["j"]) for p in report["pairs"]] == [
+        (i, j) for i in range(1, 8) for j in range(1, 8)
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--check-constraints", "--fixed-point"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_tau_check_imax_below_one_is_a_usage_error(flag, value):
+    code, out, err = run_cli("tau", "--model", "bip", "--order", "2", flag, value)
+    assert code == 2
+    assert out == ""
+    assert "%s must be at least 1" % flag in err

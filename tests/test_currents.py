@@ -141,3 +141,25 @@ def test_build_M_bounds():
         build_M(1, 4, 1, 4)
     with pytest.raises(ValueError):
         build_M(2, 1, 0, 4)
+
+
+def test_clear_caches_empties_every_memo_table():
+    import importlib
+
+    import bconstell
+
+    currents = importlib.import_module("bconstell.currents")
+    jack = importlib.import_module("bconstell.jack")
+    build_A(2, 2, 4, route="y")
+    build_A(2, 2, 4, route="rec")
+    build_M(1, 2, 1, 4, route="rec")
+    build_M(2, 1, 1, 4)
+    jack.jack((2, 1))
+    caches = [
+        fn for mod in (currents, jack) for fn in vars(mod).values()
+        if hasattr(fn, "cache_info")
+    ]
+    assert len(caches) == 10
+    assert all(fn.cache_info().currsize for fn in caches)
+    bconstell.clear_caches()
+    assert [fn.cache_info().currsize for fn in caches] == [0] * len(caches)

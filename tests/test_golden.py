@@ -36,6 +36,13 @@ CASES = {
     "tau_bip_order1_oracle": ["tau", "--model", "bip", "--order", "1", "--oracle",
                               "--json"],
     "oracle_bip": ["oracle", "--model", "bip", "--order", "3"],
+    "dump_D": ["dump", "--op", "D", "--s", "3", "--i", "4", "--j", "2", "--l", "3",
+               "--deg", "6"],
+    "dump_Dtilde": ["dump", "--op", "Dtilde", "--m", "3", "--i", "4", "--j", "2",
+                    "--l", "2", "--deg", "6"],
+    "dump_L_biple3": ["dump", "--op", "L", "--model", "biple3", "--i", "3", "--deg", "6"],
+    "tau_threeconst_checks": ["tau", "--model", "threeconst", "--order", "4",
+                              "--check-constraints", "3", "--fixed-point", "3", "--json"],
 }
 
 

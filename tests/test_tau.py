@@ -127,3 +127,19 @@ def test_fixed_point_order_zero_and_first():
     assert rep["ok"]
     zero_order = [x for x in rep["items"] if x["n"] == 0]
     assert all(x["status"] == "pass" for x in zero_order)
+
+
+def test_one_series_type_truncates_at_its_order():
+    assert HSeries is TauSeries
+    assert isinstance(h_series(tau_evolve(BIP, 2)), TauSeries)
+    one = TauSeries.one(2)
+    assert one.model is None and one.order == 2
+    assert TauSeries.zero(2).is_zero() and not one.is_zero()
+    g = TauSeries(BIP, [PPoly.zero(), p1, p2])
+    # t * g would reach t^3; the series stays at order 2
+    shifted = g.tshift(1)
+    assert shifted.model is BIP
+    assert shifted.coeffs == [PPoly.zero(), PPoly.zero(), p1]
+    assert g.mul_series(g).coeffs == [PPoly.zero(), PPoly.zero(), p1 * p1]
+    assert (one + g - g).coeffs == one.coeffs
+    assert g.scale(B).coeffs == [PPoly.zero(), p1 * B, p2 * B]
