@@ -18,15 +18,20 @@ against Stanley's closed form j_lam = prod_s (alpha a(s) + l(s) + 1)
 (alpha a(s) + l(s) + alpha); an inexact division or a differing norm
 raises JackTableError.
 
-The series at order n is accumulated in the polynomial ring
-QQ[alpha, u1, u2, u3, q1, q2, q3]: every weight is scaled by D_n / j_lam,
-where D_n is the lcm of the norms of size n, and each output p-monomial
-becomes one fraction over D_n in the rational function field, whose
-denominator must reduce to a power of alpha = 1+b.  The engine's scalar
+The series at order n is accumulated on integers, in the polynomial ring
+ZZ[alpha, u1, u2, u3, q1, q2, q3]: every weight is scaled by D_n / j_lam,
+where D_n is the lcm of the norms of size n, the size-n tables are scaled
+by L_n and the ratios D_n / j_lam by R_n, the lcms of their coefficient
+denominators, and the content product is built as prod_c P_lam(u_c), one
+factor per colour.  Each output p-monomial is then N / (L_n^2 R_n D_n),
+and its denominator must reduce to a power of alpha = 1+b.  Writing that
+denominator as c alpha^a D' with D' free of alpha, this holds exactly when
+D' divides N, which is checked by one exact division by the univariate
+D'; an inexact one raises OracleDenominatorError.  The engine's scalar
 ring cannot host the intermediate norms (their denominators are not powers
 of 1+b), and keeping the oracle on a separate arithmetic stack is the
-point; values cross into Coeff only in _field_to_coeff.  jack, jack_norm
-and content_product return elements of the field
+point; values cross into Coeff only in _series_coeff and _field_to_coeff.
+jack, jack_norm and content_product return elements of the field
 Q(alpha, u1, u2, u3, q1, q2, q3).
 
 The deformed content of a box is a convention to calibrate, not to assume:
@@ -38,8 +43,9 @@ is told which one matched.
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import comb, lcm
 
-from .coeffring import Coeff, ONE_PLUS_B, U as COEFF_U, Q as COEFF_Q
+from .coeffring import _B_SHIFT, Coeff, ONE_PLUS_B, _pack, add_term
 from .ppoly import PPoly
 
 
@@ -135,23 +141,32 @@ def _field():
 
 @lru_cache(maxsize=1)
 def _rings():
-    """QQ[alpha] for the tables and QQ[alpha, u, q] for the series."""
-    from sympy.polys.domains import QQ
+    """QQ[alpha] for the tables and ZZ[alpha, u, q] for the series."""
+    from sympy.polys.domains import QQ, ZZ
 
     field, _ = _field()
-    series_ring = field.field.ring
+    series_ring = field.field.ring.clone(domain=ZZ)
     return QQ.poly_ring(series_ring.symbols[0]).ring, series_ring
 
 
-def _lift(p):
-    """A QQ[alpha] element inside QQ[alpha, u, q]."""
-    return p.set_ring(_rings()[1])
-
-
 def _to_field(p):
-    """A polynomial of either ring as a (cancelled) field element."""
+    """A polynomial of any of the rings as a (cancelled) field element."""
     field, _ = _field()
-    return field.field(_lift(p))
+    return field.field(p.set_ring(field.field.ring))
+
+
+def _integral(p, scale):
+    """scale * p for a QQ[alpha] element p, inside ZZ[alpha, u, q].
+
+    scale must clear every denominator of p; the conversion to ZZ fails
+    loudly otherwise.
+    """
+    return (p * scale).set_ring(_rings()[1])
+
+
+def _denominator_lcm(polys):
+    """The lcm of the coefficient denominators of QQ[alpha] elements."""
+    return lcm(*(c.denominator for p in polys for c in p.values()))
 
 
 @lru_cache(maxsize=None)
@@ -302,30 +317,89 @@ def jack_norm(lam):
     return _to_field(_inner_field(v, v))
 
 
+_NON_ALPHA_DENOMINATOR = (
+    "series coefficient has a non-(1+b) denominator: %s; this is a "
+    "finding to report, not to patch"
+)
+
+
+def _by_alpha(poly):
+    """The terms of a polynomial as {u, q exponents: {alpha exponent: coeff}}."""
+    groups = {}
+    for exps, c in poly.items():
+        groups.setdefault(exps[1:], {})[exps[0]] = c
+    return groups
+
+
+def _groups_to_coeff(groups, dp, scale):
+    """scale * sum_rest g_rest(1+b) u^rest / (1+b)^dp as a Coeff.
+
+    Each alpha^e becomes the binomial row of (1+b)^e, expanded once per
+    distinct e, and the whole numerator is built as one dict of packed keys.
+    """
+    rows = {}
+    num = {}
+    for rest, coeffs in groups.items():
+        key = _pack((0,) + rest)
+        for e, c in coeffs.items():
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = [comb(e, k) for k in range(e + 1)]
+            for k, binom in enumerate(row):
+                add_term(num, key + (k << _B_SHIFT), c * binom)
+    out = Coeff(num, dp)
+    return out if scale == 1 else out * scale
+
+
 def _field_to_coeff(elem):
     """Convert a field element to Coeff with alpha -> 1+b; loud on failure."""
-    field, _ = _field()
     numer, denom = elem.numer, elem.denom
     dterms = list(denom.terms())
     if len(dterms) != 1 or any(e for e in dterms[0][0][1:]):
-        raise OracleDenominatorError(
-            "series coefficient has a non-(1+b) denominator: %s; this is a "
-            "finding to report, not to patch" % (denom,)
-        )
+        raise OracleDenominatorError(_NON_ALPHA_DENOMINATOR % (denom,))
     (dexps, dcoeff), = dterms
-    e = dexps[0]
-    out = Coeff.zero()
-    params = [None, COEFF_U[1], COEFF_U[2], COEFF_U[3], COEFF_Q[1], COEFF_Q[2], COEFF_Q[3]]
-    for exps, c in numer.terms():
-        term = Coeff.from_rational(Fraction(c.numerator, c.denominator))
-        if exps[0]:
-            term = term * ONE_PLUS_B ** exps[0]
-        for idx in range(1, 7):
-            if exps[idx]:
-                term = term * params[idx] ** exps[idx]
-        out = out + term
-    scale = Fraction(dcoeff.numerator, dcoeff.denominator)
-    return out * (1 / scale) * Coeff.inv_one_plus_b(e) if e else out * (1 / scale)
+    groups = {
+        rest: {e: Fraction(c.numerator, c.denominator) for e, c in coeffs.items()}
+        for rest, coeffs in _by_alpha(numer).items()
+    }
+    scale = Fraction(dcoeff.denominator, dcoeff.numerator)
+    return _groups_to_coeff(groups, dexps[0], scale)
+
+
+def _series_coeff(numer, denom):
+    """numer / denom as a Coeff with alpha -> 1+b; loud unless it reduces to c / alpha^a.
+
+    numer lies in ZZ[alpha, u, q] and denom in QQ[alpha].  Write
+    denom = c alpha^a D' with D' a primitive integer polynomial and
+    D'(0) > 0.  alpha and D' are coprime, so the reduced fraction has a
+    power of alpha as denominator exactly when D' divides numer; D' is
+    primitive, so it divides over ZZ whenever it divides over QQ (Gauss's
+    lemma), and since it involves alpha alone that is one exact univariate
+    division per u, q monomial of numer.  Only when a division is inexact
+    is the cancelled fraction built, for the error message.
+    """
+    from sympy.polys.densearith import dup_exquo
+    from sympy.polys.densebasic import dup_from_dict, dup_to_raw_dict
+    from sympy.polys.domains import ZZ
+    from sympy.polys.polyerrors import ExactQuotientFailed
+
+    (a,), _ = min(denom.items())
+    content, dprime = denom.quo_term(((a,), 1)).primitive()
+    if dprime[(0,)] < 0:
+        content, dprime = -content, -dprime
+    dprime = [c.numerator for c in dprime.to_dense()]
+    groups = _by_alpha(numer)
+    if len(dprime) > 1:
+        try:
+            groups = {
+                rest: dup_to_raw_dict(dup_exquo(dup_from_dict(coeffs, ZZ), dprime, ZZ))
+                for rest, coeffs in groups.items()
+            }
+        except ExactQuotientFailed:
+            field = _field()[0].field
+            frac = field.new(numer.set_ring(field.ring), denom.set_ring(field.ring))
+            raise OracleDenominatorError(_NON_ALPHA_DENOMINATOR % (frac.denom,)) from None
+    return _groups_to_coeff(groups, a, Fraction(content.denominator, content.numerator))
 
 
 def _ppoly_key(mu):
@@ -345,21 +419,28 @@ def jack_to_ppoly(lam):
 
 
 def _content_poly(lam, k, convention):
-    """Product over boxes and colors of (u_l + deformed content) in QQ[alpha, u, q]."""
+    """Product over colors c of P_lam(u_c) = prod_boxes (u_c + deformed content).
+
+    Each colour's factor involves alpha and u_c alone, so it is built on its
+    own and the k factors are multiplied once, in ZZ[alpha, u, q].
+    """
     _, ring = _rings()
     alpha = ring.gens[0]
-    us = ring.gens[1:1 + k]
-    acc = ring.one
+    contents = []
     for r, row_len in enumerate(lam, start=1):
         for c in range(1, row_len + 1):
             if convention == "standard":
-                content = alpha * (c - 1) - (r - 1)
+                contents.append(alpha * (c - 1) - (r - 1))
             elif convention == "transpose":
-                content = alpha * (r - 1) - (c - 1)
+                contents.append(alpha * (r - 1) - (c - 1))
             else:
                 raise ValueError("unknown content convention %r" % (convention,))
-            for u in us:
-                acc *= u + content
+    acc = ring.one
+    for u in ring.gens[1:1 + k]:
+        factor = ring.one
+        for content in contents:
+            factor *= u + content
+        acc *= factor
     return acc
 
 
@@ -374,17 +455,17 @@ def content_product_coeff(lam, k, convention="standard"):
 
 
 def _vertex_weight(vec, model):
-    """The vertex-side evaluation of a deformed polynomial, in QQ[alpha, u, q]."""
-    _, ring = _rings()
+    """The vertex-side evaluation of a p-coordinate vector over ZZ[alpha, u, q]."""
     if model.r == 1:
-        # q_j = [j == 1]: only the p_1^n coordinate survives, which is 1
-        return ring.one
+        # q_j = [j == 1]: only the p_1^n coordinate survives
+        return vec[(1,) * sum(next(iter(vec)))]
+    _, ring = _rings()
     qs = (None,) + ring.gens[4:7]
     acc = ring.zero
     for mu, c in vec.items():
         if mu and max(mu) > 3:
             continue
-        term = _lift(c)
+        term = c
         for part in mu:
             term *= qs[part]
         acc += term
@@ -394,8 +475,11 @@ def _vertex_weight(vec, model):
 def tau_jack(model, order, convention="standard"):
     """The oracle series up to t^order as a TauSeries.
 
-    Order n is summed in QQ[alpha, u, q] over the common denominator D_n,
-    the lcm of the norms of size n; each p-monomial is then one fraction.
+    Order n is summed in ZZ[alpha, u, q] over the common denominator D_n,
+    the lcm of the norms of size n, with the tables scaled by L_n and the
+    ratios D_n / j_lam by R_n (the lcms of their coefficient denominators);
+    each p-monomial is then one exact division by the alpha-free part of
+    the denominator (_series_coeff).
     """
     from .tau import TauSeries
 
@@ -403,29 +487,29 @@ def tau_jack(model, order, convention="standard"):
         raise JackBoundError(
             "order %d exceeds the configured bound %d" % (order, JACK_BOUND)
         )
-    field, _ = _field()
     _, ring = _rings()
     coeffs = [PPoly.one()]
     for n in range(1, order + 1):
         table = _jack_table(n)
         norms = {lam: _inner_field(v, v) for lam, v in table.items()}
         common = reduce(lambda x, y: x.lcm(y), norms.values())
+        ratios = {lam: common.exquo(norm) for lam, norm in norms.items()}
+        scale_table = _denominator_lcm(c for v in table.values() for c in v.values())
+        scale_ratio = _denominator_lcm(ratios.values())
         vec = {}
         for lam in partitions(n):
-            v = table[lam]
-            weight = (
-                _content_poly(lam, model.k, convention)
-                * _vertex_weight(v, model)
-                * _lift(common.exquo(norms[lam]))
+            v = {mu: _integral(c, scale_table) for mu, c in table[lam].items()}
+            weight = _content_poly(lam, model.k, convention) * (
+                _vertex_weight(v, model) * _integral(ratios[lam], scale_ratio)
             )
             if not weight:
                 continue
             for mu, c in v.items():
-                vec[mu] = vec.get(mu, ring.zero) + _lift(c) * weight
-        denom = _lift(common)
+                vec[mu] = vec.get(mu, ring.zero) + c * weight
+        # each term is scaled by L_n twice (its coordinate and the vertex weight) and by R_n
+        denom = common * (scale_table * scale_table * scale_ratio)
         coeffs.append(PPoly({
-            _ppoly_key(mu): _field_to_coeff(field.field.new(c, denom))
-            for mu, c in vec.items() if c
+            _ppoly_key(mu): _series_coeff(c, denom) for mu, c in vec.items() if c
         }))
     return TauSeries(model, coeffs)
 

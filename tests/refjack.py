@@ -3,15 +3,49 @@
 This is the original arithmetic behind ``bconstell.jack``: Gram-Schmidt
 and series reassembly directly in the rational function field
 Q(alpha, u1, u2, u3, q1, q2, q3), where every product cancels a
-multivariate gcd.  The fraction-free QQ[alpha] tables and the
-common-denominator assembly in ``bconstell.jack`` must agree with it.
+multivariate gcd, and the conversion to Coeff builds every term from Coeff
+powers and products.  The fraction-free QQ[alpha] tables, the integer
+assembly and the grouped conversion in ``bconstell.jack`` must agree with it.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from bconstell.jack import _field, _field_to_coeff, _m_in_p, _ppoly_key, partitions, z_of
+from bconstell.coeffring import Coeff, ONE_PLUS_B, U as COEFF_U, Q as COEFF_Q
+from bconstell.jack import (
+    OracleDenominatorError,
+    _field,
+    _m_in_p,
+    _ppoly_key,
+    partitions,
+    z_of,
+)
 from bconstell.ppoly import PPoly
+
+
+def field_to_coeff(elem):
+    """Field element to Coeff, alpha -> 1+b, one Coeff power and product per term."""
+    numer, denom = elem.numer, elem.denom
+    dterms = list(denom.terms())
+    if len(dterms) != 1 or any(e for e in dterms[0][0][1:]):
+        raise OracleDenominatorError(
+            "series coefficient has a non-(1+b) denominator: %s; this is a "
+            "finding to report, not to patch" % (denom,)
+        )
+    (dexps, dcoeff), = dterms
+    e = dexps[0]
+    out = Coeff.zero()
+    params = [None, COEFF_U[1], COEFF_U[2], COEFF_U[3], COEFF_Q[1], COEFF_Q[2], COEFF_Q[3]]
+    for exps, c in numer.terms():
+        term = Coeff.from_rational(Fraction(c.numerator, c.denominator))
+        if exps[0]:
+            term = term * ONE_PLUS_B ** exps[0]
+        for idx in range(1, 7):
+            if exps[idx]:
+                term = term * params[idx] ** exps[idx]
+        out = out + term
+    scale = Fraction(dcoeff.numerator, dcoeff.denominator)
+    return out * (1 / scale) * Coeff.inv_one_plus_b(e) if e else out * (1 / scale)
 
 
 def _fld(x):
@@ -111,6 +145,6 @@ def tau_coeffs(model, order, convention="standard"):
             for mu, c in v.items():
                 vec[mu] = vec.get(mu, 0) + c * weight
         coeffs.append(PPoly({
-            _ppoly_key(mu): _field_to_coeff(c) for mu, c in vec.items() if c
+            _ppoly_key(mu): field_to_coeff(c) for mu, c in vec.items() if c
         }))
     return coeffs

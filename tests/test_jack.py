@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bconstell.coeffring import Coeff, ONE_PLUS_B, U
+from bconstell.coeffring import Coeff, ONE_PLUS_B, Q, U
 from bconstell.constraints import BIP, BIPLE3, THREECONST
 from bconstell.jack import (
     JackBoundError,
@@ -173,7 +173,7 @@ def test_bound_errors():
 
 import importlib
 
-from bconstell.jack import JackTableError, jack_norm
+from bconstell.jack import JackTableError, OracleDenominatorError, jack_norm
 
 jackmod = importlib.import_module("bconstell.jack")
 
@@ -220,3 +220,79 @@ def test_corrupted_projection_is_loud(monkeypatch, fresh_tables):
     )
     with pytest.raises(JackTableError):
         jackmod._jack_table(3)
+
+
+# -- the integer assembly and its denominator check ---------------------------
+
+
+def _series_rings():
+    alpha_ring, ring = jackmod._rings()
+    return alpha_ring.gens[0], ring
+
+
+def test_non_alpha_denominator_is_loud():
+    alpha, ring = _series_rings()
+    u1 = ring.gens[1]
+    # the message names the denominator of the cancelled fraction
+    with pytest.raises(OracleDenominatorError, match=r"denominator: alpha\*\*3 \+ 3\*alpha\*\*2;"):
+        jackmod._series_coeff(u1, alpha**2 * (alpha + 3))
+    with pytest.raises(OracleDenominatorError, match=r"denominator: alpha \+ 2;"):
+        jackmod._series_coeff(ring.one, alpha + 2)
+
+
+def test_power_of_alpha_denominator_converts():
+    alpha, ring = _series_rings()
+    a, u1, u2, u3, _, q2, _ = ring.gens
+    b = ONE_PLUS_B
+    assert jackmod._series_coeff(-5 * u1, 7 * alpha**3) == (
+        Coeff.from_rational(Fraction(-5, 7)) * U[1] * Coeff.inv_one_plus_b(3)
+    )
+    # the alpha-free part D' = (alpha + 2)(2 alpha + 1) divides the numerator
+    numer = (u1 * a + 4 * q2 * u3**2) * (a + 2) * (2 * a + 1)
+    denom = Fraction(3, 2) * alpha**2 * (alpha + 2) * (2 * alpha + 1)
+    assert jackmod._series_coeff(numer, denom) == (
+        (U[1] * b + 4 * Q[2] * U[3] * U[3]) * Coeff.inv_one_plus_b(2) * Fraction(2, 3)
+    )
+    # a factor of alpha in the numerator cancels against the denominator
+    assert jackmod._series_coeff(a**2 * u2, alpha) == U[2] * b
+
+
+def test_partly_divisible_numerator_is_loud():
+    # D' divides the u1 part of the numerator but not the u2 part
+    alpha, ring = _series_rings()
+    a, u1, u2 = ring.gens[:3]
+    with pytest.raises(OracleDenominatorError):
+        jackmod._series_coeff(u1 * (a + 2) + u2, alpha * (alpha + 2))
+
+
+@pytest.mark.parametrize("model", [BIP, BIPLE3], ids=lambda m: m.name)
+def test_oracle_equals_engine_at_bench_order(model):
+    oracle, engine = tau_jack(model, 6), tau_evolve(model, 6)
+    for n in range(7):
+        assert oracle.coeff(n) == engine.coeff(n), n
+
+
+def test_transpose_convention_fails_at_two_on_the_vertex_path():
+    reference = tau_evolve(BIPLE3, 2)
+    wrong = tau_jack(BIPLE3, 2, "transpose")
+    assert wrong.coeff(2) != reference.coeff(2)
+
+
+@pytest.mark.parametrize("model", [BIP, THREECONST, BIPLE3], ids=lambda m: m.name)
+def test_series_is_unchanged_by_rescaled_tables(model, monkeypatch):
+    # J_lam -> J_lam / s_lam scales J_lam(p), the vertex weight and the norm
+    # by 1/s_lam, 1/s_lam and 1/s_lam^2, so the series stays the same; the
+    # tables then carry denominators, which the integer scale L_n must clear
+    expected = tau_jack(model, 4)
+    real = jackmod._jack_table
+
+    def rescaled(n):
+        return {
+            lam: {mu: c.quo_ground(len(lam) + 1) for mu, c in vec.items()}
+            for lam, vec in real(n).items()
+        }
+
+    monkeypatch.setattr(jackmod, "_jack_table", rescaled)
+    got = tau_jack(model, 4)
+    for n in range(5):
+        assert got.coeff(n) == expected.coeff(n), n
