@@ -22,6 +22,17 @@ never carries into a neighbouring field; a result that reaches that guard
 bit raises OverflowError instead of wrapping.  A coefficient is a plain
 ``int`` whenever it is integral and a ``Fraction`` only otherwise; products
 run on integers throughout, with any denominators lifted out first.
+
+Sums of products.  ``sum_products`` returns the canonical sum of ``a * b * k``
+over ``(Coeff, Coeff, rational)`` triples.  The products sharing a (1+b)
+power are accumulated on integers into one dict at a common denominator;
+every accumulated key passes the overflow guard before cancelled terms are
+dropped; each power group is reduced to canonical form once, and the groups
+are added in ascending power by ``Coeff.__add__``, the one place that
+rescales by (1+b)^k.  ``sum_grouped`` runs it once per key of a dict of
+triple lists.  ``WeylOp.apply``, ``WeylOp.compose`` and ``PPoly`` products and
+t-convolutions (``PPoly.sum_products``) sum each output coefficient this way
+instead of canonicalising every partial sum.
 """
 
 import re
@@ -115,6 +126,25 @@ def _divide(num, den):
     return {e: Fraction(c, den) if c % den else c // den for e, c in num.items()}
 
 
+def _mul_into(acc, p, q, m=1):
+    """``acc += m * p * q`` for int-valued dicts; cancelled keys stay in acc."""
+    if len(p) < len(q):
+        p, q = q, p
+    get = acc.get
+    pitems = p.items()
+    for e2, c2 in q.items():
+        c2 *= m
+        for e1, c1 in pitems:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _checked(acc):
+    """The accumulated dict without its cancelled keys, every key overflow-checked."""
+    _check_keys(acc)
+    return {e: c for e, c in acc.items() if c}
+
+
 def _poly_mul(p, q):
     den_p, p = _lift(p)
     den_q, q = _lift(q)
@@ -123,16 +153,11 @@ def _poly_mul(p, q):
     if len(q) == 1:
         (e2, c2), = q.items()
         out = {e1 + e2: c1 * c2 for e1, c1 in p.items()}
+        _check_keys(out)
     else:
         acc = {}
-        get = acc.get
-        pitems = p.items()
-        for e2, c2 in q.items():
-            for e1, c1 in pitems:
-                e = e1 + e2
-                acc[e] = get(e, 0) + c1 * c2
-        out = {e: c for e, c in acc.items() if c}
-    _check_keys(out)
+        _mul_into(acc, p, q)
+        out = _checked(acc)
     return _divide(out, den_p * den_q)
 
 
@@ -179,18 +204,69 @@ def _make(num, dp):
     return c
 
 
+def _reduce(lifted, dp):
+    """Divide an int-valued numerator by (1+b) while it divides and dp > 0."""
+    while dp > 0:
+        quot = _div_one_plus_b(lifted)
+        if quot is None:
+            break
+        lifted, dp = quot, dp - 1
+    return lifted, dp
+
+
 def _canon(num, dp):
     """Coeff from an owned, normalised dict, reduced to canonical form."""
     if dp <= 0 or not num:
         return _make(num, dp)
     den, lifted = _lift(num)
-    reduced = False
-    while dp > 0:
-        quot = _div_one_plus_b(lifted)
-        if quot is None:
-            break
-        lifted, dp, reduced = quot, dp - 1, True
-    return _make(_divide(lifted, den) if reduced else num, dp)
+    reduced, rdp = _reduce(lifted, dp)
+    return _make(num if rdp == dp else _divide(reduced, den), rdp)
+
+
+def sum_products(triples):
+    """The canonical Coeff sum of a * b * k over (Coeff, Coeff, rational) triples.
+
+    Products sharing a (1+b) power accumulate on integers in one dict at a
+    common denominator; each such group is checked for exponent overflow
+    (before cancelled terms are dropped), reduced to canonical form once,
+    and the groups are then added in ascending power.
+    """
+    if len(triples) == 1:
+        (a, b, k), = triples
+        p = a * b
+        return p if k == 1 else p * k
+    groups = {}
+    for a, b, k in triples:
+        if not (k and a.num and b.num):
+            continue
+        da, pa = _lift(a.num)
+        db, pb = _lift(b.num)
+        groups.setdefault(a.dp + b.dp, []).append(
+            (pa, pb, k.numerator, da * db * k.denominator)
+        )
+    total = None
+    for dp in sorted(groups):
+        items = groups[dp]
+        den = lcm(*[d for _, _, _, d in items])
+        acc = {}
+        for pa, pb, kn, d in items:
+            _mul_into(acc, pa, pb, kn * (den // d))
+        num = _checked(acc)
+        if num:
+            num, rdp = _reduce(num, dp)
+            part = _make(_divide(num, den), rdp)
+            total = part if total is None else total + part
+    return _make({}, 0) if total is None else total
+
+
+def sum_grouped(groups):
+    """{key: sum_products(triples)} over {key: triples}, without the zero sums."""
+    out = {}
+    for key, triples in groups.items():
+        c = sum_products(triples)
+        if c:
+            out[key] = c
+    return out
 
 
 def _rational(x):

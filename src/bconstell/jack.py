@@ -23,14 +23,16 @@ ZZ[alpha, u1, u2, u3, q1, q2, q3]: every weight is scaled by D_n / j_lam,
 where D_n is the lcm of the norms of size n, the size-n tables are scaled
 by L_n and the ratios D_n / j_lam by R_n, the lcms of their coefficient
 denominators, and the content product is built as prod_c P_lam(u_c), one
-factor per colour.  Each output p-monomial is then N / (L_n^2 R_n D_n),
-and its denominator must reduce to a power of alpha = 1+b.  Writing that
-denominator as c alpha^a D' with D' free of alpha, this holds exactly when
-D' divides N, which is checked by one exact division by the univariate
-D'; an inexact one raises OracleDenominatorError.  The engine's scalar
-ring cannot host the intermediate norms (their denominators are not powers
-of 1+b), and keeping the oracle on a separate arithmetic stack is the
-point; values cross into Coeff only in _series_coeff and _field_to_coeff.
+factor per colour.  The scaled tables, ratios and denominator of each size
+are memoised next to the tables (_series_scales).  Each output p-monomial
+is then N / (L_n^2 R_n D_n), and its denominator must reduce to a power of
+alpha = 1+b.  Writing that denominator as c alpha^a D' with D' free of
+alpha, this holds exactly when D' divides N, which is checked by one exact
+division by the univariate D'; an inexact one raises
+OracleDenominatorError.  The engine's scalar ring cannot host the
+intermediate norms (their denominators are not powers of 1+b), and keeping
+the oracle on a separate arithmetic stack is the point; values cross into
+Coeff only in _series_coeff and _field_to_coeff.
 jack, jack_norm and content_product return elements of the field
 Q(alpha, u1, u2, u3, q1, q2, q3).
 
@@ -298,6 +300,38 @@ def _jack_table(n):
     return table
 
 
+# size n -> (the table, its _series_scales); emptied by clear_caches()
+_SCALES = {}
+
+
+def _series_scales(n):
+    """The size-n tables and ratios D_n / j_lam on integers, and their denominator.
+
+    D_n is the lcm of the norms of size n; the tables are scaled by L_n and
+    the ratios by R_n (the lcms of their coefficient denominators), so each
+    series term carries the denominator D_n L_n^2 R_n (the coordinate and
+    the vertex weight both carry L_n).  Memoised per size for the table
+    object _jack_table returns, so a rebuilt table gets its scales afresh.
+    """
+    table = _jack_table(n)
+    memo = _SCALES.get(n)
+    if memo is not None and memo[0] is table:
+        return memo[1]
+    norms = {lam: _inner_field(v, v) for lam, v in table.items()}
+    common = reduce(lambda x, y: x.lcm(y), norms.values())
+    ratios = {lam: common.exquo(norm) for lam, norm in norms.items()}
+    scale_table = _denominator_lcm(c for v in table.values() for c in v.values())
+    scale_ratio = _denominator_lcm(ratios.values())
+    scales = (
+        {lam: {mu: _integral(c, scale_table) for mu, c in v.items()}
+         for lam, v in table.items()},
+        {lam: _integral(r, scale_ratio) for lam, r in ratios.items()},
+        common * (scale_table * scale_table * scale_ratio),
+    )
+    _SCALES[n] = (table, scales)
+    return scales
+
+
 def _table_entry(lam):
     """The QQ[alpha] p-coordinates of the deformed polynomial indexed by lam."""
     lam = tuple(sorted(lam, reverse=True))
@@ -475,11 +509,9 @@ def _vertex_weight(vec, model):
 def tau_jack(model, order, convention="standard"):
     """The oracle series up to t^order as a TauSeries.
 
-    Order n is summed in ZZ[alpha, u, q] over the common denominator D_n,
-    the lcm of the norms of size n, with the tables scaled by L_n and the
-    ratios D_n / j_lam by R_n (the lcms of their coefficient denominators);
-    each p-monomial is then one exact division by the alpha-free part of
-    the denominator (_series_coeff).
+    Order n is summed in ZZ[alpha, u, q] over the common denominator of
+    _series_scales(n); each p-monomial is then one exact division by the
+    alpha-free part of that denominator (_series_coeff).
     """
     from .tau import TauSeries
 
@@ -490,24 +522,17 @@ def tau_jack(model, order, convention="standard"):
     _, ring = _rings()
     coeffs = [PPoly.one()]
     for n in range(1, order + 1):
-        table = _jack_table(n)
-        norms = {lam: _inner_field(v, v) for lam, v in table.items()}
-        common = reduce(lambda x, y: x.lcm(y), norms.values())
-        ratios = {lam: common.exquo(norm) for lam, norm in norms.items()}
-        scale_table = _denominator_lcm(c for v in table.values() for c in v.values())
-        scale_ratio = _denominator_lcm(ratios.values())
+        vectors, ratios, denom = _series_scales(n)
         vec = {}
         for lam in partitions(n):
-            v = {mu: _integral(c, scale_table) for mu, c in table[lam].items()}
+            v = vectors[lam]
             weight = _content_poly(lam, model.k, convention) * (
-                _vertex_weight(v, model) * _integral(ratios[lam], scale_ratio)
+                _vertex_weight(v, model) * ratios[lam]
             )
             if not weight:
                 continue
             for mu, c in v.items():
                 vec[mu] = vec.get(mu, ring.zero) + c * weight
-        # each term is scaled by L_n twice (its coordinate and the vertex weight) and by R_n
-        denom = common * (scale_table * scale_table * scale_ratio)
         coeffs.append(PPoly({
             _ppoly_key(mu): _series_coeff(c, denom) for mu, c in vec.items() if c
         }))

@@ -8,7 +8,7 @@ not exist, constructors for them yield the zero polynomial.
 
 from fractions import Fraction
 
-from .coeffring import Coeff, add_term
+from .coeffring import Coeff, add_term, sum_grouped
 
 
 def pm_mul(a, b):
@@ -101,16 +101,24 @@ class PPoly:
             return p
         if not isinstance(other, PPoly):
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = pm_mul(m1, m2)
-                add_term(out, m, c1 * c2)
-        p = PPoly.__new__(PPoly)
-        p.terms = out
-        return p
+        return PPoly.sum_products([(self, other, 1)])
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_products(triples):
+        """Sum of f * g * k over (PPoly, PPoly, rational) triples.
+
+        The coefficient products are grouped by output monomial and each
+        group is summed by one call of the scalar kernel.
+        """
+        sums = {}
+        for f, g, k in triples:
+            gitems = g.terms.items()
+            for m1, c1 in f.terms.items():
+                for m2, c2 in gitems:
+                    sums.setdefault(pm_mul(m1, m2), []).append((c1, c2, k))
+        return PPoly(sum_grouped(sums))
 
     def __bool__(self):
         return bool(self.terms)

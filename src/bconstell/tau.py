@@ -55,16 +55,12 @@ class TauSeries:
 
     def mul_series(self, other):
         """The product, truncated at this series' order."""
-        N = self.order
-        out = [PPoly.zero() for _ in range(N + 1)]
-        for a, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            for bidx in range(0, N - a + 1):
-                cb = other.coeffs[bidx]
-                if cb:
-                    out[a + bidx] = out[a + bidx] + ca * cb
-        return TauSeries(self.model, out)
+        return TauSeries(self.model, [
+            PPoly.sum_products([
+                (self.coeffs[a], other.coeffs[n - a], 1) for a in range(n + 1)
+            ])
+            for n in range(self.order + 1)
+        ])
 
     def map(self, fn):
         return TauSeries(self.model, [fn(c) for c in self.coeffs])
@@ -175,12 +171,14 @@ def h_series(tau):
     if tau.coeff(0) != PPoly.one():
         raise ValueError("log requires a series with constant term 1")
     N = tau.order
+    # log = log tau satisfies n log_n = n tau_n - sum_{0<j<n} j log_j tau_{n-j}
+    one = PPoly.one()
     logs = [PPoly.zero()]
     for n in range(1, N + 1):
-        acc = tau.coeff(n) * n
-        for j in range(1, n):
-            acc = acc - logs[j] * tau.coeff(n - j) * j
-        logs.append(acc * Coeff.from_rational(Fraction(1, n)))
+        logs.append(PPoly.sum_products(
+            [(tau.coeff(n), one, 1)]
+            + [(logs[j], tau.coeff(n - j), Fraction(-j, n)) for j in range(1, n)]
+        ))
     return TauSeries(tau.model, [c * ONE_PLUS_B for c in logs])
 
 
@@ -188,12 +186,12 @@ def tau_from_h(h):
     """exp(H/(1+b)) back from H; inverse of h_series."""
     N = h.order
     s = [c * INV_1PB for c in h.coeffs]
+    # tau = exp(s) satisfies n tau_n = sum_{0<j<=n} j s_j tau_{n-j}
     coeffs = [PPoly.one()]
     for n in range(1, N + 1):
-        acc = PPoly.zero()
-        for j in range(1, n + 1):
-            acc = acc + s[j] * coeffs[n - j] * j
-        coeffs.append(acc * Coeff.from_rational(Fraction(1, n)))
+        coeffs.append(PPoly.sum_products(
+            [(s[j], coeffs[n - j], Fraction(j, n)) for j in range(1, n + 1)]
+        ))
     return TauSeries(h.model, coeffs)
 
 

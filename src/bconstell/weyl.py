@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-from .coeffring import Coeff, add_term
+from .coeffring import Coeff, add_term, sum_grouped
 from .ppoly import EMPTY, PPoly, pm_degree, pm_mul, pm_sort_key
 
 
@@ -53,6 +53,15 @@ class WeylOp:
             if c and pm_degree(key[1]) <= working_degree
         }
         self._jump = None
+
+    @classmethod
+    def _live(cls, terms, working_degree):
+        """Operator on terms already live at working_degree and non-zero."""
+        op = object.__new__(cls)
+        op.terms = terms
+        op.working_degree = working_degree
+        op._jump = None
+        return op
 
     # -- constructors ------------------------------------------------------
 
@@ -143,7 +152,7 @@ class WeylOp:
         return WeylOp(out, d)
 
     def __neg__(self):
-        return WeylOp({k: -c for k, c in self.terms.items()}, self.working_degree)
+        return WeylOp._live({k: -c for k, c in self.terms.items()}, self.working_degree)
 
     def __sub__(self, other):
         return self + (-other)
@@ -153,7 +162,9 @@ class WeylOp:
             c = Coeff.from_rational(c)
         if not c:
             return WeylOp.zero(self.working_degree)
-        return WeylOp({k: v * c for k, v in self.terms.items()}, self.working_degree)
+        # the scalars form an integral domain, so no product v * c is zero
+        terms = {k: v * c for k, v in self.terms.items()}
+        return WeylOp._live(terms, self.working_degree)
 
     def __mul__(self, c):
         return self.scale(c)
@@ -169,7 +180,7 @@ class WeylOp:
                 "polynomial degree %d exceeds working degree %d"
                 % (f.degree(), self.working_degree)
             )
-        out = {}
+        sums = {}
         for (cr, an), c in self.terms.items():
             for mono, mc in f.terms.items():
                 md = dict(mono)
@@ -189,8 +200,8 @@ class WeylOp:
                 if not ok:
                     continue
                 key = pm_mul(tuple(sorted(md.items())), cr)
-                add_term(out, key, c * mc * factor)
-        return PPoly(out)
+                sums.setdefault(key, []).append((c, mc, factor))
+        return PPoly(sum_grouped(sums))
 
     def compose(self, other):
         """Normal-ordered product self . other (self acts second)."""
@@ -226,7 +237,6 @@ class WeylOp:
                     floor -= i * g
                 if floor > new_d:
                     continue
-                base = c1 * c2
                 for gammas in product(*[range(g + 1) for g in tops]):
                     left = an_deg
                     for i, g in zip(common, gammas):
@@ -244,8 +254,9 @@ class WeylOp:
                     )
                     an = pm_mul(_pm_sub(an1, gm), an2)
                     cr = pm_mul(cr1, _pm_sub(cr2, gm))
-                    add_term(out, (cr, an), base if factor == 1 else base * factor)
-        return WeylOp(out, new_d)
+                    out.setdefault((cr, an), []).append((c1, c2, factor))
+        # every key passed the new_d checks above and no zero sum is kept
+        return WeylOp._live(sum_grouped(out), new_d)
 
     def commutator(self, other):
         return self.compose(other) - other.compose(self)

@@ -31,12 +31,12 @@ def random_mono(rng, max_index=4, max_total=4):
     return tuple(sorted(mono.items()))
 
 
-def random_op(rng, working_degree, max_terms=3):
+def random_op(rng, working_degree, max_terms=3, pool=COEFF_POOL):
     terms = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
         cr = random_mono(rng)
         an = random_mono(rng)
-        terms[(cr, an)] = rng.choice(COEFF_POOL)
+        terms[(cr, an)] = rng.choice(pool)
     return WeylOp(terms, working_degree)
 
 
@@ -59,9 +59,9 @@ def random_homogeneous_op(rng, working_degree, degree):
     return WeylOp(terms, working_degree)
 
 
-def random_ppoly(rng, max_degree, max_terms=3):
+def random_ppoly(rng, max_degree, max_terms=3, pool=COEFF_POOL):
     terms = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
         mono = random_mono(rng, max_index=max_degree or 1, max_total=max_degree)
-        terms[mono] = rng.choice(COEFF_POOL)
+        terms[mono] = rng.choice(pool)
     return PPoly(terms)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import refring
-from bconstell.coeffring import B, INV_1PB, MAX_EXP, ONE_PLUS_B, Q, U, Coeff
+from bconstell.coeffring import B, INV_1PB, MAX_EXP, ONE_PLUS_B, Q, U, Coeff, sum_products
 
 nonzero = st.integers(-20, 20).filter(bool)
 rational = st.builds(Fraction, nonzero, st.integers(1, 6))
@@ -108,3 +108,70 @@ def test_integral_coefficients_are_int():
     x = (half * B + half) * (B * 2 - 2)
     assert all(type(c) is int for c in x.num.values())
     assert str(x) == "b^2 - 1"
+
+
+# -- the fused sum of products -------------------------------------------------
+
+factor = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+)
+
+
+def constant(k):
+    return ({refring.ZERO_EXP: Fraction(k)}, 0)
+
+
+def reference_sum(items):
+    """The fold a*b*k + ... by public Coeff arithmetic, and the same on refring."""
+    naive = Coeff.zero()
+    ref = ({}, 0)
+    for (x, rx), (y, ry), k in items:
+        naive = naive + x * y * k
+        product = refring.mul(refring.mul(rx, ry), constant(k))
+        ref = refring.add(ref, product)
+    return naive, ref
+
+
+@given(st.lists(st.tuples(spec_strategy, spec_strategy, factor), max_size=5))
+def test_sum_products_matches_fold_and_reference(specs):
+    # spec_strategy mixes (1+b) powers 0..4 per operand, so the products
+    # fall into several power groups; an empty list and one triple are drawn
+    items = [(build(sx), build(sy), k) for sx, sy, k in specs]
+    naive, ref = reference_sum(items)
+    got = sum_products([(x, y, k) for (x, _), (y, _), k in items])
+    assert got == naive
+    assert_matches(got, ref)
+
+
+@given(spec_strategy, spec_strategy, factor)
+def test_sum_products_cancels_to_canonical(sx, sy, k):
+    x, rx = build(sx)
+    y, ry = build(sy)
+    # the whole sum cancels: zero with no denominator
+    zero = sum_products([
+        (x, y, k), (y, x, -k), (x * y, ONE_PLUS_B, k), (x * y * k, B, -1), (x, y, -k)
+    ])
+    assert zero.num == {} and zero.dp == 0
+    # x/(1+b) * b + x/(1+b) = x: the sum loses a (1+b) factor of its group
+    xi = x * INV_1PB
+    got = sum_products([(xi, B, k), (xi, Coeff.one(), k)])
+    assert_matches(got, refring.mul(rx, constant(k)))
+
+
+def test_sum_products_edge_lists():
+    x = (U[1] + B) * INV_1PB ** 2
+    assert sum_products([]) == Coeff.zero() and sum_products([]).dp == 0
+    assert sum_products([(x, U[2], Fraction(3, 2))]) == x * U[2] * Fraction(3, 2)
+    assert sum_products([(x, U[2], 1)]) == x * U[2]
+    assert sum_products([(x, U[2], 0), (Coeff.zero(), x, 1)]) == Coeff.zero()
+
+
+@pytest.mark.parametrize("dp", [0, 3])
+def test_sum_products_overflow_raises_even_when_cancelled(dp):
+    # q1^1500 * q1^1500 passes the field limit; the two products cancel,
+    # and the guard still refuses the key before the zero is dropped
+    big = Q[1] ** 1500 * INV_1PB ** dp
+    with pytest.raises(OverflowError, match="exponent"):
+        sum_products([(big, Q[1] ** 1500, 1), (big, Q[1] ** 1500, -1)])
+    with pytest.raises(OverflowError, match="exponent"):
+        sum_products([(U[1], U[2], 1), (big, Q[1] ** 1500, 2), (Q[1] ** 1500, big, -2)])

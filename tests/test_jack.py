@@ -205,6 +205,43 @@ def fresh_tables():
     jackmod._jack_table.cache_clear()
 
 
+def test_series_scales_are_memoised_and_cleared():
+    import bconstell
+
+    bconstell.clear_caches()
+    assert jackmod._SCALES == {}
+    calls = []
+    real = jackmod._inner_field
+
+    def counting(f, g):
+        calls.append(f is g)
+        return real(f, g)
+
+    first = tau_jack(BIP, 3)
+    assert sorted(jackmod._SCALES) == [1, 2, 3]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jackmod, "_inner_field", counting)
+        again = tau_jack(BIP, 3)
+    # the second call reads the norms, ratios and scales from the memo
+    assert calls == []
+    assert [again.coeff(n) for n in range(4)] == [first.coeff(n) for n in range(4)]
+    # the memo belongs to the table object it was derived from
+    table = jackmod._jack_table(2)
+    halved = {
+        lam: {mu: c.quo_ground(2) for mu, c in v.items()} for lam, v in table.items()
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jackmod, "_jack_table", lambda n: halved)
+        jackmod._series_scales(2)
+        assert jackmod._SCALES[2][0] is halved
+    jackmod._series_scales(2)
+    assert jackmod._SCALES[2][0] is table
+    bconstell.clear_caches()
+    assert jackmod._SCALES == {}
+    rebuilt = tau_jack(BIP, 3)
+    assert [rebuilt.coeff(n) for n in range(4)] == [first.coeff(n) for n in range(4)]
+
+
 def test_norm_disagreeing_with_closed_form_is_loud(monkeypatch, fresh_tables):
     ring = jackmod._rings()[0]
     monkeypatch.setattr(jackmod, "_stanley_norm", lambda lam: ring.one)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import refweyl
 from bconstell.coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, Q, U
 from bconstell.constraints import BIP, BIPLE3, THREECONST
 from bconstell.ppoly import PPoly
@@ -143,3 +144,47 @@ def test_one_series_type_truncates_at_its_order():
     assert g.mul_series(g).coeffs == [PPoly.zero(), PPoly.zero(), p1 * p1]
     assert (one + g - g).coeffs == one.coeffs
     assert g.scale(B).coeffs == [PPoly.zero(), p1 * B, p2 * B]
+
+
+# -- the t-convolutions against the stepwise loops ----------------------------
+
+
+def stepwise_h(tau):
+    """(1+b) log tau by one PPoly product and subtraction per j."""
+    logs = [PPoly.zero()]
+    for n in range(1, tau.order + 1):
+        acc = tau.coeff(n) * n
+        for j in range(1, n):
+            acc = acc - refweyl.ppoly_mul(logs[j], tau.coeff(n - j)) * j
+        logs.append(acc * Coeff.from_rational(Fraction(1, n)))
+    return [c * ONE_PLUS_B for c in logs]
+
+
+def stepwise_exp(h):
+    s = [c * INV_1PB for c in h.coeffs]
+    coeffs = [PPoly.one()]
+    for n in range(1, h.order + 1):
+        acc = PPoly.zero()
+        for j in range(1, n + 1):
+            acc = acc + refweyl.ppoly_mul(s[j], coeffs[n - j]) * j
+        coeffs.append(acc * Coeff.from_rational(Fraction(1, n)))
+    return coeffs
+
+
+def stepwise_product(f, g):
+    out = [PPoly.zero() for _ in f.coeffs]
+    for a, ca in enumerate(f.coeffs):
+        for b in range(f.order - a + 1):
+            out[a + b] = out[a + b] + refweyl.ppoly_mul(ca, g.coeffs[b])
+    return out
+
+
+@pytest.mark.parametrize("model", [BIP, THREECONST, BIPLE3], ids=lambda m: m.name)
+def test_convolutions_match_stepwise_loops(model):
+    tau = tau_evolve(model, 4)
+    h = h_series(tau)
+    assert h.coeffs == stepwise_h(tau)
+    assert tau_from_h(h).coeffs == stepwise_exp(h) == tau.coeffs
+    rooted = TauSeries(model, [c.dp(1) * INV_1PB ** 3 for c in h.coeffs])
+    for f, g in ((tau, h), (h, rooted), (rooted, tau)):
+        assert f.mul_series(g).coeffs == stepwise_product(f, g)

@@ -121,3 +121,18 @@ def test_json_round_trip():
     for _ in range(20):
         op = random_op(rng, 7)
         assert WeylOp.from_json_obj(op.to_json_obj()).equal_up_to(op, 7)
+
+
+def test_internal_constructor_matches_public_filtering():
+    # compose, negation and scaling build their results without re-filtering;
+    # the public constructor, which drops dead keys and zeros, must agree
+    rng = random.Random(11)
+    for _ in range(200):
+        d1, d2 = rng.randrange(0, 9), rng.randrange(0, 9)
+        a = random_op(rng, d1, max_terms=5)
+        b = random_op(rng, d2, max_terms=5)
+        results = [-a, a.scale(rng.choice([2, ONE_PLUS_B, Coeff.inv_one_plus_b()]))]
+        if d1 - b.max_jump() >= 0:
+            results.append(a.compose(b))
+        for op in results:
+            assert op.terms == WeylOp(op.terms, op.working_degree).terms

@@ -3,8 +3,8 @@
 The kernel skips term pairs and contractions whose derivative part lands
 above the result's working degree before it multiplies any coefficient.
 These tests pin that the skipped work is exactly the work the truncation
-contract drops: the same terms, the same working degree, and no dead key
-reaching the accumulator.
+contract drops: the same terms, the same working degree, and exactly the
+live contractions reaching the coefficient sums.
 """
 
 import random
@@ -15,26 +15,27 @@ from hypothesis import given, strategies as st
 
 import refweyl
 from bconstell import weyl
-from bconstell.coeffring import Coeff, ONE_PLUS_B, U
-from bconstell.ppoly import pm_degree
+from bconstell.coeffring import B, INV_1PB, Coeff, ONE_PLUS_B, U
+from bconstell.ppoly import PPoly, pm_degree
 from bconstell.weyl import DegreeBudgetError, WeylOp
 
-from randops import random_homogeneous_op, random_op
+from randops import COEFF_POOL, random_homogeneous_op, random_op, random_ppoly
 
 
 def compose_checked(left, right):
-    """left.compose(right), asserting every accumulated key is live."""
-    keys = []
-    real = weyl.add_term
+    """left.compose(right), asserting only live contractions are summed."""
+    summed = []
+    real = weyl.sum_grouped
 
-    def recording(out, key, c):
-        keys.append(key)
-        real(out, key, c)
+    def recording(groups):
+        summed.extend((key, len(ts)) for key, ts in groups.items())
+        return real(groups)
 
-    with mock.patch.object(weyl, "add_term", recording):
+    with mock.patch.object(weyl, "sum_grouped", recording):
         got = left.compose(right)
-    dead = [k for k in keys if pm_degree(k[1]) > got.working_degree]
+    dead = [k for k, _ in summed if pm_degree(k[1]) > got.working_degree]
     assert not dead, "dead contractions reached the accumulator: %r" % (dead,)
+    assert sum(n for _, n in summed) == refweyl.live_contractions(left, right)
     return got
 
 
@@ -118,3 +119,49 @@ def test_floor_exactly_at_new_d_is_kept():
     assert got.working_degree == want.working_degree == 2
     assert got.terms == want.terms
     assert ((), ((2, 1),)) in got.terms
+
+
+# -- WeylOp.apply and PPoly.__mul__ against the stepwise loops ------------------
+
+# scalars over (1+b)^0..8 with numerators that share, or do not share, a
+# (1+b) factor, so the per-monomial sums mix powers and reduce
+HIGH_POWERS = COEFF_POOL + [
+    c * INV_1PB ** k
+    for c in (Coeff.one(), ONE_PLUS_B, U[1] + B, B * U[2] - 1, ONE_PLUS_B ** 2 * U[2])
+    for k in (3, 5, 8)
+] + [INV_1PB ** 4 + U[1] * INV_1PB, (B - U[1]) * INV_1PB ** 6 - INV_1PB ** 2]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 8),
+    terms=st.integers(1, 6),
+)
+def test_apply_matches_stepwise_reference(seed, degree, terms):
+    rng = random.Random(seed)
+    op = random_op(rng, degree, max_terms=terms, pool=HIGH_POWERS)
+    # c b p1 p1* + c + d p2 p2* keeps every monomial, so several products
+    # meet in one output coefficient; on a single p1 the first two give
+    # c (1+b), which cancels a (1+b) of c's denominator
+    c, d = rng.choice(HIGH_POWERS), rng.choice(HIGH_POWERS)
+    keep = WeylOp({
+        (((1, 1),), ((1, 1),)): c * B, ((), ()): c, (((2, 1),), ((2, 1),)): d
+    }, degree)
+    f = random_ppoly(rng, degree, max_terms=terms, pool=HIGH_POWERS)
+    g = random_ppoly(rng, degree, max_terms=terms, pool=HIGH_POWERS)
+    if degree:
+        f = f + PPoly.gen(1, 1, rng.choice(HIGH_POWERS))
+    for poly in (f, f + g, f - g):
+        for o in (op, keep, op + keep):
+            assert o.apply(poly) == refweyl.apply(o, poly)
+
+
+@given(seed=st.integers(0, 2**32 - 1), terms=st.integers(1, 6))
+def test_ppoly_mul_matches_stepwise_reference(seed, terms):
+    rng = random.Random(seed)
+    f = random_ppoly(rng, 6, max_terms=terms, pool=HIGH_POWERS)
+    g = random_ppoly(rng, 6, max_terms=terms, pool=HIGH_POWERS)
+    assert f * g == refweyl.ppoly_mul(f, g)
+    # (f + g)(f - g) cancels every cross term
+    assert (f + g) * (f - g) == refweyl.ppoly_mul(f + g, f - g)
+    assert (f + g) * (f - g) == refweyl.ppoly_mul(f, f) - refweyl.ppoly_mul(g, g)
