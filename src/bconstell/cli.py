@@ -107,38 +107,38 @@ def cmd_tau(parser, args):
         _oracle_order(parser, "--order", args.order)
     series = tau_evolve(model, args.order)
     ok = True
-    out = {
-        "params": {"model": model.name, "order": args.order},
-        "order": series.order,
-        "coeffs": [c.to_json_obj() for c in series.coeffs],
-        "denom_pow": series.denom_pow_profile(),
-        "checks": [],
-    }
+    checks = []
     if args.check_constraints:
         rep = check_constraints(series, args.check_constraints)
         ok = ok and rep["ok"]
-        out["checks"].append({"constraints": rep["ok"], "imax": args.check_constraints,
-                              "denominator_flags": rep["denominator_flags"]})
+        checks.append({"constraints": rep["ok"], "imax": args.check_constraints,
+                       "denominator_flags": rep["denominator_flags"]})
     if args.fixed_point:
         rep = check_rooted_fixed_point(model, series, args.fixed_point)
         ok = ok and rep["ok"]
-        out["checks"].append({"fixed_point": rep["ok"], "imax": args.fixed_point})
+        checks.append({"fixed_point": rep["ok"], "imax": args.fixed_point})
     if args.oracle:
         rep = compare_with_engine(model, args.order, engine=series)
         ok = ok and rep["ok"]
-        out["checks"].append({"oracle": rep["ok"],
-                              "convention": rep["params"]["convention"],
-                              "first_mismatch": rep["first_mismatch"]})
-    out["ok"] = ok
+        checks.append({"oracle": rep["ok"],
+                       "convention": rep["params"]["convention"],
+                       "first_mismatch": rep["first_mismatch"]})
     if args.json:
-        out["schema"] = SCHEMA
-        print(json.dumps(out, sort_keys=True))
+        print(json.dumps({
+            "params": {"model": model.name, "order": args.order},
+            "order": series.order,
+            "coeffs": [c.to_json_obj() for c in series.coeffs],
+            "denom_pow": series.denom_pow_profile(),
+            "checks": checks,
+            "ok": ok,
+            "schema": SCHEMA,
+        }, sort_keys=True))
     else:
         for n, c in enumerate(series.coeffs):
             print("[t^%d] %s" % (n, c))
-        for chk in out["checks"]:
+        for chk in checks:
             print("check %s" % json.dumps(chk, sort_keys=True))
-        if out["checks"]:
+        if checks:
             print("overall: %s" % ("pass" if ok else "FAIL"))
     return 0 if ok else 1
 

@@ -28,7 +28,7 @@ patching either side.
 from fractions import Fraction
 from functools import partial
 
-from .coeffring import Coeff, B, ONE, ONE_PLUS_B, Q, U, ZERO
+from .coeffring import Coeff, B, ONE, ONE_PLUS_B, Q, U
 from .currents import build_A, build_M, current, esym
 from .weyl import WeylOp
 
@@ -42,10 +42,6 @@ class Model:
         self.name = name
         self.k = k
         self.r = r
-
-    def charge(self):
-        """Charge of the zero-mode current: u for the single-color model."""
-        return U[1] if self.k == 1 else ZERO
 
     def q_weights(self):
         """Vertex-degree weights q_m: symbolic for r = 3, else q_m = [m == 1]."""

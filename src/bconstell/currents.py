@@ -8,7 +8,9 @@ Mode operators are built two independent ways:
 * the y-formalism: an operator-valued vector indexed by the degree of a
   marked face evolves under the shift Y_+ and the transfer operator
   Lambda_Y, and the modes are its entries;
-* index recursions that express a level in terms of the previous one.
+* one index recursion that expresses a level in terms of the previous one,
+  with an index offset o and a charge: o = 0 with charge 0 gives A_i(s),
+  o = 1 with charge u gives the single-color modes M_i(m).
 
 Both routes must agree exactly; the test suite and the verification sweeps
 enforce this.
@@ -106,103 +108,64 @@ def _a_state(s, working_degree):
     return _a_state(s - 1, working_degree).lambda_y()
 
 
-@lru_cache(maxsize=None)
-def _m_state(k, m, working_degree):
-    """The y-state after m rounds of the k-factor transfer followed by Y_+.
+def round_steps(k):
+    """The (shift, charge) of each transfer step of a k-color round.
 
-    For k >= 2 the charge is zero and the factors are shifted by u_1..u_k;
+    For k >= 2 the charge is zero and the k factors are shifted by u_1..u_k;
     for k = 1 the single factor carries charge u instead.
     """
+    if k == 1:
+        return [(None, U[1])]
+    return [(U[c], None) for c in range(1, k + 1)]
+
+
+@lru_cache(maxsize=None)
+def _m_state(k, m, working_degree):
+    """The y-state after m rounds of the k-factor transfer followed by Y_+."""
     if m == 0:
         return YVector.seed(working_degree)
     v = _m_state(k, m - 1, working_degree)
-    if k == 1:
-        v = v.lambda_y(charge=U[1])
-    else:
-        for c in range(1, k + 1):
-            v = v.lambda_y(shift=U[c])
+    for shift, charge in round_steps(k):
+        v = v.lambda_y(shift, charge)
     return v.y_plus()
 
 
-def build_A_y(i, s, working_degree):
-    """A_i(s) read off the y-state: entry i of Y_+ applied to the s-step state."""
-    if i < 1 or s < 0:
-        raise ValueError("build_A requires i >= 1 and s >= 0")
-    return _a_state(s, working_degree).y_plus().entry(i)
-
-
 @lru_cache(maxsize=None)
-def _a_rec_level(s, working_degree):
-    """All A_i(s) for 1 <= i <= working_degree + 2 via the index recursion."""
+def _rec_level(s, working_degree, offset, charge):
+    """Level s of the index recursion: entries 1 <= i <= d + 2 + offset*(s-1).
+
+    Entry i collects J_{i-n-offset} composed onto entry n of level s-1 plus
+    b(i-1) times entry i-offset; level 0 is Id/(1+b) at index 1-offset.
+    """
     d = working_degree
-    top = d + 2
     if s == 0:
-        return {1: WeylOp.scalar(INV_1PB, d)}
-    prev = _a_rec_level(s - 1, d)
+        return {1 - offset: WeylOp.scalar(INV_1PB, d)}
+    prev = _rec_level(s - 1, d, offset, charge)
     level = {}
-    for i in range(1, top + 1):
+    for i in range(1, d + 3 + offset * (s - 1)):
         acc = WeylOp.zero(d)
-        for n, a_n in prev.items():
-            cur = current(i - n, d + a_n.max_jump())
+        for n, op in prev.items():
+            cur = current(i - n - offset, d + op.max_jump(), charge)
             if cur.is_zero():
                 continue
-            acc = acc + cur.compose(a_n)
-        if i in prev:
-            acc = acc + prev[i].scale(B * (i - 1))
+            acc = acc + cur.compose(op)
+        if i - offset in prev:
+            acc = acc + prev[i - offset].scale(B * (i - 1))
         if not acc.is_zero():
             level[i] = acc
     return level
-
-
-def build_A_rec(i, s, working_degree):
-    if i < 1 or s < 0:
-        raise ValueError("build_A requires i >= 1 and s >= 0")
-    level = _a_rec_level(s, working_degree)
-    return level.get(i, WeylOp.zero(working_degree))
 
 
 def build_A(i, s, working_degree, route="rec"):
     """A_i(s), homogeneous of operator degree -(i-1)."""
-    if route == "rec":
-        return build_A_rec(i, s, working_degree)
+    if route not in ("rec", "y"):
+        raise ValueError("unknown route %r" % (route,))
+    if i < 1 or s < 0:
+        raise ValueError("build_A requires i >= 1 and s >= 0")
     if route == "y":
-        return build_A_y(i, s, working_degree)
-    raise ValueError("unknown route %r" % (route,))
-
-
-@lru_cache(maxsize=None)
-def _m1_rec_level(m, working_degree):
-    """All single-color modes at level m via the charge-u recursion."""
-    d = working_degree
-    top = d + m + 1
-    if m == 1:
-        level = {}
-        for i in range(1, top + 1):
-            op = current(i - 1, d, charge=U[1]).scale(INV_1PB)
-            if not op.is_zero():
-                level[i] = op
-        return level
-    prev = _m1_rec_level(m - 1, d)
-    level = {}
-    for i in range(1, top + 1):
-        acc = WeylOp.zero(d)
-        for n, m_n in prev.items():
-            cur = current(i - n - 1, d + m_n.max_jump(), charge=U[1])
-            if cur.is_zero():
-                continue
-            acc = acc + cur.compose(m_n)
-        if i - 1 in prev:
-            acc = acc + prev[i - 1].scale(B * (i - 1))
-        if not acc.is_zero():
-            level[i] = acc
-    return level
-
-
-def build_M_rec(m, i, working_degree):
-    """Single-color mode via the recursion route (k = 1 only)."""
-    if m < 1 or i < 1:
-        raise ValueError("build_M requires m >= 1 and i >= 1")
-    level = _m1_rec_level(m, working_degree)
+        # entry i of Y_+ applied to the s-step state
+        return _a_state(s, working_degree).y_plus().entry(i)
+    level = _rec_level(s, working_degree, 0, None)
     return level.get(i, WeylOp.zero(working_degree))
 
 
@@ -219,7 +182,8 @@ def build_M(k, m, i, working_degree, route="y"):
     if route == "rec":
         if k != 1:
             raise ValueError("the recursion route exists only for k = 1")
-        return build_M_rec(m, i, working_degree)
+        level = _rec_level(m, working_degree, 1, U[1])
+        return level.get(i, WeylOp.zero(working_degree))
     raise ValueError("unknown route %r" % (route,))
 
 
@@ -238,7 +202,7 @@ def clear_caches():
     """Empty the unbounded memo tables of the modes and of the Jack oracle."""
     from .jack import _SCALES, _field, _jack_table, _m_in_p, _p_in_m, _rings, partitions
 
-    for cached in (_a_state, _m_state, _a_rec_level, _m1_rec_level, partitions,
-                   _field, _rings, _p_in_m, _m_in_p, _jack_table):
+    for cached in (_a_state, _m_state, _rec_level, partitions, _field, _rings,
+                   _p_in_m, _m_in_p, _jack_table):
         cached.cache_clear()
     _SCALES.clear()

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .coeffring import Coeff, B, INV_1PB, ONE_PLUS_B
 from .constraints import build_L, sweep_report
-from .currents import build_M
+from .currents import build_M, current, round_steps
 from .ppoly import PPoly
 from .weyl import WeylOp
 
@@ -198,20 +198,13 @@ def tau_from_h(h):
 # -- rooted fixed point ------------------------------------------------------
 
 
-def _j_act(delta, series, charge):
-    """Action of the current J_delta on a truncated series, slice by slice."""
-    if delta < 0:
-        return series.map(lambda c: c * PPoly.gen(-delta))
-    if delta > 0:
-        return series.map(lambda c: c.dp(delta) * (ONE_PLUS_B * delta))
-    return series.scale(charge)
-
-
 def _lambda_series(entries, order, shift, charge, feedback):
     """Transfer step on a y-vector of truncated series, with rooted feedback.
 
-    feedback maps a >= 1 to the rooted series G_a = a dH/dp_a; the feedback
-    term moves the marked degree up by a while multiplying by G_a.
+    The currents act coefficient by coefficient at the entry's largest
+    coefficient degree.  feedback maps a >= 1 to the rooted series
+    G_a = a dH/dp_a; the feedback term moves the marked degree up by a while
+    multiplying by G_a.
     """
     out = {}
 
@@ -221,10 +214,11 @@ def _lambda_series(entries, order, shift, charge, feedback):
         out[m] = out[m] + s if m in out else s
 
     for j, s in entries.items():
+        top = max(c.degree() for c in s.coeffs)
         for delta in range(-j, order + 1):
-            if delta == 0 and not charge:
-                continue
-            accumulate(j + delta, _j_act(delta, s, charge))
+            cur = current(delta, top, charge)
+            if not cur.is_zero():
+                accumulate(j + delta, s.map(cur.apply))
     for j, s in entries.items():
         c = B * j if shift is None else B * j + shift
         if c:
@@ -245,14 +239,12 @@ def check_rooted_fixed_point(model, tau, i_max, order=None):
 
     feedback = {a: rooted(a) for a in range(1, N + 1)}
     feedback = {a: g for a, g in feedback.items() if not g.is_zero()}
-    charge = model.charge()
-    shifts = [None] if model.k == 1 else model.us()
     qs = model.q_weights()
 
     entries = {0: TauSeries.one(N)}
     per_round = []
     for _ in range(1, model.r + 1):
-        for shift in shifts:
+        for shift, charge in round_steps(model.k):
             entries = _lambda_series(entries, N, shift, charge, feedback)
         entries = {j + 1: s for j, s in entries.items()}
         per_round.append(dict(entries))

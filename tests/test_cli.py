@@ -278,3 +278,17 @@ def test_tau_check_imax_below_one_is_a_usage_error(flag, value):
     assert code == 2
     assert out == ""
     assert "%s must be at least 1" % flag in err
+
+
+def test_tau_text_mode_builds_no_json_form(monkeypatch, capsys):
+    from bconstell.ppoly import PPoly
+
+    def refuse(self):
+        raise AssertionError("text-mode tau built the JSON form of a coefficient")
+
+    monkeypatch.setattr(PPoly, "to_json_obj", refuse)
+    code = main(["tau", "--model", "bip", "--order", "3", "--fixed-point", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("[t^0] 1\n[t^1] ")
+    assert out.endswith("overall: pass\n")

@@ -43,6 +43,14 @@ CASES = {
     "dump_L_biple3": ["dump", "--op", "L", "--model", "biple3", "--i", "3", "--deg", "6"],
     "tau_threeconst_checks": ["tau", "--model", "threeconst", "--order", "4",
                               "--check-constraints", "3", "--fixed-point", "3", "--json"],
+    **{
+        "tau_%s_checks_text" % model: [
+            "tau", "--model", model, "--order", "4", "--check-constraints", "3",
+            "--fixed-point", "3",
+        ]
+        for model in ("bip", "biple3")
+    },
+    "dump_M_k1": ["dump", "--op", "M", "--k", "1", "--m", "3", "--i", "2", "--deg", "6"],
 }
 
 
