@@ -481,7 +481,7 @@ class Coeff:
     __repr__ = __str__
 
     _DENOM_RE = re.compile(r"^(.*?)/\(1\+b\)\^(\d+)$")
-    _MONO_RE = re.compile(r"^(b|u[123]|q[123])(?:\^(\d+))?$")
+    _MONO_RE = re.compile(r"^(%s)(?:\^(\d+))?$" % "|".join(VARS))
 
     @classmethod
     def parse(cls, s):
@@ -516,5 +516,5 @@ ONE = Coeff.one()
 B = Coeff.var("b")
 ONE_PLUS_B = Coeff.one_plus_b()
 INV_1PB = Coeff.inv_one_plus_b()
-U = [None, Coeff.var("u1"), Coeff.var("u2"), Coeff.var("u3")]
-Q = [None, Coeff.var("q1"), Coeff.var("q2"), Coeff.var("q3")]
+U = [None] + [Coeff.var(v) for v in VARS if v[0] == "u"]
+Q = [None] + [Coeff.var(v) for v in VARS if v[0] == "q"]

@@ -53,9 +53,6 @@ class Model:
         """Composition headroom: largest positive operator degree of an L piece."""
         return self.r - 1
 
-    def mode(self, m, i, working_degree):
-        return build_M(self.k, m, i, working_degree)
-
     def us(self):
         return [U[c] for c in range(1, self.k + 1)]
 
@@ -146,7 +143,7 @@ def build_L(model, i, working_degree):
         return TGradedOp.zero()
     pieces = {0: -WeylOp.p_star(i, working_degree)}
     for m, q in model.q_weights().items():
-        op = model.mode(m, i, working_degree).scale(q)
+        op = build_M(model.k, m, i, working_degree).scale(q)
         if not op.is_zero():
             hom = op.homogeneous_degree()
             if hom is not None and hom != m - i:

@@ -7,15 +7,18 @@ Mode operators are built two independent ways:
 
 * the y-formalism: an operator-valued vector indexed by the degree of a
   marked face evolves under the shift Y_+ and the transfer operator
-  Lambda_Y, and the modes are its entries;
+  Lambda_Y shifted by a scalar, and the modes are its entries; a k-color
+  round is one transfer step per shift u_1..u_k, then Y_+;
 * one index recursion that expresses a level in terms of the previous one,
-  with an index offset o and a charge: o = 0 with charge 0 gives A_i(s),
-  o = 1 with charge u gives the single-color modes M_i(m).
+  with an index offset o and a shift: o = 0 with shift 0 gives A_i(s),
+  o = 1 with shift u gives the single-color modes M_i(m).
 
-Both routes must agree exactly; the test suite and the verification sweeps
-enforce this.
+A charge c on J_0 adds c times the entry it acts on, so it is a shift by c;
+the transfer takes u only as a shift.  Both routes must agree exactly; the
+test suite and the verification sweeps enforce this.
 """
 
+import importlib
 from functools import lru_cache
 
 from .coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, U, ZERO
@@ -62,8 +65,8 @@ class YVector:
             {j + 1: op for j, op in self.entries.items()}, self.working_degree
         )
 
-    def lambda_y(self, shift=None, charge=None):
-        """Apply the transfer operator, optionally shifted by a scalar.
+    def lambda_y(self, shift=ZERO):
+        """Apply the transfer operator shifted by a scalar.
 
         Entry m of the result collects J_{m-j} composed onto entry j for
         every stored j, plus (b*m + shift) times entry m.  The sum over
@@ -82,14 +85,12 @@ class YVector:
         for j, op in self.entries.items():
             j_budget = d + op.max_jump()
             for delta in range(-j, j_budget + 1):
-                if delta == 0 and (charge is None or charge.is_zero()):
-                    continue
-                cur = current(delta, j_budget, charge)
+                cur = current(delta, j_budget)
                 if cur.is_zero():
                     continue
                 accumulate(j + delta, cur.compose(op))
         for m, op in self.entries.items():
-            c = B * m if shift is None else B * m + shift
+            c = B * m + shift
             if c:
                 accumulate(m, op.scale(c))
         return YVector(out, d)
@@ -101,56 +102,41 @@ class YVector:
 
 
 @lru_cache(maxsize=None)
-def _a_state(s, working_degree):
-    """The y-state after s transfer steps from the seed (charge 0)."""
-    if s == 0:
-        return YVector.seed(working_degree)
-    return _a_state(s - 1, working_degree).lambda_y()
+def _y_state(shifts, rounds, working_degree):
+    """The y-state after `rounds` rounds from the seed.
 
-
-def round_steps(k):
-    """The (shift, charge) of each transfer step of a k-color round.
-
-    For k >= 2 the charge is zero and the k factors are shifted by u_1..u_k;
-    for k = 1 the single factor carries charge u instead.
+    A round is one transfer step per shift in `shifts`, followed by Y_+.
     """
-    if k == 1:
-        return [(None, U[1])]
-    return [(U[c], None) for c in range(1, k + 1)]
-
-
-@lru_cache(maxsize=None)
-def _m_state(k, m, working_degree):
-    """The y-state after m rounds of the k-factor transfer followed by Y_+."""
-    if m == 0:
+    if rounds == 0:
         return YVector.seed(working_degree)
-    v = _m_state(k, m - 1, working_degree)
-    for shift, charge in round_steps(k):
-        v = v.lambda_y(shift, charge)
+    v = _y_state(shifts, rounds - 1, working_degree)
+    for shift in shifts:
+        v = v.lambda_y(shift)
     return v.y_plus()
 
 
 @lru_cache(maxsize=None)
-def _rec_level(s, working_degree, offset, charge):
+def _rec_level(s, working_degree, offset, shift):
     """Level s of the index recursion: entries 1 <= i <= d + 2 + offset*(s-1).
 
     Entry i collects J_{i-n-offset} composed onto entry n of level s-1 plus
-    b(i-1) times entry i-offset; level 0 is Id/(1+b) at index 1-offset.
+    (b(i-1) + shift) times entry i-offset; level 0 is Id/(1+b) at index
+    1-offset.
     """
     d = working_degree
     if s == 0:
         return {1 - offset: WeylOp.scalar(INV_1PB, d)}
-    prev = _rec_level(s - 1, d, offset, charge)
+    prev = _rec_level(s - 1, d, offset, shift)
     level = {}
     for i in range(1, d + 3 + offset * (s - 1)):
         acc = WeylOp.zero(d)
         for n, op in prev.items():
-            cur = current(i - n - offset, d + op.max_jump(), charge)
+            cur = current(i - n - offset, d + op.max_jump())
             if cur.is_zero():
                 continue
             acc = acc + cur.compose(op)
         if i - offset in prev:
-            acc = acc + prev[i - offset].scale(B * (i - 1))
+            acc = acc + prev[i - offset].scale(B * (i - 1) + shift)
         if not acc.is_zero():
             level[i] = acc
     return level
@@ -163,9 +149,9 @@ def build_A(i, s, working_degree, route="rec"):
     if i < 1 or s < 0:
         raise ValueError("build_A requires i >= 1 and s >= 0")
     if route == "y":
-        # entry i of Y_+ applied to the s-step state
-        return _a_state(s, working_degree).y_plus().entry(i)
-    level = _rec_level(s, working_degree, 0, None)
+        # entry i of one round of s unshifted steps
+        return _y_state((ZERO,) * s, 1, working_degree).entry(i)
+    level = _rec_level(s, working_degree, 0, ZERO)
     return level.get(i, WeylOp.zero(working_degree))
 
 
@@ -178,7 +164,7 @@ def build_M(k, m, i, working_degree, route="y"):
     if k == 1 and m > 3:
         raise ValueError("the single-color model is materialized up to m = 3")
     if route == "y":
-        return _m_state(k, m, working_degree).entry(i)
+        return _y_state(tuple(U[1:k + 1]), m, working_degree).entry(i)
     if route == "rec":
         if k != 1:
             raise ValueError("the recursion route exists only for k = 1")
@@ -200,9 +186,8 @@ def esym(j, values):
 
 def clear_caches():
     """Empty the unbounded memo tables of the modes and of the Jack oracle."""
-    from .jack import _SCALES, _field, _jack_table, _m_in_p, _p_in_m, _rings, partitions
-
-    for cached in (_a_state, _m_state, _rec_level, partitions, _field, _rings,
-                   _p_in_m, _m_in_p, _jack_table):
-        cached.cache_clear()
-    _SCALES.clear()
+    jack = importlib.import_module(".jack", __package__)
+    for table in (*globals().values(), *vars(jack).values()):
+        if hasattr(table, "cache_clear"):
+            table.cache_clear()
+    jack._SCALES.clear()

@@ -32,7 +32,7 @@ division by the univariate D'; an inexact one raises
 OracleDenominatorError.  The engine's scalar ring cannot host the
 intermediate norms (their denominators are not powers of 1+b), and keeping
 the oracle on a separate arithmetic stack is the point; values cross into
-Coeff only in _series_coeff and _field_to_coeff.
+Coeff only in _series_coeff.
 jack, jack_norm and content_product return elements of the field
 Q(alpha, u1, u2, u3, q1, q2, q3).
 
@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, lcm
 
-from .coeffring import _B_SHIFT, Coeff, ONE_PLUS_B, _pack, add_term
+from .coeffring import _B_SHIFT, VARS, Coeff, ONE_PLUS_B, _pack, add_term
 from .ppoly import PPoly
 
 
@@ -135,9 +135,9 @@ def _field():
     from sympy import symbols
     from sympy.polys.domains import QQ
 
-    syms = symbols("alpha u1 u2 u3 q1 q2 q3")
-    field = QQ.frac_field(*syms)
-    gens = dict(zip(("alpha", "u1", "u2", "u3", "q1", "q2", "q3"), field.gens))
+    names = ("alpha",) + VARS[1:]
+    field = QQ.frac_field(*symbols(names))
+    gens = dict(zip(names, field.gens))
     return field, gens
 
 
@@ -385,21 +385,6 @@ def _groups_to_coeff(groups, dp, scale):
     return out if scale == 1 else out * scale
 
 
-def _field_to_coeff(elem):
-    """Convert a field element to Coeff with alpha -> 1+b; loud on failure."""
-    numer, denom = elem.numer, elem.denom
-    dterms = list(denom.terms())
-    if len(dterms) != 1 or any(e for e in dterms[0][0][1:]):
-        raise OracleDenominatorError(_NON_ALPHA_DENOMINATOR % (denom,))
-    (dexps, dcoeff), = dterms
-    groups = {
-        rest: {e: Fraction(c.numerator, c.denominator) for e, c in coeffs.items()}
-        for rest, coeffs in _by_alpha(numer).items()
-    }
-    scale = Fraction(dcoeff.denominator, dcoeff.numerator)
-    return _groups_to_coeff(groups, dexps[0], scale)
-
-
 def _series_coeff(numer, denom):
     """numer / denom as a Coeff with alpha -> 1+b; loud unless it reduces to c / alpha^a.
 
@@ -446,7 +431,12 @@ def _ppoly_key(mu):
 
 def jack_to_ppoly(lam):
     """The deformed polynomial as a PPoly with alpha evaluated at 1+b."""
-    return PPoly({_ppoly_key(mu): _field_to_coeff(c) for mu, c in jack(lam).items()})
+    vec = _table_entry(lam)
+    scale = _denominator_lcm(vec.values())
+    denom = _rings()[0](scale)
+    return PPoly({
+        _ppoly_key(mu): _series_coeff(_integral(c, scale), denom) for mu, c in vec.items()
+    })
 
 
 # -- the oracle series -------------------------------------------------------
@@ -485,7 +475,7 @@ def content_product(lam, k, convention="standard"):
 
 def content_product_coeff(lam, k, convention="standard"):
     """Same product converted to Coeff (alpha -> 1+b)."""
-    return _field_to_coeff(content_product(lam, k, convention))
+    return _series_coeff(_content_poly(lam, k, convention), _rings()[0].one)
 
 
 def _vertex_weight(vec, model):
@@ -494,10 +484,10 @@ def _vertex_weight(vec, model):
         # q_j = [j == 1]: only the p_1^n coordinate survives
         return vec[(1,) * sum(next(iter(vec)))]
     _, ring = _rings()
-    qs = (None,) + ring.gens[4:7]
+    qs = (None,) + tuple(g for v, g in zip(VARS, ring.gens) if v[0] == "q")
     acc = ring.zero
     for mu, c in vec.items():
-        if mu and max(mu) > 3:
+        if mu and max(mu) > model.r:
             continue
         term = c
         for part in mu:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .coeffring import Coeff, B, INV_1PB, ONE_PLUS_B
 from .constraints import build_L, sweep_report
-from .currents import build_M, current, round_steps
+from .currents import build_M, current
 from .ppoly import PPoly
 from .weyl import WeylOp
 
@@ -198,8 +198,8 @@ def tau_from_h(h):
 # -- rooted fixed point ------------------------------------------------------
 
 
-def _lambda_series(entries, order, shift, charge, feedback):
-    """Transfer step on a y-vector of truncated series, with rooted feedback.
+def _lambda_series(entries, order, shift, feedback):
+    """Shifted transfer step on a y-vector of truncated series, with rooted feedback.
 
     The currents act coefficient by coefficient at the entry's largest
     coefficient degree.  feedback maps a >= 1 to the rooted series
@@ -216,11 +216,11 @@ def _lambda_series(entries, order, shift, charge, feedback):
     for j, s in entries.items():
         top = max(c.degree() for c in s.coeffs)
         for delta in range(-j, order + 1):
-            cur = current(delta, top, charge)
+            cur = current(delta, top)
             if not cur.is_zero():
                 accumulate(j + delta, s.map(cur.apply))
     for j, s in entries.items():
-        c = B * j if shift is None else B * j + shift
+        c = B * j + shift
         if c:
             accumulate(j, s.scale(c))
         for a, g in feedback.items():
@@ -228,10 +228,10 @@ def _lambda_series(entries, order, shift, charge, feedback):
     return out
 
 
-def check_rooted_fixed_point(model, tau, i_max, order=None):
+def check_rooted_fixed_point(model, tau, i_max):
     """Check i dH/dp_i against the rooted transfer formula, order by order."""
     h = h_series(tau)
-    N = tau.order if order is None else min(order, tau.order)
+    N = tau.order
 
     def rooted(a):
         """G_a = a dH/dp_a through t^N."""
@@ -244,8 +244,8 @@ def check_rooted_fixed_point(model, tau, i_max, order=None):
     entries = {0: TauSeries.one(N)}
     per_round = []
     for _ in range(1, model.r + 1):
-        for shift, charge in round_steps(model.k):
-            entries = _lambda_series(entries, N, shift, charge, feedback)
+        for shift in model.us():
+            entries = _lambda_series(entries, N, shift, feedback)
         entries = {j + 1: s for j, s in entries.items()}
         per_round.append(dict(entries))
 

@@ -51,6 +51,7 @@ CASES = {
         for model in ("bip", "biple3")
     },
     "dump_M_k1": ["dump", "--op", "M", "--k", "1", "--m", "3", "--i", "2", "--deg", "6"],
+    "dump_M_k2": ["dump", "--op", "M", "--k", "2", "--m", "1", "--i", "2", "--deg", "6"],
 }
 
 

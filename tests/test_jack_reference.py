@@ -37,7 +37,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bconstell.jack import OracleDenominatorError, content_product
+from bconstell.jack import (
+    OracleDenominatorError,
+    content_product,
+    content_product_coeff,
+    jack_to_ppoly,
+)
 
 jackmod = importlib.import_module("bconstell.jack")
 
@@ -45,11 +50,14 @@ jackmod = importlib.import_module("bconstell.jack")
 def test_field_conversion_matches_reference():
     for n in range(1, 6):
         for lam in partitions(n):
-            for c in jack(lam).values():
-                assert jackmod._field_to_coeff(c) == refjack.field_to_coeff(c), lam
+            want = {
+                jackmod._ppoly_key(mu): refjack.field_to_coeff(c)
+                for mu, c in jack(lam).items()
+            }
+            assert jack_to_ppoly(lam).terms == want, lam
             for k in (1, 2, 3):
-                c = content_product(lam, k)
-                assert jackmod._field_to_coeff(c) == refjack.field_to_coeff(c), lam
+                want = refjack.field_to_coeff(content_product(lam, k))
+                assert content_product_coeff(lam, k) == want, lam
 
 
 monomials = st.tuples(*[st.integers(0, 3)] * 7)

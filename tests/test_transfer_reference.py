@@ -1,19 +1,24 @@
 """The merged transfer pieces against the reference copies in refcurrents.py and reftau.py.
 
 ``currents._rec_level`` runs the A_i(s) and single-color M_i(m) index
-recursions as one loop with an index offset and a charge; it must give the
+recursions as one loop with an index offset and a shift; it must give the
 reference's terms and working degree, also past the support, where both are
-the zero operator at d.  ``tau._lambda_series`` acts with the currents of
-``currents`` on each coefficient; it must give the reference's entries on the
-real entries and feedback of every step of every round.  A perturbed series
-must make the rooted fixed point fail at the first affected (i, n).
+the zero operator at d.  ``currents._y_state`` runs every y-route mode as
+rounds of shifted transfer steps, the single-color round included; A_i(s)
+and M^(k,m)_i must equal the charged reference transfer's.
+``tau._lambda_series`` acts with the currents of ``currents`` on each
+coefficient and shifts each step by u_c; it must give the reference's
+entries on the real entries and feedback of every step of every round,
+where the reference's single-color step carries charge u instead.  A
+perturbed series must make the rooted fixed point fail at the first
+affected (i, n).
 """
 
 import pytest
 
-from bconstell.coeffring import ONE_PLUS_B, Coeff, U, ZERO
+from bconstell.coeffring import ONE_PLUS_B, Coeff, ZERO
 from bconstell.constraints import BIP, BIPLE3, THREECONST
-from bconstell.currents import build_A, build_M, round_steps
+from bconstell.currents import build_A, build_M
 from bconstell.ppoly import PPoly
 from bconstell.tau import (
     TauSeries,
@@ -48,6 +53,19 @@ def test_recursion_matches_reference(d):
             assert same_op(build_M(1, m, i, d, "rec"), want), ("M", m, i, d)
 
 
+@pytest.mark.parametrize("d", range(0, 9))
+def test_y_route_matches_charged_reference(d):
+    for s in range(0, 5):
+        state = refcurrents._a_state(s, d).y_plus()
+        for i in range(1, d + 6):
+            assert same_op(build_A(i, s, d, "y"), state.entry(i)), ("A", i, s, d)
+    for k in (1, 2, 3):
+        for m in range(1, 4 if k == 1 else 2):
+            state = refcurrents._m_state(k, m, d)
+            for i in range(1, d + m + 5):
+                assert same_op(build_M(k, m, i, d), state.entry(i)), ("M", k, m, i, d)
+
+
 def _feedback(model, tau):
     h = h_series(tau)
     N = tau.order
@@ -66,11 +84,14 @@ def test_lambda_series_matches_reference(model):
     feedback = _feedback(model, tau)
     entries = {0: TauSeries.one(N)}
     steps = 0
+    # the reference round: charge u and no shift for k = 1, shifts u_c else
+    ref_steps = refcurrents.round_steps(model.k)
     for _ in range(model.r):
-        for shift, charge in round_steps(model.k):
-            got = _lambda_series(entries, N, shift, charge, feedback)
+        for shift, (ref_shift, ref_charge) in zip(model.us(), ref_steps):
+            got = _lambda_series(entries, N, shift, feedback)
             want = reftau._lambda_series(
-                entries, N, shift, ZERO if charge is None else charge, feedback
+                entries, N, ref_shift, ZERO if ref_charge is None else ref_charge,
+                feedback,
             )
             assert sorted(got) == sorted(want)
             for j in want:
@@ -78,13 +99,7 @@ def test_lambda_series_matches_reference(model):
             entries = got
             steps += 1
         entries = {j + 1: s for j, s in entries.items()}
-    assert steps == model.r * len(round_steps(model.k))
-
-
-def test_round_steps():
-    assert round_steps(1) == [(None, U[1])]
-    for k in (2, 3):
-        assert round_steps(k) == [(U[c], None) for c in range(1, k + 1)]
+    assert steps == model.r * model.k
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
