@@ -14,7 +14,6 @@ from .constraints import (
     build_D,
     build_Dtilde,
     build_L,
-    verify_final_commutator,
     verify_simplified,
     verify_commutators,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "build_L",
     "verify_commutators",
     "verify_simplified",
-    "verify_final_commutator",
     "TauSeries",
     "HSeries",
     "tau_evolve",

@@ -17,6 +17,7 @@ from .constraints import (
     build_D,
     build_Dtilde,
     build_L,
+    structure_family,
     verify_simplified,
     verify_commutators,
 )
@@ -83,7 +84,7 @@ def cmd_verify(parser, args):
     if args.prop:
         if b_eval is not None:
             parser.error("--b-eval applies to the commutator sweep only")
-        levels = range(0, 4) if model.r == 1 else range(1, 4)
+        levels = structure_family(model).levels
         report = verify_simplified(
             model, args.prop, levels, args.imax, args.deg, progress=stream
         )
@@ -178,7 +179,7 @@ def cmd_dump(parser, args):
             out = build_Dtilde(args.m, args.i, args.j, args.l, deg)
         else:
             raise ValueError("unknown op %r" % (op,))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         parser.error(str(exc))
     obj = out.to_json_obj()
     obj["schema"] = SCHEMA

@@ -406,19 +406,22 @@ class Coeff:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, assignment):
-        """Evaluate with every variable assigned a rational value."""
-        vals = [Fraction(assignment[v]) for v in VARS]
-        if self.dp and vals[0] == -1:
+        """Evaluate at rationals; variables the value does not use may be left out.
+
+        A missing variable that the value uses raises KeyError naming it.
+        """
+        vals = {v: Fraction(x) for v, x in assignment.items()}
+        if self.dp and vals["b"] == -1:
             raise ZeroDivisionError("evaluation at b = -1 with a (1+b) denominator")
         total = Fraction(0)
         for key, c in self.num.items():
             t = c
-            for v, e in zip(vals, _unpack(key)):
+            for v, e in zip(VARS, _unpack(key)):
                 if e:
-                    t *= v ** e
+                    t *= vals[v] ** e
             total += t
         if self.dp:
-            total /= (1 + vals[0]) ** self.dp
+            total /= (1 + vals["b"]) ** self.dp
         return total
 
     def subs(self, assignment):

@@ -13,8 +13,12 @@ Two right-hand sides are materialized for [L_i, L_j]:
 * the explicit grouped form, with the infinite sums truncated by the
   minimal-annihilation-degree rule.
 
-D^(s) (charge 0) and Dtilde^(m) (charge u) are one piecewise table,
-`_structure_op`, up to the index shift.  Every sweep runs through one pair
+`structure_family` is the one place that picks a model's family: D^(s)
+(shift 1, charge 0, modes A_l(s), weights e_{k-s}(u) at t^0) or Dtilde^(m)
+(shift 3, charge u, modes M_l(m), weights q_m at t^(m-1)).  Both forms sum
+over its weights: the structure form over the piecewise table
+`_structure_op`, the grouped form over `_grouped_level`, a separate
+transcription of the displayed formula.  Every sweep runs through one pair
 runner, `_pair_sweep`, and every check's ok is derived from its entries by
 `sweep_report`.  An index beyond a built family is the zero operator.
 
@@ -22,11 +26,11 @@ For the single-color model with vertex degrees up to 3 the grouped form, as
 usually displayed, carries a uniform charge term 3u(i-j)L_{i+j-3}; this is
 only correct when min(i,j) >= 2.  The sweeps therefore check both forms and
 report pairs where the grouped display deviates, instead of silently
-patching either side.
-"""
+patching either side."""
 
 from fractions import Fraction
-from functools import partial
+from collections import namedtuple
+from functools import lru_cache, partial
 
 from .coeffring import Coeff, B, ONE, ONE_PLUS_B, Q, U
 from .currents import build_A, build_M, current, esym
@@ -211,11 +215,31 @@ def build_Dtilde(m, i, j, l, working_degree):
     return _structure_op(m, 3, U[1], i, j, l, working_degree)
 
 
-def dsum(dfun, s, i, j, targets, d_outer):
-    """sum_l dfun(s, i, j, l) . targets[l], the structure operators at d_outer."""
+Family = namedtuple("Family", "shift charge levels weights mode")
+
+
+@lru_cache(maxsize=None)
+def structure_family(model):
+    """The one place that picks a model's structure family.
+
+    shift and charge select D^(s) (1, None) or Dtilde^(m) (3, u).  levels
+    are the levels the simplified relations check; weights maps each level
+    with a nonzero weight to (t power, scalar); mode(level, l, d) builds
+    A_l(s) or M_l(m), zero past l = d + 1 + shift.
+    """
+    if model.r == 1:
+        us = model.us()
+        weights = {s: (0, esym(model.k - s, us)) for s in range(min(model.k, 3) + 1)}
+        return Family(1, None, range(0, 4), weights, lambda s, l, d: build_A(l, s, d))
+    weights = {m: (m - 1, q) for m, q in model.q_weights().items()}
+    return Family(3, U[1], range(1, 4), weights, lambda m, l, d: build_M(1, m, l, d))
+
+
+def dsum(family, s, i, j, targets, d_outer):
+    """sum_l D_{ij,l} . targets[l] with the family's level-s operators at d_outer."""
     acc = WeylOp.zero(min(op.working_degree for op in targets.values()))
     for l, op in targets.items():
-        dd = dfun(s, i, j, l, d_outer)
+        dd = _structure_op(s, family.shift, family.charge, i, j, l, d_outer)
         if not dd.is_zero():
             acc = acc + dd.compose(op)
     return acc
@@ -223,20 +247,13 @@ def dsum(dfun, s, i, j, targets, d_outer):
 
 def structure_coefficient(model, i, j, l, working_degree):
     """The model's t-graded structure operator in front of L_l."""
-    if model.r == 1:
-        us = model.us()
-        op = WeylOp.zero(working_degree)
-        for s in range(model.k + 1):
-            ds = build_D(s, i, j, l, working_degree)
-            if not ds.is_zero():
-                op = op + ds.scale(esym(model.k - s, us))
-        return TGradedOp({0: op})
-    qs = model.q_weights()
+    family = structure_family(model)
     pieces = {}
-    for m in range(1, model.r + 1):
-        dm = build_Dtilde(m, i, j, l, working_degree).scale(qs[m])
-        if not dm.is_zero():
-            pieces[m - 1] = dm
+    for level, (tpow, w) in family.weights.items():
+        op = _structure_op(level, family.shift, family.charge, i, j, l, working_degree)
+        if not op.is_zero():
+            op = op.scale(w)
+            pieces[tpow] = pieces[tpow] + op if tpow in pieces else op
     return TGradedOp(pieces)
 
 
@@ -250,79 +267,71 @@ def structure_rhs(model, i, j, ls, d_outer):
     return rhs.tshift(1)
 
 
-def explicit_rhs(model, i, j, ls, working_degree, d_outer):
-    """The grouped closed form of [L_i, L_j] as usually displayed."""
-    mu, M = min(i, j), max(i, j)
+def _grouped_level(level, family, w, i, j, ls, d_outer):
+    """One level of the grouped display of [L_i, L_j], w in every scalar.
+
+    Level 2 is (i-j) L_{i+j-1-low}.  Level 3 is the sum over p_n, the b * Id
+    term, the two ranges over p_n* (split at n = min(i,j) - low) and, for the
+    charge-u family only, the uniform charge term 3u(i-j) L_{i+j-shift}.
+    """
+    shift = family.shift
+    low = (shift - 1) // 2
     zero = TGradedOp.zero()
 
     def L(l):
         return ls.get(l, zero)
 
-    if model.name == "bip":
-        return L(i + j - 1).scale(Coeff.from_rational(i - j)).tshift(1)
+    def after(factor, l, c):
+        return TGradedOp({0: factor}).compose(L(l)).scale(c)
 
-    if model.name == "threeconst":
-        rhs = TGradedOp.zero()
-        for n in range(1, max(ls) - (i + j - 1) + 1):
-            if i + j + n - 1 not in ls:
-                continue
-            term = TGradedOp({0: WeylOp.p(n, d_outer)}).compose(L(i + j + n - 1))
-            rhs = rhs + term.scale(Coeff.from_rational(2 * (i - j)))
-        rhs = rhs + L(i + j - 1).scale(B * ((i - j) * (i + j - 2)))
-        for n in range(1, mu):
-            term = TGradedOp({0: WeylOp.p_star(n, d_outer)}).compose(L(i + j - 1 - n))
-            rhs = rhs + term.scale(ONE_PLUS_B * (3 * (i - j)))
-        for n in range(mu, M):
-            c = _sgn(i - j) * (2 * M - 2 * n - mu - 1)
-            if c:
-                term = TGradedOp({0: WeylOp.p_star(n, d_outer)}).compose(
-                    L(i + j - 1 - n)
-                )
-                rhs = rhs + term.scale(ONE_PLUS_B * c)
-        rhs = rhs + L(i + j - 1).scale((U[1] + U[2] + U[3]) * (i - j))
-        return rhs.tshift(1)
+    if level == 2:
+        return L(i + j - 1 - low).scale(w * (i - j))
+    if level != 3:
+        return zero
+    mu, M = min(i, j), max(i, j)
+    base = i + j - shift
+    rhs = L(base).scale(w * B * ((i - j) * (i + j - 2 - low)))
+    for n in range(1, max(ls) - base + 1):
+        if base + n in ls:
+            rhs = rhs + after(WeylOp.p(n, d_outer), base + n, w * (2 * (i - j)))
+    for n in range(1, M - low):
+        c = 3 * (i - j) if n < mu - low else _sgn(i - j) * (2 * M - 2 * n - mu - shift)
+        if c:
+            rhs = rhs + after(WeylOp.p_star(n, d_outer), base - n, w * ONE_PLUS_B * c)
+    if family.charge is not None:
+        rhs = rhs + L(base).scale(w * family.charge * (3 * (i - j)))
+    return rhs
 
-    if model.name == "biple3":
-        q2, q3 = Q[2], Q[3]
-        rhs = TGradedOp.zero()
-        for n in range(1, max(ls) - (i + j - 3) + 1):
-            l = i + j + n - 3
-            if l not in ls:
-                continue
-            term = TGradedOp({0: WeylOp.p(n, d_outer)}).compose(L(l))
-            rhs = rhs + term.scale(q3 * (2 * (i - j))).tshift(2)
-        rhs = rhs + L(i + j - 3).scale(q3 * B * ((i - j) * (i + j - 3))).tshift(2)
-        for n in range(1, mu - 1):
-            term = TGradedOp({0: WeylOp.p_star(n, d_outer)}).compose(L(i + j - 3 - n))
-            rhs = rhs + term.scale(q3 * ONE_PLUS_B * (3 * (i - j))).tshift(2)
-        for n in range(max(mu - 1, 1), M - 1):
-            c = _sgn(i - j) * (2 * M - 2 * n - mu - 3)
-            if c:
-                term = TGradedOp({0: WeylOp.p_star(n, d_outer)}).compose(
-                    L(i + j - 3 - n)
-                )
-                rhs = rhs + term.scale(q3 * ONE_PLUS_B * c).tshift(2)
-        rhs = rhs + L(i + j - 3).scale(q3 * U[1] * (3 * (i - j))).tshift(2)
-        rhs = rhs + L(i + j - 2).scale(q2 * (i - j)).tshift(1)
-        return rhs.tshift(1)
 
-    raise ValueError("unknown model %r" % (model.name,))
+def explicit_rhs(model, i, j, ls, d_outer):
+    """The grouped closed form of [L_i, L_j] as usually displayed."""
+    family = structure_family(model)
+    rhs = TGradedOp.zero()
+    if i == j:
+        return rhs
+    for level, (tpow, w) in family.weights.items():
+        rhs = rhs + _grouped_level(level, family, w, i, j, ls, d_outer).tshift(tpow)
+    return rhs.tshift(1)
 
 
 # -- verification sweeps -----------------------------------------------------
 
 
+def _degrees(model, d_check):
+    """(d_build, d_outer): d_check plus the composition headroom once and twice."""
+    h = model.headroom()
+    return d_check + h, d_check + 2 * h
+
+
 def _build_l_family(model, d_check):
     """All L_l up to the support bound, with composition headroom built in."""
-    h = model.headroom()
-    d_build = d_check + h
-    d_outer = d_build + h
+    d_build, d_outer = _degrees(model, d_check)
     ls = {}
     for l in range(1, l_support_bound(model, d_build) + 1):
         op = build_L(model, l, d_build)
         if op.pieces:
             ls[l] = op
-    return ls, d_build, d_outer
+    return ls, d_outer
 
 
 def _antisymmetric_sweep(i_max, build):
@@ -383,7 +392,7 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
     """
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
-    ls, d_build, d_outer = _build_l_family(model, d_check)
+    ls, d_outer = _build_l_family(model, d_check)
     subs = {"b": Fraction(b_eval)} if b_eval is not None else None
     zero = TGradedOp.zero()
 
@@ -397,7 +406,7 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
         return post(structure_rhs(model, i, j, ls, d_outer))
 
     def grouped(i, j, lhs):
-        rhs = post(explicit_rhs(model, i, j, ls, d_build, d_outer))
+        rhs = post(explicit_rhs(model, i, j, ls, d_outer))
         if lhs.equal_up_to(rhs, d_check):
             return {}
         return {
@@ -417,22 +426,14 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
 
 
 def _family_ops(model, levels, d_check):
-    """Mode families entering the simplified commutator relations."""
-    h = model.headroom()
-    d_build = d_check + h
-    d_outer = d_build + h
-    ops = {}
-    if model.r == 1:
-        top = d_build + 2
-        for s in levels:
-            ops[s] = {l: build_A(l, s, d_build) for l in range(1, top + 1)}
-        dfun = build_D
-    else:
-        top = d_build + 4
-        for m in levels:
-            ops[m] = {l: build_M(1, m, l, d_build) for l in range(1, top + 1)}
-        dfun = build_Dtilde
-    return ops, dfun, d_outer
+    """The model's structure family and its modes per level, with the degrees."""
+    family = structure_family(model)
+    d_build, d_outer = _degrees(model, d_check)
+    top = d_build + family.shift + 1
+    ops = {
+        s: {l: family.mode(s, l, d_build) for l in range(1, top + 1)} for s in levels
+    }
+    return family, ops, d_build, d_outer
 
 
 def verify_simplified(model, which, levels, i_max, d_check, progress=None):
@@ -444,8 +445,8 @@ def verify_simplified(model, which, levels, i_max, d_check, progress=None):
     """
     if which not in ("dstruct", "mixed", "pstar"):
         raise ValueError("unknown relation family %r" % (which,))
-    ops, dfun, d_outer = _family_ops(model, levels, d_check)
-    zero = WeylOp.zero(d_check + model.headroom())
+    family, ops, d_build, d_outer = _family_ops(model, levels, d_check)
+    zero = WeylOp.zero(d_build)
 
     def op(s, i):
         return ops[s].get(i, zero)
@@ -463,14 +464,14 @@ def verify_simplified(model, which, levels, i_max, d_check, progress=None):
 
     def rhs_of(s, sp, i, j):
         if which == "dstruct":
-            out = dsum(dfun, s, i, j, ops[s], d_outer)
+            out = dsum(family, s, i, j, ops[s], d_outer)
         elif which == "mixed":
-            out = dsum(dfun, sp, i, j, ops[s], d_outer) + dsum(
-                dfun, s, i, j, ops[sp], d_outer
+            out = dsum(family, sp, i, j, ops[s], d_outer) + dsum(
+                family, s, i, j, ops[sp], d_outer
             )
         else:
             pstars = {l: WeylOp.p_star(l, d_outer + 2) for l in ops[s]}
-            out = dsum(dfun, s, i, j, pstars, d_outer)
+            out = dsum(family, s, i, j, pstars, d_outer)
         return TGradedOp({0: out})
 
     if which == "mixed":
@@ -489,31 +490,3 @@ def verify_simplified(model, which, levels, i_max, d_check, progress=None):
         "degree": d_check,
     }
     return _pair_sweep(params, i_max, d_check, relations, progress=progress)
-
-
-def final_commutator_rhs(model, i, j, ops, d_outer):
-    """The standalone top-level commutator: sum_l D^(3)_{ij,l} . ops[l].
-
-    The single-color model uses Dtilde^(3) in place of D^(3).
-    """
-    dfun = build_D if model.r == 1 else build_Dtilde
-    return dsum(dfun, 3, i, j, ops, d_outer)
-
-
-def verify_final_commutator(model, i_max, d_check):
-    """Check the top-level commutator [A_i(3), A_j(3)] for all pairs up to i_max.
-
-    The single-color model uses its level-3 modes M_i(3).
-    """
-    families, _, d_outer = _family_ops(model, [3], d_check)
-    ops = families[3]
-    zero = WeylOp.zero(d_check + model.headroom())
-
-    def lhs_of(i, j):
-        return ops.get(i, zero).commutator(ops.get(j, zero))
-
-    def rhs_of(i, j):
-        return final_commutator_rhs(model, i, j, ops, d_outer)
-
-    params = {"model": model.name, "imax": i_max, "degree": d_check}
-    return _pair_sweep(params, i_max, d_check, [({}, lhs_of, rhs_of)])

@@ -101,15 +101,26 @@ class YVector:
 # immutable.
 
 
+def _filled(level_of, top, *key):
+    """level_of(top, *key) after caching each lower level bottom-up.
+
+    Each level recurses into the one below it; filled in order, that
+    recursion is one level deep however deep `top` is.
+    """
+    for n in range(top):
+        level_of(n, *key)
+    return level_of(top, *key)
+
+
 @lru_cache(maxsize=None)
-def _y_state(shifts, rounds, working_degree):
+def _y_state(rounds, shifts, working_degree):
     """The y-state after `rounds` rounds from the seed.
 
     A round is one transfer step per shift in `shifts`, followed by Y_+.
     """
     if rounds == 0:
         return YVector.seed(working_degree)
-    v = _y_state(shifts, rounds - 1, working_degree)
+    v = _y_state(rounds - 1, shifts, working_degree)
     for shift in shifts:
         v = v.lambda_y(shift)
     return v.y_plus()
@@ -150,8 +161,8 @@ def build_A(i, s, working_degree, route="rec"):
         raise ValueError("build_A requires i >= 1 and s >= 0")
     if route == "y":
         # entry i of one round of s unshifted steps
-        return _y_state((ZERO,) * s, 1, working_degree).entry(i)
-    level = _rec_level(s, working_degree, 0, ZERO)
+        return _y_state(1, (ZERO,) * s, working_degree).entry(i)
+    level = _filled(_rec_level, s, working_degree, 0, ZERO)
     return level.get(i, WeylOp.zero(working_degree))
 
 
@@ -164,11 +175,11 @@ def build_M(k, m, i, working_degree, route="y"):
     if k == 1 and m > 3:
         raise ValueError("the single-color model is materialized up to m = 3")
     if route == "y":
-        return _y_state(tuple(U[1:k + 1]), m, working_degree).entry(i)
+        return _filled(_y_state, m, tuple(U[1:k + 1]), working_degree).entry(i)
     if route == "rec":
         if k != 1:
             raise ValueError("the recursion route exists only for k = 1")
-        level = _rec_level(m, working_degree, 1, U[1])
+        level = _filled(_rec_level, m, working_degree, 1, U[1])
         return level.get(i, WeylOp.zero(working_degree))
     raise ValueError("unknown route %r" % (route,))
 

@@ -460,7 +460,7 @@ def _content_poly(lam, k, convention):
             else:
                 raise ValueError("unknown content convention %r" % (convention,))
     acc = ring.one
-    for u in ring.gens[1:1 + k]:
+    for u in [g for v, g in zip(VARS, ring.gens) if v[0] == "u"][:k]:
         factor = ring.one
         for content in contents:
             factor *= u + content

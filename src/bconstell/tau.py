@@ -129,7 +129,8 @@ def check_constraints(tau, i_max, subs=None):
     """Check [t^n](L_i tau) = 0 for all i <= i_max and n <= tau.order.
 
     Also asserts the homogeneity of every slice before it is tested for
-    cancellation.  With subs, parameters are substituted first (used for the
+    cancellation; each (i, n) gives one entry, which names the first piece
+    that is not homogeneous.  With subs, parameters are substituted first (used for the
     specializations of the vertex-degree weights).
     """
     model = tau.model
@@ -146,16 +147,16 @@ def check_constraints(tau, i_max, subs=None):
         if subs:
             L = L.map_coeff(lambda c: c.subs(subs))
         for n in range(0, N + 1):
+            item = {"i": i, "n": n, "status": "pass"}
             slice_sum = PPoly.zero()
             for m, piece in L.pieces.items():
                 if m > n:
                     continue
                 part = piece.apply(series.coeff(n - m))
-                if not part.is_homogeneous(n - i):
+                if not part.is_homogeneous(n - i) and "reason" not in item:
                     reason = "t^%d piece is not homogeneous of degree %d" % (m, n - i)
-                    items.append({"i": i, "n": n, "status": "fail", "reason": reason})
+                    item.update(status="fail", reason=reason)
                 slice_sum = slice_sum + part
-            item = {"i": i, "n": n, "status": "pass"}
             if slice_sum:
                 first = min(slice_sum.terms)
                 item["status"] = "fail"

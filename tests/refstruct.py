@@ -3,14 +3,18 @@
 These are the three hand-written copies of the piecewise structure
 coefficient that ``bconstell.constraints`` now derives from one table:
 ``build_D`` (charge 0), ``build_Dtilde`` (charge u) and the grouped
-``final_commutator_rhs``.  The shared table must give the same terms and the
-same working degree.
+top-level commutator ``final_commutator_rhs``, which the level-3 ``dsum``
+replaces.  The shared table must give the same terms and the same working
+degree.  ``explicit_rhs`` is the grouped display written out once per model,
+which ``constraints.explicit_rhs`` now sums level by level from the model's
+structure family.
 """
 
 from fractions import Fraction
 
-from bconstell.coeffring import B, Coeff, U
+from bconstell.coeffring import B, Coeff, ONE_PLUS_B, Q, U
 from bconstell.currents import current
+from bconstell.constraints import TGradedOp
 from bconstell.weyl import WeylOp
 
 
@@ -111,3 +115,62 @@ def final_commutator_rhs(model, i, j, ops, d_outer):
     if acc is None:
         acc = WeylOp.zero(min(op.working_degree for op in ops.values()))
     return acc
+
+
+def explicit_rhs(model, i, j, ls, d_outer):
+    """The grouped closed form of [L_i, L_j] as usually displayed, per model."""
+    mu, M = min(i, j), max(i, j)
+    zero = TGradedOp.zero()
+
+    def L(l):
+        return ls.get(l, zero)
+
+    if model.name == "bip":
+        return L(i + j - 1).scale(Coeff.from_rational(i - j)).tshift(1)
+
+    if model.name == "threeconst":
+        rhs = TGradedOp.zero()
+        for n in range(1, max(ls) - (i + j - 1) + 1):
+            if i + j + n - 1 not in ls:
+                continue
+            term = TGradedOp({0: WeylOp.p(n, d_outer)}).compose(L(i + j + n - 1))
+            rhs = rhs + term.scale(Coeff.from_rational(2 * (i - j)))
+        rhs = rhs + L(i + j - 1).scale(B * ((i - j) * (i + j - 2)))
+        for n in range(1, mu):
+            term = TGradedOp({0: WeylOp.p_star(n, d_outer)}).compose(L(i + j - 1 - n))
+            rhs = rhs + term.scale(ONE_PLUS_B * (3 * (i - j)))
+        for n in range(mu, M):
+            c = _sgn(i - j) * (2 * M - 2 * n - mu - 1)
+            if c:
+                term = TGradedOp({0: WeylOp.p_star(n, d_outer)}).compose(
+                    L(i + j - 1 - n)
+                )
+                rhs = rhs + term.scale(ONE_PLUS_B * c)
+        rhs = rhs + L(i + j - 1).scale((U[1] + U[2] + U[3]) * (i - j))
+        return rhs.tshift(1)
+
+    if model.name == "biple3":
+        q2, q3 = Q[2], Q[3]
+        rhs = TGradedOp.zero()
+        for n in range(1, max(ls) - (i + j - 3) + 1):
+            l = i + j + n - 3
+            if l not in ls:
+                continue
+            term = TGradedOp({0: WeylOp.p(n, d_outer)}).compose(L(l))
+            rhs = rhs + term.scale(q3 * (2 * (i - j))).tshift(2)
+        rhs = rhs + L(i + j - 3).scale(q3 * B * ((i - j) * (i + j - 3))).tshift(2)
+        for n in range(1, mu - 1):
+            term = TGradedOp({0: WeylOp.p_star(n, d_outer)}).compose(L(i + j - 3 - n))
+            rhs = rhs + term.scale(q3 * ONE_PLUS_B * (3 * (i - j))).tshift(2)
+        for n in range(max(mu - 1, 1), M - 1):
+            c = _sgn(i - j) * (2 * M - 2 * n - mu - 3)
+            if c:
+                term = TGradedOp({0: WeylOp.p_star(n, d_outer)}).compose(
+                    L(i + j - 3 - n)
+                )
+                rhs = rhs + term.scale(q3 * ONE_PLUS_B * c).tshift(2)
+        rhs = rhs + L(i + j - 3).scale(q3 * U[1] * (3 * (i - j))).tshift(2)
+        rhs = rhs + L(i + j - 2).scale(q2 * (i - j)).tshift(1)
+        return rhs.tshift(1)
+
+    raise ValueError("unknown model %r" % (model.name,))

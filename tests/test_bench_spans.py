@@ -1,0 +1,42 @@
+"""Every span and cache the traced benchmark wraps still exists in bconstell.
+
+``perfbench/spans.py`` names its targets by module and attribute path and
+raises on a missing one, so a rename in ``src/`` would break only the traced
+bench.  This reads that file without importing it (nothing is written next
+to it) and resolves every target the way its tracer does.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    module = types.ModuleType("perfbench_spans")
+    source = SPANS_PY.read_text()
+    exec(compile(source, str(SPANS_PY), "exec"), module.__dict__)
+    return module
+
+
+def test_every_span_target_resolves():
+    spans = load_spans()
+    assert spans.SPANS
+    for name, (modname, path) in spans.SPANS.items():
+        owner = importlib.import_module("bconstell." + modname)
+        *classes, attr = path.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        assert callable(vars(owner).get(attr)), name
+
+
+def test_every_cache_target_resolves():
+    spans = load_spans()
+    for metric, (modname, attr) in spans.CACHES.items():
+        mod = importlib.import_module("bconstell." + modname)
+        if attr is None:
+            found = [v for v in vars(mod).values() if hasattr(v, "cache_info")]
+        else:
+            found = [getattr(mod, attr)]
+        assert found and all(hasattr(fn, "cache_info") for fn in found), metric

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -262,9 +263,9 @@ def test_verify_imax_beyond_the_built_family(model, prop):
 
 @pytest.mark.parametrize("model", ["bip", "threeconst", "biple3"])
 def test_final_commutator_imax_beyond_the_built_family(model):
-    from bconstell.constraints import MODELS, verify_final_commutator
+    from bconstell.constraints import MODELS, verify_simplified
 
-    report = verify_final_commutator(MODELS[model], 7, 1)
+    report = verify_simplified(MODELS[model], "dstruct", [3], 7, 1)
     assert report["ok"]
     assert [(p["i"], p["j"]) for p in report["pairs"]] == [
         (i, j) for i in range(1, 8) for j in range(1, 8)
@@ -292,3 +293,31 @@ def test_tau_text_mode_builds_no_json_form(monkeypatch, capsys):
     assert code == 0
     assert out.startswith("[t^0] 1\n[t^1] ")
     assert out.endswith("overall: pass\n")
+
+
+def test_dump_deep_level_fills_without_recursion():
+    # 1500 levels of the index recursion, far past Python's recursion limit
+    argv = ["dump", "--op", "A", "--i", "1", "--s", "1500", "--deg", "0"]
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    assert "Traceback" not in err
+    assert json.loads(out)["op"] == "A"
+    assert float(re.search(r"elapsed: ([0-9.]+)s", err).group(1)) < 1.0
+
+
+def test_dump_scalar_ring_overflow_is_a_usage_error(monkeypatch, capsys):
+    import bconstell.cli as cli_mod
+    from bconstell.coeffring import B
+
+    def overflowing(i, s, working_degree):
+        # a b exponent past the ring's packed field, as a very deep level reaches
+        return B ** 2048
+
+    monkeypatch.setattr(cli_mod, "build_A", overflowing)
+    with pytest.raises(SystemExit) as exc:
+        main(["dump", "--op", "A", "--i", "2", "--s", "2100", "--deg", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "exponent exceeds the packed field limit" in captured.err
+    assert "Traceback" not in captured.err

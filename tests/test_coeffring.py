@@ -28,6 +28,18 @@ def test_eval_examples():
     assert c.eval(dict(ALL_VARS, b=0, u1=2)) == 4
 
 
+def test_eval_partial_assignment():
+    assert U[1].eval({"u1": 2}) == 2
+    assert Coeff.from_rational(Fraction(3, 4)).eval({}) == Fraction(3, 4)
+    assert (INV_1PB * Q[2]).eval({"b": 1, "q2": 4}) == 2
+    # a missing variable that the value uses is named
+    with pytest.raises(KeyError, match="u2"):
+        (U[1] + U[2]).eval({"u1": 1})
+    # a (1+b) denominator uses b
+    with pytest.raises(KeyError, match="b"):
+        INV_1PB.eval({})
+
+
 def test_eval_at_minus_one_fails():
     with pytest.raises(ZeroDivisionError):
         INV_1PB.eval(dict(ALL_VARS, b=-1))

@@ -14,7 +14,6 @@ from bconstell.constraints import (
     build_L,
     explicit_rhs,
     structure_rhs,
-    verify_final_commutator,
     verify_simplified,
     verify_commutators,
 )
@@ -223,9 +222,9 @@ def test_grouped_display_deviation_is_pinned():
     """Where the grouped display disagrees, the difference is exactly the
     known boundary charge term."""
     d_check = 6
-    ls, d_build, d_outer = _build_l_family(BIPLE3, d_check)
+    ls, d_outer = _build_l_family(BIPLE3, d_check)
     for (i, j) in ((3, 1), (1, 3), (4, 1)):
-        e = explicit_rhs(BIPLE3, i, j, ls, d_build, d_outer)
+        e = explicit_rhs(BIPLE3, i, j, ls, d_outer)
         s = structure_rhs(BIPLE3, i, j, ls, d_outer)
         M = max(i, j)
         sgn = 1 if i > j else -1
@@ -233,7 +232,7 @@ def test_grouped_display_deviation_is_pinned():
         assert (e - s).equal_up_to(want, d_check), (i, j)
     # away from the boundary the two right-hand sides agree
     for (i, j) in ((2, 1), (3, 2), (2, 3), (2, 2)):
-        e = explicit_rhs(BIPLE3, i, j, ls, d_build, d_outer)
+        e = explicit_rhs(BIPLE3, i, j, ls, d_outer)
         s = structure_rhs(BIPLE3, i, j, ls, d_outer)
         assert e.equal_up_to(s, d_check), (i, j)
 
@@ -274,33 +273,34 @@ def test_mixed_level_values():
 
 
 def test_final_commutator_small():
-    assert verify_final_commutator(BIP, 3, 6)["ok"]
-    assert verify_final_commutator(BIPLE3, 3, 6)["ok"]
+    # the top-level commutator [A_i(3), A_j(3)] is the level-3 closure
+    assert verify_simplified(BIP, "dstruct", [3], 3, 6)["ok"]
+    assert verify_simplified(BIPLE3, "dstruct", [3], 3, 6)["ok"]
 
 
 def test_final_commutator_failure_carries_first_mismatch(monkeypatch):
     import importlib
 
     constraints_mod = importlib.import_module("bconstell.constraints")
-    real = constraints_mod.final_commutator_rhs
+    real = constraints_mod.dsum
     added = []
 
-    def off_by_one_op(model, i, j, ops, d_outer):
-        rhs = real(model, i, j, ops, d_outer)
+    def off_by_one_op(family, s, i, j, targets, d_outer):
+        rhs = real(family, s, i, j, targets, d_outer)
         if (i, j) != (1, 2):
             return rhs
-        added.append(ops[1])
-        return rhs + ops[1]
+        added.append(targets[1])
+        return rhs + targets[1]
 
-    monkeypatch.setattr(constraints_mod, "final_commutator_rhs", off_by_one_op)
-    report = verify_final_commutator(BIP, 2, 4)
+    monkeypatch.setattr(constraints_mod, "dsum", off_by_one_op)
+    report = verify_simplified(BIP, "dstruct", [3], 2, 4)
     assert not report["ok"]
     by_pair = {(p["i"], p["j"]): p for p in report["pairs"]}
     # lhs - (rhs + op) = -op at degree <= 4
     cr, an, c = WeylOp.zero(added[0].working_degree).diff_up_to(added[0], 4)[0]
     assert by_pair[(1, 2)]["status"] == "fail"
     assert by_pair[(1, 2)]["first_mismatch"] == (
-        "coeff %s on create=%s annihilate=%s" % (c, cr, an)
+        "t^0: coeff %s on create=%s annihilate=%s" % (c, cr, an)
     )
     for pair, entry in by_pair.items():
         if pair != (1, 2):

@@ -1,9 +1,10 @@
 """The one structure-coefficient table against the hand-written copies in refstruct.py.
 
-``build_D``, ``build_Dtilde`` and ``final_commutator_rhs`` share one
-piecewise table; they must give the reference's terms and working degree.
-The top-level commutator sweep and the same-level relation at level 3 then
-check the same identity, so they pass and fail on the same pairs.
+``build_D``, ``build_Dtilde`` and the level-3 ``dsum`` share one piecewise
+table; they must give the reference's terms and working degree, the last
+against the reference's grouped top-level commutator.  ``explicit_rhs`` sums
+one grouped-level formula over the model's structure family; it must give
+the reference's three per-model displays term for term.
 """
 
 import pytest
@@ -57,39 +58,41 @@ def reference_final_ops(model, d_build):
 @pytest.mark.parametrize("model", [BIP, BIPLE3], ids=lambda m: m.name)
 @pytest.mark.parametrize("d_check", [1, 3, 5])
 def test_final_commutator_rhs_matches_reference(model, d_check):
-    families, _, d_outer = C._family_ops(model, [3], d_check)
-    d_build = d_check + model.headroom()
+    family, families, d_build, d_outer = C._family_ops(model, [3], d_check)
     for ops in (families[3], reference_final_ops(model, d_build)):
         for i in range(1, 6):
             for j in range(1, 6):
-                got = C.final_commutator_rhs(model, i, j, ops, d_outer)
+                got = C.dsum(family, 3, i, j, ops, d_outer)
                 want = refstruct.final_commutator_rhs(model, i, j, ops, d_outer)
                 assert same_op(got, want), (i, j)
+
+
+@pytest.mark.parametrize("model", [BIP, THREECONST, BIPLE3], ids=lambda m: m.name)
+def test_explicit_rhs_matches_reference(model):
+    ls, d_outer = C._build_l_family(model, 6)
+    for i in range(1, 6):
+        for j in range(1, 6):
+            got = C.explicit_rhs(model, i, j, ls, d_outer)
+            want = refstruct.explicit_rhs(model, i, j, ls, d_outer)
+            assert got.pieces.keys() == want.pieces.keys(), (i, j)
+            for m, op in got.pieces.items():
+                assert same_op(op, want.pieces[m]), (i, j, m)
 
 
 def statuses(report):
     return [(p["i"], p["j"], p["status"]) for p in report["pairs"]]
 
 
-@pytest.mark.parametrize("model", [BIP, THREECONST, BIPLE3], ids=lambda m: m.name)
-def test_final_commutator_agrees_with_level_three_closure(model):
-    final = C.verify_final_commutator(model, 4, 4)
-    dstruct = C.verify_simplified(model, "dstruct", [3], 4, 4)
-    assert final["ok"] and dstruct["ok"]
-    assert statuses(final) == statuses(dstruct)
+def test_corrupted_table_fails_level_three_closure(monkeypatch):
+    real = C._structure_op
 
-
-def test_final_commutator_and_level_three_closure_fail_together(monkeypatch):
-    real = C.build_D
-
-    def corrupted(s, i, j, l, working_degree):
-        op = real(s, i, j, l, working_degree)
-        if (s, i, j, l) == (3, 3, 1, 2):
+    def corrupted(level, shift, charge, i, j, l, working_degree):
+        op = real(level, shift, charge, i, j, l, working_degree)
+        if (level, shift, i, j, l) == (3, 1, 3, 1, 2):
             return op + WeylOp.identity(working_degree)
         return op
 
-    monkeypatch.setattr(C, "build_D", corrupted)
-    final = C.verify_final_commutator(BIP, 3, 4)
+    monkeypatch.setattr(C, "_structure_op", corrupted)
     dstruct = C.verify_simplified(BIP, "dstruct", [3], 3, 4)
-    assert statuses(final) == statuses(dstruct)
-    assert "fail" in {status for _, _, status in statuses(final)}
+    failed = {(i, j) for i, j, status in statuses(dstruct) if status == "fail"}
+    assert failed == {(3, 1)}

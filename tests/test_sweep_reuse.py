@@ -14,13 +14,15 @@ import bconstell.constraints as C
 from bconstell.constraints import BIP, BIPLE3, THREECONST
 from bconstell.weyl import WeylOp
 
+import refstruct
+
 
 def ordered_pairs(i_max):
     return [(i, j) for i in range(1, i_max + 1) for j in range(1, i_max + 1)]
 
 
 def direct_commutators(model, i_max, d_check, b_eval=None):
-    ls, d_build, d_outer = C._build_l_family(model, d_check)
+    ls, d_outer = C._build_l_family(model, d_check)
     subs = {"b": Fraction(b_eval)} if b_eval is not None else None
 
     def post(op):
@@ -30,7 +32,7 @@ def direct_commutators(model, i_max, d_check, b_eval=None):
     for i, j in ordered_pairs(i_max):
         lhs = post(ls[i].commutator(ls[j]))
         rhs = post(C.structure_rhs(model, i, j, ls, d_outer))
-        grouped = post(C.explicit_rhs(model, i, j, ls, d_build, d_outer))
+        grouped = post(C.explicit_rhs(model, i, j, ls, d_outer))
         entry = {"i": i, "j": j, "status": "pass"}
         if not lhs.equal_up_to(rhs, d_check):
             entry["status"] = "fail"
@@ -43,12 +45,12 @@ def direct_commutators(model, i_max, d_check, b_eval=None):
 
 
 def direct_simplified(model, which, levels, i_max, d_check):
-    ops, dfun, d_outer = C._family_ops(model, levels, d_check)
+    family, ops, _, d_outer = C._family_ops(model, levels, d_check)
 
     def dsum(s, i, j, targets):
         acc = C.TGradedOp.zero()
         for l, op in targets.items():
-            dd = dfun(s, i, j, l, d_outer)
+            dd = C._structure_op(s, family.shift, family.charge, i, j, l, d_outer)
             if not dd.is_zero():
                 acc = acc + C.TGradedOp({0: dd.compose(op)})
         return acc
@@ -84,6 +86,7 @@ def direct_simplified(model, which, levels, i_max, d_check):
 
 
 def direct_final(model, i_max, d_check):
+    """The top-level commutator [X_i(3), X_j(3)] against the reference grouped form."""
     h = model.headroom()
     d_build = d_check + h
     d_outer = d_build + h
@@ -95,12 +98,13 @@ def direct_final(model, i_max, d_check):
     items = []
     for i, j in ordered_pairs(i_max):
         lhs = ops[i].commutator(ops[j])
-        rhs = C.final_commutator_rhs(model, i, j, ops, d_outer)
-        entry = {"i": i, "j": j, "status": "pass"}
+        rhs = refstruct.final_commutator_rhs(model, i, j, ops, d_outer)
+        entry = {"level": 3, "i": i, "j": j, "status": "pass"}
         if not lhs.equal_up_to(rhs, d_check):
             entry["status"] = "fail"
             cr, an, c = lhs.diff_up_to(rhs, d_check)[0]
-            entry["first_mismatch"] = "coeff %s on create=%s annihilate=%s" % (c, cr, an)
+            entry["first_mismatch"] = "t^0: coeff %s on create=%s annihilate=%s" % (
+                c, cr, an)
         items.append(entry)
     return items
 
@@ -137,7 +141,8 @@ def test_verify_simplified_matches_direct_loop(model, which):
 
 @pytest.mark.parametrize("model", [BIP, BIPLE3], ids=lambda m: m.name)
 def test_verify_final_commutator_matches_direct_loop(model):
-    check_report(C.verify_final_commutator(model, 4, 5), direct_final(model, 4, 5))
+    report = C.verify_simplified(model, "dstruct", [3], 4, 5)
+    check_report(report, direct_final(model, 4, 5))
 
 
 def test_failing_structure_rhs_mismatches_match_direct_loop(monkeypatch):
@@ -160,14 +165,20 @@ def test_failing_structure_rhs_mismatches_match_direct_loop(monkeypatch):
 
 
 def test_failing_final_commutator_mismatches_match_direct_loop(monkeypatch):
-    real = C.final_commutator_rhs
+    real = C.dsum
+    real_ref = refstruct.final_commutator_rhs
 
-    def corrupted(model, i, j, ops, d_outer):
-        rhs = real(model, i, j, ops, d_outer)
+    def corrupted(family, s, i, j, ops, d_outer):
+        rhs = real(family, s, i, j, ops, d_outer)
         return rhs + ops[1] if i > j else rhs
 
-    monkeypatch.setattr(C, "final_commutator_rhs", corrupted)
-    report = C.verify_final_commutator(BIP, 3, 5)
+    def corrupted_ref(model, i, j, ops, d_outer):
+        rhs = real_ref(model, i, j, ops, d_outer)
+        return rhs + ops[1] if i > j else rhs
+
+    monkeypatch.setattr(C, "dsum", corrupted)
+    monkeypatch.setattr(refstruct, "final_commutator_rhs", corrupted_ref)
+    report = C.verify_simplified(BIP, "dstruct", [3], 3, 5)
     direct = direct_final(BIP, 3, 5)
     check_report(report, direct)
     failed = {(p["i"], p["j"]) for p in report["pairs"] if p["status"] == "fail"}
@@ -175,15 +186,15 @@ def test_failing_final_commutator_mismatches_match_direct_loop(monkeypatch):
 
 
 def test_failing_structure_operator_mismatches_match_direct_loop(monkeypatch):
-    real = C.build_D
+    real = C._structure_op
 
-    def corrupted(s, i, j, l, working_degree):
-        op = real(s, i, j, l, working_degree)
+    def corrupted(s, shift, charge, i, j, l, working_degree):
+        op = real(s, shift, charge, i, j, l, working_degree)
         if (i, j, l) == (3, 1, 2):
             return op + WeylOp.identity(working_degree)
         return op
 
-    monkeypatch.setattr(C, "build_D", corrupted)
+    monkeypatch.setattr(C, "_structure_op", corrupted)
     levels = range(0, 4)
     for which in ("dstruct", "mixed"):
         report = C.verify_simplified(BIP, which, levels, 3, 5)

@@ -56,6 +56,18 @@ def test_extension_consistency():
             assert small.coeff(n) == big.coeff(n), (model.name, n)
 
 
+def test_non_homogeneous_slice_is_one_entry():
+    # [t^1] mixes degrees 1 and 2, so -p_1* maps it to degrees 0 and 1
+    series = TauSeries(BIP, [PPoly.one(), p1 + p1 * p1, PPoly.zero()])
+    rep = check_constraints(series, 2)
+    keys = [(item["i"], item["n"]) for item in rep["items"]]
+    assert len(keys) == len(set(keys)) == 2 * 3
+    (item,) = [item for item in rep["items"] if (item["i"], item["n"]) == (1, 1)]
+    assert item["status"] == "fail"
+    assert item["reason"] == "t^0 piece is not homogeneous of degree 0"
+    assert not rep["ok"]
+
+
 def test_constraints_small():
     for model in (BIP, THREECONST, BIPLE3):
         series = tau_evolve(model, 3)
