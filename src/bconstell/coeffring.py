@@ -92,6 +92,15 @@ def add_term(out, key, c):
             del out[key]
 
 
+def add_terms(out, terms):
+    """``out += terms`` on sparse dicts that never store a zero value."""
+    if out:
+        for key, c in terms.items():
+            add_term(out, key, c)
+    else:
+        out.update(terms)
+
+
 def _poly_add(p, q):
     if len(p) < len(q):
         p, q = q, p
@@ -459,21 +468,19 @@ class Coeff:
         parts = []
         for key in sorted(self.num, reverse=True):
             c = self.num[key]
-            factors = [
-                v if e == 1 else "%s^%d" % (v, e)
-                for v, e in zip(VARS, _unpack(key))
-                if e
-            ]
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
+            neg = c < 0
+            mag = str(-c if neg else c)
+            # a unit magnitude is printed only on the constant monomial
+            factors = [mag] if mag != "1" or not key else []
+            for v, shift in _VAR_SHIFT.items():
+                e = (key >> shift) & _FIELD_MASK
+                if e:
+                    factors.append(v if e == 1 else "%s^%d" % (v, e))
+            body = "*".join(factors)
+            if parts:
+                parts.append((" - " if neg else " + ") + body)
             else:
-                body = "*".join([str(abs(c))] + factors)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
+                parts.append("-" + body if neg else body)
         num_s = "".join(parts)
         if not self.dp:
             return num_s

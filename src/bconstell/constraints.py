@@ -85,11 +85,14 @@ class TGradedOp:
     def piece(self, m, working_degree):
         return self.pieces.get(m, WeylOp.zero(working_degree))
 
+    @classmethod
+    def sum(cls, tops):
+        """The sum of tops per t power; a piece that cancels is dropped, as in a fold."""
+        pieces = ((m, op) for top in tops for m, op in top.pieces.items())
+        return cls(WeylOp.sums(pieces, nonzero=True))
+
     def __add__(self, other):
-        out = dict(self.pieces)
-        for m, op in other.pieces.items():
-            out[m] = out[m] + op if m in out else op
-        return TGradedOp(out)
+        return TGradedOp.sum((self, other))
 
     def __neg__(self):
         return TGradedOp({m: -op for m, op in self.pieces.items()})
@@ -104,13 +107,11 @@ class TGradedOp:
         return TGradedOp({m + k: op for m, op in self.pieces.items()})
 
     def compose(self, other):
-        out = {}
-        for m1, op1 in self.pieces.items():
-            for m2, op2 in other.pieces.items():
-                prod = op1.compose(op2)
-                m = m1 + m2
-                out[m] = out[m] + prod if m in out else prod
-        return TGradedOp(out)
+        return TGradedOp(WeylOp.sums(
+            (m1 + m2, op1.compose(op2))
+            for m1, op1 in self.pieces.items()
+            for m2, op2 in other.pieces.items()
+        ))
 
     def commutator(self, other):
         return self.compose(other) - other.compose(self)
@@ -192,13 +193,10 @@ def _structure_op(level, shift, charge, i, j, l, working_degree):
         coeff += i - j
     if mu - low <= l <= M - 1 - low:
         coeff += _sgn(i - j) * (2 * l - 3 * mu + shift)
-    out = WeylOp.zero(d)
-    if coeff:
-        cur = current(i + j - shift - l, d, charge=charge)
-        out = out + cur.scale(Coeff.from_rational(coeff))
+    parts = [current(i + j - shift - l, d, charge=charge).scale(coeff)] if coeff else []
     if l == i + j - shift:
-        out = out + WeylOp.identity(d).scale(B * ((i - j) * (i + j - 2 - low)))
-    return out
+        parts.append(WeylOp.identity(d).scale(B * ((i - j) * (i + j - 2 - low))))
+    return WeylOp.sum(parts, d)
 
 
 def build_D(s, i, j, l, working_degree):
@@ -237,81 +235,77 @@ def structure_family(model):
 
 def dsum(family, s, i, j, targets, d_outer):
     """sum_l D_{ij,l} . targets[l] with the family's level-s operators at d_outer."""
-    acc = WeylOp.zero(min(op.working_degree for op in targets.values()))
-    for l, op in targets.items():
-        dd = _structure_op(s, family.shift, family.charge, i, j, l, d_outer)
-        if not dd.is_zero():
-            acc = acc + dd.compose(op)
-    return acc
+    structure = (
+        (_structure_op(s, family.shift, family.charge, i, j, l, d_outer), op)
+        for l, op in targets.items()
+    )
+    return WeylOp.sum(
+        (dd.compose(op) for dd, op in structure if not dd.is_zero()),
+        min(op.working_degree for op in targets.values()),
+    )
 
 
 def structure_coefficient(model, i, j, l, working_degree):
     """The model's t-graded structure operator in front of L_l."""
     family = structure_family(model)
-    pieces = {}
-    for level, (tpow, w) in family.weights.items():
-        op = _structure_op(level, family.shift, family.charge, i, j, l, working_degree)
-        if not op.is_zero():
-            op = op.scale(w)
-            pieces[tpow] = pieces[tpow] + op if tpow in pieces else op
-    return TGradedOp(pieces)
+    shift, charge = family.shift, family.charge
+    ops = (
+        (tpow, _structure_op(s, shift, charge, i, j, l, working_degree).scale(w))
+        for s, (tpow, w) in family.weights.items()
+    )
+    return TGradedOp(WeylOp.sums(ops, nonzero=True))
 
 
 def structure_rhs(model, i, j, ls, d_outer):
     """t * sum_l D_{ij,l} . L_l with the l-sum truncated by the support bound."""
-    rhs = TGradedOp.zero()
-    for l, L_l in ls.items():
-        coeff = structure_coefficient(model, i, j, l, d_outer)
-        if coeff.pieces:
-            rhs = rhs + coeff.compose(L_l)
-    return rhs.tshift(1)
+    return TGradedOp.sum(
+        structure_coefficient(model, i, j, l, d_outer).compose(L_l)
+        for l, L_l in ls.items()
+    ).tshift(1)
 
 
-def _grouped_level(level, family, w, i, j, ls, d_outer):
-    """One level of the grouped display of [L_i, L_j], w in every scalar.
+def _grouped_level(level, family, i, j, l_top, d_outer):
+    """The terms (factor, l, c) of one level of the grouped display of [L_i, L_j].
 
-    Level 2 is (i-j) L_{i+j-1-low}.  Level 3 is the sum over p_n, the b * Id
-    term, the two ranges over p_n* (split at n = min(i,j) - low) and, for the
-    charge-u family only, the uniform charge term 3u(i-j) L_{i+j-shift}.
+    Each term is c * factor . L_l, factor None standing for Id, for every l
+    up to l_top.  Level 2 is (i-j) L_{i+j-1-low}.  Level 3 is the sum over
+    p_n, the b * Id term, the two ranges over p_n* (split at n = min(i,j) -
+    low) and, for the charge-u family only, the uniform charge term
+    3u(i-j) L_{i+j-shift}.
     """
     shift = family.shift
     low = (shift - 1) // 2
-    zero = TGradedOp.zero()
-
-    def L(l):
-        return ls.get(l, zero)
-
-    def after(factor, l, c):
-        return TGradedOp({0: factor}).compose(L(l)).scale(c)
-
     if level == 2:
-        return L(i + j - 1 - low).scale(w * (i - j))
+        yield None, i + j - 1 - low, i - j
     if level != 3:
-        return zero
+        return
     mu, M = min(i, j), max(i, j)
     base = i + j - shift
-    rhs = L(base).scale(w * B * ((i - j) * (i + j - 2 - low)))
-    for n in range(1, max(ls) - base + 1):
-        if base + n in ls:
-            rhs = rhs + after(WeylOp.p(n, d_outer), base + n, w * (2 * (i - j)))
+    yield None, base, B * ((i - j) * (i + j - 2 - low))
+    for n in range(1, l_top - base + 1):
+        yield WeylOp.p(n, d_outer), base + n, 2 * (i - j)
     for n in range(1, M - low):
         c = 3 * (i - j) if n < mu - low else _sgn(i - j) * (2 * M - 2 * n - mu - shift)
         if c:
-            rhs = rhs + after(WeylOp.p_star(n, d_outer), base - n, w * ONE_PLUS_B * c)
+            yield WeylOp.p_star(n, d_outer), base - n, ONE_PLUS_B * c
     if family.charge is not None:
-        rhs = rhs + L(base).scale(w * family.charge * (3 * (i - j)))
-    return rhs
+        yield None, base, family.charge * (3 * (i - j))
 
 
 def explicit_rhs(model, i, j, ls, d_outer):
     """The grouped closed form of [L_i, L_j] as usually displayed."""
     family = structure_family(model)
-    rhs = TGradedOp.zero()
     if i == j:
-        return rhs
-    for level, (tpow, w) in family.weights.items():
-        rhs = rhs + _grouped_level(level, family, w, i, j, ls, d_outer).tshift(tpow)
-    return rhs.tshift(1)
+        return TGradedOp.zero()
+
+    def terms():
+        for level, (tpow, w) in family.weights.items():
+            for factor, l, c in _grouped_level(level, family, i, j, max(ls), d_outer):
+                if l in ls:
+                    op = ls[l] if factor is None else TGradedOp({0: factor}).compose(ls[l])
+                    yield op.scale(w * c).tshift(tpow + 1)
+
+    return TGradedOp.sum(terms())
 
 
 # -- verification sweeps -----------------------------------------------------

@@ -74,26 +74,20 @@ class YVector:
         act as zero there and are skipped.
         """
         d = self.working_degree
-        out = {}
 
-        def accumulate(m, op):
-            if op.is_zero():
-                return
-            prev = out.get(m)
-            out[m] = op if prev is None else prev + op
+        def terms():
+            for j, op in self.entries.items():
+                j_budget = d + op.max_jump()
+                for delta in range(-j, j_budget + 1):
+                    cur = current(delta, j_budget)
+                    if not cur.is_zero():
+                        yield j + delta, cur.compose(op)
+            for m, op in self.entries.items():
+                c = B * m + shift
+                if c:
+                    yield m, op.scale(c)
 
-        for j, op in self.entries.items():
-            j_budget = d + op.max_jump()
-            for delta in range(-j, j_budget + 1):
-                cur = current(delta, j_budget)
-                if cur.is_zero():
-                    continue
-                accumulate(j + delta, cur.compose(op))
-        for m, op in self.entries.items():
-            c = B * m + shift
-            if c:
-                accumulate(m, op.scale(c))
-        return YVector(out, d)
+        return YVector(WeylOp.sums(terms(), nonzero=True), d)
 
 
 # -- mode operators --------------------------------------------------------
@@ -138,19 +132,17 @@ def _rec_level(s, working_degree, offset, shift):
     if s == 0:
         return {1 - offset: WeylOp.scalar(INV_1PB, d)}
     prev = _rec_level(s - 1, d, offset, shift)
-    level = {}
-    for i in range(1, d + 3 + offset * (s - 1)):
-        acc = WeylOp.zero(d)
-        for n, op in prev.items():
-            cur = current(i - n - offset, d + op.max_jump())
-            if cur.is_zero():
-                continue
-            acc = acc + cur.compose(op)
-        if i - offset in prev:
-            acc = acc + prev[i - offset].scale(B * (i - 1) + shift)
-        if not acc.is_zero():
-            level[i] = acc
-    return level
+
+    def terms():
+        for i in range(1, d + 3 + offset * (s - 1)):
+            for n, op in prev.items():
+                cur = current(i - n - offset, d + op.max_jump())
+                if not cur.is_zero():
+                    yield i, cur.compose(op)
+            if i - offset in prev:
+                yield i, prev[i - offset].scale(B * (i - 1) + shift)
+
+    return WeylOp.sums(terms(), d, nonzero=True)
 
 
 def build_A(i, s, working_degree, route="rec"):
@@ -172,8 +164,8 @@ def build_M(k, m, i, working_degree, route="y"):
         raise ValueError("k must be 1, 2 or 3")
     if m < 1 or i < 1:
         raise ValueError("build_M requires m >= 1 and i >= 1")
-    if k == 1 and m > 3:
-        raise ValueError("the single-color model is materialized up to m = 3")
+    if m > 3:
+        raise ValueError("the mode operators are materialized up to m = 3")
     if route == "y":
         return _filled(_y_state, m, tuple(U[1:k + 1]), working_degree).entry(i)
     if route == "rec":

@@ -4,11 +4,12 @@ The variable p_i carries degree i, so the degree of a monomial is the
 weighted sum over its exponents.  Monomials are stored as sorted tuples of
 (index, exponent) pairs with no zero exponents; p_0 and negative indices do
 not exist, constructors for them yield the zero polynomial.
+``PPoly.sum`` merges each addend of any iterable into one dict as it arrives.
 """
 
 from fractions import Fraction
 
-from .coeffring import Coeff, add_term, sum_grouped
+from .coeffring import Coeff, add_term, add_terms, sum_grouped
 
 
 def pm_mul(a, b):
@@ -73,15 +74,19 @@ class PPoly:
             return Coeff.from_rational(x)
         return None
 
+    @staticmethod
+    def sum(polys):
+        """The sum of the polynomials in polys."""
+        p = PPoly.__new__(PPoly)
+        p.terms = {}
+        for f in polys:
+            add_terms(p.terms, f.terms)
+        return p
+
     def __add__(self, other):
         if not isinstance(other, PPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            add_term(out, m, c)
-        p = PPoly.__new__(PPoly)
-        p.terms = out
-        return p
+        return PPoly.sum((self, other))
 
     def __neg__(self):
         p = PPoly.__new__(PPoly)

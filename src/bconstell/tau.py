@@ -12,12 +12,13 @@ H = (1+b) log tau collects connected objects; the rooted fixed point checks
 that extracting a marked face out of H reproduces i dH/dp_i when the
 transfer operator is fed the rooted series back.
 
-One series type, TauSeries, carries tau, H and the rooted series alike.
+One series type, TauSeries, carries tau, H and the rooted series alike;
+``TauSeries.sum`` merges its addends into one dict per power of t.
 """
 
 from fractions import Fraction
 
-from .coeffring import Coeff, B, INV_1PB, ONE_PLUS_B
+from .coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, add_terms
 from .constraints import build_L, sweep_report
 from .currents import build_M, current
 from .ppoly import PPoly
@@ -41,6 +42,25 @@ class TauSeries:
     @classmethod
     def one(cls, order):
         return cls(None, [PPoly.one()] + [PPoly.zero()] * order)
+
+    @classmethod
+    def sum(cls, series, order):
+        """The sum of the series in series, through t^order."""
+        return cls.sums(((0, s) for s in series), order).get(0) or cls.zero(order)
+
+    @classmethod
+    def sums(cls, pairs, order):
+        """{key: the sum of the series paired with key}; zero addends are skipped."""
+        parts = {}
+        for key, s in pairs:
+            if s.is_zero():
+                continue
+            part = parts.get(key)
+            if part is None:
+                part = parts[key] = [PPoly() for _ in range(order + 1)]
+            for out, c in zip(part, s.coeffs):
+                add_terms(out.terms, c.terms)
+        return {key: cls(None, part) for key, part in parts.items()}
 
     def coeff(self, n):
         if 0 <= n <= self.order:
@@ -93,14 +113,13 @@ HSeries = TauSeries
 
 def _transfer_operator(model, m, order):
     """M^(m) = sum_i p_i M^(k,m)_i materialized at working degree = order."""
-    acc = WeylOp.zero(order)
-    for i in range(1, order + 1):
-        mode = build_M(model.k, m, i, order)
-        if mode.is_zero():
-            continue
-        lead = WeylOp.p(i, order + max(0, m - i))
-        acc = acc + lead.compose(mode)
-    return acc
+    modes = ((i, build_M(model.k, m, i, order)) for i in range(1, order + 1))
+    leads = (
+        WeylOp.p(i, order + max(0, m - i)).compose(mode)
+        for i, mode in modes
+        if not mode.is_zero()
+    )
+    return WeylOp.sum(leads, order)
 
 
 def tau_evolve(model, order):
@@ -113,11 +132,9 @@ def tau_evolve(model, order):
     } if order else {}
     qs = model.q_weights()
     for n in range(1, order + 1):
-        acc = PPoly.zero()
-        for m, op in transfer.items():
-            if m > n:
-                continue
-            acc = acc + op.apply(coeffs[n - m]) * qs[m]
+        acc = PPoly.sum(
+            op.apply(coeffs[n - m]) * qs[m] for m, op in transfer.items() if m <= n
+        )
         term = acc * Coeff.from_rational(Fraction(1, n))
         if not term.is_homogeneous(n):
             raise AssertionError("[t^%d] tau is not homogeneous of degree %d" % (n, n))
@@ -148,15 +165,12 @@ def check_constraints(tau, i_max, subs=None):
             L = L.map_coeff(lambda c: c.subs(subs))
         for n in range(0, N + 1):
             item = {"i": i, "n": n, "status": "pass"}
-            slice_sum = PPoly.zero()
-            for m, piece in L.pieces.items():
-                if m > n:
-                    continue
-                part = piece.apply(series.coeff(n - m))
-                if not part.is_homogeneous(n - i) and "reason" not in item:
-                    reason = "t^%d piece is not homogeneous of degree %d" % (m, n - i)
-                    item.update(status="fail", reason=reason)
-                slice_sum = slice_sum + part
+            parts = {m: L.pieces[m].apply(series.coeff(n - m)) for m in L.pieces if m <= n}
+            bad = [m for m, part in parts.items() if not part.is_homogeneous(n - i)]
+            if bad:
+                reason = "t^%d piece is not homogeneous of degree %d" % (bad[0], n - i)
+                item.update(status="fail", reason=reason)
+            slice_sum = PPoly.sum(parts.values())
             if slice_sum:
                 first = min(slice_sum.terms)
                 item["status"] = "fail"
@@ -207,26 +221,22 @@ def _lambda_series(entries, order, shift, feedback):
     G_a = a dH/dp_a; the feedback term moves the marked degree up by a while
     multiplying by G_a.
     """
-    out = {}
 
-    def accumulate(m, s):
-        if s.is_zero():
-            return
-        out[m] = out[m] + s if m in out else s
+    def terms():
+        for j, s in entries.items():
+            top = max(c.degree() for c in s.coeffs)
+            for delta in range(-j, order + 1):
+                cur = current(delta, top)
+                if not cur.is_zero():
+                    yield j + delta, s.map(cur.apply)
+        for j, s in entries.items():
+            c = B * j + shift
+            if c:
+                yield j, s.scale(c)
+            for a, g in feedback.items():
+                yield j + a, s.mul_series(g)
 
-    for j, s in entries.items():
-        top = max(c.degree() for c in s.coeffs)
-        for delta in range(-j, order + 1):
-            cur = current(delta, top)
-            if not cur.is_zero():
-                accumulate(j + delta, s.map(cur.apply))
-    for j, s in entries.items():
-        c = B * j + shift
-        if c:
-            accumulate(j, s.scale(c))
-        for a, g in feedback.items():
-            accumulate(j + a, s.mul_series(g))
-    return out
+    return TauSeries.sums(terms(), order)
 
 
 def check_rooted_fixed_point(model, tau, i_max):
@@ -253,11 +263,8 @@ def check_rooted_fixed_point(model, tau, i_max):
     items = []
     for i in range(1, i_max + 1):
         lhs = rooted(i)
-        rhs = TauSeries.zero(N)
-        for m in range(1, model.r + 1):
-            entry = per_round[m - 1].get(i)
-            if entry is not None:
-                rhs = rhs + entry.scale(qs[m]).tshift(m)
+        rounds = enumerate(per_round, 1)
+        rhs = TauSeries.sum((y[i].scale(qs[m]).tshift(m) for m, y in rounds if i in y), N)
         for n, c in enumerate((lhs - rhs).coeffs):
             item = {"i": i, "n": n, "status": "pass"}
             if c:

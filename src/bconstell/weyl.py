@@ -11,13 +11,17 @@ tightest working degree that keeps the result exact: composing O1 after O2
 yields min(D2, D1 - jump(O2)) where jump(O2) is the largest degree raise O2
 can produce.  A DegreeBudgetError means the requested computation cannot be
 certified at any degree.
+
+``WeylOp.sum`` (and ``WeylOp.sums`` per key) merges each addend of any
+iterable into one dict as it arrives, at the least working degree among
+them, as a left fold of ``+`` gives.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-from .coeffring import Coeff, add_term, sum_grouped
+from .coeffring import Coeff, add_terms, sum_grouped
 from .ppoly import EMPTY, PPoly, pm_degree, pm_mul, pm_sort_key
 
 
@@ -36,6 +40,22 @@ def _pm_sub(a, b):
         else:
             del d[i]
     return tuple(sorted(d.items()))
+
+
+def _merge(terms, d, op):
+    """Merge op into the partial sum (terms, d), d None before the first addend.
+
+    Returns the new degree; only terms live at it are kept, as in a fold.
+    """
+    od = op.working_degree
+    if d is not None and od > d:
+        add_terms(terms, {k: c for k, c in op.terms.items() if pm_degree(k[1]) <= d})
+        return d
+    if d is not None and od < d:
+        for key in [key for key in terms if pm_degree(key[1]) > od]:
+            del terms[key]
+    add_terms(terms, op.terms)
+    return od
 
 
 class WeylOp:
@@ -142,14 +162,39 @@ class WeylOp:
 
     # -- linear operations -------------------------------------------------
 
+    @classmethod
+    def sum(cls, ops, working_degree=None):
+        """The sum of ops at their least working degree, capped by working_degree."""
+        terms, d = {}, working_degree
+        for op in ops:
+            d = _merge(terms, d, op)
+        if d is None:
+            raise ValueError("an empty sum needs a working degree")
+        return cls._live(terms, d)
+
+    @classmethod
+    def sums(cls, pairs, working_degree=None, nonzero=False):
+        """{key: the sum of the ops paired with key} over (key, op) pairs.
+
+        With nonzero, as in TGradedOp, zero addends are skipped and a sum
+        that cancels is dropped, so the next addend at its key starts afresh.
+        """
+        parts = {}
+        for key, op in pairs:
+            if nonzero and not op.terms:
+                continue
+            part = parts.get(key)
+            if part is None:
+                part = parts[key] = [{}, working_degree]
+            part[1] = _merge(part[0], part[1], op)
+            if nonzero and not part[0]:
+                del parts[key]
+        return {key: cls._live(terms, d) for key, (terms, d) in parts.items()}
+
     def __add__(self, other):
         if not isinstance(other, WeylOp):
             return NotImplemented
-        d = min(self.working_degree, other.working_degree)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(out, k, c)
-        return WeylOp(out, d)
+        return WeylOp.sum((self, other))
 
     def __neg__(self):
         return WeylOp._live({k: -c for k, c in self.terms.items()}, self.working_degree)

@@ -13,6 +13,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "bconstell.cli", *argv],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -107,6 +108,11 @@ def test_dump_invalid_indices_exit_two():
     assert code == 2
     code, _, _ = run_cli("dump", "--op", "M", "--i", "1", "--deg", "6")
     assert code == 2
+    # a level past the materialized m = 3 is refused before any round is built
+    code, _, err = run_cli("dump", "--op", "M", "--k", "2", "--m", "1500", "--i", "1",
+                           "--deg", "0")
+    assert code == 2
+    assert "up to m = 3" in err
 
 
 def test_jack_cli(capsys):

@@ -141,6 +141,8 @@ def test_build_M_bounds():
         build_M(1, 4, 1, 4)
     with pytest.raises(ValueError):
         build_M(2, 1, 0, 4)
+    with pytest.raises(ValueError):
+        build_M(2, 1500, 1, 0)
 
 
 def test_clear_caches_empties_every_memo_table():

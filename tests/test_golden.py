@@ -21,6 +21,10 @@ CASES = {
     "verify_threeconst": ["verify", "--model", "threeconst", *SMALL, "--json"],
     "verify_biple3": ["verify", "--model", "biple3", *SMALL, "--json"],
     "verify_biple3_text": ["verify", "--model", "biple3", *SMALL],
+    "verify_biple3_beval": ["verify", "--model", "biple3", *SMALL, "--b-eval", "1/2",
+                            "--json"],
+    "verify_threeconst_beval0": ["verify", "--model", "threeconst", *SMALL,
+                                 "--b-eval", "0", "--json"],
     **{
         "prop_%s_%s" % (prop, model): [
             "verify", "--model", model, *PROP, "--prop", prop, "--json"
@@ -41,6 +45,8 @@ CASES = {
     "dump_Dtilde": ["dump", "--op", "Dtilde", "--m", "3", "--i", "4", "--j", "2",
                     "--l", "2", "--deg", "6"],
     "dump_L_biple3": ["dump", "--op", "L", "--model", "biple3", "--i", "3", "--deg", "6"],
+    "dump_L_threeconst": ["dump", "--op", "L", "--model", "threeconst", "--i", "2",
+                          "--deg", "6"],
     "tau_threeconst_checks": ["tau", "--model", "threeconst", "--order", "4",
                               "--check-constraints", "3", "--fixed-point", "3", "--json"],
     **{
