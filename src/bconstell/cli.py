@@ -77,9 +77,17 @@ def cmd_verify(parser, args):
         if b_eval == -1:
             parser.error("--b-eval -1 is not allowed: 1/(1+b) is undefined at b = -1")
 
+    last = time.perf_counter()
+
     def stream(entry):
-        # partial progress on stderr; stdout stays deterministic
-        print("done %s" % json.dumps(entry, sort_keys=True), file=sys.stderr)
+        # partial progress on stderr, with the seconds since the previous
+        # entry (the first one includes building the operators); stdout
+        # stays deterministic
+        nonlocal last
+        now = time.perf_counter()
+        timed = dict(entry, elapsed_s=round(now - last, 6))
+        last = now
+        print("done %s" % json.dumps(timed, sort_keys=True), file=sys.stderr)
 
     if args.prop:
         if b_eval is not None:

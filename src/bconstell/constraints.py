@@ -17,8 +17,11 @@ Two right-hand sides are materialized for [L_i, L_j]:
 (shift 1, charge 0, modes A_l(s), weights e_{k-s}(u) at t^0) or Dtilde^(m)
 (shift 3, charge u, modes M_l(m), weights q_m at t^(m-1)).  Both forms sum
 over its weights: the structure form over the piecewise table
-`_structure_op`, the grouped form over `_grouped_level`, a separate
-transcription of the displayed formula.  Every sweep runs through one pair
+`_structure_terms` (which `_structure_op` also reads), the grouped form over
+`_grouped_level`, a separate transcription of the displayed formula.  The
+two forms share products but not coefficients: each composes p_n . L_l and
+p_n* . L_l unscaled through one products dict per pair and applies its own
+scalars afterwards.  Every sweep runs through one pair
 runner, `_pair_sweep`, and every check's ok is derived from its entries by
 `sweep_report`.  An index beyond a built family is the zero operator.
 
@@ -32,9 +35,9 @@ from fractions import Fraction
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .coeffring import Coeff, B, ONE, ONE_PLUS_B, Q, U
+from .coeffring import B, ONE, ONE_PLUS_B, Q, U, add_term
 from .currents import build_A, build_M, current, esym
-from .weyl import WeylOp
+from .weyl import WeylOp, compose_degree
 
 
 class Model:
@@ -114,6 +117,12 @@ class TGradedOp:
         ))
 
     def commutator(self, other):
+        """[self, other]; [A, A] is zero, with every piece pair's budget checked."""
+        if other is self:
+            for op1 in self.pieces.values():
+                for op2 in self.pieces.values():
+                    compose_degree(op1.working_degree, op2)
+            return TGradedOp.zero()
         return self.compose(other) - other.compose(self)
 
     def map_coeff(self, fn):
@@ -171,20 +180,21 @@ def _sgn(x):
     return (x > 0) - (x < 0)
 
 
-def _structure_op(level, shift, charge, i, j, l, working_degree):
-    """D^(level) for shift 1 and charge None, Dtilde^(level) for shift 3 and charge u.
+def _structure_terms(level, shift, i, j, l):
+    """The terms (x, c) of the table: c * J_x, or c * Id for x None.
 
-    The charge-u index ranges sit one lower.  Level 3 is c * J_{i+j-shift-l}
-    plus, for l = i + j - shift, a multiple of b * Id.
+    D^(level)_{ij,l} for shift 1, Dtilde^(level)_{ij,l} for shift 3, whose
+    index ranges sit one lower.  Level 2 is (i-j) Id at l = i + j - 1 - low;
+    level 3 is c * J_{i+j-shift-l} plus, for l = i + j - shift, a multiple
+    of b * Id.
     """
-    d = working_degree
     low = (shift - 1) // 2
     if level <= 1 or i == j:
-        return WeylOp.zero(d)
+        return
     if level == 2:
         if l == i + j - 1 - low:
-            return WeylOp.identity(d).scale(Coeff.from_rational(i - j))
-        return WeylOp.zero(d)
+            yield None, i - j
+        return
     mu, M = min(i, j), max(i, j)
     coeff = 0
     if l >= M - low:
@@ -193,9 +203,19 @@ def _structure_op(level, shift, charge, i, j, l, working_degree):
         coeff += i - j
     if mu - low <= l <= M - 1 - low:
         coeff += _sgn(i - j) * (2 * l - 3 * mu + shift)
-    parts = [current(i + j - shift - l, d, charge=charge).scale(coeff)] if coeff else []
+    if coeff:
+        yield i + j - shift - l, coeff
     if l == i + j - shift:
-        parts.append(WeylOp.identity(d).scale(B * ((i - j) * (i + j - 2 - low))))
+        yield None, B * ((i - j) * (i + j - 2 - low))
+
+
+def _structure_op(level, shift, charge, i, j, l, working_degree):
+    """D^(level) for shift 1 and charge None, Dtilde^(level) for shift 3 and charge u."""
+    d = working_degree
+    parts = (
+        (WeylOp.identity(d) if x is None else current(x, d, charge=charge)).scale(c)
+        for x, c in _structure_terms(level, shift, i, j, l)
+    )
     return WeylOp.sum(parts, d)
 
 
@@ -245,33 +265,61 @@ def dsum(family, s, i, j, targets, d_outer):
     )
 
 
-def structure_coefficient(model, i, j, l, working_degree):
-    """The model's t-graded structure operator in front of L_l."""
-    family = structure_family(model)
-    shift, charge = family.shift, family.charge
-    ops = (
-        (tpow, _structure_op(s, shift, charge, i, j, l, working_degree).scale(w))
-        for s, (tpow, w) in family.weights.items()
-    )
-    return TGradedOp(WeylOp.sums(ops, nonzero=True))
+def _products_sum(scalars, ls, d_outer, products):
+    """The sum of c * t^tpow * X_x . L_l over scalars {(x, l, tpow): c}.
 
+    X_x is p_{-x} for x < 0, p_x* for x > 0 and Id for x None.  Each X_x . L_l
+    is composed unscaled at most once per products dict (a fresh one when
+    None) and scaled once per t power.  Id . L_l is L_l itself: the identity
+    drops no term at any degree, so nothing is composed for it.
+    """
+    if products is None:
+        products = {}
 
-def structure_rhs(model, i, j, ls, d_outer):
-    """t * sum_l D_{ij,l} . L_l with the l-sum truncated by the support bound."""
+    def product(x, l):
+        if x is None:
+            return ls[l]
+        top = products.get((x, l))
+        if top is None:
+            factor = WeylOp.p(-x, d_outer) if x < 0 else WeylOp.p_star(x, d_outer)
+            top = products[x, l] = TGradedOp({0: factor}).compose(ls[l])
+        return top
+
     return TGradedOp.sum(
-        structure_coefficient(model, i, j, l, d_outer).compose(L_l)
-        for l, L_l in ls.items()
-    ).tshift(1)
+        product(x, l).scale(c).tshift(tpow) for (x, l, tpow), c in scalars.items()
+    )
 
 
-def _grouped_level(level, family, i, j, l_top, d_outer):
-    """The terms (factor, l, c) of one level of the grouped display of [L_i, L_j].
+def structure_rhs(model, i, j, ls, d_outer, products=None):
+    """t * sum_l D_{ij,l} . L_l with the l-sum truncated by the support bound.
 
-    Each term is c * factor . L_l, factor None standing for Id, for every l
-    up to l_top.  Level 2 is (i-j) L_{i+j-1-low}.  Level 3 is the sum over
-    p_n, the b * Id term, the two ranges over p_n* (split at n = min(i,j) -
-    low) and, for the charge-u family only, the uniform charge term
-    3u(i-j) L_{i+j-shift}.
+    The table's scalar, the level weight, the (1+b) of J_x for x > 0 and the
+    charge of J_0 are applied after composing; products may be shared with
+    explicit_rhs for the same pair.
+    """
+    family = structure_family(model)
+    scalars = {}
+    for l in ls:
+        for s, (tpow, w) in family.weights.items():
+            for x, c in _structure_terms(s, family.shift, i, j, l):
+                if x == 0:
+                    if family.charge is None:
+                        continue
+                    x, c = None, c * family.charge
+                elif x is not None and x > 0:
+                    c = c * ONE_PLUS_B
+                add_term(scalars, (x, l, tpow + 1), w * c)
+    return _products_sum(scalars, ls, d_outer, products)
+
+
+def _grouped_level(level, family, i, j, l_top):
+    """The terms (x, l, c) of one level of the grouped display of [L_i, L_j].
+
+    Each term is c * X_x . L_l, X_x being p_{-x} for x < 0, p_x* for x > 0
+    and Id for x None, for every l up to l_top.  Level 2 is (i-j)
+    L_{i+j-1-low}.  Level 3 is the sum over p_n, the b * Id term, the two
+    ranges over p_n* (split at n = min(i,j) - low) and, for the charge-u
+    family only, the uniform charge term 3u(i-j) L_{i+j-shift}.
     """
     shift = family.shift
     low = (shift - 1) // 2
@@ -283,29 +331,30 @@ def _grouped_level(level, family, i, j, l_top, d_outer):
     base = i + j - shift
     yield None, base, B * ((i - j) * (i + j - 2 - low))
     for n in range(1, l_top - base + 1):
-        yield WeylOp.p(n, d_outer), base + n, 2 * (i - j)
+        yield -n, base + n, 2 * (i - j)
     for n in range(1, M - low):
         c = 3 * (i - j) if n < mu - low else _sgn(i - j) * (2 * M - 2 * n - mu - shift)
         if c:
-            yield WeylOp.p_star(n, d_outer), base - n, ONE_PLUS_B * c
+            yield n, base - n, ONE_PLUS_B * c
     if family.charge is not None:
         yield None, base, family.charge * (3 * (i - j))
 
 
-def explicit_rhs(model, i, j, ls, d_outer):
-    """The grouped closed form of [L_i, L_j] as usually displayed."""
+def explicit_rhs(model, i, j, ls, d_outer, products=None):
+    """The grouped closed form of [L_i, L_j] as usually displayed.
+
+    Its coefficients are its own; products may be shared with structure_rhs
+    for the same pair.
+    """
     family = structure_family(model)
     if i == j:
         return TGradedOp.zero()
-
-    def terms():
-        for level, (tpow, w) in family.weights.items():
-            for factor, l, c in _grouped_level(level, family, i, j, max(ls), d_outer):
-                if l in ls:
-                    op = ls[l] if factor is None else TGradedOp({0: factor}).compose(ls[l])
-                    yield op.scale(w * c).tshift(tpow + 1)
-
-    return TGradedOp.sum(terms())
+    scalars = {}
+    for level, (tpow, w) in family.weights.items():
+        for x, l, c in _grouped_level(level, family, i, j, max(ls)):
+            if l in ls:
+                add_term(scalars, (x, l, tpow + 1), w * c)
+    return _products_sum(scalars, ls, d_outer, products)
 
 
 # -- verification sweeps -----------------------------------------------------
@@ -396,11 +445,16 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
     def lhs_of(i, j):
         return post(ls.get(i, zero).commutator(ls.get(j, zero)))
 
+    # one set of products per ordered pair, shared by its two right-hand
+    # sides: rhs_of(i, j) starts it and grouped(i, j, lhs) follows
+    products = {}
+
     def rhs_of(i, j):
-        return post(structure_rhs(model, i, j, ls, d_outer))
+        products.clear()
+        return post(structure_rhs(model, i, j, ls, d_outer, products))
 
     def grouped(i, j, lhs):
-        rhs = post(explicit_rhs(model, i, j, ls, d_outer))
+        rhs = post(explicit_rhs(model, i, j, ls, d_outer, products))
         if lhs.equal_up_to(rhs, d_check):
             return {}
         return {

@@ -58,6 +58,20 @@ def _merge(terms, d, op):
     return od
 
 
+def compose_degree(left_degree, right):
+    """Working degree of L . right for an L at left_degree, as compose gives it.
+
+    Raises DegreeBudgetError when no degree is left.
+    """
+    new_d = min(right.working_degree, left_degree - right.max_jump())
+    if new_d < 0:
+        raise DegreeBudgetError(
+            "composition budget exhausted (degrees %d and %d, jump %d)"
+            % (left_degree, right.working_degree, right.max_jump())
+        )
+    return new_d
+
+
 class WeylOp:
     """Truncated normal-ordered operator: sum of c * p^alpha (p*)^beta."""
 
@@ -252,14 +266,7 @@ class WeylOp:
         """Normal-ordered product self . other (self acts second)."""
         if not isinstance(other, WeylOp):
             raise TypeError("compose expects a WeylOp")
-        new_d = min(
-            other.working_degree, self.working_degree - other.max_jump()
-        )
-        if new_d < 0:
-            raise DegreeBudgetError(
-                "composition budget exhausted (degrees %d and %d, jump %d)"
-                % (self.working_degree, other.working_degree, other.max_jump())
-            )
+        new_d = compose_degree(self.working_degree, other)
         # A contraction gamma (gamma_i p_i* of the left meeting gamma_i p_i of
         # the right) leaves deg(an1) + deg(an2) - sum_i i * gamma_i
         # derivatives.  Terms left above new_d are dropped by the truncation
@@ -304,6 +311,9 @@ class WeylOp:
         return WeylOp._live(sum_grouped(out), new_d)
 
     def commutator(self, other):
+        """[self, other]; [A, A] is zero at A . A's degree, nothing composed."""
+        if other is self:
+            return WeylOp.zero(compose_degree(self.working_degree, self))
         return self.compose(other) - other.compose(self)
 
     # -- comparison ----------------------------------------------------------

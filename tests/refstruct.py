@@ -8,13 +8,20 @@ replaces.  The shared table must give the same terms and the same working
 degree.  ``explicit_rhs`` is the grouped display written out once per model,
 which ``constraints.explicit_rhs`` now sums level by level from the model's
 structure family.
+
+``structure_coefficient``, ``structure_rhs``, ``summed_explicit_rhs`` and its
+``_grouped_level`` are the level-by-level sums as they stood before the two
+right-hand sides shared their products: each form composes its own scaled
+factors with every L_l, and the structure form composes the scalar parts of
+its coefficients too.  Their table is read from ``build_D`` and
+``build_Dtilde`` above; the family choice is the engine's one place.
 """
 
 from fractions import Fraction
 
 from bconstell.coeffring import B, Coeff, ONE_PLUS_B, Q, U
 from bconstell.currents import current
-from bconstell.constraints import TGradedOp
+from bconstell.constraints import TGradedOp, structure_family
 from bconstell.weyl import WeylOp
 
 
@@ -174,3 +181,72 @@ def explicit_rhs(model, i, j, ls, d_outer):
         return rhs.tshift(1)
 
     raise ValueError("unknown model %r" % (model.name,))
+
+
+def _structure_op(level, shift, charge, i, j, l, working_degree):
+    """The reference table for D^(level) (shift 1) or Dtilde^(level) (shift 3)."""
+    build = build_D if shift == 1 else build_Dtilde
+    return build(level, i, j, l, working_degree)
+
+
+def structure_coefficient(model, i, j, l, working_degree):
+    """The model's t-graded structure operator in front of L_l."""
+    family = structure_family(model)
+    shift, charge = family.shift, family.charge
+    ops = (
+        (tpow, _structure_op(s, shift, charge, i, j, l, working_degree).scale(w))
+        for s, (tpow, w) in family.weights.items()
+    )
+    return TGradedOp(WeylOp.sums(ops, nonzero=True))
+
+
+def structure_rhs(model, i, j, ls, d_outer):
+    """t * sum_l D_{ij,l} . L_l with the l-sum truncated by the support bound."""
+    return TGradedOp.sum(
+        structure_coefficient(model, i, j, l, d_outer).compose(L_l)
+        for l, L_l in ls.items()
+    ).tshift(1)
+
+
+def _grouped_level(level, family, i, j, l_top, d_outer):
+    """The terms (factor, l, c) of one level of the grouped display of [L_i, L_j].
+
+    Each term is c * factor . L_l, factor None standing for Id, for every l
+    up to l_top.  Level 2 is (i-j) L_{i+j-1-low}.  Level 3 is the sum over
+    p_n, the b * Id term, the two ranges over p_n* (split at n = min(i,j) -
+    low) and, for the charge-u family only, the uniform charge term
+    3u(i-j) L_{i+j-shift}.
+    """
+    shift = family.shift
+    low = (shift - 1) // 2
+    if level == 2:
+        yield None, i + j - 1 - low, i - j
+    if level != 3:
+        return
+    mu, M = min(i, j), max(i, j)
+    base = i + j - shift
+    yield None, base, B * ((i - j) * (i + j - 2 - low))
+    for n in range(1, l_top - base + 1):
+        yield WeylOp.p(n, d_outer), base + n, 2 * (i - j)
+    for n in range(1, M - low):
+        c = 3 * (i - j) if n < mu - low else _sgn(i - j) * (2 * M - 2 * n - mu - shift)
+        if c:
+            yield WeylOp.p_star(n, d_outer), base - n, ONE_PLUS_B * c
+    if family.charge is not None:
+        yield None, base, family.charge * (3 * (i - j))
+
+
+def summed_explicit_rhs(model, i, j, ls, d_outer):
+    """The grouped closed form of [L_i, L_j] as usually displayed."""
+    family = structure_family(model)
+    if i == j:
+        return TGradedOp.zero()
+
+    def terms():
+        for level, (tpow, w) in family.weights.items():
+            for factor, l, c in _grouped_level(level, family, i, j, max(ls), d_outer):
+                if l in ls:
+                    op = ls[l] if factor is None else TGradedOp({0: factor}).compose(ls[l])
+                    yield op.scale(w * c).tshift(tpow + 1)
+
+    return TGradedOp.sum(terms())

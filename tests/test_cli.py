@@ -56,6 +56,21 @@ def test_verify_b_eval(capsys):
     assert code == 0 and out["ok"]
 
 
+@pytest.mark.parametrize("extra", [[], ["--prop", "dstruct"]], ids=["sweep", "dstruct"])
+def test_verify_progress_lines_carry_elapsed_time(capsys, extra):
+    code = main(["verify", "--model", "bip", "--imax", "2", "--deg", "4", "--json", *extra])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "elapsed_s" not in captured.out
+    pairs = json.loads(captured.out)["pairs"]
+    done = [json.loads(line[len("done "):]) for line in captured.err.splitlines()
+            if line.startswith("done ")]
+    assert len(done) == len(pairs)
+    for entry, pair in zip(done, pairs):
+        assert entry.pop("elapsed_s") >= 0
+        assert entry == pair
+
+
 def test_tau_order_zero(capsys):
     code = main(["tau", "--model", "biple3", "--order", "0"])
     out = capsys.readouterr().out.strip()

@@ -148,8 +148,8 @@ def test_verify_final_commutator_matches_direct_loop(model):
 def test_failing_structure_rhs_mismatches_match_direct_loop(monkeypatch):
     real = C.structure_rhs
 
-    def corrupted(model, i, j, ls, d_outer):
-        rhs = real(model, i, j, ls, d_outer)
+    def corrupted(model, i, j, ls, d_outer, *products):
+        rhs = real(model, i, j, ls, d_outer, *products)
         # differ on both halves of the unordered pairs {1,2} and {2,3}
         if (i, j) in ((1, 2), (2, 1), (3, 2)):
             return rhs + ls[i + j].tshift(i)

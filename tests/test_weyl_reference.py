@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 import refweyl
 from bconstell import weyl
 from bconstell.coeffring import B, INV_1PB, Coeff, ONE_PLUS_B, U
+from bconstell.constraints import TGradedOp
 from bconstell.ppoly import PPoly, pm_degree
 from bconstell.weyl import DegreeBudgetError, WeylOp
 
@@ -119,6 +120,59 @@ def test_floor_exactly_at_new_d_is_kept():
     assert got.working_degree == want.working_degree == 2
     assert got.terms == want.terms
     assert ((), ((2, 1),)) in got.terms
+
+
+# -- [A, A] against compose - compose ------------------------------------------
+
+
+def ref_tgraded_compose(a, b):
+    """a . b per pair of t pieces, each piece pair through the reference loop."""
+    return TGradedOp.sum(
+        TGradedOp({m1 + m2: refweyl.compose(op1, op2)})
+        for m1, op1 in a.pieces.items()
+        for m2, op2 in b.pieces.items()
+    )
+
+
+def assert_same_self_commutator(a, ref_compose):
+    try:
+        want = ref_compose(a, a) - ref_compose(a, a)
+    except DegreeBudgetError:
+        with pytest.raises(DegreeBudgetError):
+            a.commutator(a)
+        return None
+    got = a.commutator(a)
+    if isinstance(a, WeylOp):
+        assert got.terms == want.terms == {}
+        assert got.working_degree == want.working_degree
+    else:
+        assert got.pieces.keys() == want.pieces.keys() == set()
+    return got
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degrees=st.lists(st.integers(0, 9), min_size=1, max_size=3),
+    terms=st.integers(1, 6),
+)
+def test_self_commutator_matches_reference(seed, degrees, terms):
+    rng = random.Random(seed)
+    pieces = {m: random_op(rng, d, max_terms=terms) for m, d in enumerate(degrees)}
+    assert_same_self_commutator(pieces[0], refweyl.compose)
+    assert_same_self_commutator(TGradedOp(pieces), ref_tgraded_compose)
+
+
+def test_self_commutator_budget_cases():
+    # p2 at degree 1: A . A sits at 1 - 2 < 0, so both routes raise
+    exhausted = WeylOp.p(2, 1)
+    assert assert_same_self_commutator(exhausted, refweyl.compose) is None
+    # p1 p1* at degree 3 has jump 0: a zero at degree 3
+    live = WeylOp({(((1, 1),), ((1, 1),)): U[1]}, 3)
+    assert assert_same_self_commutator(live, refweyl.compose).working_degree == 3
+    # p3 . p3 at degree 2 - 3 < 0 makes the t-graded commutator raise
+    top = TGradedOp({0: live, 1: WeylOp.p(3, 2)})
+    assert assert_same_self_commutator(top, ref_tgraded_compose) is None
+    assert assert_same_self_commutator(TGradedOp({0: live}), ref_tgraded_compose) is not None
 
 
 # -- WeylOp.apply and PPoly.__mul__ against the stepwise loops ------------------
