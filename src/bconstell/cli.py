@@ -12,6 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
+from .coeffring import MAX_EXP
 from .constraints import (
     MODELS,
     build_D,
@@ -26,6 +27,9 @@ from .jack import JACK_BOUND, compare_with_engine, jack
 from .tau import check_constraints, check_rooted_fixed_point, tau_evolve
 
 SCHEMA = 1
+# A_i(s) at --deg >= 1 carries b^(s-1), whose exponent the scalar ring holds
+# only up to MAX_EXP; at --deg 0 every deep level is zero
+A_LEVEL_LIMIT = MAX_EXP + 1
 
 
 def _emit(report, as_json):
@@ -163,6 +167,12 @@ def cmd_dump(parser, args):
         elif op == "A":
             if args.i < 1 or args.s is None or args.s < 0:
                 raise ValueError("A needs --i >= 1 and --s >= 0")
+            if deg >= 1 and args.s > A_LEVEL_LIMIT:
+                raise ValueError(
+                    "--s %d exceeds the level limit %d of A at --deg >= 1: A_i(s) "
+                    "carries b^(s-1), and that exponent exceeds the packed field "
+                    "limit %d of the scalar ring" % (args.s, A_LEVEL_LIMIT, MAX_EXP)
+                )
             out = build_A(args.i, args.s, deg)
         elif op == "M":
             if args.k is None or args.m is None:
@@ -261,7 +271,10 @@ def build_parser():
     d.add_argument("--i", type=int, required=True)
     d.add_argument("--j", type=int)
     d.add_argument("--l", type=int)
-    d.add_argument("--s", type=int)
+    d.add_argument(
+        "--s", type=int,
+        help="level of A (at most %d when --deg >= 1) or of D" % A_LEVEL_LIMIT,
+    )
     d.add_argument("--m", type=int)
     d.add_argument("--k", type=int)
     d.add_argument("--model")

@@ -7,37 +7,43 @@ engine ever needs; there is deliberately no general division, so any
 computation that would require another denominator fails at construction
 time instead of producing an approximation.
 
-Values are immutable and kept in canonical form: the numerator is not
-divisible by ``(1+b)`` unless the denominator power is zero.
+Representation.  A value is ``n / (den * (1+b)^dp)``: ``n`` maps a packed
+monomial key to a nonzero ``int``, ``den`` is one positive ``int`` and ``dp``
+is the power of ``(1+b)`` in the denominator.  Values are immutable and kept
+in canonical form: ``den`` is coprime to the content (the gcd of the values)
+of ``n``, zero is ``({}, 1, 0)``, and ``n`` is not divisible by ``(1+b)``
+when ``dp > 0``.  (1+b) is monic, so by Gauss's lemma it divides ``n`` over
+the rationals exactly when it divides it over the integers: every
+reduction runs on ints.  ``num`` is a read-only view of ``n / den`` term by
+term, an ``int`` where integral and a ``Fraction`` otherwise; printing,
+parsing, evaluation and substitution read it, the arithmetic does not.
 
-Representation.  ``num`` maps a packed monomial key to its coefficient and
-``dp`` is the power of ``(1+b)`` in the denominator.  A key packs the seven
-exponents into fixed fields of ``FIELD_BITS`` bits, ``b`` in the most
-significant field and ``q3`` in the least (packed exponent vectors, after
-Monagan & Pearce, ISSAC 2007).  The product of two monomials is then the sum
-of their keys, and integer order on keys equals lexicographic order on the
-exponent tuples ``(b, u1, ..., q3)``, the order in which ``str`` prints
-terms.  Exponents stay below the top bit of their field, so adding two keys
-never carries into a neighbouring field; a result that reaches that guard
-bit raises OverflowError instead of wrapping.  A coefficient is a plain
-``int`` whenever it is integral and a ``Fraction`` only otherwise; products
-run on integers throughout, with any denominators lifted out first.
+A key packs the seven exponents into fixed fields of ``FIELD_BITS`` bits,
+``b`` in the most significant field and ``q3`` in the least (packed exponent
+vectors, after Monagan & Pearce, ISSAC 2007).  The product of two monomials
+is then the sum of their keys, and integer order on keys equals
+lexicographic order on the exponent tuples ``(b, u1, ..., q3)``, the order in
+which ``str`` prints terms.  Exponents stay below the top bit of their
+field, so adding two keys never carries into a neighbouring field; a result
+that reaches that guard bit raises OverflowError instead of wrapping.
 
 Sums of products.  ``sum_products`` returns the canonical sum of ``a * b * k``
 over ``(Coeff, Coeff, rational)`` triples.  The products sharing a (1+b)
-power are accumulated on integers into one dict at a common denominator;
-every accumulated key passes the overflow guard before cancelled terms are
-dropped; each power group is reduced to canonical form once, and the groups
-are added in ascending power by ``Coeff.__add__``, the one place that
-rescales by (1+b)^k.  ``sum_grouped`` runs it once per key of a dict of
-triple lists.  ``WeylOp.apply``, ``WeylOp.compose`` and ``PPoly`` products and
-t-convolutions (``PPoly.sum_products``) sum each output coefficient this way
-instead of canonicalising every partial sum.
+power are accumulated on integers into one dict over the common
+denominator of their ``den * den * k.denominator``; every accumulated key
+passes the overflow guard before cancelled terms are dropped; each power
+group is reduced by (1+b) and by the gcd of its denominator and content
+once, and the groups are added in ascending power by ``Coeff.__add__``, the
+one place that rescales by (1+b)^k.  ``sum_grouped`` runs it once per key of
+a dict of triple lists.  ``WeylOp.apply``, ``WeylOp.compose`` and ``PPoly``
+products and t-convolutions (``PPoly.sum_products``) sum each output
+coefficient this way instead of canonicalising every partial sum.
 """
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 VARS = ("b", "u1", "u2", "u3", "q1", "q2", "q3")
 NVARS = len(VARS)
@@ -102,37 +108,22 @@ def add_terms(out, terms):
 
 
 def _poly_add(p, q):
+    """p + q for int-valued dicts, without the cancelled keys."""
     if len(p) < len(q):
         p, q = q, p
     out = dict(p)
+    get = out.get
     for e, c in q.items():
-        if e in out:
-            s = out[e] + c
-            if s:
-                out[e] = s if s.__class__ is int or s.denominator != 1 else s.numerator
-            else:
-                del out[e]
+        s = get(e, 0) + c
+        if s:
+            out[e] = s
         else:
-            out[e] = c
+            del out[e]
     return out
 
 
-def _lift(p):
-    """(d, P) with P = d * p integral, d the least common denominator."""
-    d = 1
-    for c in p.values():
-        if c.__class__ is not int:
-            d = lcm(d, c.denominator)
-    if d == 1:
-        return 1, p
-    return d, {e: c.numerator * (d // c.denominator) for e, c in p.items()}
-
-
-def _divide(num, den):
-    """``num / den`` termwise for an int-valued dict, as int where integral."""
-    if den == 1:
-        return num
-    return {e: Fraction(c, den) if c % den else c // den for e, c in num.items()}
+def _scaled(p, m):
+    return p if m == 1 else {e: c * m for e, c in p.items()}
 
 
 def _mul_into(acc, p, q, m=1):
@@ -155,23 +146,17 @@ def _checked(acc):
 
 
 def _poly_mul(p, q):
-    den_p, p = _lift(p)
-    den_q, q = _lift(q)
+    """p * q for int-valued dicts, every key overflow-checked."""
     if len(p) < len(q):
         p, q = q, p
     if len(q) == 1:
         (e2, c2), = q.items()
         out = {e1 + e2: c1 * c2 for e1, c1 in p.items()}
         _check_keys(out)
-    else:
-        acc = {}
-        _mul_into(acc, p, q)
-        out = _checked(acc)
-    return _divide(out, den_p * den_q)
-
-
-def _poly_scale(p, f):
-    return _poly_mul(p, {0: f}) if f else {}
+        return out
+    acc = {}
+    _mul_into(acc, p, q)
+    return _checked(acc)
 
 
 def _div_one_plus_b(num):
@@ -205,37 +190,53 @@ def _one_plus_b_pow(e):
     return {k << _B_SHIFT: comb(e, k) for k in range(e + 1)}
 
 
-def _make(num, dp):
-    """Coeff from an owned, normalised dict already in canonical form."""
+def _make(n, den, dp):
+    """Coeff from an owned dict already in canonical form with den and dp."""
     c = object.__new__(Coeff)
-    c.num = num
-    c.dp = dp if num else 0
+    c.n = n
+    if n:
+        c.den = den
+        c.dp = dp
+    else:
+        c.den = 1
+        c.dp = 0
     return c
 
 
-def _reduce(lifted, dp):
+def _normal(n, den, dp):
+    """Coeff from an owned int-valued dict whose (1+b) part is already canonical.
+
+    Divides the gcd of den and the content out of both.
+    """
+    if den != 1 and n:
+        g = gcd(den, *n.values())
+        if g != 1:
+            n = {e: c // g for e, c in n.items()}
+            den //= g
+    return _make(n, den, dp)
+
+
+def _reduce(n, dp):
     """Divide an int-valued numerator by (1+b) while it divides and dp > 0."""
     while dp > 0:
-        quot = _div_one_plus_b(lifted)
+        quot = _div_one_plus_b(n)
         if quot is None:
             break
-        lifted, dp = quot, dp - 1
-    return lifted, dp
+        n, dp = quot, dp - 1
+    return n, dp
 
 
-def _canon(num, dp):
-    """Coeff from an owned, normalised dict, reduced to canonical form."""
-    if dp <= 0 or not num:
-        return _make(num, dp)
-    den, lifted = _lift(num)
-    reduced, rdp = _reduce(lifted, dp)
-    return _make(num if rdp == dp else _divide(reduced, den), rdp)
+def _canon(n, den, dp):
+    """Coeff from an owned int-valued dict, reduced to canonical form."""
+    if dp > 0 and n:
+        n, dp = _reduce(n, dp)
+    return _normal(n, den, dp)
 
 
 def sum_products(triples):
     """The canonical Coeff sum of a * b * k over (Coeff, Coeff, rational) triples.
 
-    Products sharing a (1+b) power accumulate on integers in one dict at a
+    Products sharing a (1+b) power accumulate on integers in one dict over a
     common denominator; each such group is checked for exponent overflow
     (before cancelled terms are dropped), reduced to canonical form once,
     and the groups are then added in ascending power.
@@ -246,12 +247,10 @@ def sum_products(triples):
         return p if k == 1 else p * k
     groups = {}
     for a, b, k in triples:
-        if not (k and a.num and b.num):
+        if not (k and a.n and b.n):
             continue
-        da, pa = _lift(a.num)
-        db, pb = _lift(b.num)
         groups.setdefault(a.dp + b.dp, []).append(
-            (pa, pb, k.numerator, da * db * k.denominator)
+            (a.n, b.n, k.numerator, a.den * b.den * k.denominator)
         )
     total = None
     for dp in sorted(groups):
@@ -260,12 +259,12 @@ def sum_products(triples):
         acc = {}
         for pa, pb, kn, d in items:
             _mul_into(acc, pa, pb, kn * (den // d))
-        num = _checked(acc)
-        if num:
-            num, rdp = _reduce(num, dp)
-            part = _make(_divide(num, den), rdp)
+        n = _checked(acc)
+        if n:
+            n, rdp = _reduce(n, dp)
+            part = _normal(n, den, rdp)
             total = part if total is None else total + part
-    return _make({}, 0) if total is None else total
+    return _make({}, 1, 0) if total is None else total
 
 
 def sum_grouped(groups):
@@ -286,41 +285,75 @@ def _rational(x):
     return x.numerator if x.denominator == 1 else x
 
 
+class _Rationals(Mapping):
+    """Read-only {key: n[key] / den} view: an int where integral, else a Fraction."""
+
+    __slots__ = ("_n", "_den")
+
+    def __init__(self, n, den):
+        self._n = n
+        self._den = den
+
+    def __getitem__(self, key):
+        c = self._n[key]
+        den = self._den
+        return c if den == 1 else Fraction(c, den) if c % den else c // den
+
+    def __iter__(self):
+        return iter(self._n)
+
+    def __len__(self):
+        return len(self._n)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 class Coeff:
     """Exact scalar: polynomial in b, u1..u3, q1..q3 over a power of (1+b)."""
 
-    __slots__ = ("num", "dp")
+    __slots__ = ("n", "den", "dp")
 
     def __init__(self, num=None, dp=0):
+        """The value of num / (1+b)^dp for {key: rational} num."""
         num = {e: _rational(c) for e, c in num.items() if c} if num else {}
         _check_keys(num)
-        canon = _canon(num, dp)
-        self.num = canon.num
+        den = lcm(*[c.denominator for c in num.values()])
+        if den != 1:
+            num = {e: c.numerator * (den // c.denominator) for e, c in num.items()}
+        canon = _canon(num, den, dp)
+        self.n = canon.n
+        self.den = canon.den
         self.dp = canon.dp
+
+    @property
+    def num(self):
+        """The numerator over the rationals, as a read-only {key: rational} view."""
+        return _Rationals(self.n, self.den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls):
-        return _make({}, 0)
+        return _make({}, 1, 0)
 
     @classmethod
     def one(cls):
-        return _make({0: 1}, 0)
+        return _make({0: 1}, 1, 0)
 
     @classmethod
     def from_rational(cls, x):
         x = _rational(x)
-        return _make({0: x} if x else {}, 0)
+        return _make({0: x.numerator} if x else {}, x.denominator, 0)
 
     @classmethod
     def var(cls, name):
-        return _make({1 << _VAR_SHIFT[name]: 1}, 0)
+        return _make({1 << _VAR_SHIFT[name]: 1}, 1, 0)
 
     @classmethod
     def inv_one_plus_b(cls, power=1):
         """1/(1+b)^power."""
-        return _make({0: 1}, power)
+        return _make({0: 1}, 1, power)
 
     @classmethod
     def one_plus_b(cls):
@@ -341,21 +374,27 @@ class Coeff:
         if other is NotImplemented:
             return NotImplemented
         a, b = self, other
-        if a.dp == b.dp:
-            num = _poly_add(a.num, b.num)
-            return _canon(num, a.dp) if a.dp else _make(num, 0)
         if a.dp < b.dp:
             a, b = b, a
-        # a's numerator is not divisible by (1+b) and the rescaled b's is,
-        # so the sum is not either: it is already canonical.
-        return _make(
-            _poly_add(a.num, _poly_mul(b.num, _one_plus_b_pow(a.dp - b.dp))), a.dp
-        )
+        pa, pb = a.n, b.n
+        if a.dp != b.dp:
+            pb = _poly_mul(pb, _one_plus_b_pow(a.dp - b.dp))
+        den = a.den
+        if den != b.den:
+            den = lcm(a.den, b.den)
+            pa = _scaled(pa, den // a.den)
+            pb = _scaled(pb, den // b.den)
+        n = _poly_add(pa, pb)
+        if a.dp == b.dp and a.dp:
+            return _canon(n, den, a.dp)
+        # with unequal powers a's numerator is not divisible by (1+b) and the
+        # rescaled b's is, so the sum is not either
+        return _normal(n, den, a.dp)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make({e: -c for e, c in self.num.items()}, self.dp)
+        return _make({e: -c for e, c in self.n.items()}, self.den, self.dp)
 
     def __sub__(self, other):
         other = Coeff._coerce(other)
@@ -369,18 +408,23 @@ class Coeff:
     def __mul__(self, other):
         if other.__class__ is not Coeff:
             if isinstance(other, (int, Fraction)):
-                return _make(_poly_scale(self.num, _rational(other)), self.dp)
+                x = _rational(other)
+                if not x:
+                    return _make({}, 1, 0)
+                n = _scaled(self.n, x.numerator)
+                return _normal(n, self.den * x.denominator, self.dp)
             if not isinstance(other, Coeff):
                 return NotImplemented
-        num = _poly_mul(self.num, other.num)
+        n = _poly_mul(self.n, other.n)
+        den = self.den * other.den
         dp = self.dp + other.dp
         # (1+b) is prime, so a product of numerators not divisible by it is
         # not divisible either; only a dp = 0 factor with several terms can
         # bring (1+b) factors that cancel against the other's denominator.
         if self.dp and other.dp or not dp:
-            return _make(num, dp)
-        plain = self.num if not self.dp else other.num
-        return _make(num, dp) if len(plain) == 1 else _canon(num, dp)
+            return _normal(n, den, dp)
+        plain = self.n if not self.dp else other.n
+        return _normal(n, den, dp) if len(plain) == 1 else _canon(n, den, dp)
 
     __rmul__ = __mul__
 
@@ -398,19 +442,19 @@ class Coeff:
         return out
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.n)
 
     def is_zero(self):
-        return not self.num
+        return not self.n
 
     def __eq__(self, other):
         other = Coeff._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.dp == other.dp and self.num == other.num
+        return self.dp == other.dp and self.den == other.den and self.n == other.n
 
     def __hash__(self):
-        return hash((self.dp, frozenset(self.num.items())))
+        return hash((self.dp, self.den, frozenset(self.n.items())))
 
     # -- evaluation --------------------------------------------------------
 
@@ -450,24 +494,24 @@ class Coeff:
             scale = 1 + vals[_B_SHIFT]
             if scale == 0:
                 raise ZeroDivisionError("substituting b = -1 with a (1+b) denominator")
-            num = _poly_scale(num, 1 / scale ** dp)
-            dp = 0
+            return Coeff(num) * (1 / scale ** dp)
         return Coeff(num, dp)
 
     def max_degree(self):
         """Total numerator degree, -1 for zero."""
-        if not self.num:
+        if not self.n:
             return -1
-        return max(sum(_unpack(key)) for key in self.num)
+        return max(sum(_unpack(key)) for key in self.n)
 
     # -- serialization -----------------------------------------------------
 
     def __str__(self):
-        if not self.num:
+        if not self.n:
             return "0"
+        num = self.num
         parts = []
-        for key in sorted(self.num, reverse=True):
-            c = self.num[key]
+        for key in sorted(num, reverse=True):
+            c = num[key]
             neg = c < 0
             mag = str(-c if neg else c)
             # a unit magnitude is printed only on the constant monomial
@@ -484,7 +528,7 @@ class Coeff:
         num_s = "".join(parts)
         if not self.dp:
             return num_s
-        if len(self.num) > 1 or num_s.startswith("-"):
+        if len(num) > 1 or num_s.startswith("-"):
             num_s = "(" + num_s + ")"
         return "%s/(1+b)^%d" % (num_s, self.dp)
 

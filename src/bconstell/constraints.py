@@ -74,40 +74,80 @@ MODELS = {m.name: m for m in (BIP, THREECONST, BIPLE3)}
 
 
 class TGradedOp:
-    """Polynomial in t with WeylOp coefficients."""
+    """Polynomial in t with WeylOp coefficients.
 
-    __slots__ = ("pieces",)
+    ``pieces`` holds the non-zero coefficients.  A t power whose coefficient
+    is zero only up to a finite working degree keeps that degree in
+    ``floors``, so that a comparison above it raises as the WeylOp one
+    does; a t power in neither dict is exactly zero.  Sums carry floors and
+    a product piece that comes out zero gets one; composition itself reads
+    the pieces only.
+    """
 
-    def __init__(self, pieces=None):
-        self.pieces = {m: op for m, op in (pieces or {}).items() if not op.is_zero()}
+    __slots__ = ("pieces", "floors")
+
+    def __init__(self, pieces=None, floors=None):
+        self.pieces = {}
+        floors = dict(floors or {})
+        for m, op in (pieces or {}).items():
+            if op.is_zero():
+                d = op.working_degree
+                floors[m] = min(d, floors.get(m, d))
+            else:
+                self.pieces[m] = op
+        self.floors = {m: d for m, d in floors.items() if m not in self.pieces}
 
     @classmethod
     def zero(cls):
         return cls({})
 
+    def _all(self):
+        """(m, op) over the pieces and the zero coefficients at their floors."""
+        yield from self.pieces.items()
+        for m, d in self.floors.items():
+            yield m, WeylOp.zero(d)
+
     def piece(self, m, working_degree):
-        return self.pieces.get(m, WeylOp.zero(working_degree))
+        op = self.pieces.get(m)
+        if op is None:
+            op = WeylOp.zero(min(working_degree, self.floors.get(m, working_degree)))
+        return op
 
     @classmethod
     def sum(cls, tops):
-        """The sum of tops per t power; a piece that cancels is dropped, as in a fold."""
-        pieces = ((m, op) for top in tops for m, op in top.pieces.items())
-        return cls(WeylOp.sums(pieces, nonzero=True))
+        """The sum of tops per t power; a piece that cancels is dropped, as in a fold.
+
+        A t power left without a piece keeps the least working degree of its
+        addends as its floor.
+        """
+        floors = {}
+
+        def pieces():
+            for top in tops:
+                for m, op in top._all():
+                    d = op.working_degree
+                    floors[m] = min(d, floors.get(m, d))
+                    yield m, op
+
+        return cls(WeylOp.sums(pieces(), nonzero=True), floors)
 
     def __add__(self, other):
         return TGradedOp.sum((self, other))
 
     def __neg__(self):
-        return TGradedOp({m: -op for m, op in self.pieces.items()})
+        return TGradedOp({m: -op for m, op in self.pieces.items()}, self.floors)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return TGradedOp({m: op.scale(c) for m, op in self.pieces.items()})
+        return TGradedOp({m: op.scale(c) for m, op in self.pieces.items()}, self.floors)
 
     def tshift(self, k):
-        return TGradedOp({m + k: op for m, op in self.pieces.items()})
+        return TGradedOp(
+            {m + k: op for m, op in self.pieces.items()},
+            {m + k: d for m, d in self.floors.items()},
+        )
 
     def compose(self, other):
         return TGradedOp(WeylOp.sums(
@@ -126,19 +166,20 @@ class TGradedOp:
         return self.compose(other) - other.compose(self)
 
     def map_coeff(self, fn):
-        return TGradedOp({m: op.map_coeff(fn) for m, op in self.pieces.items()})
+        return TGradedOp({m: op.map_coeff(fn) for m, op in self.pieces.items()}, self.floors)
+
+    def _powers(self, other):
+        return sorted({*self.pieces, *self.floors, *other.pieces, *other.floors})
 
     def equal_up_to(self, other, d):
-        for m in set(self.pieces) | set(other.pieces):
-            a = self.piece(m, d)
-            b = other.piece(m, d)
-            if not a.equal_up_to(b, d):
+        for m in self._powers(other):
+            if not self.piece(m, d).equal_up_to(other.piece(m, d), d):
                 return False
         return True
 
     def first_mismatch(self, other, d):
         """Human-readable first differing term, or None when equal."""
-        for m in sorted(set(self.pieces) | set(other.pieces)):
+        for m in self._powers(other):
             found = self.piece(m, d).first_mismatch(other.piece(m, d), d)
             if found:
                 return "t^%d: %s" % (m, found)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, add_terms
 from .constraints import build_L, sweep_report
 from .currents import build_M, current
-from .ppoly import PPoly
+from .ppoly import EMPTY, PPoly
 from .weyl import WeylOp
 
 
@@ -186,15 +186,16 @@ def h_series(tau):
     if tau.coeff(0) != PPoly.one():
         raise ValueError("log requires a series with constant term 1")
     N = tau.order
-    # log = log tau satisfies n log_n = n tau_n - sum_{0<j<n} j log_j tau_{n-j}
-    one = PPoly.one()
-    logs = [PPoly.zero()]
+    # log tau satisfies n log_n = n tau_n - sum_{0<j<n} j log_j tau_{n-j}, so
+    # H_n = (1+b) log_n satisfies it with (1+b) tau_n in place of tau_n
+    one_plus_b = PPoly.monomial(EMPTY, ONE_PLUS_B)
+    hs = [PPoly.zero()]
     for n in range(1, N + 1):
-        logs.append(PPoly.sum_products(
-            [(tau.coeff(n), one, 1)]
-            + [(logs[j], tau.coeff(n - j), Fraction(-j, n)) for j in range(1, n)]
+        hs.append(PPoly.sum_products(
+            [(tau.coeff(n), one_plus_b, 1)]
+            + [(hs[j], tau.coeff(n - j), Fraction(-j, n)) for j in range(1, n)]
         ))
-    return TauSeries(tau.model, [c * ONE_PLUS_B for c in logs])
+    return TauSeries(tau.model, hs)
 
 
 def tau_from_h(h):
@@ -262,7 +263,7 @@ def check_rooted_fixed_point(model, tau, i_max):
 
     items = []
     for i in range(1, i_max + 1):
-        lhs = rooted(i)
+        lhs = feedback.get(i, TauSeries.zero(N))
         rounds = enumerate(per_round, 1)
         rhs = TauSeries.sum((y[i].scale(qs[m]).tshift(m) for m, y in rounds if i in y), N)
         for n, c in enumerate((lhs - rhs).coeffs):

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -342,3 +343,36 @@ def test_dump_scalar_ring_overflow_is_a_usage_error(monkeypatch, capsys):
     assert captured.out == ""
     assert "exponent exceeds the packed field limit" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_dump_level_past_the_limit_exits_two_at_once():
+    # A_2(s) carries b^(s-1), so a level past MAX_EXP + 1 is refused before
+    # any level is built
+    start = time.perf_counter()
+    code, out, err = run_cli("dump", "--op", "A", "--i", "2", "--s", "2100", "--deg", "1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    assert "level limit 2048" in err and "Traceback" not in err
+    # at --deg 0 every deep level is zero and is still dumped
+    code, out, err = run_cli("dump", "--op", "A", "--i", "2", "--s", "2100", "--deg", "0")
+    assert code == 0, err
+    assert json.loads(out)["terms"] == []
+    code, out, _ = run_cli("dump", "--help")
+    assert "at most 2048" in out
+
+
+def test_dump_overflow_below_the_level_limit_is_a_usage_error(monkeypatch, capsys):
+    import bconstell.cli as cli_mod
+    from bconstell.coeffring import B
+
+    def overflowing(i, s, working_degree):
+        return B ** 2048
+
+    monkeypatch.setattr(cli_mod, "build_A", overflowing)
+    with pytest.raises(SystemExit) as exc:
+        main(["dump", "--op", "A", "--i", "2", "--s", "5", "--deg", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "exponent exceeds the packed field limit" in captured.err
+    assert "level limit" not in captured.err

@@ -12,10 +12,12 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from bconstell.constraints import BIP, BIPLE3, THREECONST, build_D, build_Dtilde, build_L
+from bconstell.constraints import (
+    BIP, BIPLE3, THREECONST, TGradedOp, build_D, build_Dtilde, build_L,
+)
 from bconstell.coeffring import U
 from bconstell.currents import build_A, build_M, current
-from bconstell.weyl import WeylOp
+from bconstell.weyl import DegreeBudgetError, WeylOp
 
 from randops import random_op
 
@@ -109,3 +111,23 @@ def test_compose_of_random_ops_truncates(seed, d1, d2, k):
     assert_compose_truncates(
         lambda r: x_big if r else x_small, lambda r: y_big if r else y_small, k
     )
+
+
+def test_graded_comparison_above_a_zero_piece_raises():
+    # p_1* at working degree 0 is zero there, and unknown at degree 5
+    with pytest.raises(DegreeBudgetError):
+        WeylOp.p_star(1, 0).equal_up_to(WeylOp.zero(5), 5)
+    dropped = TGradedOp({0: WeylOp.p_star(1, 0)})
+    with pytest.raises(DegreeBudgetError):
+        TGradedOp({0: WeylOp.p_star(1, 0)}).equal_up_to(TGradedOp.zero(), 5)
+    assert dropped.equal_up_to(TGradedOp.zero(), 0)
+    for moved in (-dropped, dropped.tshift(2), dropped.scale(U[1]), dropped + dropped):
+        with pytest.raises(DegreeBudgetError):
+            moved.equal_up_to(TGradedOp.zero(), 5)
+    # a piece that cancels in a sum keeps the least degree of its addends
+    a = TGradedOp({1: WeylOp.p(1, 3)})
+    b = TGradedOp({1: WeylOp.p(1, 6)})
+    assert (a - b).pieces == {}
+    assert (a - b).equal_up_to(TGradedOp.zero(), 3)
+    with pytest.raises(DegreeBudgetError):
+        (a - b).equal_up_to(TGradedOp.zero(), 4)
