@@ -187,14 +187,13 @@ def cmd_dump(parser, args):
                  "pieces": build_L(model, args.i, deg).to_json_obj()},
                 sort_keys=True))
             return 0
-        elif op == "D":
-            if None in (args.s, args.j, args.l):
-                raise ValueError("D needs --s, --i, --j, --l")
-            out = build_D(args.s, args.i, args.j, args.l, deg)
-        elif op == "Dtilde":
-            if None in (args.m, args.j, args.l):
-                raise ValueError("Dtilde needs --m, --i, --j, --l")
-            out = build_Dtilde(args.m, args.i, args.j, args.l, deg)
+        elif op in ("D", "Dtilde"):
+            flag, level, build = (
+                ("s", args.s, build_D) if op == "D" else ("m", args.m, build_Dtilde)
+            )
+            if None in (level, args.j, args.l) or min(args.i, args.j, args.l) < 1:
+                raise ValueError("%s needs --%s and --i, --j, --l >= 1" % (op, flag))
+            out = build(level, args.i, args.j, args.l, deg)
         else:
             raise ValueError("unknown op %r" % (op,))
     except (ValueError, OverflowError) as exc:

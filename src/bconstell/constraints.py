@@ -79,9 +79,9 @@ class TGradedOp:
     ``pieces`` holds the non-zero coefficients.  A t power whose coefficient
     is zero only up to a finite working degree keeps that degree in
     ``floors``, so that a comparison above it raises as the WeylOp one
-    does; a t power in neither dict is exactly zero.  Sums carry floors and
-    a product piece that comes out zero gets one; composition itself reads
-    the pieces only.
+    does; a t power in neither dict is exactly zero.  Sums and compositions
+    read a floor as the WeylOp zero at that degree, so a product with a floor
+    checks its budget and leaves a floor, as the WeylOp product does.
     """
 
     __slots__ = ("pieces", "floors")
@@ -150,17 +150,18 @@ class TGradedOp:
         )
 
     def compose(self, other):
+        """self . other per pair of t powers, a floor composing as its zero."""
         return TGradedOp(WeylOp.sums(
             (m1 + m2, op1.compose(op2))
-            for m1, op1 in self.pieces.items()
-            for m2, op2 in other.pieces.items()
+            for m1, op1 in self._all()
+            for m2, op2 in other._all()
         ))
 
     def commutator(self, other):
         """[self, other]; [A, A] is zero, with every piece pair's budget checked."""
         if other is self:
-            for op1 in self.pieces.values():
-                for op2 in self.pieces.values():
+            for _, op1 in self._all():
+                for _, op2 in self._all():
                     compose_degree(op1.working_degree, op2)
             return TGradedOp.zero()
         return self.compose(other) - other.compose(self)

@@ -12,6 +12,11 @@ yields min(D2, D1 - jump(O2)) where jump(O2) is the largest degree raise O2
 can produce.  A DegreeBudgetError means the requested computation cannot be
 certified at any degree.
 
+``compose`` is the one contraction kernel and ``compose_degree`` the one
+budget rule: ``apply`` composes onto f as a multiplication operator at
+working degree 0, where only the fully contracted terms survive and a
+polynomial above the working degree exhausts the budget.
+
 ``WeylOp.sum`` (and ``WeylOp.sums`` per key) merges each addend of any
 iterable into one dict as it arrives, at the least working degree among
 them, as a left fold of ``+`` gives.
@@ -233,34 +238,14 @@ class WeylOp:
     # -- action and composition ---------------------------------------------
 
     def apply(self, f):
-        """Image of the polynomial f; requires degree(f) <= working_degree."""
-        if f.degree() > self.working_degree:
-            raise DegreeBudgetError(
-                "polynomial degree %d exceeds working degree %d"
-                % (f.degree(), self.working_degree)
-            )
-        sums = {}
-        for (cr, an), c in self.terms.items():
-            for mono, mc in f.terms.items():
-                md = dict(mono)
-                factor = 1
-                ok = True
-                for i, e in an:
-                    have = md.get(i, 0)
-                    if have < e:
-                        ok = False
-                        break
-                    for k in range(e):
-                        factor *= i * (have - k)
-                    if have == e:
-                        del md[i]
-                    else:
-                        md[i] = have - e
-                if not ok:
-                    continue
-                key = pm_mul(tuple(sorted(md.items())), cr)
-                sums.setdefault(key, []).append((c, mc, factor))
-        return PPoly(sum_grouped(sums))
+        """Image of the polynomial f; requires degree(f) <= working_degree.
+
+        f acts as a multiplication operator at working degree 0, so the
+        composition keeps exactly the fully contracted terms and raises
+        when f's degree exceeds the budget.
+        """
+        mult = WeylOp._live({(m, EMPTY): c for m, c in f.terms.items()}, 0)
+        return PPoly({cr: c for (cr, _), c in self.compose(mult).terms.items()})
 
     def compose(self, other):
         """Normal-ordered product self . other (self acts second)."""

@@ -129,6 +129,13 @@ def test_dump_invalid_indices_exit_two():
                            "--deg", "0")
     assert code == 2
     assert "up to m = 3" in err
+    # the structure operators need positive indices, as A, M and L do
+    for op, level in (("D", "--s"), ("Dtilde", "--m")):
+        for i, j, l in ((0, 1, 1), (1, -2, 1), (1, 1, 0)):
+            code, _, err = run_cli("dump", "--op", op, level, "3", "--i", str(i),
+                                   "--j", str(j), "--l", str(l), "--deg", "3")
+            assert code == 2
+            assert "--i, --j, --l >= 1" in err
 
 
 def test_jack_cli(capsys):

@@ -131,3 +131,34 @@ def test_graded_comparison_above_a_zero_piece_raises():
     assert (a - b).equal_up_to(TGradedOp.zero(), 3)
     with pytest.raises(DegreeBudgetError):
         (a - b).equal_up_to(TGradedOp.zero(), 4)
+
+
+# -- a floor composes as the WeylOp zero it stands for ---------------------------
+
+
+def test_floor_composed_past_its_budget_raises():
+    # WeylOp.zero(0) . p2 has degree 0 - 2 < 0, so the t-graded product raises too
+    with pytest.raises(DegreeBudgetError):
+        WeylOp.zero(0).compose(WeylOp.p(2, 5))
+    with pytest.raises(DegreeBudgetError):
+        TGradedOp({0: WeylOp.zero(0)}).compose(TGradedOp({0: WeylOp.p(2, 5)}))
+
+
+def test_floor_within_budget_composes_to_a_floor():
+    # zero at degree 3 after p1 at degree 5: a zero at t^1, known up to 3 - 1
+    got = TGradedOp({0: WeylOp.zero(3)}).compose(TGradedOp({1: WeylOp.p(1, 5)}))
+    assert got.pieces == {} and got.floors == {1: 2}
+    assert got.equal_up_to(TGradedOp.zero(), 2)
+    with pytest.raises(DegreeBudgetError):
+        got.equal_up_to(TGradedOp.zero(), 3)
+    # a live piece after a floor keeps the floor's degree
+    got = TGradedOp({0: WeylOp.p(2, 5)}).compose(TGradedOp({2: WeylOp.zero(1)}))
+    assert got.pieces == {} and got.floors == {2: 1}
+
+
+def test_self_commutator_checks_the_budget_of_a_floor():
+    # the floor at t^0 composed after p2 has degree 0 - 2 < 0
+    a = TGradedOp({0: WeylOp.zero(0), 1: WeylOp.p(2, 5)})
+    assert a.floors == {0: 0}
+    with pytest.raises(DegreeBudgetError):
+        a.commutator(a)

@@ -126,11 +126,11 @@ def test_floor_exactly_at_new_d_is_kept():
 
 
 def ref_tgraded_compose(a, b):
-    """a . b per pair of t pieces, each piece pair through the reference loop."""
+    """a . b per pair of t powers, floors included, through the reference loop."""
     return TGradedOp.sum(
         TGradedOp({m1 + m2: refweyl.compose(op1, op2)})
-        for m1, op1 in a.pieces.items()
-        for m2, op2 in b.pieces.items()
+        for m1, op1 in a._all()
+        for m2, op2 in b._all()
     )
 
 
@@ -205,9 +205,14 @@ def test_apply_matches_stepwise_reference(seed, degree, terms):
     g = random_ppoly(rng, degree, max_terms=terms, pool=HIGH_POWERS)
     if degree:
         f = f + PPoly.gen(1, 1, rng.choice(HIGH_POWERS))
-    for poly in (f, f + g, f - g):
-        for o in (op, keep, op + keep):
+    # one monomial above the working degree exhausts apply's budget
+    over = f + PPoly.gen(degree + 1, 1, rng.choice(HIGH_POWERS))
+    for o in (op, keep, op + keep):
+        for poly in (f, f + g, f - g):
             assert o.apply(poly) == refweyl.apply(o, poly)
+        with pytest.raises(DegreeBudgetError):
+            o.apply(over)
+        assert o.apply(PPoly.zero()) == PPoly.zero()
 
 
 @given(seed=st.integers(0, 2**32 - 1), terms=st.integers(1, 6))
