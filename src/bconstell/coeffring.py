@@ -8,7 +8,7 @@ computation that would require another denominator fails at construction
 time instead of producing an approximation.
 
 Representation.  A value is ``n / (den * (1+b)^dp)``: ``n`` maps a packed
-monomial key to a nonzero ``int``, ``den`` is one positive ``int`` and ``dp``
+monomial key to a non-zero ``int``, ``den`` is one positive ``int`` and ``dp``
 is the power of ``(1+b)`` in the denominator.  Values are immutable and kept
 in canonical form: ``den`` is coprime to the content (the gcd of the values)
 of ``n``, zero is ``({}, 1, 0)``, and ``n`` is not divisible by ``(1+b)``

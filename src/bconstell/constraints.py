@@ -76,101 +76,73 @@ MODELS = {m.name: m for m in (BIP, THREECONST, BIPLE3)}
 class TGradedOp:
     """Polynomial in t with WeylOp coefficients.
 
-    ``pieces`` holds the non-zero coefficients.  A t power whose coefficient
-    is zero only up to a finite working degree keeps that degree in
-    ``floors``, so that a comparison above it raises as the WeylOp one
-    does; a t power in neither dict is exactly zero.  Sums and compositions
-    read a floor as the WeylOp zero at that degree, so a product with a floor
-    checks its budget and leaves a floor, as the WeylOp product does.
+    ``pieces`` maps each t power to its WeylOp coefficient, zero ones
+    included: a zero piece is zero only up to its working degree, so a
+    comparison above it raises as the WeylOp one does.  A t power with no
+    piece is exactly zero.  Sums, products and comparisons read every piece
+    as the WeylOp it is.
     """
 
-    __slots__ = ("pieces", "floors")
+    __slots__ = ("pieces",)
 
-    def __init__(self, pieces=None, floors=None):
-        self.pieces = {}
-        floors = dict(floors or {})
-        for m, op in (pieces or {}).items():
-            if op.is_zero():
-                d = op.working_degree
-                floors[m] = min(d, floors.get(m, d))
-            else:
-                self.pieces[m] = op
-        self.floors = {m: d for m, d in floors.items() if m not in self.pieces}
+    def __init__(self, pieces=None):
+        self.pieces = dict(pieces or {})
 
     @classmethod
     def zero(cls):
         return cls({})
 
-    def _all(self):
-        """(m, op) over the pieces and the zero coefficients at their floors."""
-        yield from self.pieces.items()
-        for m, d in self.floors.items():
-            yield m, WeylOp.zero(d)
-
     def piece(self, m, working_degree):
+        """The t^m piece; an absent power is the exact zero at working_degree."""
         op = self.pieces.get(m)
-        if op is None:
-            op = WeylOp.zero(min(working_degree, self.floors.get(m, working_degree)))
-        return op
+        return WeylOp.zero(working_degree) if op is None else op
+
+    def is_zero(self):
+        return all(op.is_zero() for op in self.pieces.values())
 
     @classmethod
     def sum(cls, tops):
-        """The sum of tops per t power; a piece that cancels is dropped, as in a fold.
-
-        A t power left without a piece keeps the least working degree of its
-        addends as its floor.
-        """
-        floors = {}
-
-        def pieces():
-            for top in tops:
-                for m, op in top._all():
-                    d = op.working_degree
-                    floors[m] = min(d, floors.get(m, d))
-                    yield m, op
-
-        return cls(WeylOp.sums(pieces(), nonzero=True), floors)
+        """The sum of tops per t power, at the least working degree of its addends."""
+        return cls(WeylOp.sums((m, op) for top in tops for m, op in top.pieces.items()))
 
     def __add__(self, other):
         return TGradedOp.sum((self, other))
 
     def __neg__(self):
-        return TGradedOp({m: -op for m, op in self.pieces.items()}, self.floors)
+        return TGradedOp({m: -op for m, op in self.pieces.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return TGradedOp({m: op.scale(c) for m, op in self.pieces.items()}, self.floors)
+        return TGradedOp({m: op.scale(c) for m, op in self.pieces.items()})
 
     def tshift(self, k):
-        return TGradedOp(
-            {m + k: op for m, op in self.pieces.items()},
-            {m + k: d for m, d in self.floors.items()},
-        )
+        return TGradedOp({m + k: op for m, op in self.pieces.items()})
 
     def compose(self, other):
-        """self . other per pair of t powers, a floor composing as its zero."""
+        """self . other per pair of t powers."""
         return TGradedOp(WeylOp.sums(
             (m1 + m2, op1.compose(op2))
-            for m1, op1 in self._all()
-            for m2, op2 in other._all()
+            for m1, op1 in self.pieces.items()
+            for m2, op2 in other.pieces.items()
         ))
 
     def commutator(self, other):
-        """[self, other]; [A, A] is zero, with every piece pair's budget checked."""
+        """[self, other]; [A, A] is zero at the degrees of A . A, nothing composed."""
         if other is self:
-            for _, op1 in self._all():
-                for _, op2 in self._all():
-                    compose_degree(op1.working_degree, op2)
-            return TGradedOp.zero()
+            return TGradedOp(WeylOp.sums(
+                (m1 + m2, WeylOp.zero(compose_degree(op1.working_degree, op2)))
+                for m1, op1 in self.pieces.items()
+                for m2, op2 in self.pieces.items()
+            ))
         return self.compose(other) - other.compose(self)
 
     def map_coeff(self, fn):
-        return TGradedOp({m: op.map_coeff(fn) for m, op in self.pieces.items()}, self.floors)
+        return TGradedOp({m: op.map_coeff(fn) for m, op in self.pieces.items()})
 
     def _powers(self, other):
-        return sorted({*self.pieces, *self.floors, *other.pieces, *other.floors})
+        return sorted({*self.pieces, *other.pieces})
 
     def equal_up_to(self, other, d):
         for m in self._powers(other):
@@ -187,7 +159,11 @@ class TGradedOp:
         return None
 
     def to_json_obj(self):
-        return {str(m): op.to_json_obj() for m, op in sorted(self.pieces.items())}
+        return {
+            str(m): op.to_json_obj()
+            for m, op in sorted(self.pieces.items())
+            if not op.is_zero()
+        }
 
 
 # -- constraint operators ----------------------------------------------------
@@ -199,14 +175,12 @@ def build_L(model, i, working_degree):
         return TGradedOp.zero()
     pieces = {0: -WeylOp.p_star(i, working_degree)}
     for m, q in model.q_weights().items():
-        op = build_M(model.k, m, i, working_degree).scale(q)
-        if not op.is_zero():
-            hom = op.homogeneous_degree()
-            if hom is not None and hom != m - i:
-                raise AssertionError(
-                    "mode (%d,%d) is not homogeneous of degree %d" % (m, i, m - i)
-                )
-            pieces[m] = op
+        op = pieces[m] = build_M(model.k, m, i, working_degree).scale(q)
+        hom = op.homogeneous_degree()
+        if hom is not None and hom != m - i:
+            raise AssertionError(
+                "mode (%d,%d) is not homogeneous of degree %d" % (m, i, m - i)
+            )
     return TGradedOp(pieces)
 
 
@@ -284,7 +258,7 @@ def structure_family(model):
 
     shift and charge select D^(s) (1, None) or Dtilde^(m) (3, u).  levels
     are the levels the simplified relations check; weights maps each level
-    with a nonzero weight to (t power, scalar); mode(level, l, d) builds
+    with a non-zero weight to (t power, scalar); mode(level, l, d) builds
     A_l(s) or M_l(m), zero past l = d + 1 + shift.
     """
     if model.r == 1:
@@ -414,7 +388,7 @@ def _build_l_family(model, d_check):
     ls = {}
     for l in range(1, l_support_bound(model, d_build) + 1):
         op = build_L(model, l, d_build)
-        if op.pieces:
+        if not op.is_zero():
             ls[l] = op
     return ls, d_outer
 

@@ -87,7 +87,7 @@ class YVector:
                 if c:
                     yield m, op.scale(c)
 
-        return YVector(WeylOp.sums(terms(), nonzero=True), d)
+        return YVector(WeylOp.sums(terms()), d)
 
 
 # -- mode operators --------------------------------------------------------
@@ -142,7 +142,7 @@ def _rec_level(s, working_degree, offset, shift):
             if i - offset in prev:
                 yield i, prev[i - offset].scale(B * (i - 1) + shift)
 
-    return WeylOp.sums(terms(), d, nonzero=True)
+    return {i: op for i, op in WeylOp.sums(terms()).items() if not op.is_zero()}
 
 
 def build_A(i, s, working_degree, route="rec"):

@@ -17,9 +17,12 @@ budget rule: ``apply`` composes onto f as a multiplication operator at
 working degree 0, where only the fully contracted terms survive and a
 polynomial above the working degree exhausts the budget.
 
+A zero operator keeps its working degree: it is zero on every polynomial
+of degree <= D and unknown above, and this is the one zero that sums,
+products and comparisons read, a t power of a TGradedOp included.
 ``WeylOp.sum`` (and ``WeylOp.sums`` per key) merges each addend of any
 iterable into one dict as it arrives, at the least working degree among
-them, as a left fold of ``+`` gives.
+them, zero addends included, as a left fold of ``+`` gives.
 """
 
 from fractions import Fraction
@@ -192,22 +195,14 @@ class WeylOp:
         return cls._live(terms, d)
 
     @classmethod
-    def sums(cls, pairs, working_degree=None, nonzero=False):
-        """{key: the sum of the ops paired with key} over (key, op) pairs.
-
-        With nonzero, as in TGradedOp, zero addends are skipped and a sum
-        that cancels is dropped, so the next addend at its key starts afresh.
-        """
+    def sums(cls, pairs):
+        """{key: the sum of the ops paired with key} over (key, op) pairs."""
         parts = {}
         for key, op in pairs:
-            if nonzero and not op.terms:
-                continue
             part = parts.get(key)
             if part is None:
-                part = parts[key] = [{}, working_degree]
+                part = parts[key] = [{}, None]
             part[1] = _merge(part[0], part[1], op)
-            if nonzero and not part[0]:
-                del parts[key]
         return {key: cls._live(terms, d) for key, (terms, d) in parts.items()}
 
     def __add__(self, other):

@@ -29,6 +29,15 @@ def _sgn(x):
     return (x > 0) - (x < 0)
 
 
+def live_pieces(top):
+    """The non-zero pieces of a TGradedOp.
+
+    The references compose products that the engine skips, such as those
+    scaled by zero, so their zero pieces may sit at other working degrees.
+    """
+    return {m: op for m, op in top.pieces.items() if not op.is_zero()}
+
+
 def build_D(s, i, j, l, working_degree):
     """Structure operator for the multi-color family (charge 0), 0 <= s <= 3."""
     if not 0 <= s <= 3:
@@ -197,7 +206,7 @@ def structure_coefficient(model, i, j, l, working_degree):
         (tpow, _structure_op(s, shift, charge, i, j, l, working_degree).scale(w))
         for s, (tpow, w) in family.weights.items()
     )
-    return TGradedOp(WeylOp.sums(ops, nonzero=True))
+    return TGradedOp(WeylOp.sums(ops))
 
 
 def structure_rhs(model, i, j, ls, d_outer):

@@ -127,13 +127,13 @@ def test_graded_comparison_above_a_zero_piece_raises():
     # a piece that cancels in a sum keeps the least degree of its addends
     a = TGradedOp({1: WeylOp.p(1, 3)})
     b = TGradedOp({1: WeylOp.p(1, 6)})
-    assert (a - b).pieces == {}
+    assert (a - b).is_zero() and (a - b).pieces[1].working_degree == 3
     assert (a - b).equal_up_to(TGradedOp.zero(), 3)
     with pytest.raises(DegreeBudgetError):
         (a - b).equal_up_to(TGradedOp.zero(), 4)
 
 
-# -- a floor composes as the WeylOp zero it stands for ---------------------------
+# -- a zero piece composes as the WeylOp zero it is -----------------------------
 
 
 def test_floor_composed_past_its_budget_raises():
@@ -147,18 +147,54 @@ def test_floor_composed_past_its_budget_raises():
 def test_floor_within_budget_composes_to_a_floor():
     # zero at degree 3 after p1 at degree 5: a zero at t^1, known up to 3 - 1
     got = TGradedOp({0: WeylOp.zero(3)}).compose(TGradedOp({1: WeylOp.p(1, 5)}))
-    assert got.pieces == {} and got.floors == {1: 2}
+    assert got.is_zero() and got.pieces[1].working_degree == 2
     assert got.equal_up_to(TGradedOp.zero(), 2)
     with pytest.raises(DegreeBudgetError):
         got.equal_up_to(TGradedOp.zero(), 3)
-    # a live piece after a floor keeps the floor's degree
+    # a live piece after a zero piece keeps the zero's degree
     got = TGradedOp({0: WeylOp.p(2, 5)}).compose(TGradedOp({2: WeylOp.zero(1)}))
-    assert got.pieces == {} and got.floors == {2: 1}
+    assert got.is_zero() and got.pieces[2].working_degree == 1
 
 
 def test_self_commutator_checks_the_budget_of_a_floor():
-    # the floor at t^0 composed after p2 has degree 0 - 2 < 0
+    # the zero piece at t^0 composed after p2 has degree 0 - 2 < 0
     a = TGradedOp({0: WeylOp.zero(0), 1: WeylOp.p(2, 5)})
-    assert a.floors == {0: 0}
+    assert a.pieces[0].is_zero() and a.pieces[0].working_degree == 0
     with pytest.raises(DegreeBudgetError):
         a.commutator(a)
+
+
+# -- one zero per t power: a zero piece sums as the WeylOp zero ------------------
+
+
+def test_zero_piece_sum_sits_at_the_zero_degree():
+    # as for WeylOp, zero at degree 2 plus p1* at degree 5 is known up to 2 only
+    want = WeylOp.zero(2) + WeylOp.p_star(1, 5)
+    got = TGradedOp({0: WeylOp.zero(2)}) + TGradedOp({0: WeylOp.p_star(1, 5)})
+    assert got.pieces[0].working_degree == want.working_degree == 2
+    assert got.pieces[0].terms == want.terms
+    assert got.equal_up_to(TGradedOp({0: WeylOp.p_star(1, 5)}), 2)
+    with pytest.raises(DegreeBudgetError):
+        want.equal_up_to(WeylOp.p_star(1, 5), 5)
+    with pytest.raises(DegreeBudgetError):
+        got.equal_up_to(TGradedOp({0: WeylOp.p_star(1, 5)}), 5)
+
+
+def test_cancelled_piece_keeps_its_degree_in_a_longer_sum():
+    # a - a cancels at degree 3; a later addend at 6 does not raise it again
+    a = TGradedOp({1: WeylOp.p(1, 3)})
+    d = TGradedOp({1: WeylOp.p(2, 6)})
+    got = TGradedOp.sum([a, -a, d])
+    assert got.pieces[1].working_degree == 3
+    assert got.pieces[1].terms == WeylOp.p(2, 3).terms
+    with pytest.raises(DegreeBudgetError):
+        got.equal_up_to(d, 4)
+
+
+def test_build_L_keeps_a_mode_zero_at_its_working_degree():
+    # M_7(1) of biple3 is zero at degree 5, and unknown above it
+    L = build_L(BIPLE3, 7, 5)
+    assert L.pieces[1].is_zero()
+    assert L.piece(1, 6).working_degree == 5
+    with pytest.raises(DegreeBudgetError):
+        L.equal_up_to(build_L(BIPLE3, 7, 6), 6)
