@@ -9,32 +9,40 @@ evolution engine, so exact agreement of the two series is a real check.
 The deformed polynomials J_lam are constructed by Gram-Schmidt against the
 lexicographic order (which refines dominance) over the alpha-deformed
 power-sum pairing, normalized so the coefficient of p_1^n is 1.  Their
-p-coordinates are polynomials in alpha, so the tables live in QQ[alpha]
-and the Gram-Schmidt is fraction-free: each projection step is
-v <- <g,g> v - <v,g> g against a finished J_mu (both factors divided by
-their gcd, which keeps the degrees down), and the p_1^n coefficient is
-divided out exactly at the end.  Every norm <J_lam, J_lam> is checked
-against Stanley's closed form j_lam = prod_s (alpha a(s) + l(s) + 1)
-(alpha a(s) + l(s) + alpha); an inexact division or a differing norm
-raises JackTableError.
+p-coordinates are polynomials in alpha, and the tables hold them
+fraction-free on integers, as dense univariate lists over ZZ (sympy's dup_*
+arithmetic): each m_lam row of the monomial-to-power-sum transition is
+scaled to integers, and each projection step is v <- <g,g> v - <v,g> g
+against a finished vector g, with both factors divided by their gcd in
+ZZ[alpha].  The finished vector is made primitive (its coordinates have gcd
+1 in ZZ[alpha]), so it is lead * J_lam with lead, its p_1^n coordinate, a
+positive integer; a lead that is not constant means J_lam is not
+polynomial and raises JackTableError.  Every norm is checked in ZZ[alpha]
+against Stanley's closed form, as <v,v> == j_lam lead^2 with
+j_lam = prod_s (alpha a(s) + l(s) + 1)(alpha a(s) + l(s) + alpha); a
+differing norm raises JackTableError too.  The tables never divide by
+lead: the series divides it out once per size, in _series_scales, and
+jack, jack_norm and jack_to_ppoly divide by it when they read one entry.
 
 The series at order n is accumulated on integers, in the polynomial ring
-ZZ[alpha, u1, u2, u3, q1, q2, q3]: every weight is scaled by D_n / j_lam,
-where D_n is the lcm of the norms of size n, the size-n tables are scaled
-by L_n and the ratios D_n / j_lam by R_n, the lcms of their coefficient
-denominators, and the content product is built as prod_c P_lam(u_c), one
-factor per colour.  The scaled tables, ratios and denominator of each size
-are memoised next to the tables (_series_scales).  Each output p-monomial
-is then N / (L_n^2 R_n D_n), and its denominator must reduce to a power of
-alpha = 1+b.  Writing that denominator as c alpha^a D' with D' free of
-alpha, this holds exactly when D' divides N, which is checked by one exact
-division by the univariate D'; an inexact one raises
-OracleDenominatorError.  The engine's scalar ring cannot host the
-intermediate norms (their denominators are not powers of 1+b), and keeping
-the oracle on a separate arithmetic stack is the point; values cross into
-Coeff only in _series_coeff.
+ZZ[alpha, u1, u2, u3, q1, q2, q3].  _series_scales normalises the size-n
+tables and scales them to integers in one step, each vector v by L_n / lead
+with L_n the lcm of the leads; every weight is scaled by D_n / j_lam, where
+D_n is the lcm of the norms of size n in ZZ[alpha], so these ratios are
+integer polynomials too; and the scaled tables, ratios and denominator are
+converted to the series ring once per size and memoised next to the
+tables.  The content product is built as prod_c P_lam(u_c), one factor per
+colour.  Each output p-monomial is then N / (L_n^2 D_n), and its
+denominator must reduce to a power of alpha = 1+b.  Writing that
+denominator as c alpha^a D' with D' free of alpha, this holds exactly when
+D' divides N, which _series_coeff checks by one exact division by the
+univariate D'; an inexact one raises OracleDenominatorError.  The engine's
+scalar ring cannot host the intermediate norms (their denominators are not
+powers of 1+b), and keeping the oracle on a separate arithmetic stack is
+the point; values cross into Coeff only in _series_coeff.
 jack, jack_norm and content_product return elements of the field
-Q(alpha, u1, u2, u3, q1, q2, q3).
+Q(alpha, u1, u2, u3, q1, q2, q3).  sympy is imported lazily, by the first
+oracle call.
 
 The deformed content of a box is a convention to calibrate, not to assume:
 c(row r, column c) = alpha*(c-1) - (r-1) ("standard") or its transpose
@@ -51,7 +59,7 @@ from .coeffring import _B_SHIFT, VARS, Coeff, ONE_PLUS_B, _pack, add_term
 from .ppoly import PPoly
 
 
-JACK_BOUND = 6
+JACK_BOUND = 8
 
 
 class JackBoundError(ValueError):
@@ -92,19 +100,6 @@ def partitions(n):
     return tuple(gen(n, n))
 
 
-def dominance_leq(mu, lam):
-    """mu <= lam in dominance order (same size)."""
-    if sum(mu) != sum(lam):
-        raise ValueError("dominance compares partitions of equal size")
-    total_mu = total_lam = 0
-    for k in range(max(len(mu), len(lam))):
-        total_mu += mu[k] if k < len(mu) else 0
-        total_lam += lam[k] if k < len(lam) else 0
-        if total_mu > total_lam:
-            return False
-    return True
-
-
 def z_of(lam):
     """The symmetry factor prod_i i^{m_i} m_i!."""
     z = 1
@@ -143,7 +138,7 @@ def _field():
 
 @lru_cache(maxsize=1)
 def _rings():
-    """QQ[alpha] for the tables and ZZ[alpha, u, q] for the series."""
+    """QQ[alpha] for denominators and read-out entries, ZZ[alpha, u, q] for the series."""
     from sympy.polys.domains import QQ, ZZ
 
     field, _ = _field()
@@ -157,18 +152,19 @@ def _to_field(p):
     return field.field(p.set_ring(field.field.ring))
 
 
-def _integral(p, scale):
-    """scale * p for a QQ[alpha] element p, inside ZZ[alpha, u, q].
+def _lift(c, ring):
+    """A dense ZZ[alpha] list (highest degree first) as an element of ring.
 
-    scale must clear every denominator of p; the conversion to ZZ fails
-    loudly otherwise.
+    alpha is the first generator of ring; the others get exponent 0.
     """
-    return (p * scale).set_ring(_rings()[1])
+    top = len(c) - 1
+    pad = (0,) * (ring.ngens - 1)
+    return ring.from_dict({(top - i,) + pad: x for i, x in enumerate(c) if x})
 
 
-def _denominator_lcm(polys):
-    """The lcm of the coefficient denominators of QQ[alpha] elements."""
-    return lcm(*(c.denominator for p in polys for c in p.values()))
+def _normalised(c, scale):
+    """c / scale in QQ[alpha], for c in dense ZZ[alpha] and a non-zero integer scale."""
+    return _lift(c, _rings()[0]).quo_ground(scale)
 
 
 @lru_cache(maxsize=None)
@@ -221,14 +217,20 @@ def _m_in_p(n):
 
 
 def _inner_field(f, g):
-    """alpha-deformed pairing of two p-coordinate vectors over QQ[alpha]."""
-    ring, _ = _rings()
-    alpha = ring.gens[0]
-    acc = ring.zero
+    """alpha-deformed pairing of two p-coordinate vectors over dense ZZ[alpha].
+
+    <p_lam, p_lam> = alpha^len(lam) z_lam, and distinct p_lam are orthogonal.
+    The result is a dense list, highest degree first; [] is zero.
+    """
+    from sympy.polys.densearith import dup_add, dup_mul, dup_mul_ground
+    from sympy.polys.domains import ZZ
+
+    acc = []
     for lam, cf in f.items():
         cg = g.get(lam)
         if cg:
-            acc += cf * cg * alpha ** len(lam) * z_of(lam)
+            term = dup_mul_ground(dup_mul(cf, cg, ZZ), z_of(lam), ZZ)
+            acc = dup_add(acc, term + [0] * len(lam), ZZ)
     return acc
 
 
@@ -237,66 +239,77 @@ def _stanley_norm(lam):
 
     a(s) and l(s) are the arm and leg of box s (Stanley 1989, Adv. Math. 77;
     Macdonald, Symmetric Functions and Hall Polynomials, VI.10); returned
-    in QQ[alpha].
+    as a dense ZZ[alpha] list.
     """
-    ring, _ = _rings()
-    alpha = ring.gens[0]
-    acc = ring.one
+    from sympy.polys.densearith import dup_mul
+    from sympy.polys.densebasic import dup_strip
+    from sympy.polys.domains import ZZ
+
+    acc = [1]
     for r, row_len in enumerate(lam):
         for c in range(row_len):
             arm = row_len - c - 1
             leg = sum(1 for below in lam[r + 1:] if below > c)
-            acc *= (alpha * arm + leg + 1) * (alpha * arm + leg + alpha)
+            acc = dup_mul(acc, dup_strip([arm, leg + 1]), ZZ)
+            acc = dup_mul(acc, [arm + 1, leg], ZZ)
     return acc
 
 
 @lru_cache(maxsize=None)
 def _jack_table(n):
-    """All deformed polynomials of size n as p-coordinate vectors in QQ[alpha]."""
+    """All deformed polynomials of size n as p-coordinate vectors over dense ZZ[alpha].
+
+    The vector of lam is lead * J_lam, primitive (its coordinates have gcd 1
+    in ZZ[alpha]), with lead, its p_1^n coordinate, a positive integer.
+    """
     if n > JACK_BOUND:
         raise JackBoundError("size %d exceeds the configured bound %d" % (n, JACK_BOUND))
-    from sympy.polys.domains import QQ
-    from sympy.polys.polyerrors import ExactQuotientFailed
+    from sympy.polys.densearith import dup_exquo, dup_mul, dup_mul_ground, dup_neg, dup_sub
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
 
-    ring, _ = _rings()
     if n == 0:
-        return {(): {(): ring.one}}
+        return {(): {(): [1]}}
     m_in_p = _m_in_p(n)
     ones = (1,) * n
     done = []
     table = {}
     # increasing lexicographic order refines dominance upward
     for lam in reversed(partitions(n)):
-        v = {
-            mu: ring(QQ(c.numerator, c.denominator))
-            for mu, c in m_in_p[lam].items() if c
-        }
+        row = {mu: c for mu, c in m_in_p[lam].items() if c}
+        den = lcm(*(c.denominator for c in row.values()))
+        v = {mu: [c.numerator * (den // c.denominator)] for mu, c in row.items()}
         for g, norm in done:
             c = _inner_field(v, g)
             if c:
-                _, scale, c = norm.cofactors(c)
+                # v <- <g,g> v - <v,g> g, both factors divided by their gcd
+                _, scale, c = dup_inner_gcd(norm, c, ZZ)
                 v = {
-                    mu: scale * v.get(mu, ring.zero) - c * g.get(mu, ring.zero)
+                    mu: dup_sub(dup_mul(scale, v.get(mu, []), ZZ),
+                                dup_mul(c, g.get(mu, []), ZZ), ZZ)
                     for mu in set(v) | set(g)
                 }
                 v = {mu: x for mu, x in v.items() if x}
-        lead = v[ones]
-        try:
-            vec = {mu: x.exquo(lead) for mu, x in v.items()}
-        except ExactQuotientFailed:
+        content = reduce(lambda x, y: dup_gcd(x, y, ZZ), v.values())
+        lead = dup_exquo(v[ones], content, ZZ) if ones in v else []
+        if len(lead) != 1:
             raise JackTableError(
-                "J%s: the p_1^%d coefficient %s does not divide the Gram-Schmidt "
-                "vector exactly" % (lam, n, lead)
-            ) from None
-        norm = _inner_field(vec, vec)
-        expected = _stanley_norm(lam)
+                "J%s: the p_1^%d coefficient does not divide the Gram-Schmidt "
+                "vector exactly" % (lam, n)
+            )
+        if lead[0] < 0:
+            content = dup_neg(content, ZZ)
+        v = {mu: dup_exquo(x, content, ZZ) for mu, x in v.items()}
+        lead = v[ones][0]
+        norm = _inner_field(v, v)
+        expected = dup_mul_ground(_stanley_norm(lam), lead * lead, ZZ)
         if norm != expected:
             raise JackTableError(
-                "J%s: Gram-Schmidt norm %s differs from the closed form %s"
-                % (lam, norm, expected)
+                "J%s: Gram-Schmidt norm %s differs from the closed form times "
+                "lead^2 = %s (dense coefficients in alpha)" % (lam, norm, expected)
             )
-        done.append((vec, norm))
-        table[lam] = vec
+        done.append((v, norm))
+        table[lam] = v
     return table
 
 
@@ -305,50 +318,65 @@ _SCALES = {}
 
 
 def _series_scales(n):
-    """The size-n tables and ratios D_n / j_lam on integers, and their denominator.
+    """The size-n tables and ratios D_n / j_lam in ZZ[alpha, u, q], and their denominator.
 
-    D_n is the lcm of the norms of size n; the tables are scaled by L_n and
-    the ratios by R_n (the lcms of their coefficient denominators), so each
-    series term carries the denominator D_n L_n^2 R_n (the coordinate and
-    the vertex weight both carry L_n).  Memoised per size for the table
-    object _jack_table returns, so a rebuilt table gets its scales afresh.
+    The series divides each table vector v = lead * J_lam by its lead here,
+    once per size: with L_n the lcm of the leads of size n, J_lam is scaled
+    to the integer vector (L_n / lead) v.  j_lam = <v, v> / lead^2,
+    and D_n is the lcm of the j_lam of size n in ZZ[alpha], so the ratios
+    D_n / j_lam are integer polynomials.  Each series term carries the
+    denominator D_n L_n^2 (the coordinate and the vertex weight both carry
+    L_n), returned in QQ[alpha].  Memoised per size for the table object
+    _jack_table returns, so a rebuilt table gets its scales afresh.
     """
+    from sympy.polys.densearith import dup_exquo, dup_exquo_ground, dup_mul_ground
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_lcm
+
     table = _jack_table(n)
     memo = _SCALES.get(n)
     if memo is not None and memo[0] is table:
         return memo[1]
-    norms = {lam: _inner_field(v, v) for lam, v in table.items()}
-    common = reduce(lambda x, y: x.lcm(y), norms.values())
-    ratios = {lam: common.exquo(norm) for lam, norm in norms.items()}
-    scale_table = _denominator_lcm(c for v in table.values() for c in v.values())
-    scale_ratio = _denominator_lcm(ratios.values())
+    alpha_ring, ring = _rings()
+    ones = (1,) * n
+    leads = {lam: v[ones][0] for lam, v in table.items()}
+    norms = {
+        lam: dup_exquo_ground(_inner_field(v, v), leads[lam] ** 2, ZZ)
+        for lam, v in table.items()
+    }
+    common = reduce(lambda x, y: dup_lcm(x, y, ZZ), norms.values())
+    scale = lcm(*leads.values())
     scales = (
-        {lam: {mu: _integral(c, scale_table) for mu, c in v.items()}
+        {lam: {mu: _lift(dup_mul_ground(c, scale // leads[lam], ZZ), ring)
+               for mu, c in v.items()}
          for lam, v in table.items()},
-        {lam: _integral(r, scale_ratio) for lam, r in ratios.items()},
-        common * (scale_table * scale_table * scale_ratio),
+        {lam: _lift(dup_exquo(common, norm, ZZ), ring) for lam, norm in norms.items()},
+        _lift(dup_mul_ground(common, scale * scale, ZZ), alpha_ring),
     )
     _SCALES[n] = (table, scales)
     return scales
 
 
 def _table_entry(lam):
-    """The QQ[alpha] p-coordinates of the deformed polynomial indexed by lam."""
+    """The table vector of the deformed polynomial indexed by lam, and its lead."""
     lam = tuple(sorted(lam, reverse=True))
     if any(part <= 0 for part in lam):
         raise ValueError("partitions have positive parts")
-    return _jack_table(sum(lam))[lam]
+    n = sum(lam)
+    vec = _jack_table(n)[lam]
+    return vec, vec[(1,) * n][0]
 
 
 def jack(lam):
     """The deformed polynomial indexed by lam, as {partition: field coeff}."""
-    return {mu: _to_field(c) for mu, c in _table_entry(lam).items()}
+    vec, lead = _table_entry(lam)
+    return {mu: _to_field(_normalised(c, lead)) for mu, c in vec.items()}
 
 
 def jack_norm(lam):
     """Squared norm of the deformed polynomial under the pairing."""
-    v = _table_entry(lam)
-    return _to_field(_inner_field(v, v))
+    vec, lead = _table_entry(lam)
+    return _to_field(_normalised(_inner_field(vec, vec), lead * lead))
 
 
 _NON_ALPHA_DENOMINATOR = (
@@ -431,11 +459,11 @@ def _ppoly_key(mu):
 
 def jack_to_ppoly(lam):
     """The deformed polynomial as a PPoly with alpha evaluated at 1+b."""
-    vec = _table_entry(lam)
-    scale = _denominator_lcm(vec.values())
-    denom = _rings()[0](scale)
+    vec, lead = _table_entry(lam)
+    alpha_ring, ring = _rings()
+    denom = alpha_ring(lead)
     return PPoly({
-        _ppoly_key(mu): _series_coeff(_integral(c, scale), denom) for mu, c in vec.items()
+        _ppoly_key(mu): _series_coeff(_lift(c, ring), denom) for mu, c in vec.items()
     })
 
 
@@ -471,11 +499,6 @@ def _content_poly(lam, k, convention):
 def content_product(lam, k, convention="standard"):
     """Product over boxes and colors of (u_l + deformed content)."""
     return _to_field(_content_poly(lam, k, convention))
-
-
-def content_product_coeff(lam, k, convention="standard"):
-    """Same product converted to Coeff (alpha -> 1+b)."""
-    return _series_coeff(_content_poly(lam, k, convention), _rings()[0].one)
 
 
 def _vertex_weight(vec, model):

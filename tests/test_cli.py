@@ -194,16 +194,16 @@ def test_verify_bad_b_eval_exits_two(model, value):
 
 
 @pytest.mark.parametrize("argv", [
-    ["jack", "--lambda", "7"],
-    ["jack", "--lambda", "4,3"],
-    ["oracle", "--model", "bip", "--order", "7"],
-    ["tau", "--model", "bip", "--order", "7", "--oracle"],
+    ["jack", "--lambda", "9"],
+    ["jack", "--lambda", "5,4"],
+    ["oracle", "--model", "bip", "--order", "9"],
+    ["tau", "--model", "bip", "--order", "9", "--oracle"],
 ])
 def test_beyond_jack_bound_exits_two(argv):
     code, out, err = run_cli(*argv)
     assert code == 2
     assert out == ""
-    assert "Traceback" not in err and "oracle bound 6" in err
+    assert "Traceback" not in err and "oracle bound 8" in err
 
 
 def test_tau_oracle_bound_checked_before_engine(monkeypatch, capsys):
@@ -214,9 +214,9 @@ def test_tau_oracle_bound_checked_before_engine(monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod, "tau_evolve", engine_must_not_run)
     with pytest.raises(SystemExit) as exc:
-        main(["tau", "--model", "biple3", "--order", "7", "--oracle"])
+        main(["tau", "--model", "biple3", "--order", "9", "--oracle"])
     assert exc.value.code == 2
-    assert "oracle bound" in capsys.readouterr().err
+    assert "oracle bound 8" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():
@@ -383,3 +383,26 @@ def test_dump_overflow_below_the_level_limit_is_a_usage_error(monkeypatch, capsy
     assert captured.out == ""
     assert "exponent exceeds the packed field limit" in captured.err
     assert "level limit" not in captured.err
+
+
+SYMPY_PROBE = """
+import contextlib, io, sys
+from bconstell.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["verify", "--model", "threeconst", "--imax", "2", "--deg", "4", "--json"]),
+        main(["tau", "--model", "threeconst", "--order", "2",
+              "--check-constraints", "2", "--fixed-point", "2"]),
+    ]
+print(codes, "sympy" in sys.modules)
+"""
+
+
+def test_sympy_stays_a_lazy_import():
+    # only the oracle needs sympy, and importing it costs more than a small
+    # verify or tau run: neither may load it
+    proc = subprocess.run(
+        [sys.executable, "-c", SYMPY_PROBE], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] False\n"

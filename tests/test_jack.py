@@ -6,15 +6,16 @@ from bconstell.coeffring import Coeff, ONE_PLUS_B, Q, U
 from bconstell.constraints import BIP, BIPLE3, THREECONST
 from bconstell.jack import (
     JackBoundError,
+    _content_poly,
     _field,
     _inner_field,
     _jack_table,
     _p_in_m,
+    _rings,
+    _series_coeff,
     alpha_inner,
     calibrate_convention,
     compare_with_engine,
-    content_product_coeff,
-    dominance_leq,
     jack,
     jack_to_ppoly,
     partitions,
@@ -25,6 +26,24 @@ from bconstell.ppoly import PPoly
 from bconstell.tau import tau_evolve
 
 p1, p2, p3 = PPoly.gen(1), PPoly.gen(2), PPoly.gen(3)
+
+
+def dominance_leq(mu, lam):
+    """mu <= lam in dominance order (same size)."""
+    if sum(mu) != sum(lam):
+        raise ValueError("dominance compares partitions of equal size")
+    total_mu = total_lam = 0
+    for k in range(max(len(mu), len(lam))):
+        total_mu += mu[k] if k < len(mu) else 0
+        total_lam += lam[k] if k < len(lam) else 0
+        if total_mu > total_lam:
+            return False
+    return True
+
+
+def content_product_coeff(lam, k, convention="standard"):
+    """The content product converted to Coeff (alpha -> 1+b)."""
+    return _series_coeff(_content_poly(lam, k, convention), _rings()[0].one)
 
 
 def test_partitions_examples():
@@ -165,10 +184,10 @@ def test_oracle_mismatch_is_located():
 
 
 def test_bound_errors():
-    with pytest.raises(JackBoundError):
-        jack((7,))
-    with pytest.raises(JackBoundError):
-        tau_jack(BIP, 7)
+    with pytest.raises(JackBoundError, match="bound 8"):
+        jack((9,))
+    with pytest.raises(JackBoundError, match="bound 8"):
+        tau_jack(BIP, 9)
 
 
 import importlib
@@ -225,15 +244,16 @@ def test_series_scales_are_memoised_and_cleared():
     # the second call reads the norms, ratios and scales from the memo
     assert calls == []
     assert [again.coeff(n) for n in range(4)] == [first.coeff(n) for n in range(4)]
-    # the memo belongs to the table object it was derived from
+    # the memo belongs to the table object it was derived from; the tables
+    # hold integer vectors, so the other table doubles every vector
     table = jackmod._jack_table(2)
-    halved = {
-        lam: {mu: c.quo_ground(2) for mu, c in v.items()} for lam, v in table.items()
+    doubled = {
+        lam: {mu: [2 * x for x in c] for mu, c in v.items()} for lam, v in table.items()
     }
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jackmod, "_jack_table", lambda n: halved)
+        mp.setattr(jackmod, "_jack_table", lambda n: doubled)
         jackmod._series_scales(2)
-        assert jackmod._SCALES[2][0] is halved
+        assert jackmod._SCALES[2][0] is doubled
     jackmod._series_scales(2)
     assert jackmod._SCALES[2][0] is table
     bconstell.clear_caches()
@@ -243,8 +263,7 @@ def test_series_scales_are_memoised_and_cleared():
 
 
 def test_norm_disagreeing_with_closed_form_is_loud(monkeypatch, fresh_tables):
-    ring = jackmod._rings()[0]
-    monkeypatch.setattr(jackmod, "_stanley_norm", lambda lam: ring.one)
+    monkeypatch.setattr(jackmod, "_stanley_norm", lambda lam: [1])
     with pytest.raises(JackTableError, match="closed form"):
         jackmod._jack_table(2)
 
@@ -253,7 +272,9 @@ def test_corrupted_projection_is_loud(monkeypatch, fresh_tables):
     # doubling every cross pairing leaves a vector that is no Jack polynomial
     real = jackmod._inner_field
     monkeypatch.setattr(
-        jackmod, "_inner_field", lambda f, g: real(f, g) if f is g else 2 * real(f, g)
+        jackmod,
+        "_inner_field",
+        lambda f, g: real(f, g) if f is g else [2 * x for x in real(f, g)],
     )
     with pytest.raises(JackTableError):
         jackmod._jack_table(3)
@@ -317,15 +338,16 @@ def test_transpose_convention_fails_at_two_on_the_vertex_path():
 
 @pytest.mark.parametrize("model", [BIP, THREECONST, BIPLE3], ids=lambda m: m.name)
 def test_series_is_unchanged_by_rescaled_tables(model, monkeypatch):
-    # J_lam -> J_lam / s_lam scales J_lam(p), the vertex weight and the norm
-    # by 1/s_lam, 1/s_lam and 1/s_lam^2, so the series stays the same; the
-    # tables then carry denominators, which the integer scale L_n must clear
+    # v_lam -> s_lam v_lam scales the lead, every coordinate, the vertex
+    # weight and the norm <v, v> by s_lam, s_lam, s_lam and s_lam^2, so the
+    # series stays the same once the lead is divided out; the scale L_n,
+    # the lcm of the leads, changes with them
     expected = tau_jack(model, 4)
     real = jackmod._jack_table
 
     def rescaled(n):
         return {
-            lam: {mu: c.quo_ground(len(lam) + 1) for mu, c in vec.items()}
+            lam: {mu: [(len(lam) + 1) * x for x in c] for mu, c in vec.items()}
             for lam, vec in real(n).items()
         }
 
