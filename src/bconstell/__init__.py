@@ -27,10 +27,8 @@ from .tau import (
     tau_from_h,
 )
 from .jack import (
-    alpha_inner,
     calibrate_convention,
     compare_with_engine,
-    content_product,
     jack,
     jack_to_ppoly,
     partitions,
@@ -69,10 +67,8 @@ __all__ = [
     "h_series",
     "tau_from_h",
     "partitions",
-    "alpha_inner",
     "jack",
     "jack_to_ppoly",
-    "content_product",
     "tau_jack",
     "calibrate_convention",
     "compare_with_engine",

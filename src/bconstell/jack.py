@@ -11,14 +11,17 @@ lexicographic order (which refines dominance) over the alpha-deformed
 power-sum pairing, normalized so the coefficient of p_1^n is 1.  Their
 p-coordinates are polynomials in alpha, and the tables hold them
 fraction-free on integers, as dense univariate lists over ZZ (sympy's dup_*
-arithmetic): each m_lam row of the monomial-to-power-sum transition is
-scaled to integers, and each projection step is v <- <g,g> v - <v,g> g
-against a finished vector g, with both factors divided by their gcd in
-ZZ[alpha].  The finished vector is made primitive (its coordinates have gcd
-1 in ZZ[alpha]), so it is lead * J_lam with lead, its p_1^n coordinate, a
-positive integer; a lead that is not constant means J_lam is not
-polynomial and raises JackTableError.  Every norm is checked in ZZ[alpha]
-against Stanley's closed form, as <v,v> == j_lam lead^2 with
+arithmetic).  The start vector of lam is its augmented monomial
+prod_i m_i(lam)! m_lam, whose p-coordinates are integers given by one
+Moebius sum over the set partitions of lam's parts (_m_in_p).  Each
+projection step is v <- <g,g> v - <v,g> g against a finished vector g,
+with both factors divided by their gcd in ZZ[alpha].  The finished vector
+is made primitive (its coordinates have gcd 1 in ZZ[alpha]), so it is
+lead * J_lam with lead, its p_1^n coordinate, a positive integer; the
+start vector's own scale drops out here.  A lead that is not constant
+means J_lam is not polynomial and raises JackTableError.  Every norm is
+checked in ZZ[alpha] against Stanley's closed form, as
+<v,v> == j_lam lead^2 with
 j_lam = prod_s (alpha a(s) + l(s) + 1)(alpha a(s) + l(s) + alpha); a
 differing norm raises JackTableError too.  The tables never divide by
 lead: the series divides it out once per size, in _series_scales, and
@@ -39,10 +42,9 @@ D' divides N, which _series_coeff checks by one exact division by the
 univariate D'; an inexact one raises OracleDenominatorError.  The engine's
 scalar ring cannot host the intermediate norms (their denominators are not
 powers of 1+b), and keeping the oracle on a separate arithmetic stack is
-the point; values cross into Coeff only in _series_coeff.
-jack, jack_norm and content_product return elements of the field
-Q(alpha, u1, u2, u3, q1, q2, q3).  sympy is imported lazily, by the first
-oracle call.
+the point; values cross into Coeff only in _series_coeff.  jack and
+jack_norm return elements of the field Q(alpha, u1, u2, u3, q1, q2, q3).
+sympy is imported lazily, by the first oracle call.
 
 The deformed content of a box is a convention to calibrate, not to assume:
 c(row r, column c) = alpha*(c-1) - (r-1) ("standard") or its transpose
@@ -55,7 +57,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, lcm
 
-from .coeffring import _B_SHIFT, VARS, Coeff, ONE_PLUS_B, _pack, add_term
+from .coeffring import _B_SHIFT, VARS, Coeff, _pack, add_term
 from .ppoly import PPoly
 
 
@@ -113,15 +115,6 @@ def z_of(lam):
     return z
 
 
-def alpha_inner(lam, mu):
-    """Pairing of power-sum basis elements, deformation evaluated at 1+b."""
-    if sum(lam) != sum(mu):
-        raise ValueError("the pairing needs partitions of equal size")
-    if tuple(lam) != tuple(mu):
-        return Coeff.zero()
-    return (ONE_PLUS_B ** len(lam)) * z_of(lam)
-
-
 # -- exact field and basis conversions ---------------------------------------
 
 
@@ -168,52 +161,30 @@ def _normalised(c, scale):
 
 
 @lru_cache(maxsize=None)
-def _p_in_m(n):
-    """Coefficient of each monomial basis element inside each p_lam (integers)."""
-    parts = partitions(n)
+def _m_in_p(n):
+    """Each augmented monomial prod_i m_i(lam)! m_lam over the p basis (integers).
+
+    Moebius inversion on the lattice of set partitions (Doubilet 1972):
+    the augmented monomial of lam is the sum over the set partitions sigma
+    of lam's parts of prod_B (-1)^(|B|-1) (|B|-1)! p_lam(sigma), where
+    lam(sigma) sorts the block sums.  The parts are placed one at a time,
+    each in a new block or in an existing block of size s, which multiplies
+    the coefficient by -s.
+    """
     table = {}
-    for lam in parts:
-        expansion = {(0,) * n: 1}
-        for r in lam:
-            new = {}
-            for exps, c in expansion.items():
-                for i in range(n):
-                    key = exps[:i] + (exps[i] + r,) + exps[i + 1:]
-                    new[key] = new.get(key, 0) + c
-            expansion = new
+    for lam in partitions(n):
+        terms = [((), 1)]
+        for part in lam:
+            terms = [(blocks + ((1, part),), c) for blocks, c in terms] + [
+                (blocks[:i] + ((size + 1, total + part),) + blocks[i + 1:], -size * c)
+                for blocks, c in terms
+                for i, (size, total) in enumerate(blocks)
+            ]
         row = {}
-        for mu in parts:
-            key = tuple(sorted(mu, reverse=True)) + (0,) * (n - len(mu))
-            row[mu] = expansion.get(key, 0)
+        for blocks, c in terms:
+            add_term(row, tuple(sorted((total for _, total in blocks), reverse=True)), c)
         table[lam] = row
     return table
-
-
-@lru_cache(maxsize=None)
-def _m_in_p(n):
-    """Inverse transition: each monomial basis element over the p basis."""
-    parts = partitions(n)
-    size = len(parts)
-    fwd = _p_in_m(n)
-    mat = [[Fraction(fwd[lam][mu]) for mu in parts] for lam in parts]
-    inv = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if mat[r][col])
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        inv[col] = [x / pv for x in inv[col]]
-        for r in range(size):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    # row mu of the inverse expresses m_mu over the p basis
-    return {
-        mu: {lam: inv[c][r] for r, lam in enumerate(parts)}
-        for c, mu in enumerate(parts)
-    }
 
 
 def _inner_field(f, g):
@@ -276,9 +247,7 @@ def _jack_table(n):
     table = {}
     # increasing lexicographic order refines dominance upward
     for lam in reversed(partitions(n)):
-        row = {mu: c for mu, c in m_in_p[lam].items() if c}
-        den = lcm(*(c.denominator for c in row.values()))
-        v = {mu: [c.numerator * (den // c.denominator)] for mu, c in row.items()}
+        v = {mu: [c] for mu, c in m_in_p[lam].items()}
         for g, norm in done:
             c = _inner_field(v, g)
             if c:
@@ -494,11 +463,6 @@ def _content_poly(lam, k, convention):
             factor *= u + content
         acc *= factor
     return acc
-
-
-def content_product(lam, k, convention="standard"):
-    """Product over boxes and colors of (u_l + deformed content)."""
-    return _to_field(_content_poly(lam, k, convention))
 
 
 def _vertex_weight(vec, model):

@@ -4,8 +4,12 @@ This is the original arithmetic behind ``bconstell.jack``: Gram-Schmidt
 and series reassembly directly in the rational function field
 Q(alpha, u1, u2, u3, q1, q2, q3), where every product cancels a
 multivariate gcd, and the conversion to Coeff builds every term from Coeff
-powers and products.  The fraction-free QQ[alpha] tables, the integer
-assembly and the grouped conversion in ``bconstell.jack`` must agree with it.
+powers and products.  Its start vectors come from the monomial-to-power-sum
+transition of the first tables: every p_lam expanded monomial by monomial
+over n variables (_p_in_m), inverted by Gauss-Jordan over Fractions
+(_m_in_p).  The fraction-free ZZ[alpha] tables built from Moebius rows, the
+integer assembly and the grouped conversion in ``bconstell.jack`` must
+agree with it.
 """
 
 from fractions import Fraction
@@ -15,7 +19,6 @@ from bconstell.coeffring import Coeff, ONE_PLUS_B, U as COEFF_U, Q as COEFF_Q
 from bconstell.jack import (
     OracleDenominatorError,
     _field,
-    _m_in_p,
     _ppoly_key,
     partitions,
     z_of,
@@ -46,6 +49,55 @@ def field_to_coeff(elem):
         out = out + term
     scale = Fraction(dcoeff.numerator, dcoeff.denominator)
     return out * (1 / scale) * Coeff.inv_one_plus_b(e) if e else out * (1 / scale)
+
+
+@lru_cache(maxsize=None)
+def _p_in_m(n):
+    """Coefficient of each monomial basis element inside each p_lam (integers)."""
+    parts = partitions(n)
+    table = {}
+    for lam in parts:
+        expansion = {(0,) * n: 1}
+        for r in lam:
+            new = {}
+            for exps, c in expansion.items():
+                for i in range(n):
+                    key = exps[:i] + (exps[i] + r,) + exps[i + 1:]
+                    new[key] = new.get(key, 0) + c
+            expansion = new
+        row = {}
+        for mu in parts:
+            key = tuple(sorted(mu, reverse=True)) + (0,) * (n - len(mu))
+            row[mu] = expansion.get(key, 0)
+        table[lam] = row
+    return table
+
+
+@lru_cache(maxsize=None)
+def _m_in_p(n):
+    """Inverse transition: each monomial basis element over the p basis."""
+    parts = partitions(n)
+    size = len(parts)
+    fwd = _p_in_m(n)
+    mat = [[Fraction(fwd[lam][mu]) for mu in parts] for lam in parts]
+    inv = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if mat[r][col])
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        pv = mat[col][col]
+        mat[col] = [x / pv for x in mat[col]]
+        inv[col] = [x / pv for x in inv[col]]
+        for r in range(size):
+            if r != col and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
+    # row mu of the inverse expresses m_mu over the p basis
+    return {
+        mu: {lam: inv[c][r] for r, lam in enumerate(parts)}
+        for c, mu in enumerate(parts)
+    }
 
 
 def _fld(x):

@@ -8,7 +8,7 @@ pytest with -s to see them as they complete).
 import random
 import time
 
-from bconstell.coeffring import U
+from bconstell.coeffring import ONE_PLUS_B, U
 from bconstell.constraints import (
     BIP,
     BIPLE3,
@@ -18,7 +18,6 @@ from bconstell.constraints import (
 )
 from bconstell.currents import build_A, build_M, esym
 from bconstell.jack import (
-    ONE_PLUS_B,
     _inner_field,
     _jack_table,
     calibrate_convention,

@@ -1,10 +1,15 @@
 """The fraction-free oracle against the field-based reference in refjack."""
 
+import importlib
+from math import factorial, prod
+
 import pytest
 
 import refjack
 from bconstell.constraints import BIP, BIPLE3, THREECONST
 from bconstell.jack import jack, jack_norm, partitions, tau_jack
+
+jackmod = importlib.import_module("bconstell.jack")
 
 MODELS = [BIP, THREECONST, BIPLE3]
 
@@ -15,6 +20,16 @@ def test_tables_match_reference_up_to_five():
             ref = refjack.jack(lam)
             assert jack(lam) == ref, lam
             assert jack_norm(lam) == refjack.inner(ref, ref), lam
+
+
+def test_transition_rows_match_reference_through_eight():
+    # the Moebius row of lam is prod_i m_i(lam)! times the inverted expansion's
+    for n in range(1, 9):
+        new, ref = jackmod._m_in_p(n), refjack._m_in_p(n)
+        for lam in partitions(n):
+            scale = prod(factorial(lam.count(part)) for part in set(lam))
+            want = {mu: scale * c for mu, c in ref[lam].items() if c}
+            assert new[lam] == want, lam
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
@@ -32,15 +47,12 @@ def test_both_conventions_match_reference_at_t2(model, convention):
 
 # -- the grouped conversion and the exact division against the field route ----
 
-import importlib
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bconstell.jack import OracleDenominatorError, content_product, jack_to_ppoly
+from bconstell.jack import OracleDenominatorError, jack_to_ppoly
 from test_jack import content_product_coeff
-
-jackmod = importlib.import_module("bconstell.jack")
 
 
 def test_field_conversion_matches_reference():
@@ -52,7 +64,7 @@ def test_field_conversion_matches_reference():
             }
             assert jack_to_ppoly(lam).terms == want, lam
             for k in (1, 2, 3):
-                want = refjack.field_to_coeff(content_product(lam, k))
+                want = refjack.field_to_coeff(refjack.content_product(lam, k, "standard"))
                 assert content_product_coeff(lam, k) == want, lam
 
 
