@@ -497,12 +497,6 @@ class Coeff:
             return Coeff(num) * (1 / scale ** dp)
         return Coeff(num, dp)
 
-    def max_degree(self):
-        """Total numerator degree, -1 for zero."""
-        if not self.n:
-            return -1
-        return max(sum(_unpack(key)) for key in self.n)
-
     # -- serialization -----------------------------------------------------
 
     def __str__(self):

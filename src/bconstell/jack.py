@@ -23,27 +23,31 @@ means J_lam is not polynomial and raises JackTableError.  Every norm is
 checked in ZZ[alpha] against Stanley's closed form, as
 <v,v> == j_lam lead^2 with
 j_lam = prod_s (alpha a(s) + l(s) + 1)(alpha a(s) + l(s) + alpha); a
-differing norm raises JackTableError too.  The tables never divide by
-lead: the series divides it out once per size, in _series_scales, and
-jack, jack_norm and jack_to_ppoly divide by it when they read one entry.
+differing norm raises JackTableError too, so jack_norm and the series
+read the closed form.  The tables never divide by lead: the series
+divides it out once per size, in _series_scales, and jack and
+jack_to_ppoly divide by it when they read one entry.
 
-The series at order n is accumulated on integers, in the polynomial ring
-ZZ[alpha, u1, u2, u3, q1, q2, q3].  _series_scales normalises the size-n
-tables and scales them to integers in one step, each vector v by L_n / lead
-with L_n the lcm of the leads; every weight is scaled by D_n / j_lam, where
-D_n is the lcm of the norms of size n in ZZ[alpha], so these ratios are
-integer polynomials too; and the scaled tables, ratios and denominator are
-converted to the series ring once per size and memoised next to the
-tables.  The content product is built as prod_c P_lam(u_c), one factor per
-colour.  Each output p-monomial is then N / (L_n^2 D_n), and its
-denominator must reduce to a power of alpha = 1+b.  Writing that
+The series at order n is accumulated on integers, as one dense ZZ[alpha]
+list per p-monomial and u, q monomial (a u, q monomial is its exponent
+tuple in VARS[1:] order).  _series_scales normalises the size-n tables and
+scales them to integers in one step, each vector v by L_n / lead with L_n
+the lcm of the leads; every weight is scaled by D_n / j_lam, where D_n is
+the lcm of the closed-form norms of size n in ZZ[alpha], so these ratios
+are integer polynomials; the scaled tables, ratios and denominator are
+memoised next to the tables.  The content product prod_c P_lam(u_c) is
+built from the rows of P_lam(u), one dense list per power of u
+(_content_rows), and multiplied with the vertex-side sum and the ratio by
+u, q monomial (_weight).  Each output p-monomial is then N / (L_n^2 D_n),
+and its denominator must reduce to a power of alpha = 1+b.  Writing that
 denominator as c alpha^a D' with D' free of alpha, this holds exactly when
-D' divides N, which _series_coeff checks by one exact division by the
-univariate D'; an inexact one raises OracleDenominatorError.  The engine's
+D' divides N, which _series_coeff checks by one exact division by D' per
+u, q monomial; an inexact one raises OracleDenominatorError.  The engine's
 scalar ring cannot host the intermediate norms (their denominators are not
 powers of 1+b), and keeping the oracle on a separate arithmetic stack is
 the point; values cross into Coeff only in _series_coeff.  jack and
-jack_norm return elements of the field Q(alpha, u1, u2, u3, q1, q2, q3).
+jack_norm return elements of the field Q(alpha, u1, u2, u3, q1, q2, q3),
+which is built for those values and the error message only.
 sympy is imported lazily, by the first oracle call.
 
 The deformed content of a box is a convention to calibrate, not to assume:
@@ -129,35 +133,25 @@ def _field():
     return field, gens
 
 
-@lru_cache(maxsize=1)
-def _rings():
-    """QQ[alpha] for denominators and read-out entries, ZZ[alpha, u, q] for the series."""
-    from sympy.polys.domains import QQ, ZZ
-
-    field, _ = _field()
-    series_ring = field.field.ring.clone(domain=ZZ)
-    return QQ.poly_ring(series_ring.symbols[0]).ring, series_ring
+# slots of u_c and q_j in a u, q exponent tuple (the VARS[1:] order)
+_U_SLOTS = tuple(i for i, v in enumerate(VARS[1:]) if v[0] == "u")
+_Q_SLOTS = (None,) + tuple(i for i, v in enumerate(VARS[1:]) if v[0] == "q")
+_NO_UQ = (0,) * (len(VARS) - 1)
 
 
-def _to_field(p):
-    """A polynomial of any of the rings as a (cancelled) field element."""
-    field, _ = _field()
-    return field.field(p.set_ring(field.field.ring))
+def _terms(groups):
+    """{u, q exponents: dense ZZ[alpha] list} as {exponents in field order: int}."""
+    return {
+        (len(c) - 1 - i,) + rest: x
+        for rest, c in groups.items()
+        for i, x in enumerate(c)
+        if x
+    }
 
 
-def _lift(c, ring):
-    """A dense ZZ[alpha] list (highest degree first) as an element of ring.
-
-    alpha is the first generator of ring; the others get exponent 0.
-    """
-    top = len(c) - 1
-    pad = (0,) * (ring.ngens - 1)
-    return ring.from_dict({(top - i,) + pad: x for i, x in enumerate(c) if x})
-
-
-def _normalised(c, scale):
-    """c / scale in QQ[alpha], for c in dense ZZ[alpha] and a non-zero integer scale."""
-    return _lift(c, _rings()[0]).quo_ground(scale)
+def _to_field(c, scale):
+    """c / scale in the field, for c in dense ZZ[alpha] and a non-zero integer scale."""
+    return _field()[0].field((_terms({_NO_UQ: c}), scale))
 
 
 @lru_cache(maxsize=None)
@@ -287,18 +281,19 @@ _SCALES = {}
 
 
 def _series_scales(n):
-    """The size-n tables and ratios D_n / j_lam in ZZ[alpha, u, q], and their denominator.
+    """The size-n tables and ratios D_n / j_lam, and their denominator, over dense ZZ[alpha].
 
     The series divides each table vector v = lead * J_lam by its lead here,
     once per size: with L_n the lcm of the leads of size n, J_lam is scaled
-    to the integer vector (L_n / lead) v.  j_lam = <v, v> / lead^2,
-    and D_n is the lcm of the j_lam of size n in ZZ[alpha], so the ratios
-    D_n / j_lam are integer polynomials.  Each series term carries the
-    denominator D_n L_n^2 (the coordinate and the vertex weight both carry
-    L_n), returned in QQ[alpha].  Memoised per size for the table object
-    _jack_table returns, so a rebuilt table gets its scales afresh.
+    to the integer vector (L_n / lead) v.  j_lam is Stanley's closed form,
+    which _jack_table checked against <v, v> / lead^2, and D_n is the lcm of
+    the j_lam of size n in ZZ[alpha], so the ratios D_n / j_lam are integer
+    polynomials.  Each series term carries the denominator D_n L_n^2 (the
+    coordinate and the vertex weight both carry L_n).  Memoised per size for
+    the table object _jack_table returns, so a rebuilt table gets its scales
+    afresh.
     """
-    from sympy.polys.densearith import dup_exquo, dup_exquo_ground, dup_mul_ground
+    from sympy.polys.densearith import dup_exquo, dup_mul_ground
     from sympy.polys.domains import ZZ
     from sympy.polys.euclidtools import dup_lcm
 
@@ -306,116 +301,93 @@ def _series_scales(n):
     memo = _SCALES.get(n)
     if memo is not None and memo[0] is table:
         return memo[1]
-    alpha_ring, ring = _rings()
     ones = (1,) * n
     leads = {lam: v[ones][0] for lam, v in table.items()}
-    norms = {
-        lam: dup_exquo_ground(_inner_field(v, v), leads[lam] ** 2, ZZ)
-        for lam, v in table.items()
-    }
+    norms = {lam: _stanley_norm(lam) for lam in table}
     common = reduce(lambda x, y: dup_lcm(x, y, ZZ), norms.values())
     scale = lcm(*leads.values())
     scales = (
-        {lam: {mu: _lift(dup_mul_ground(c, scale // leads[lam], ZZ), ring)
-               for mu, c in v.items()}
+        {lam: {mu: dup_mul_ground(c, scale // leads[lam], ZZ) for mu, c in v.items()}
          for lam, v in table.items()},
-        {lam: _lift(dup_exquo(common, norm, ZZ), ring) for lam, norm in norms.items()},
-        _lift(dup_mul_ground(common, scale * scale, ZZ), alpha_ring),
+        {lam: dup_exquo(common, norm, ZZ) for lam, norm in norms.items()},
+        dup_mul_ground(common, scale * scale, ZZ),
     )
     _SCALES[n] = (table, scales)
     return scales
 
 
 def _table_entry(lam):
-    """The table vector of the deformed polynomial indexed by lam, and its lead."""
+    """lam sorted, the table vector of its deformed polynomial, and that vector's lead."""
     lam = tuple(sorted(lam, reverse=True))
     if any(part <= 0 for part in lam):
         raise ValueError("partitions have positive parts")
     n = sum(lam)
     vec = _jack_table(n)[lam]
-    return vec, vec[(1,) * n][0]
+    return lam, vec, vec[(1,) * n][0]
 
 
 def jack(lam):
     """The deformed polynomial indexed by lam, as {partition: field coeff}."""
-    vec, lead = _table_entry(lam)
-    return {mu: _to_field(_normalised(c, lead)) for mu, c in vec.items()}
+    _, vec, lead = _table_entry(lam)
+    return {mu: _to_field(c, lead) for mu, c in vec.items()}
 
 
 def jack_norm(lam):
-    """Squared norm of the deformed polynomial under the pairing."""
-    vec, lead = _table_entry(lam)
-    return _to_field(_normalised(_inner_field(vec, vec), lead * lead))
+    """Squared norm of the deformed polynomial under the pairing.
 
-
-_NON_ALPHA_DENOMINATOR = (
-    "series coefficient has a non-(1+b) denominator: %s; this is a "
-    "finding to report, not to patch"
-)
-
-
-def _by_alpha(poly):
-    """The terms of a polynomial as {u, q exponents: {alpha exponent: coeff}}."""
-    groups = {}
-    for exps, c in poly.items():
-        groups.setdefault(exps[1:], {})[exps[0]] = c
-    return groups
-
-
-def _groups_to_coeff(groups, dp, scale):
-    """scale * sum_rest g_rest(1+b) u^rest / (1+b)^dp as a Coeff.
-
-    Each alpha^e becomes the binomial row of (1+b)^e, expanded once per
-    distinct e, and the whole numerator is built as one dict of packed keys.
+    That is Stanley's closed form, which building the table checked.
     """
+    lam, _, _ = _table_entry(lam)
+    return _to_field(_stanley_norm(lam), 1)
+
+
+def _series_coeff(groups, denom):
+    """sum_rest groups[rest] u^rest / denom as a Coeff with alpha -> 1+b.
+
+    groups maps u, q exponent tuples (VARS[1:] order) to dense ZZ[alpha]
+    lists, and denom is a non-zero dense ZZ[alpha] list; loud unless the
+    fraction reduces to c / alpha^a.  Write denom = c alpha^a D' with D' a
+    primitive integer polynomial and D'(0) > 0.  alpha and D' are coprime,
+    so the reduced fraction has a power of alpha as denominator exactly
+    when D' divides every group; D' is primitive, so it divides over ZZ
+    whenever it divides over QQ (Gauss's lemma): one exact division per
+    group.  Only when a division is inexact is the cancelled fraction
+    built, for the error message.  Each alpha^e then becomes the binomial
+    row of (1+b)^e, expanded once per distinct e.
+    """
+    from sympy.polys.densearith import dup_exquo, dup_neg
+    from sympy.polys.densetools import dup_primitive
+    from sympy.polys.domains import ZZ
+    from sympy.polys.polyerrors import ExactQuotientFailed
+
+    a = next(i for i, x in enumerate(reversed(denom)) if x)
+    content, dprime = dup_primitive(denom[:len(denom) - a], ZZ)
+    if dprime[-1] < 0:
+        content, dprime = -content, dup_neg(dprime, ZZ)
+    if len(dprime) > 1:
+        try:
+            groups = {rest: dup_exquo(c, dprime, ZZ) for rest, c in groups.items()}
+        except ExactQuotientFailed:
+            frac = _field()[0].field((_terms(groups), _terms({_NO_UQ: denom})))
+            raise OracleDenominatorError(
+                "series coefficient has a non-(1+b) denominator: %s; this is a "
+                "finding to report, not to patch" % (frac.denom,)
+            ) from None
     rows = {}
     num = {}
-    for rest, coeffs in groups.items():
+    for rest, c in groups.items():
         key = _pack((0,) + rest)
-        for e, c in coeffs.items():
+        for i, x in enumerate(c):
+            if not x:
+                continue
+            e = len(c) - 1 - i
             row = rows.get(e)
             if row is None:
                 row = rows[e] = [comb(e, k) for k in range(e + 1)]
             for k, binom in enumerate(row):
-                add_term(num, key + (k << _B_SHIFT), c * binom)
-    out = Coeff(num, dp)
-    return out if scale == 1 else out * scale
-
-
-def _series_coeff(numer, denom):
-    """numer / denom as a Coeff with alpha -> 1+b; loud unless it reduces to c / alpha^a.
-
-    numer lies in ZZ[alpha, u, q] and denom in QQ[alpha].  Write
-    denom = c alpha^a D' with D' a primitive integer polynomial and
-    D'(0) > 0.  alpha and D' are coprime, so the reduced fraction has a
-    power of alpha as denominator exactly when D' divides numer; D' is
-    primitive, so it divides over ZZ whenever it divides over QQ (Gauss's
-    lemma), and since it involves alpha alone that is one exact univariate
-    division per u, q monomial of numer.  Only when a division is inexact
-    is the cancelled fraction built, for the error message.
-    """
-    from sympy.polys.densearith import dup_exquo
-    from sympy.polys.densebasic import dup_from_dict, dup_to_raw_dict
-    from sympy.polys.domains import ZZ
-    from sympy.polys.polyerrors import ExactQuotientFailed
-
-    (a,), _ = min(denom.items())
-    content, dprime = denom.quo_term(((a,), 1)).primitive()
-    if dprime[(0,)] < 0:
-        content, dprime = -content, -dprime
-    dprime = [c.numerator for c in dprime.to_dense()]
-    groups = _by_alpha(numer)
-    if len(dprime) > 1:
-        try:
-            groups = {
-                rest: dup_to_raw_dict(dup_exquo(dup_from_dict(coeffs, ZZ), dprime, ZZ))
-                for rest, coeffs in groups.items()
-            }
-        except ExactQuotientFailed:
-            field = _field()[0].field
-            frac = field.new(numer.set_ring(field.ring), denom.set_ring(field.ring))
-            raise OracleDenominatorError(_NON_ALPHA_DENOMINATOR % (frac.denom,)) from None
-    return _groups_to_coeff(groups, a, Fraction(content.denominator, content.numerator))
+                add_term(num, key + (k << _B_SHIFT), x * binom)
+    out = Coeff(num, a)
+    return out if content == 1 else out * Fraction(1, content)
 
 
 def _ppoly_key(mu):
@@ -428,90 +400,102 @@ def _ppoly_key(mu):
 
 def jack_to_ppoly(lam):
     """The deformed polynomial as a PPoly with alpha evaluated at 1+b."""
-    vec, lead = _table_entry(lam)
-    alpha_ring, ring = _rings()
-    denom = alpha_ring(lead)
-    return PPoly({
-        _ppoly_key(mu): _series_coeff(_lift(c, ring), denom) for mu, c in vec.items()
-    })
+    _, vec, lead = _table_entry(lam)
+    return PPoly({_ppoly_key(mu): _series_coeff({_NO_UQ: c}, [lead]) for mu, c in vec.items()})
 
 
 # -- the oracle series -------------------------------------------------------
 
 
-def _content_poly(lam, k, convention):
-    """Product over colors c of P_lam(u_c) = prod_boxes (u_c + deformed content).
+def _content_rows(lam, convention):
+    """P_lam(u) = prod_boxes (u + deformed content) as rows over dense ZZ[alpha].
 
-    Each colour's factor involves alpha and u_c alone, so it is built on its
-    own and the k factors are multiplied once, in ZZ[alpha, u, q].
+    rows[e] is the coefficient of u^e.
     """
-    _, ring = _rings()
-    alpha = ring.gens[0]
-    contents = []
-    for r, row_len in enumerate(lam, start=1):
-        for c in range(1, row_len + 1):
+    from sympy.polys.densearith import dup_add, dup_mul
+    from sympy.polys.densebasic import dup_strip
+    from sympy.polys.domains import ZZ
+
+    rows = [[1]]
+    for r, row_len in enumerate(lam):
+        for c in range(row_len):
             if convention == "standard":
-                contents.append(alpha * (c - 1) - (r - 1))
+                content = dup_strip([c, -r])
             elif convention == "transpose":
-                contents.append(alpha * (r - 1) - (c - 1))
+                content = dup_strip([r, -c])
             else:
                 raise ValueError("unknown content convention %r" % (convention,))
-    acc = ring.one
-    for u in [g for v, g in zip(VARS, ring.gens) if v[0] == "u"][:k]:
-        factor = ring.one
-        for content in contents:
-            factor *= u + content
-        acc *= factor
-    return acc
+            # (u + content) sum_e rows[e] u^e: new rows[e] = rows[e-1] + content rows[e]
+            rows = [
+                dup_add(low, dup_mul(content, high, ZZ), ZZ)
+                for low, high in zip([[]] + rows, rows + [[]])
+            ]
+    return rows
 
 
-def _vertex_weight(vec, model):
-    """The vertex-side evaluation of a p-coordinate vector over ZZ[alpha, u, q]."""
+def _weight(vec, ratio, rows, model):
+    """ratio times the vertex-side sum of vec times prod_c P_lam(u_c), by u, q monomial.
+
+    vec is a p-coordinate vector and ratio a scale, both over dense
+    ZZ[alpha]; rows are the content rows of P_lam.  Returns {u, q
+    exponents: dense ZZ[alpha] list} without zero entries.
+    """
+    from sympy.polys.densearith import dup_mul
+    from sympy.polys.domains import ZZ
+
     if model.r == 1:
         # q_j = [j == 1]: only the p_1^n coordinate survives
-        return vec[(1,) * sum(next(iter(vec)))]
-    _, ring = _rings()
-    qs = (None,) + tuple(g for v, g in zip(VARS, ring.gens) if v[0] == "q")
-    acc = ring.zero
-    for mu, c in vec.items():
-        if mu and max(mu) > model.r:
-            continue
-        term = c
-        for part in mu:
-            term *= qs[part]
-        acc += term
-    return acc
+        weight = {_NO_UQ: dup_mul(vec[(1,) * sum(next(iter(vec)))], ratio, ZZ)}
+    else:
+        weight = {}
+        for mu, c in vec.items():
+            if mu and max(mu) > model.r:
+                continue
+            rest = list(_NO_UQ)
+            for part in mu:
+                rest[_Q_SLOTS[part]] += 1
+            weight[tuple(rest)] = dup_mul(c, ratio, ZZ)
+    # distinct mu (parts <= r) and distinct u exponents give distinct keys
+    for slot in _U_SLOTS[:model.k]:
+        weight = {
+            rest[:slot] + (e,) + rest[slot + 1:]: dup_mul(x, row, ZZ)
+            for rest, x in weight.items()
+            for e, row in enumerate(rows)
+            if row
+        }
+    return weight
 
 
 def tau_jack(model, order, convention="standard"):
     """The oracle series up to t^order as a TauSeries.
 
-    Order n is summed in ZZ[alpha, u, q] over the common denominator of
-    _series_scales(n); each p-monomial is then one exact division by the
-    alpha-free part of that denominator (_series_coeff).
+    Order n is summed per p-monomial and u, q monomial over dense ZZ[alpha],
+    over the common denominator of _series_scales(n); each p-monomial is
+    then one exact division by the alpha-free part of that denominator per
+    u, q monomial (_series_coeff).
     """
+    from sympy.polys.densearith import dup_add, dup_mul
+    from sympy.polys.domains import ZZ
+
     from .tau import TauSeries
 
     if order > JACK_BOUND:
         raise JackBoundError(
             "order %d exceeds the configured bound %d" % (order, JACK_BOUND)
         )
-    _, ring = _rings()
     coeffs = [PPoly.one()]
     for n in range(1, order + 1):
         vectors, ratios, denom = _series_scales(n)
-        vec = {}
+        sums = {}
         for lam in partitions(n):
             v = vectors[lam]
-            weight = _content_poly(lam, model.k, convention) * (
-                _vertex_weight(v, model) * ratios[lam]
-            )
-            if not weight:
-                continue
+            weight = _weight(v, ratios[lam], _content_rows(lam, convention), model)
             for mu, c in v.items():
-                vec[mu] = vec.get(mu, ring.zero) + c * weight
+                groups = sums.setdefault(mu, {})
+                for rest, w in weight.items():
+                    groups[rest] = dup_add(groups.get(rest, []), dup_mul(c, w, ZZ), ZZ)
         coeffs.append(PPoly({
-            _ppoly_key(mu): _series_coeff(c, denom) for mu, c in vec.items() if c
+            _ppoly_key(mu): _series_coeff(groups, denom) for mu, groups in sums.items()
         }))
     return TauSeries(model, coeffs)
 

@@ -143,9 +143,6 @@ class PPoly:
     def is_homogeneous(self, d):
         return all(pm_degree(m) == d for m in self.terms)
 
-    def degree_slice(self, d):
-        return PPoly({m: c for m, c in self.terms.items() if pm_degree(m) == d})
-
     def dp(self, i):
         """Partial derivative with respect to p_i."""
         out = {}
@@ -173,15 +170,6 @@ class PPoly:
             {"monomial": [[i, e] for i, e in m], "coeff": str(c)}
             for m, c in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(
-            {
-                tuple((int(i), int(e)) for i, e in item["monomial"]): Coeff.parse(item["coeff"])
-                for item in obj
-            }
-        )
 
     def __str__(self):
         if not self.terms:

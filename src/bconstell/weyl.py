@@ -349,15 +349,6 @@ class WeylOp:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj):
-        terms = {}
-        for t in obj["terms"]:
-            cr = tuple((int(i), int(e)) for i, e in t["create"])
-            an = tuple((int(i), int(e)) for i, e in t["annihilate"])
-            terms[(cr, an)] = Coeff.parse(t["coeff"])
-        return cls(terms, int(obj["working_degree"]))
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -161,7 +161,7 @@ def test_clear_caches_empties_every_memo_table():
         fn for mod in (currents, jack) for fn in vars(mod).values()
         if hasattr(fn, "cache_info")
     ]
-    assert len(caches) == 7
+    assert len(caches) == 6
     assert all(fn.cache_info().currsize for fn in caches)
     bconstell.clear_caches()
     assert [fn.cache_info().currsize for fn in caches] == [0] * len(caches)

@@ -1,18 +1,19 @@
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 
 import refjack
-from bconstell.coeffring import Coeff, ONE_PLUS_B, Q, U
+from bconstell.coeffring import VARS, Coeff, ONE_PLUS_B, Q, U
 from bconstell.constraints import BIP, BIPLE3, THREECONST
 from bconstell.jack import (
     JackBoundError,
-    _content_poly,
+    _content_rows,
     _field,
     _inner_field,
     _jack_table,
-    _rings,
     _series_coeff,
+    _weight,
     calibrate_convention,
     compare_with_engine,
     jack,
@@ -40,9 +41,20 @@ def dominance_leq(mu, lam):
     return True
 
 
+# a model with k colours and no vertex weight (r = 1)
+Colours = namedtuple("Colours", "k r")
+
+
+def content_product_groups(lam, k, convention):
+    """prod_c P_lam(u_c) by u monomial, from the content rows and the weight builder."""
+    # a unit ratio and a unit p_1^n coordinate leave the content product alone
+    rows = _content_rows(lam, convention)
+    return _weight({(1,) * sum(lam): [1]}, [1], rows, Colours(k, 1))
+
+
 def content_product_coeff(lam, k, convention="standard"):
     """The content product converted to Coeff (alpha -> 1+b)."""
-    return _series_coeff(_content_poly(lam, k, convention), _rings()[0].one)
+    return _series_coeff(content_product_groups(lam, k, convention), [1])
 
 
 def test_partitions_examples():
@@ -226,16 +238,16 @@ def test_series_scales_are_memoised_and_cleared():
     bconstell.clear_caches()
     assert jackmod._SCALES == {}
     calls = []
-    real = jackmod._inner_field
+    real = jackmod._stanley_norm
 
-    def counting(f, g):
-        calls.append(f is g)
-        return real(f, g)
+    def counting(lam):
+        calls.append(lam)
+        return real(lam)
 
     first = tau_jack(BIP, 3)
     assert sorted(jackmod._SCALES) == [1, 2, 3]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jackmod, "_inner_field", counting)
+        mp.setattr(jackmod, "_stanley_norm", counting)
         again = tau_jack(BIP, 3)
     # the second call reads the norms, ratios and scales from the memo
     assert calls == []
@@ -279,44 +291,38 @@ def test_corrupted_projection_is_loud(monkeypatch, fresh_tables):
 # -- the integer assembly and its denominator check ---------------------------
 
 
-def _series_rings():
-    alpha_ring, ring = jackmod._rings()
-    return alpha_ring.gens[0], ring
+def _rest(**exps):
+    """The u, q exponent tuple of a monomial, e.g. _rest(u1=1, q2=1)."""
+    return tuple(exps.get(v, 0) for v in VARS[1:])
 
 
 def test_non_alpha_denominator_is_loud():
-    alpha, ring = _series_rings()
-    u1 = ring.gens[1]
     # the message names the denominator of the cancelled fraction
     with pytest.raises(OracleDenominatorError, match=r"denominator: alpha\*\*3 \+ 3\*alpha\*\*2;"):
-        jackmod._series_coeff(u1, alpha**2 * (alpha + 3))
+        jackmod._series_coeff({_rest(u1=1): [1]}, [1, 3, 0, 0])
     with pytest.raises(OracleDenominatorError, match=r"denominator: alpha \+ 2;"):
-        jackmod._series_coeff(ring.one, alpha + 2)
+        jackmod._series_coeff({_rest(): [1]}, [1, 2])
 
 
 def test_power_of_alpha_denominator_converts():
-    alpha, ring = _series_rings()
-    a, u1, u2, u3, _, q2, _ = ring.gens
     b = ONE_PLUS_B
-    assert jackmod._series_coeff(-5 * u1, 7 * alpha**3) == (
+    assert jackmod._series_coeff({_rest(u1=1): [-5]}, [7, 0, 0, 0]) == (
         Coeff.from_rational(Fraction(-5, 7)) * U[1] * Coeff.inv_one_plus_b(3)
     )
-    # the alpha-free part D' = (alpha + 2)(2 alpha + 1) divides the numerator
-    numer = (u1 * a + 4 * q2 * u3**2) * (a + 2) * (2 * a + 1)
-    denom = Fraction(3, 2) * alpha**2 * (alpha + 2) * (2 * alpha + 1)
-    assert jackmod._series_coeff(numer, denom) == (
-        (U[1] * b + 4 * Q[2] * U[3] * U[3]) * Coeff.inv_one_plus_b(2) * Fraction(2, 3)
+    # the alpha-free part D' = (alpha + 2)(2 alpha + 1) = 2 alpha^2 + 5 alpha + 2
+    # of the denominator 3 alpha^2 D' divides (u1 alpha + 4 q2 u3^2) D'
+    numer = {_rest(u1=1): [2, 5, 2, 0], _rest(q2=1, u3=2): [8, 20, 8]}
+    assert jackmod._series_coeff(numer, [6, 15, 6, 0, 0]) == (
+        (U[1] * b + 4 * Q[2] * U[3] * U[3]) * Coeff.inv_one_plus_b(2) * Fraction(1, 3)
     )
     # a factor of alpha in the numerator cancels against the denominator
-    assert jackmod._series_coeff(a**2 * u2, alpha) == U[2] * b
+    assert jackmod._series_coeff({_rest(u2=1): [1, 0, 0]}, [1, 0]) == U[2] * b
 
 
 def test_partly_divisible_numerator_is_loud():
-    # D' divides the u1 part of the numerator but not the u2 part
-    alpha, ring = _series_rings()
-    a, u1, u2 = ring.gens[:3]
+    # D' = alpha + 2 divides the u1 part of the numerator but not the u2 part
     with pytest.raises(OracleDenominatorError):
-        jackmod._series_coeff(u1 * (a + 2) + u2, alpha * (alpha + 2))
+        jackmod._series_coeff({_rest(u1=1): [1, 2], _rest(u2=1): [1]}, [1, 2, 0])
 
 
 @pytest.mark.parametrize("model", [BIP, BIPLE3, THREECONST], ids=lambda m: m.name)

@@ -6,6 +6,7 @@ from math import factorial, prod
 import pytest
 
 import refjack
+from bconstell.coeffring import VARS
 from bconstell.constraints import BIP, BIPLE3, THREECONST
 from bconstell.jack import jack, jack_norm, partitions, tau_jack
 
@@ -52,7 +53,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from bconstell.jack import OracleDenominatorError, jack_to_ppoly
-from test_jack import content_product_coeff
+from test_jack import content_product_coeff, content_product_groups
 
 
 def test_field_conversion_matches_reference():
@@ -78,26 +79,70 @@ FACTORS = [(2, 1), (1, 2), (3, 1), (2, 3)]  # (c0, c1) for c0 + c1 * alpha
 @given(
     numerators,
     st.integers(0, 4),
-    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+    st.integers(-9, 9).filter(bool),
     st.lists(st.sampled_from(range(len(FACTORS))), max_size=3),
     st.lists(st.sampled_from(range(len(FACTORS))), max_size=3),
 )
 def test_series_coeff_matches_field_route(terms, a, scale, in_denom, in_numer):
-    alpha_ring, ring = jackmod._rings()
-    field, _ = jackmod._field()
-    alpha, x = alpha_ring.gens[0], ring.gens[0]
-    numer = ring.from_dict(terms)
-    denom = alpha_ring(scale) * alpha**a
+    from sympy.polys.densearith import dup_add, dup_mul
+    from sympy.polys.domains import ZZ
+
+    field, gens = jackmod._field()
+    alpha = gens["alpha"]
+    # the dense route: one ZZ[alpha] list per u, q monomial
+    groups = {}
+    for (e, *rest), c in terms.items():
+        rest = tuple(rest)
+        groups[rest] = dup_add(groups.get(rest, []), [c] + [0] * e, ZZ)
+    denom = [scale] + [0] * a
     for i in in_numer:
-        numer *= FACTORS[i][0] + FACTORS[i][1] * x
+        groups = {rest: dup_mul(g, FACTORS[i][::-1], ZZ) for rest, g in groups.items()}
     for i in in_denom:
-        denom *= FACTORS[i][0] + FACTORS[i][1] * alpha
-    frac = field.field.new(numer.set_ring(field.field.ring), denom.set_ring(field.field.ring))
+        denom = dup_mul(denom, FACTORS[i][::-1], ZZ)
+    # the field route, from the generators
+    numer = field.zero
+    for exps, c in terms.items():
+        term = field(c)
+        for name, e in zip(("alpha",) + VARS[1:], exps):
+            term *= gens[name] ** e
+        numer += term
+    fdenom = field(scale) * alpha**a
+    for i in in_numer:
+        numer *= FACTORS[i][0] + FACTORS[i][1] * alpha
+    for i in in_denom:
+        fdenom *= FACTORS[i][0] + FACTORS[i][1] * alpha
     try:
-        expected = refjack.field_to_coeff(frac)
+        expected = refjack.field_to_coeff(numer / fdenom)
     except OracleDenominatorError as exc:
         with pytest.raises(OracleDenominatorError) as got:
-            jackmod._series_coeff(numer, denom)
+            jackmod._series_coeff(groups, denom)
         assert str(got.value) == str(exc)
     else:
-        assert jackmod._series_coeff(numer, denom) == expected
+        assert jackmod._series_coeff(groups, denom) == expected
+
+
+# -- the content rows and the vertex weight against the field -----------------
+
+
+@pytest.mark.parametrize("convention", ["standard", "transpose"])
+def test_content_rows_match_reference_through_eight(convention):
+    # three colours stop at size 6: the field reference alone takes about 9 s
+    # per convention for sizes 7 and 8 there
+    field, _ = jackmod._field()
+    for k, top in ((1, 8), (2, 8), (3, 6)):
+        for n in range(1, top + 1):
+            for lam in partitions(n):
+                got = field.field((jackmod._terms(content_product_groups(lam, k, convention)), 1))
+                assert got == refjack.content_product(lam, k, convention), (lam, k)
+
+
+def test_biple3_vertex_weight_matches_reference_through_six():
+    # a unit ratio and the constant rows [1] (P = 1) leave the vertex-side sum
+    field, _ = jackmod._field()
+    for n in range(1, 7):
+        for lam in partitions(n):
+            vec = jackmod._jack_table(n)[lam]
+            weight = jackmod._weight(vec, [1], [[1]], BIPLE3)
+            lead = vec[(1,) * n][0]
+            got = field.field((jackmod._terms(weight), lead))
+            assert got == refjack.vertex_weight(lam, BIPLE3), lam
