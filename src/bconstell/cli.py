@@ -163,7 +163,7 @@ def cmd_dump(parser, args):
     op = args.op
     try:
         if op == "J":
-            out = current(args.i, deg, charge=None)
+            out = current(args.i).truncated(deg)
         elif op == "A":
             if args.i < 1 or args.s is None or args.s < 0:
                 raise ValueError("A needs --i >= 1 and --s >= 0")

@@ -37,7 +37,7 @@ from functools import lru_cache, partial
 
 from .coeffring import B, ONE, ONE_PLUS_B, Q, U, add_term
 from .currents import build_A, build_M, current, esym
-from .weyl import WeylOp, compose_degree
+from .weyl import EXACT, WeylOp, compose_degree
 
 
 class Model:
@@ -79,8 +79,8 @@ class TGradedOp:
     ``pieces`` maps each t power to its WeylOp coefficient, zero ones
     included: a zero piece is zero only up to its working degree, so a
     comparison above it raises as the WeylOp one does.  A t power with no
-    piece is exactly zero.  Sums, products and comparisons read every piece
-    as the WeylOp it is.
+    piece is exactly zero, the WeylOp zero at EXACT.  Sums, products and
+    comparisons read every piece as the WeylOp it is.
     """
 
     __slots__ = ("pieces",)
@@ -92,10 +92,10 @@ class TGradedOp:
     def zero(cls):
         return cls({})
 
-    def piece(self, m, working_degree):
-        """The t^m piece; an absent power is the exact zero at working_degree."""
+    def piece(self, m):
+        """The t^m piece; an absent power is the exact zero."""
         op = self.pieces.get(m)
-        return WeylOp.zero(working_degree) if op is None else op
+        return WeylOp.zero(EXACT) if op is None else op
 
     def is_zero(self):
         return all(op.is_zero() for op in self.pieces.values())
@@ -146,14 +146,14 @@ class TGradedOp:
 
     def equal_up_to(self, other, d):
         for m in self._powers(other):
-            if not self.piece(m, d).equal_up_to(other.piece(m, d), d):
+            if not self.piece(m).equal_up_to(other.piece(m), d):
                 return False
         return True
 
     def first_mismatch(self, other, d):
         """Human-readable first differing term, or None when equal."""
         for m in self._powers(other):
-            found = self.piece(m, d).first_mismatch(other.piece(m, d), d)
+            found = self.piece(m).first_mismatch(other.piece(m), d)
             if found:
                 return "t^%d: %s" % (m, found)
         return None
@@ -173,7 +173,7 @@ def build_L(model, i, working_degree):
     """The constraint L_i = -p_i* + sum_m q_m t^m M^(k,m)_i; zero for i <= 0."""
     if i <= 0:
         return TGradedOp.zero()
-    pieces = {0: -WeylOp.p_star(i, working_degree)}
+    pieces = {0: -WeylOp.p_star(i).truncated(working_degree)}
     for m, q in model.q_weights().items():
         op = pieces[m] = build_M(model.k, m, i, working_degree).scale(q)
         hom = op.homogeneous_degree()
@@ -225,28 +225,27 @@ def _structure_terms(level, shift, i, j, l):
         yield None, B * ((i - j) * (i + j - 2 - low))
 
 
-def _structure_op(level, shift, charge, i, j, l, working_degree):
-    """D^(level) for shift 1 and charge None, Dtilde^(level) for shift 3 and charge u."""
-    d = working_degree
+def _structure_op(level, shift, charge, i, j, l):
+    """Exact D^(level) (shift 1, no charge) or Dtilde^(level) (shift 3, charge u)."""
     parts = (
-        (WeylOp.identity(d) if x is None else current(x, d, charge=charge)).scale(c)
+        (WeylOp.identity() if x is None else current(x, charge=charge)).scale(c)
         for x, c in _structure_terms(level, shift, i, j, l)
     )
-    return WeylOp.sum(parts, d)
+    return WeylOp.sum(parts, EXACT)
 
 
 def build_D(s, i, j, l, working_degree):
     """Structure operator for the multi-color family (charge 0), 0 <= s <= 3."""
     if not 0 <= s <= 3:
         raise ValueError("s must be within 0..3")
-    return _structure_op(s, 1, None, i, j, l, working_degree)
+    return _structure_op(s, 1, None, i, j, l).truncated(working_degree)
 
 
 def build_Dtilde(m, i, j, l, working_degree):
     """Structure operator for the single-color family (charge u), 1 <= m <= 3."""
     if not 1 <= m <= 3:
         raise ValueError("m must be within 1..3")
-    return _structure_op(m, 3, U[1], i, j, l, working_degree)
+    return _structure_op(m, 3, U[1], i, j, l).truncated(working_degree)
 
 
 Family = namedtuple("Family", "shift charge levels weights mode")
@@ -269,10 +268,10 @@ def structure_family(model):
     return Family(3, U[1], range(1, 4), weights, lambda m, l, d: build_M(1, m, l, d))
 
 
-def dsum(family, s, i, j, targets, d_outer):
-    """sum_l D_{ij,l} . targets[l] with the family's level-s operators at d_outer."""
+def dsum(family, s, i, j, targets):
+    """sum_l D_{ij,l} . targets[l] with the family's level-s operators."""
     structure = (
-        (_structure_op(s, family.shift, family.charge, i, j, l, d_outer), op)
+        (_structure_op(s, family.shift, family.charge, i, j, l), op)
         for l, op in targets.items()
     )
     return WeylOp.sum(
@@ -281,7 +280,7 @@ def dsum(family, s, i, j, targets, d_outer):
     )
 
 
-def _products_sum(scalars, ls, d_outer, products):
+def _products_sum(scalars, ls, products):
     """The sum of c * t^tpow * X_x . L_l over scalars {(x, l, tpow): c}.
 
     X_x is p_{-x} for x < 0, p_x* for x > 0 and Id for x None.  Each X_x . L_l
@@ -297,7 +296,7 @@ def _products_sum(scalars, ls, d_outer, products):
             return ls[l]
         top = products.get((x, l))
         if top is None:
-            factor = WeylOp.p(-x, d_outer) if x < 0 else WeylOp.p_star(x, d_outer)
+            factor = WeylOp.p(-x) if x < 0 else WeylOp.p_star(x)
             top = products[x, l] = TGradedOp({0: factor}).compose(ls[l])
         return top
 
@@ -306,7 +305,7 @@ def _products_sum(scalars, ls, d_outer, products):
     )
 
 
-def structure_rhs(model, i, j, ls, d_outer, products=None):
+def structure_rhs(model, i, j, ls, products=None):
     """t * sum_l D_{ij,l} . L_l with the l-sum truncated by the support bound.
 
     The table's scalar, the level weight, the (1+b) of J_x for x > 0 and the
@@ -325,7 +324,7 @@ def structure_rhs(model, i, j, ls, d_outer, products=None):
                 elif x is not None and x > 0:
                     c = c * ONE_PLUS_B
                 add_term(scalars, (x, l, tpow + 1), w * c)
-    return _products_sum(scalars, ls, d_outer, products)
+    return _products_sum(scalars, ls, products)
 
 
 def _grouped_level(level, family, i, j, l_top):
@@ -356,7 +355,7 @@ def _grouped_level(level, family, i, j, l_top):
         yield None, base, family.charge * (3 * (i - j))
 
 
-def explicit_rhs(model, i, j, ls, d_outer, products=None):
+def explicit_rhs(model, i, j, ls, products=None):
     """The grouped closed form of [L_i, L_j] as usually displayed.
 
     Its coefficients are its own; products may be shared with structure_rhs
@@ -370,27 +369,26 @@ def explicit_rhs(model, i, j, ls, d_outer, products=None):
         for x, l, c in _grouped_level(level, family, i, j, max(ls)):
             if l in ls:
                 add_term(scalars, (x, l, tpow + 1), w * c)
-    return _products_sum(scalars, ls, d_outer, products)
+    return _products_sum(scalars, ls, products)
 
 
 # -- verification sweeps -----------------------------------------------------
 
 
-def _degrees(model, d_check):
-    """(d_build, d_outer): d_check plus the composition headroom once and twice."""
-    h = model.headroom()
-    return d_check + h, d_check + 2 * h
+def _build_degree(model, d_check):
+    """d_check plus the composition headroom: the degree the operators are built at."""
+    return d_check + model.headroom()
 
 
 def _build_l_family(model, d_check):
     """All L_l up to the support bound, with composition headroom built in."""
-    d_build, d_outer = _degrees(model, d_check)
+    d_build = _build_degree(model, d_check)
     ls = {}
     for l in range(1, l_support_bound(model, d_build) + 1):
         op = build_L(model, l, d_build)
         if not op.is_zero():
             ls[l] = op
-    return ls, d_outer
+    return ls
 
 
 def _antisymmetric_sweep(i_max, build):
@@ -451,7 +449,7 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
     """
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
-    ls, d_outer = _build_l_family(model, d_check)
+    ls = _build_l_family(model, d_check)
     subs = {"b": Fraction(b_eval)} if b_eval is not None else None
     zero = TGradedOp.zero()
 
@@ -467,10 +465,10 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
 
     def rhs_of(i, j):
         products.clear()
-        return post(structure_rhs(model, i, j, ls, d_outer, products))
+        return post(structure_rhs(model, i, j, ls, products))
 
     def grouped(i, j, lhs):
-        rhs = post(explicit_rhs(model, i, j, ls, d_outer, products))
+        rhs = post(explicit_rhs(model, i, j, ls, products))
         if lhs.equal_up_to(rhs, d_check):
             return {}
         return {
@@ -490,14 +488,14 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
 
 
 def _family_ops(model, levels, d_check):
-    """The model's structure family and its modes per level, with the degrees."""
+    """The model's structure family, its modes per level and their build degree."""
     family = structure_family(model)
-    d_build, d_outer = _degrees(model, d_check)
+    d_build = _build_degree(model, d_check)
     top = d_build + family.shift + 1
     ops = {
         s: {l: family.mode(s, l, d_build) for l in range(1, top + 1)} for s in levels
     }
-    return family, ops, d_build, d_outer
+    return family, ops, d_build
 
 
 def verify_simplified(model, which, levels, i_max, d_check, progress=None):
@@ -509,7 +507,7 @@ def verify_simplified(model, which, levels, i_max, d_check, progress=None):
     """
     if which not in ("dstruct", "mixed", "pstar"):
         raise ValueError("unknown relation family %r" % (which,))
-    family, ops, d_build, d_outer = _family_ops(model, levels, d_check)
+    family, ops, d_build = _family_ops(model, levels, d_check)
     zero = WeylOp.zero(d_build)
 
     def op(s, i):
@@ -521,21 +519,17 @@ def verify_simplified(model, which, levels, i_max, d_check, progress=None):
         elif which == "mixed":
             out = op(s, i).commutator(op(sp, j)) - op(s, j).commutator(op(sp, i))
         else:
-            out = WeylOp.p_star(i, d_outer).commutator(op(s, j)) - WeylOp.p_star(
-                j, d_outer
-            ).commutator(op(s, i))
+            out = (WeylOp.p_star(i).commutator(op(s, j))
+                   - WeylOp.p_star(j).commutator(op(s, i)))
         return TGradedOp({0: out})
 
     def rhs_of(s, sp, i, j):
         if which == "dstruct":
-            out = dsum(family, s, i, j, ops[s], d_outer)
+            out = dsum(family, s, i, j, ops[s])
         elif which == "mixed":
-            out = dsum(family, sp, i, j, ops[s], d_outer) + dsum(
-                family, s, i, j, ops[sp], d_outer
-            )
+            out = dsum(family, sp, i, j, ops[s]) + dsum(family, s, i, j, ops[sp])
         else:
-            pstars = {l: WeylOp.p_star(l, d_outer + 2) for l in ops[s]}
-            out = dsum(family, s, i, j, pstars, d_outer)
+            out = dsum(family, s, i, j, {l: WeylOp.p_star(l) for l in ops[s]})
         return TGradedOp({0: out})
 
     if which == "mixed":

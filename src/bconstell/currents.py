@@ -1,7 +1,9 @@
 """Deformed Heisenberg currents and the catalytic-variable mode constructors.
 
 The current J_i is p_{-i} for i < 0, (1+b) p_i* for i > 0 and charge * Id
-for i = 0; the currents satisfy [J_i, J_j] = (1+b) i delta_{i,-j}.
+for i = 0; the currents satisfy [J_i, J_j] = (1+b) i delta_{i,-j}.  They
+are exact; a sum of currents composed onto an operator op at working degree
+d stops at index d + jump(op), past which J_i annihilates all of op.
 
 Mode operators are built two independent ways:
 
@@ -25,13 +27,13 @@ from .coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, U, ZERO
 from .weyl import WeylOp
 
 
-def current(i, working_degree, charge=None):
-    """The current J_i at the given working degree."""
+def current(i, charge=None):
+    """The current J_i, exact."""
     if i < 0:
-        return WeylOp.p(-i, working_degree)
+        return WeylOp.p(-i)
     if i > 0:
-        return WeylOp.p_star(i, working_degree, ONE_PLUS_B)
-    return WeylOp.scalar(charge if charge is not None else ZERO, working_degree)
+        return WeylOp.p_star(i, ONE_PLUS_B)
+    return WeylOp.scalar(charge if charge is not None else ZERO)
 
 
 class YVector:
@@ -48,9 +50,9 @@ class YVector:
         self.working_degree = working_degree
 
     @classmethod
-    def seed(cls, working_degree):
-        """The start state: Id/(1+b) at marked degree 0."""
-        return cls({0: WeylOp.scalar(INV_1PB, working_degree)}, working_degree)
+    def seed(cls, d):
+        """The start state: Id/(1+b) at marked degree 0, at working degree d."""
+        return cls({0: WeylOp.scalar(INV_1PB).truncated(d)}, d)
 
     @classmethod
     def zero(cls, working_degree):
@@ -70,16 +72,15 @@ class YVector:
 
         Entry m of the result collects J_{m-j} composed onto entry j for
         every stored j, plus (b*m + shift) times entry m.  The sum over
-        currents is finite: annihilating currents beyond the working degree
-        act as zero there and are skipped.
+        currents is finite: a current index past d + jump(entry j)
+        annihilates the entry's live terms, so it is skipped.
         """
         d = self.working_degree
 
         def terms():
             for j, op in self.entries.items():
-                j_budget = d + op.max_jump()
-                for delta in range(-j, j_budget + 1):
-                    cur = current(delta, j_budget)
+                for delta in range(-j, d + op.max_jump() + 1):
+                    cur = current(delta)
                     if not cur.is_zero():
                         yield j + delta, cur.compose(op)
             for m, op in self.entries.items():
@@ -130,15 +131,17 @@ def _rec_level(s, working_degree, offset, shift):
     """
     d = working_degree
     if s == 0:
-        return {1 - offset: WeylOp.scalar(INV_1PB, d)}
+        return {1 - offset: WeylOp.scalar(INV_1PB).truncated(d)}
     prev = _rec_level(s - 1, d, offset, shift)
 
     def terms():
         for i in range(1, d + 3 + offset * (s - 1)):
             for n, op in prev.items():
-                cur = current(i - n - offset, d + op.max_jump())
-                if not cur.is_zero():
-                    yield i, cur.compose(op)
+                x = i - n - offset
+                if x <= d + op.max_jump():
+                    cur = current(x)
+                    if not cur.is_zero():
+                        yield i, cur.compose(op)
             if i - offset in prev:
                 yield i, prev[i - offset].scale(B * (i - 1) + shift)
 

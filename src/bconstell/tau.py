@@ -114,11 +114,7 @@ HSeries = TauSeries
 def _transfer_operator(model, m, order):
     """M^(m) = sum_i p_i M^(k,m)_i materialized at working degree = order."""
     modes = ((i, build_M(model.k, m, i, order)) for i in range(1, order + 1))
-    leads = (
-        WeylOp.p(i, order + max(0, m - i)).compose(mode)
-        for i, mode in modes
-        if not mode.is_zero()
-    )
+    leads = (WeylOp.p(i).compose(mode) for i, mode in modes if not mode.is_zero())
     return WeylOp.sum(leads, order)
 
 
@@ -217,17 +213,18 @@ def tau_from_h(h):
 def _lambda_series(entries, order, shift, feedback):
     """Shifted transfer step on a y-vector of truncated series, with rooted feedback.
 
-    The currents act coefficient by coefficient at the entry's largest
-    coefficient degree.  feedback maps a >= 1 to the rooted series
-    G_a = a dH/dp_a; the feedback term moves the marked degree up by a while
-    multiplying by G_a.
+    The currents are exact and act coefficient by coefficient.  delta stops
+    at the order and at the entry's largest coefficient degree, past which
+    J_delta annihilates every coefficient.  feedback maps a >= 1 to the rooted
+    series G_a = a dH/dp_a; the feedback term moves the marked degree up by a
+    while multiplying by G_a.
     """
 
     def terms():
         for j, s in entries.items():
             top = max(c.degree() for c in s.coeffs)
-            for delta in range(-j, order + 1):
-                cur = current(delta, top)
+            for delta in range(-j, min(top, order) + 1):
+                cur = current(delta)
                 if not cur.is_zero():
                     yield j + delta, s.map(cur.apply)
         for j, s in entries.items():

@@ -12,6 +12,11 @@ yields min(D2, D1 - jump(O2)) where jump(O2) is the largest degree raise O2
 can produce.  A DegreeBudgetError means the requested computation cannot be
 certified at any degree.
 
+p_i, p_i*, monomial multiplications, scalars and the identity are exact on
+every polynomial: they sit at working degree ``EXACT`` (infinity), and
+``truncated(d)`` is the one way to cut one down.  A product with an exact
+left factor sits at its right operand's degree.
+
 ``compose`` is the one contraction kernel and ``compose_degree`` the one
 budget rule: ``apply`` composes onto f as a multiplication operator at
 working degree 0, where only the fully contracted terms survive and a
@@ -31,6 +36,9 @@ from math import comb, factorial
 
 from .coeffring import Coeff, add_terms, sum_grouped
 from .ppoly import EMPTY, PPoly, pm_degree, pm_mul, pm_sort_key
+
+
+EXACT = float("inf")
 
 
 class DegreeBudgetError(Exception):
@@ -74,7 +82,7 @@ def compose_degree(left_degree, right):
     new_d = min(right.working_degree, left_degree - right.max_jump())
     if new_d < 0:
         raise DegreeBudgetError(
-            "composition budget exhausted (degrees %d and %d, jump %d)"
+            "composition budget exhausted (degrees %s and %s, jump %d)"
             % (left_degree, right.working_degree, right.max_jump())
         )
     return new_d
@@ -112,44 +120,39 @@ class WeylOp:
         return cls({}, working_degree)
 
     @classmethod
-    def scalar(cls, c, working_degree):
+    def scalar(cls, c):
+        """c * Id, exact."""
         if isinstance(c, (int, Fraction)):
             c = Coeff.from_rational(c)
-        return cls({(EMPTY, EMPTY): c}, working_degree)
+        return cls({(EMPTY, EMPTY): c}, EXACT)
 
     @classmethod
-    def identity(cls, working_degree):
-        return cls.scalar(Coeff.one(), working_degree)
+    def identity(cls):
+        return cls.scalar(Coeff.one())
 
     @classmethod
-    def creation(cls, mono, working_degree, coeff=None):
-        """Multiplication by the monomial p^mono; zero if any index <= 0."""
+    def creation(cls, mono, coeff=None):
+        """Multiplication by the monomial p^mono, exact; zero if any index <= 0."""
         merged = {}
         for i, e in mono:
             if e:
                 if i <= 0:
-                    return cls.zero(working_degree)
+                    return cls.zero(EXACT)
                 merged[i] = merged.get(i, 0) + e
         mono = tuple(sorted(merged.items()))
-        return cls(
-            {(mono, EMPTY): Coeff.one() if coeff is None else coeff}, working_degree
-        )
+        return cls({(mono, EMPTY): Coeff.one() if coeff is None else coeff}, EXACT)
 
     @classmethod
-    def p(cls, i, working_degree, coeff=None):
-        if i <= 0:
-            return cls.zero(working_degree)
-        return cls.creation(((i, 1),), working_degree, coeff)
+    def p(cls, i, coeff=None):
+        """p_i, exact; zero for i <= 0."""
+        return cls.creation(((i, 1),), coeff)
 
     @classmethod
-    def p_star(cls, i, working_degree, coeff=None):
-        """p_i* = i d/dp_i; zero for i <= 0."""
+    def p_star(cls, i, coeff=None):
+        """p_i* = i d/dp_i, exact; zero for i <= 0."""
         if i <= 0:
-            return cls.zero(working_degree)
-        return cls(
-            {(EMPTY, ((i, 1),)): Coeff.one() if coeff is None else coeff},
-            working_degree,
-        )
+            return cls.zero(EXACT)
+        return cls({(EMPTY, ((i, 1),)): Coeff.one() if coeff is None else coeff}, EXACT)
 
     # -- structure ---------------------------------------------------------
 
@@ -175,7 +178,7 @@ class WeylOp:
     def truncated(self, d):
         if d > self.working_degree:
             raise DegreeBudgetError(
-                "cannot extend working degree %d to %d" % (self.working_degree, d)
+                "cannot extend working degree %s to %s" % (self.working_degree, d)
             )
         return WeylOp(self.terms, d)
 
@@ -305,7 +308,7 @@ class WeylOp:
         """Exact equality as operators on all polynomials of degree <= d."""
         if d > min(self.working_degree, other.working_degree):
             raise DegreeBudgetError(
-                "comparison degree %d exceeds working degrees (%d, %d)"
+                "comparison degree %s exceeds working degrees (%s, %s)"
                 % (d, self.working_degree, other.working_degree)
             )
         return self._trunc_terms(d) == other._trunc_terms(d)

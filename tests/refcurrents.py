@@ -15,9 +15,22 @@ shifts); the y-route modes must give the same terms and working degree.
 
 from functools import lru_cache
 
-from bconstell.coeffring import B, INV_1PB, U
-from bconstell.currents import YVector, current
+from bconstell.coeffring import B, INV_1PB, ONE, ONE_PLUS_B, U, ZERO
+from bconstell.currents import YVector
 from bconstell.weyl import WeylOp
+
+
+def current(i, working_degree, charge=None):
+    """The current J_i built at a working degree, as the references use it.
+
+    The engine's currents are exact; ``current(i).truncated(d)`` there must
+    give these terms and this degree.
+    """
+    if i < 0:
+        return WeylOp({(((-i, 1),), ()): ONE}, working_degree)
+    if i > 0:
+        return WeylOp({((), ((i, 1),)): ONE_PLUS_B}, working_degree)
+    return WeylOp({((), ()): charge if charge is not None else ZERO}, working_degree)
 
 
 @lru_cache(maxsize=None)
@@ -26,7 +39,7 @@ def _a_rec_level(s, working_degree):
     d = working_degree
     top = d + 2
     if s == 0:
-        return {1: WeylOp.scalar(INV_1PB, d)}
+        return {1: WeylOp.scalar(INV_1PB).truncated(d)}
     prev = _a_rec_level(s - 1, d)
     level = {}
     for i in range(1, top + 1):

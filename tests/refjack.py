@@ -15,7 +15,7 @@ agree with it.
 from fractions import Fraction
 from functools import lru_cache
 
-from bconstell.coeffring import Coeff, ONE_PLUS_B, U as COEFF_U, Q as COEFF_Q
+from bconstell.coeffring import Coeff, ONE_PLUS_B, U as COEFF_U, Q as COEFF_Q, VARS
 from bconstell.jack import (
     OracleDenominatorError,
     _field,
@@ -151,7 +151,7 @@ def jack(lam):
 def content_product(lam, k, convention):
     field, gens = _field()
     alpha = gens["alpha"]
-    us = [gens["u1"], gens["u2"], gens["u3"]][:k]
+    us = [gens[v] for v in VARS if v[0] == "u"][:k]
     acc = field.one
     for r, row_len in enumerate(lam, start=1):
         for c in range(1, row_len + 1):
@@ -169,13 +169,12 @@ def vertex_weight(lam, model):
     if model.r == 1:
         return field.one
     acc = field.zero
-    qs = [None, gens["q1"], gens["q2"], gens["q3"]]
     for mu, c in jack(lam).items():
-        if mu and max(mu) > 3:
+        if mu and max(mu) > model.r:
             continue
         term = c
         for part in mu:
-            term *= qs[part]
+            term *= gens["q%d" % part]
         acc += term
     return acc
 

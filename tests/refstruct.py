@@ -15,14 +15,29 @@ right-hand sides shared their products: each form composes its own scaled
 factors with every L_l, and the structure form composes the scalar parts of
 its coefficients too.  Their table is read from ``build_D`` and
 ``build_Dtilde`` above; the family choice is the engine's one place.
+
+The references build their currents (``refcurrents.current``) and their
+p_n, p_n* factors at a finite working degree, the factors at
+``outer_degree`` (the check degree plus twice the headroom); the engine
+builds all of them exact, and both must give the same terms and degrees.
 """
 
 from fractions import Fraction
 
 from bconstell.coeffring import B, Coeff, ONE_PLUS_B, Q, U
-from bconstell.currents import current
 from bconstell.constraints import TGradedOp, structure_family
 from bconstell.weyl import WeylOp
+
+from refcurrents import current
+
+
+def identity(d):
+    return WeylOp.identity().truncated(d)
+
+
+def outer_degree(model, d_check):
+    """d_check plus twice the headroom: the degree the references compose factors at."""
+    return d_check + 2 * model.headroom()
 
 
 def _sgn(x):
@@ -47,7 +62,7 @@ def build_D(s, i, j, l, working_degree):
         return WeylOp.zero(d)
     if s == 2:
         if l == i + j - 1:
-            return WeylOp.identity(d).scale(Coeff.from_rational(i - j))
+            return identity(d).scale(Coeff.from_rational(i - j))
         return WeylOp.zero(d)
     mu, M = min(i, j), max(i, j)
     out = WeylOp.zero(d)
@@ -61,7 +76,7 @@ def build_D(s, i, j, l, working_degree):
     if coeff:
         out = out + current(i + j - 1 - l, d).scale(Coeff.from_rational(coeff))
     if l == i + j - 1:
-        out = out + WeylOp.identity(d).scale(B * ((i - j) * (i + j - 2)))
+        out = out + identity(d).scale(B * ((i - j) * (i + j - 2)))
     return out
 
 
@@ -74,7 +89,7 @@ def build_Dtilde(m, i, j, l, working_degree):
         return WeylOp.zero(d)
     if m == 2:
         if l == i + j - 2:
-            return WeylOp.identity(d).scale(Coeff.from_rational(i - j))
+            return identity(d).scale(Coeff.from_rational(i - j))
         return WeylOp.zero(d)
     mu, M = min(i, j), max(i, j)
     out = WeylOp.zero(d)
@@ -90,7 +105,7 @@ def build_Dtilde(m, i, j, l, working_degree):
             Coeff.from_rational(coeff)
         )
     if l == i + j - 3:
-        out = out + WeylOp.identity(d).scale(B * ((i - j) * (i + j - 3)))
+        out = out + identity(d).scale(B * ((i - j) * (i + j - 3)))
     return out
 
 
@@ -141,6 +156,12 @@ def explicit_rhs(model, i, j, ls, d_outer):
     def L(l):
         return ls.get(l, zero)
 
+    def p(n):
+        return TGradedOp({0: WeylOp.p(n).truncated(d_outer)})
+
+    def p_star(n):
+        return TGradedOp({0: WeylOp.p_star(n).truncated(d_outer)})
+
     if model.name == "bip":
         return L(i + j - 1).scale(Coeff.from_rational(i - j)).tshift(1)
 
@@ -149,18 +170,16 @@ def explicit_rhs(model, i, j, ls, d_outer):
         for n in range(1, max(ls) - (i + j - 1) + 1):
             if i + j + n - 1 not in ls:
                 continue
-            term = TGradedOp({0: WeylOp.p(n, d_outer)}).compose(L(i + j + n - 1))
+            term = p(n).compose(L(i + j + n - 1))
             rhs = rhs + term.scale(Coeff.from_rational(2 * (i - j)))
         rhs = rhs + L(i + j - 1).scale(B * ((i - j) * (i + j - 2)))
         for n in range(1, mu):
-            term = TGradedOp({0: WeylOp.p_star(n, d_outer)}).compose(L(i + j - 1 - n))
+            term = p_star(n).compose(L(i + j - 1 - n))
             rhs = rhs + term.scale(ONE_PLUS_B * (3 * (i - j)))
         for n in range(mu, M):
             c = _sgn(i - j) * (2 * M - 2 * n - mu - 1)
             if c:
-                term = TGradedOp({0: WeylOp.p_star(n, d_outer)}).compose(
-                    L(i + j - 1 - n)
-                )
+                term = p_star(n).compose(L(i + j - 1 - n))
                 rhs = rhs + term.scale(ONE_PLUS_B * c)
         rhs = rhs + L(i + j - 1).scale((U[1] + U[2] + U[3]) * (i - j))
         return rhs.tshift(1)
@@ -172,18 +191,16 @@ def explicit_rhs(model, i, j, ls, d_outer):
             l = i + j + n - 3
             if l not in ls:
                 continue
-            term = TGradedOp({0: WeylOp.p(n, d_outer)}).compose(L(l))
+            term = p(n).compose(L(l))
             rhs = rhs + term.scale(q3 * (2 * (i - j))).tshift(2)
         rhs = rhs + L(i + j - 3).scale(q3 * B * ((i - j) * (i + j - 3))).tshift(2)
         for n in range(1, mu - 1):
-            term = TGradedOp({0: WeylOp.p_star(n, d_outer)}).compose(L(i + j - 3 - n))
+            term = p_star(n).compose(L(i + j - 3 - n))
             rhs = rhs + term.scale(q3 * ONE_PLUS_B * (3 * (i - j))).tshift(2)
         for n in range(max(mu - 1, 1), M - 1):
             c = _sgn(i - j) * (2 * M - 2 * n - mu - 3)
             if c:
-                term = TGradedOp({0: WeylOp.p_star(n, d_outer)}).compose(
-                    L(i + j - 3 - n)
-                )
+                term = p_star(n).compose(L(i + j - 3 - n))
                 rhs = rhs + term.scale(q3 * ONE_PLUS_B * c).tshift(2)
         rhs = rhs + L(i + j - 3).scale(q3 * U[1] * (3 * (i - j))).tshift(2)
         rhs = rhs + L(i + j - 2).scale(q2 * (i - j)).tshift(1)
@@ -236,11 +253,11 @@ def _grouped_level(level, family, i, j, l_top, d_outer):
     base = i + j - shift
     yield None, base, B * ((i - j) * (i + j - 2 - low))
     for n in range(1, l_top - base + 1):
-        yield WeylOp.p(n, d_outer), base + n, 2 * (i - j)
+        yield WeylOp.p(n).truncated(d_outer), base + n, 2 * (i - j)
     for n in range(1, M - low):
         c = 3 * (i - j) if n < mu - low else _sgn(i - j) * (2 * M - 2 * n - mu - shift)
         if c:
-            yield WeylOp.p_star(n, d_outer), base - n, ONE_PLUS_B * c
+            yield WeylOp.p_star(n).truncated(d_outer), base - n, ONE_PLUS_B * c
     if family.charge is not None:
         yield None, base, family.charge * (3 * (i - j))
 

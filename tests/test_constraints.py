@@ -50,8 +50,8 @@ def bip_display(i):
     if i >= 2:
         op = op + term([], [(i - 1, 1)], B * (i - 1) + U[1] + U[2])
     if i == 1:
-        op = op + WeylOp.scalar(U[1] * U[2] * INV_1PB, D)
-    return TGradedOp({0: -WeylOp.p_star(i, D), 1: op})
+        op = op + WeylOp.scalar(U[1] * U[2] * INV_1PB)
+    return TGradedOp({0: -WeylOp.p_star(i), 1: op})
 
 
 def threeconst_display(i):
@@ -90,8 +90,8 @@ def threeconst_display(i):
     e2 = U[1] * U[2] + U[1] * U[3] + U[2] * U[3]
     op = op + term([], [(i - 1, 1)], e2)
     if i == 1:
-        op = op + WeylOp.scalar(U[1] * U[2] * U[3] * INV_1PB, D)
-    return TGradedOp({0: -WeylOp.p_star(i, D), 1: op})
+        op = op + WeylOp.scalar(U[1] * U[2] * U[3] * INV_1PB)
+    return TGradedOp({0: -WeylOp.p_star(i), 1: op})
 
 
 def m12_display(i):
@@ -111,7 +111,7 @@ def m12_display(i):
     if i == 1:
         op = op + term([(1, 1)], [], U[1] * INV_1PB)
     if i == 2:
-        op = op + WeylOp.scalar(U[1] * (B + U[1]) * INV_1PB, D)
+        op = op + WeylOp.scalar(U[1] * (B + U[1]) * INV_1PB)
     return op
 
 
@@ -137,7 +137,7 @@ def test_m12_display_matches_engine():
 def test_build_L_examples():
     t1 = build_L(BIP, 1, D).pieces[1]
     want = WeylOp({(((l, 1),), ((l, 1),)): Coeff.one() for l in range(1, D + 1)}, D)
-    want = want + WeylOp.scalar(U[1] * U[2] * INV_1PB, D)
+    want = want + WeylOp.scalar(U[1] * U[2] * INV_1PB)
     assert t1.equal_up_to(want, D)
 
     t1c = build_L(THREECONST, 1, D).pieces[1]
@@ -146,7 +146,7 @@ def test_build_L_examples():
 
     t2 = build_L(BIPLE3, 2, D).pieces[2]
     want = WeylOp({(((n, 1),), ((n, 1),)): Q[2] for n in range(1, D + 1)}, D)
-    want = want + WeylOp.scalar(Q[2] * U[1] * (B + U[1]) * INV_1PB, D)
+    want = want + WeylOp.scalar(Q[2] * U[1] * (B + U[1]) * INV_1PB)
     assert t2.equal_up_to(want, D)
 
 
@@ -162,29 +162,29 @@ def test_build_L_piece_homogeneity():
 
 def test_build_D_examples():
     got = build_D(2, 2, 1, 2, D)
-    assert got.equal_up_to(WeylOp.identity(D), D)
+    assert got.equal_up_to(WeylOp.identity(), D)
     for l in range(1, 6):
         assert build_D(3, 3, 3, l, D).is_zero()
     got = build_D(3, 2, 1, 3, D)
-    assert got.equal_up_to(WeylOp.p(1, D, Coeff.from_rational(2)), D)
+    assert got.equal_up_to(WeylOp.p(1, Coeff.from_rational(2)), D)
     assert build_D(0, 2, 1, 1, D).is_zero()
     assert build_D(1, 2, 1, 1, D).is_zero()
 
 
 def test_build_Dtilde_examples():
     got = build_Dtilde(2, 3, 1, 2, D)
-    assert got.equal_up_to(WeylOp.identity(D).scale(Coeff.from_rational(2)), D)
+    assert got.equal_up_to(WeylOp.identity().scale(Coeff.from_rational(2)), D)
     for l in range(1, 6):
         assert build_Dtilde(3, 2, 2, l, D).is_zero()
     got = build_Dtilde(3, 2, 1, 1, D)
-    assert got.equal_up_to(WeylOp.p(1, D, Coeff.from_rational(2)), D)
+    assert got.equal_up_to(WeylOp.p(1, Coeff.from_rational(2)), D)
     assert build_Dtilde(1, 2, 1, 1, D).is_zero()
 
 
 def test_dtilde_charge_term():
     # l = i+j-3 picks up the charge through the zero-index current
     got = build_Dtilde(3, 3, 2, 2, D)
-    want = WeylOp.scalar(U[1] * 3 + B * 2, D)
+    want = WeylOp.scalar(U[1] * 3 + B * 2)
     assert got.equal_up_to(want, D)
 
 
@@ -222,18 +222,18 @@ def test_grouped_display_deviation_is_pinned():
     """Where the grouped display disagrees, the difference is exactly the
     known boundary charge term."""
     d_check = 6
-    ls, d_outer = _build_l_family(BIPLE3, d_check)
+    ls = _build_l_family(BIPLE3, d_check)
     for (i, j) in ((3, 1), (1, 3), (4, 1)):
-        e = explicit_rhs(BIPLE3, i, j, ls, d_outer)
-        s = structure_rhs(BIPLE3, i, j, ls, d_outer)
+        e = explicit_rhs(BIPLE3, i, j, ls)
+        s = structure_rhs(BIPLE3, i, j, ls)
         M = max(i, j)
         sgn = 1 if i > j else -1
         want = ls[M - 2].scale(Q[3] * U[1] * (sgn * (M + 1))).tshift(3)
         assert (e - s).equal_up_to(want, d_check), (i, j)
     # away from the boundary the two right-hand sides agree
     for (i, j) in ((2, 1), (3, 2), (2, 3), (2, 2)):
-        e = explicit_rhs(BIPLE3, i, j, ls, d_outer)
-        s = structure_rhs(BIPLE3, i, j, ls, d_outer)
+        e = explicit_rhs(BIPLE3, i, j, ls)
+        s = structure_rhs(BIPLE3, i, j, ls)
         assert e.equal_up_to(s, d_check), (i, j)
 
 
@@ -285,8 +285,8 @@ def test_final_commutator_failure_carries_first_mismatch(monkeypatch):
     real = constraints_mod.dsum
     added = []
 
-    def off_by_one_op(family, s, i, j, targets, d_outer):
-        rhs = real(family, s, i, j, targets, d_outer)
+    def off_by_one_op(family, s, i, j, targets):
+        rhs = real(family, s, i, j, targets)
         if (i, j) != (1, 2):
             return rhs
         added.append(targets[1])

@@ -3,35 +3,33 @@ import pytest
 from bconstell.coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, U
 from bconstell.currents import YVector, build_A, build_M, current, esym
 from bconstell.ppoly import PPoly
-from bconstell.weyl import WeylOp
+from bconstell.weyl import EXACT, WeylOp
 
 D = 8
 
 
 def test_current_examples():
-    assert current(-2, D).apply(PPoly.one()) == PPoly.gen(2)
-    j2 = current(2, D)
+    assert current(-2).apply(PPoly.one()) == PPoly.gen(2)
+    j2 = current(2)
     assert j2.apply(PPoly.gen(2)) == PPoly.one() * (ONE_PLUS_B * 2)
-    comm = current(2, D).commutator(current(-2, D))
-    assert comm.equal_up_to(
-        WeylOp.scalar(ONE_PLUS_B * 2, comm.working_degree), comm.working_degree
-    )
+    comm = current(2).commutator(current(-2))
+    assert comm.working_degree == EXACT
+    assert comm.equal_up_to(WeylOp.scalar(ONE_PLUS_B * 2), EXACT)
 
 
 def test_current_relation_sweep():
     for i in range(-D, D + 1):
         for j in range(-D, D + 1):
-            comm = current(i, D, charge=U[1]).commutator(current(j, D, charge=U[1]))
-            d = comm.working_degree
-            want = WeylOp.scalar(ONE_PLUS_B * i, d) if i == -j else WeylOp.zero(d)
-            assert comm.equal_up_to(want, d), (i, j)
+            comm = current(i, charge=U[1]).commutator(current(j, charge=U[1]))
+            want = WeylOp.scalar(ONE_PLUS_B * i) if i == -j else WeylOp.zero(EXACT)
+            assert comm.equal_up_to(want, EXACT), (i, j)
 
 
 def test_y_plus_examples():
     seed = YVector.seed(D)
     shifted = seed.y_plus()
     assert sorted(shifted.entries) == [1]
-    assert shifted.entry(1).equal_up_to(WeylOp.scalar(INV_1PB, D), D)
+    assert shifted.entry(1).equal_up_to(WeylOp.scalar(INV_1PB), D)
     assert not YVector.zero(D).y_plus().entries
     twice = seed.y_plus().y_plus()
     assert sorted(twice.entries) == [2]
@@ -40,16 +38,16 @@ def test_y_plus_examples():
 def test_lambda_y_first_step():
     # entry 1 of the transfer applied to the shifted seed is b/(1+b)
     v = YVector.seed(D).y_plus().lambda_y()
-    assert v.entry(1).equal_up_to(WeylOp.scalar(B * INV_1PB, D), D)
+    assert v.entry(1).equal_up_to(WeylOp.scalar(B * INV_1PB), D)
 
 
 def test_build_A_base_and_level_one():
     for route in ("rec", "y"):
-        assert build_A(1, 0, D, route).equal_up_to(WeylOp.scalar(INV_1PB, D), D)
+        assert build_A(1, 0, D, route).equal_up_to(WeylOp.scalar(INV_1PB), D)
         for i in range(2, 6):
             assert build_A(i, 0, D, route).is_zero()
         # level one is the shifted current
-        assert build_A(2, 1, D, route).equal_up_to(WeylOp.p_star(1, D), D)
+        assert build_A(2, 1, D, route).equal_up_to(WeylOp.p_star(1), D)
         assert build_A(1, 1, D, route).is_zero()
 
 
@@ -79,9 +77,9 @@ def test_A_homogeneity():
 
 def test_build_M_level_one():
     # the zero-index current carries charge u, so entry 1 is u/(1+b)
-    assert build_M(1, 1, 1, D).equal_up_to(WeylOp.scalar(U[1] * INV_1PB, D), D)
+    assert build_M(1, 1, 1, D).equal_up_to(WeylOp.scalar(U[1] * INV_1PB), D)
     for i in range(2, 6):
-        assert build_M(1, 1, i, D).equal_up_to(WeylOp.p_star(i - 1, D), D)
+        assert build_M(1, 1, i, D).equal_up_to(WeylOp.p_star(i - 1), D)
 
 
 def test_build_M_level_two():
@@ -94,7 +92,7 @@ def test_build_M_level_two():
 
     got = build_M(1, 2, 2, D)
     want = WeylOp({(((n, 1),), ((n, 1),)): Coeff.one() for n in range(1, D + 1)}, D)
-    want = want + WeylOp.scalar(U[1] * (B + U[1]) * INV_1PB, D)
+    want = want + WeylOp.scalar(U[1] * (B + U[1]) * INV_1PB)
     assert got.equal_up_to(want, D)
 
 

@@ -56,6 +56,16 @@ CASES = {
         ]
         for model in ("bip", "biple3")
     },
+    "dump_J_i3_deg2": ["dump", "--op", "J", "--i", "3", "--deg", "2"],
+    "dump_J_im2_deg4": ["dump", "--op", "J", "--i", "-2", "--deg", "4"],
+    "dump_J_i0_deg3": ["dump", "--op", "J", "--i", "0", "--deg", "3"],
+    # the p_3* term of D^(3)_{51,2} is dropped at --deg 1 and kept at --deg 3
+    "dump_D_s3_deg1": ["dump", "--op", "D", "--s", "3", "--i", "5", "--j", "1", "--l",
+                       "2", "--deg", "1"],
+    "dump_D_s3_deg3": ["dump", "--op", "D", "--s", "3", "--i", "5", "--j", "1", "--l",
+                       "2", "--deg", "3"],
+    "dump_Dtilde_m3_deg1": ["dump", "--op", "Dtilde", "--m", "3", "--i", "5", "--j",
+                            "1", "--l", "1", "--deg", "1"],
     "dump_M_k1": ["dump", "--op", "M", "--k", "1", "--m", "3", "--i", "2", "--deg", "6"],
     "dump_M_k2": ["dump", "--op", "M", "--k", "2", "--m", "1", "--i", "2", "--deg", "6"],
 }

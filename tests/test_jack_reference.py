@@ -1,6 +1,7 @@
 """The fraction-free oracle against the field-based reference in refjack."""
 
 import importlib
+from collections import namedtuple
 from math import factorial, prod
 
 import pytest
@@ -136,13 +137,18 @@ def test_content_rows_match_reference_through_eight(convention):
                 assert got == refjack.content_product(lam, k, convention), (lam, k)
 
 
-def test_biple3_vertex_weight_matches_reference_through_six():
+# a one-colour model whose vertex degrees stop at 2, below the q3 slot
+Colours = namedtuple("Colours", "k r")
+
+
+@pytest.mark.parametrize("model", [BIPLE3, Colours(1, 2)], ids=["biple3", "r2"])
+def test_biple3_vertex_weight_matches_reference_through_six(model):
     # a unit ratio and the constant rows [1] (P = 1) leave the vertex-side sum
     field, _ = jackmod._field()
     for n in range(1, 7):
         for lam in partitions(n):
             vec = jackmod._jack_table(n)[lam]
-            weight = jackmod._weight(vec, [1], [[1]], BIPLE3)
+            weight = jackmod._weight(vec, [1], [[1]], model)
             lead = vec[(1,) * n][0]
             got = field.field((jackmod._terms(weight), lead))
-            assert got == refjack.vertex_weight(lam, BIPLE3), lam
+            assert got == refjack.vertex_weight(lam, model), lam

@@ -29,18 +29,18 @@ def assert_same(got, want, where):
 @pytest.mark.parametrize("d_check", [1, 6])
 @pytest.mark.parametrize("model", [BIP, THREECONST, BIPLE3], ids=lambda m: m.name)
 def test_right_hand_sides_match_reference(model, d_check):
-    ls, d_outer = C._build_l_family(model, d_check)
+    ls = C._build_l_family(model, d_check)
+    d_outer = refstruct.outer_degree(model, d_check)
     if d_check == 1 and model.r == 1:
         assert max(ls) < 5  # so indices beyond the built family are covered
     for i in range(1, 6):
         for j in range(1, 6):
             want_s = refstruct.structure_rhs(model, i, j, ls, d_outer)
             want_e = refstruct.summed_explicit_rhs(model, i, j, ls, d_outer)
-            fresh = (C.structure_rhs(model, i, j, ls, d_outer),
-                     C.explicit_rhs(model, i, j, ls, d_outer))
+            fresh = (C.structure_rhs(model, i, j, ls), C.explicit_rhs(model, i, j, ls))
             products = {}
-            shared = (C.structure_rhs(model, i, j, ls, d_outer, products),
-                      C.explicit_rhs(model, i, j, ls, d_outer, products))
+            shared = (C.structure_rhs(model, i, j, ls, products),
+                      C.explicit_rhs(model, i, j, ls, products))
             for label, (got_s, got_e) in (("fresh", fresh), ("shared", shared)):
                 assert_same(got_s, want_s, (label, "structure", i, j))
                 assert_same(got_e, want_e, (label, "explicit", i, j))

@@ -58,21 +58,23 @@ def reference_final_ops(model, d_build):
 @pytest.mark.parametrize("model", [BIP, BIPLE3], ids=lambda m: m.name)
 @pytest.mark.parametrize("d_check", [1, 3, 5])
 def test_final_commutator_rhs_matches_reference(model, d_check):
-    family, families, d_build, d_outer = C._family_ops(model, [3], d_check)
+    family, families, d_build = C._family_ops(model, [3], d_check)
+    d_outer = refstruct.outer_degree(model, d_check)
     for ops in (families[3], reference_final_ops(model, d_build)):
         for i in range(1, 6):
             for j in range(1, 6):
-                got = C.dsum(family, 3, i, j, ops, d_outer)
+                got = C.dsum(family, 3, i, j, ops)
                 want = refstruct.final_commutator_rhs(model, i, j, ops, d_outer)
                 assert same_op(got, want), (i, j)
 
 
 @pytest.mark.parametrize("model", [BIP, THREECONST, BIPLE3], ids=lambda m: m.name)
 def test_explicit_rhs_matches_reference(model):
-    ls, d_outer = C._build_l_family(model, 6)
+    ls = C._build_l_family(model, 6)
+    d_outer = refstruct.outer_degree(model, 6)
     for i in range(1, 6):
         for j in range(1, 6):
-            got = C.explicit_rhs(model, i, j, ls, d_outer)
+            got = C.explicit_rhs(model, i, j, ls)
             want = refstruct.explicit_rhs(model, i, j, ls, d_outer)
             got, want = refstruct.live_pieces(got), refstruct.live_pieces(want)
             assert got.keys() == want.keys(), (i, j)
@@ -87,10 +89,10 @@ def statuses(report):
 def test_corrupted_table_fails_level_three_closure(monkeypatch):
     real = C._structure_op
 
-    def corrupted(level, shift, charge, i, j, l, working_degree):
-        op = real(level, shift, charge, i, j, l, working_degree)
+    def corrupted(level, shift, charge, i, j, l):
+        op = real(level, shift, charge, i, j, l)
         if (level, shift, i, j, l) == (3, 1, 3, 1, 2):
-            return op + WeylOp.identity(working_degree)
+            return op + WeylOp.identity()
         return op
 
     monkeypatch.setattr(C, "_structure_op", corrupted)

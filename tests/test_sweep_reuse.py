@@ -22,7 +22,7 @@ def ordered_pairs(i_max):
 
 
 def direct_commutators(model, i_max, d_check, b_eval=None):
-    ls, d_outer = C._build_l_family(model, d_check)
+    ls = C._build_l_family(model, d_check)
     subs = {"b": Fraction(b_eval)} if b_eval is not None else None
 
     def post(op):
@@ -31,8 +31,8 @@ def direct_commutators(model, i_max, d_check, b_eval=None):
     pairs = []
     for i, j in ordered_pairs(i_max):
         lhs = post(ls[i].commutator(ls[j]))
-        rhs = post(C.structure_rhs(model, i, j, ls, d_outer))
-        grouped = post(C.explicit_rhs(model, i, j, ls, d_outer))
+        rhs = post(C.structure_rhs(model, i, j, ls))
+        grouped = post(C.explicit_rhs(model, i, j, ls))
         entry = {"i": i, "j": j, "status": "pass"}
         if not lhs.equal_up_to(rhs, d_check):
             entry["status"] = "fail"
@@ -45,12 +45,12 @@ def direct_commutators(model, i_max, d_check, b_eval=None):
 
 
 def direct_simplified(model, which, levels, i_max, d_check):
-    family, ops, _, d_outer = C._family_ops(model, levels, d_check)
+    family, ops, _ = C._family_ops(model, levels, d_check)
 
     def dsum(s, i, j, targets):
         acc = C.TGradedOp.zero()
         for l, op in targets.items():
-            dd = C._structure_op(s, family.shift, family.charge, i, j, l, d_outer)
+            dd = C._structure_op(s, family.shift, family.charge, i, j, l)
             if not dd.is_zero():
                 acc = acc + C.TGradedOp({0: dd.compose(op)})
         return acc
@@ -70,10 +70,9 @@ def direct_simplified(model, which, levels, i_max, d_check):
                 rhs = dsum(sp, i, j, ops[s]) + dsum(s, i, j, ops[sp])
                 label = {"level": s, "level2": sp}
             else:
-                lhs = WeylOp.p_star(i, d_outer).commutator(ops[s][j]) - WeylOp.p_star(
-                    j, d_outer
-                ).commutator(ops[s][i])
-                pstars = {l: WeylOp.p_star(l, d_outer + 2) for l in ops[s]}
+                lhs = (WeylOp.p_star(i).commutator(ops[s][j])
+                       - WeylOp.p_star(j).commutator(ops[s][i]))
+                pstars = {l: WeylOp.p_star(l) for l in ops[s]}
                 rhs = dsum(s, i, j, pstars)
                 label = {"level": s}
             lhs = C.TGradedOp({0: lhs})
@@ -148,8 +147,8 @@ def test_verify_final_commutator_matches_direct_loop(model):
 def test_failing_structure_rhs_mismatches_match_direct_loop(monkeypatch):
     real = C.structure_rhs
 
-    def corrupted(model, i, j, ls, d_outer, *products):
-        rhs = real(model, i, j, ls, d_outer, *products)
+    def corrupted(model, i, j, ls, *products):
+        rhs = real(model, i, j, ls, *products)
         # differ on both halves of the unordered pairs {1,2} and {2,3}
         if (i, j) in ((1, 2), (2, 1), (3, 2)):
             return rhs + ls[i + j].tshift(i)
@@ -168,8 +167,8 @@ def test_failing_final_commutator_mismatches_match_direct_loop(monkeypatch):
     real = C.dsum
     real_ref = refstruct.final_commutator_rhs
 
-    def corrupted(family, s, i, j, ops, d_outer):
-        rhs = real(family, s, i, j, ops, d_outer)
+    def corrupted(family, s, i, j, ops):
+        rhs = real(family, s, i, j, ops)
         return rhs + ops[1] if i > j else rhs
 
     def corrupted_ref(model, i, j, ops, d_outer):
@@ -188,10 +187,10 @@ def test_failing_final_commutator_mismatches_match_direct_loop(monkeypatch):
 def test_failing_structure_operator_mismatches_match_direct_loop(monkeypatch):
     real = C._structure_op
 
-    def corrupted(s, shift, charge, i, j, l, working_degree):
-        op = real(s, shift, charge, i, j, l, working_degree)
+    def corrupted(s, shift, charge, i, j, l):
+        op = real(s, shift, charge, i, j, l)
         if (i, j, l) == (3, 1, 2):
-            return op + WeylOp.identity(working_degree)
+            return op + WeylOp.identity()
         return op
 
     monkeypatch.setattr(C, "_structure_op", corrupted)

@@ -5,8 +5,13 @@ operator built at D, and a composition of operators built at raised degrees,
 truncated to the lower composition's working degree, must equal that
 composition.  The pruning in WeylOp.compose relies on exactly this: a term
 whose derivative part lies above the working degree is never needed.
+
+Exact operators (currents, p_n, p_n*, scalars, the identity) sit at EXACT:
+cut down to d, a current must be the one the references build at d, and no
+dump prints an exact degree.
 """
 
+import json
 import random
 
 import pytest
@@ -15,10 +20,12 @@ from hypothesis import assume, given, strategies as st
 from bconstell.constraints import (
     BIP, BIPLE3, THREECONST, TGradedOp, build_D, build_Dtilde, build_L,
 )
+from bconstell.cli import main
 from bconstell.coeffring import U
 from bconstell.currents import build_A, build_M, current
-from bconstell.weyl import DegreeBudgetError, WeylOp
+from bconstell.weyl import EXACT, DegreeBudgetError, WeylOp
 
+import refcurrents
 from randops import random_op
 
 D = 4
@@ -33,7 +40,8 @@ def assert_truncates_to(big, small, d):
 
 
 BUILDERS = {
-    "current": [lambda d, i=i, c=c: current(i, d, charge=c)
+    # the exact current cut down to d, as dump prints it
+    "current": [lambda d, i=i, c=c: current(i, c).truncated(d)
                 for i in (-3, -1, 0, 2, 5) for c in (None, U[1])],
     "A_rec": [lambda d, i=i, s=s: build_A(i, s, d, route="rec")
               for i in (1, 2, 4) for s in (0, 2, 3)],
@@ -64,7 +72,7 @@ def test_build_L_truncates(model, k):
         big, small = build_L(model, i, D + k), build_L(model, i, D)
         assert set(small.pieces) <= set(big.pieces)
         for m, op in big.pieces.items():
-            assert_truncates_to(op, small.piece(m, D), D)
+            assert_truncates_to(op, small.pieces[m], D)
 
 
 def assert_compose_truncates(x, y, k):
@@ -81,7 +89,7 @@ def test_compose_of_builders_truncates(k):
         (lambda r: build_A(3, 2, D + r), lambda r: build_A(1, 3, D + r)),
         (lambda r: build_A(1, 3, D + r), lambda r: build_A(2, 1, D + r)),
         (lambda r: build_M(1, 3, 2, D + r), lambda r: build_M(1, 2, 3, D + r)),
-        (lambda r: current(2, D + 2 + r), lambda r: build_M(3, 1, 1, D + r)),
+        (lambda r: current(2), lambda r: build_M(3, 1, 1, D + r)),
         (lambda r: build_D(3, 4, 2, 3, D + 1 + r), lambda r: build_A(3, 3, D + r)),
         (lambda r: build_L(THREECONST, 2, D + r).pieces[1],
          lambda r: build_L(THREECONST, 1, D + r).pieces[1]),
@@ -116,17 +124,17 @@ def test_compose_of_random_ops_truncates(seed, d1, d2, k):
 def test_graded_comparison_above_a_zero_piece_raises():
     # p_1* at working degree 0 is zero there, and unknown at degree 5
     with pytest.raises(DegreeBudgetError):
-        WeylOp.p_star(1, 0).equal_up_to(WeylOp.zero(5), 5)
-    dropped = TGradedOp({0: WeylOp.p_star(1, 0)})
+        WeylOp.p_star(1).truncated(0).equal_up_to(WeylOp.zero(5), 5)
+    dropped = TGradedOp({0: WeylOp.p_star(1).truncated(0)})
     with pytest.raises(DegreeBudgetError):
-        TGradedOp({0: WeylOp.p_star(1, 0)}).equal_up_to(TGradedOp.zero(), 5)
+        TGradedOp({0: WeylOp.p_star(1).truncated(0)}).equal_up_to(TGradedOp.zero(), 5)
     assert dropped.equal_up_to(TGradedOp.zero(), 0)
     for moved in (-dropped, dropped.tshift(2), dropped.scale(U[1]), dropped + dropped):
         with pytest.raises(DegreeBudgetError):
             moved.equal_up_to(TGradedOp.zero(), 5)
     # a piece that cancels in a sum keeps the least degree of its addends
-    a = TGradedOp({1: WeylOp.p(1, 3)})
-    b = TGradedOp({1: WeylOp.p(1, 6)})
+    a = TGradedOp({1: WeylOp.p(1).truncated(3)})
+    b = TGradedOp({1: WeylOp.p(1).truncated(6)})
     assert (a - b).is_zero() and (a - b).pieces[1].working_degree == 3
     assert (a - b).equal_up_to(TGradedOp.zero(), 3)
     with pytest.raises(DegreeBudgetError):
@@ -139,26 +147,26 @@ def test_graded_comparison_above_a_zero_piece_raises():
 def test_floor_composed_past_its_budget_raises():
     # WeylOp.zero(0) . p2 has degree 0 - 2 < 0, so the t-graded product raises too
     with pytest.raises(DegreeBudgetError):
-        WeylOp.zero(0).compose(WeylOp.p(2, 5))
+        WeylOp.zero(0).compose(WeylOp.p(2))
     with pytest.raises(DegreeBudgetError):
-        TGradedOp({0: WeylOp.zero(0)}).compose(TGradedOp({0: WeylOp.p(2, 5)}))
+        TGradedOp({0: WeylOp.zero(0)}).compose(TGradedOp({0: WeylOp.p(2)}))
 
 
 def test_floor_within_budget_composes_to_a_floor():
-    # zero at degree 3 after p1 at degree 5: a zero at t^1, known up to 3 - 1
-    got = TGradedOp({0: WeylOp.zero(3)}).compose(TGradedOp({1: WeylOp.p(1, 5)}))
+    # zero at degree 3 after the exact p1: a zero at t^1, known up to 3 - 1
+    got = TGradedOp({0: WeylOp.zero(3)}).compose(TGradedOp({1: WeylOp.p(1)}))
     assert got.is_zero() and got.pieces[1].working_degree == 2
     assert got.equal_up_to(TGradedOp.zero(), 2)
     with pytest.raises(DegreeBudgetError):
         got.equal_up_to(TGradedOp.zero(), 3)
     # a live piece after a zero piece keeps the zero's degree
-    got = TGradedOp({0: WeylOp.p(2, 5)}).compose(TGradedOp({2: WeylOp.zero(1)}))
+    got = TGradedOp({0: WeylOp.p(2)}).compose(TGradedOp({2: WeylOp.zero(1)}))
     assert got.is_zero() and got.pieces[2].working_degree == 1
 
 
 def test_self_commutator_checks_the_budget_of_a_floor():
     # the zero piece at t^0 composed after p2 has degree 0 - 2 < 0
-    a = TGradedOp({0: WeylOp.zero(0), 1: WeylOp.p(2, 5)})
+    a = TGradedOp({0: WeylOp.zero(0), 1: WeylOp.p(2)})
     assert a.pieces[0].is_zero() and a.pieces[0].working_degree == 0
     with pytest.raises(DegreeBudgetError):
         a.commutator(a)
@@ -168,25 +176,25 @@ def test_self_commutator_checks_the_budget_of_a_floor():
 
 
 def test_zero_piece_sum_sits_at_the_zero_degree():
-    # as for WeylOp, zero at degree 2 plus p1* at degree 5 is known up to 2 only
-    want = WeylOp.zero(2) + WeylOp.p_star(1, 5)
-    got = TGradedOp({0: WeylOp.zero(2)}) + TGradedOp({0: WeylOp.p_star(1, 5)})
+    # as for WeylOp, zero at degree 2 plus the exact p1* is known up to 2 only
+    want = WeylOp.zero(2) + WeylOp.p_star(1)
+    got = TGradedOp({0: WeylOp.zero(2)}) + TGradedOp({0: WeylOp.p_star(1)})
     assert got.pieces[0].working_degree == want.working_degree == 2
     assert got.pieces[0].terms == want.terms
-    assert got.equal_up_to(TGradedOp({0: WeylOp.p_star(1, 5)}), 2)
+    assert got.equal_up_to(TGradedOp({0: WeylOp.p_star(1)}), 2)
     with pytest.raises(DegreeBudgetError):
-        want.equal_up_to(WeylOp.p_star(1, 5), 5)
+        want.equal_up_to(WeylOp.p_star(1), 5)
     with pytest.raises(DegreeBudgetError):
-        got.equal_up_to(TGradedOp({0: WeylOp.p_star(1, 5)}), 5)
+        got.equal_up_to(TGradedOp({0: WeylOp.p_star(1)}), 5)
 
 
 def test_cancelled_piece_keeps_its_degree_in_a_longer_sum():
     # a - a cancels at degree 3; a later addend at 6 does not raise it again
-    a = TGradedOp({1: WeylOp.p(1, 3)})
-    d = TGradedOp({1: WeylOp.p(2, 6)})
+    a = TGradedOp({1: WeylOp.p(1).truncated(3)})
+    d = TGradedOp({1: WeylOp.p(2).truncated(6)})
     got = TGradedOp.sum([a, -a, d])
     assert got.pieces[1].working_degree == 3
-    assert got.pieces[1].terms == WeylOp.p(2, 3).terms
+    assert got.pieces[1].terms == WeylOp.p(2).truncated(3).terms
     with pytest.raises(DegreeBudgetError):
         got.equal_up_to(d, 4)
 
@@ -195,6 +203,67 @@ def test_build_L_keeps_a_mode_zero_at_its_working_degree():
     # M_7(1) of biple3 is zero at degree 5, and unknown above it
     L = build_L(BIPLE3, 7, 5)
     assert L.pieces[1].is_zero()
-    assert L.piece(1, 6).working_degree == 5
+    assert L.piece(1).working_degree == 5
     with pytest.raises(DegreeBudgetError):
         L.equal_up_to(build_L(BIPLE3, 7, 6), 6)
+
+
+# -- exact operators carry no working degree ------------------------------------
+
+
+@pytest.mark.parametrize("charge", [None, U[1]], ids=["uncharged", "charge-u"])
+def test_truncated_current_is_the_current_built_at_that_degree(charge):
+    for i in range(-8, 9):
+        for d in range(0, 9):
+            got = current(i, charge).truncated(d)
+            want = refcurrents.current(i, d, charge)
+            assert got.working_degree == want.working_degree == d
+            assert got.terms == want.terms, (i, d)
+
+
+def test_exact_builders_sit_at_exact():
+    exact = [current(-2), current(3), current(0, U[1]), WeylOp.p(2), WeylOp.p(0),
+             WeylOp.p_star(2), WeylOp.creation(((1, 2), (3, 1))), WeylOp.scalar(3),
+             WeylOp.identity(), TGradedOp({0: WeylOp.p(1)}).piece(1)]
+    for op in exact:
+        assert op.working_degree == EXACT, op
+    # a product with an exact left factor sits at its right operand's degree
+    assert WeylOp.p_star(3).compose(build_A(2, 2, D)).working_degree == D
+    assert build_A(2, 2, D).compose(WeylOp.p(3)).working_degree == D - 3
+
+
+def test_exhausted_budget_with_an_exact_operand_has_a_message():
+    # degree 1 - jump 5 < 0: the exact right operand's degree is formatted too
+    with pytest.raises(DegreeBudgetError, match=r"degrees 1 and inf, jump 5\)"):
+        WeylOp.p_star(1).truncated(1).compose(WeylOp.p(5))
+    with pytest.raises(DegreeBudgetError, match=r"working degrees \(0, inf\)"):
+        WeylOp.zero(0).equal_up_to(WeylOp.identity(), 1)
+
+
+def _no_constant(name):
+    raise ValueError("dump printed the non-finite number %s" % name)
+
+
+DUMPS = [
+    *(["--op", "J", "--i", str(i), "--deg", str(d)]
+      for i in (-3, 0, 2, 5) for d in (0, 3)),
+    ["--op", "A", "--i", "2", "--s", "2", "--deg", "3"],
+    ["--op", "A", "--i", "4", "--s", "0", "--deg", "0"],
+    ["--op", "M", "--k", "1", "--m", "3", "--i", "1", "--deg", "2"],
+    ["--op", "M", "--k", "3", "--m", "1", "--i", "6", "--deg", "1"],
+    ["--op", "L", "--model", "biple3", "--i", "7", "--deg", "5"],
+    ["--op", "L", "--model", "bip", "--i", "3", "--deg", "0"],
+    *(["--op", "D", "--s", str(s), "--i", "5", "--j", "1", "--l", "2", "--deg", str(d)]
+      for s in (0, 2, 3) for d in (0, 1, 3)),
+    *(["--op", "Dtilde", "--m", str(m), "--i", "5", "--j", "1", "--l", "1", "--deg",
+       str(d)] for m in (1, 2, 3) for d in (0, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("argv", DUMPS, ids=" ".join)
+def test_dump_prints_no_exact_degree(argv, capsys):
+    assert main(["dump", *argv]) == 0
+    obj = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    pieces = obj["pieces"].values() if "pieces" in obj else [obj]
+    for piece in pieces:
+        assert isinstance(piece["working_degree"], int)

@@ -84,7 +84,7 @@ def test_every_contraction_dead_does_no_work():
     # p3* p1* after p2: no index is shared, so the four derivatives survive,
     # and new_d = min(1, 8 - 2) = 1 drops the only term pair
     left = WeylOp({((), ((1, 1), (3, 1))): U[1]}, 8)
-    right = WeylOp.p(2, 1, ONE_PLUS_B)
+    right = WeylOp.p(2, ONE_PLUS_B).truncated(1)
     products = []
     real_mul = Coeff.__mul__
 
@@ -113,7 +113,7 @@ def test_partly_dead_contractions():
 
 def test_floor_exactly_at_new_d_is_kept():
     # full contraction lands exactly on new_d: the term must stay
-    left = WeylOp.p_star(1, 6)
+    left = WeylOp.p_star(1).truncated(6)
     right = WeylOp({(((1, 1),), ((2, 1),)): Coeff.one()}, 2)
     got = compose_checked(left, right)
     want = refweyl.compose(left, right)
@@ -167,13 +167,13 @@ def test_self_commutator_matches_reference(seed, degrees, terms):
 
 def test_self_commutator_budget_cases():
     # p2 at degree 1: A . A sits at 1 - 2 < 0, so both routes raise
-    exhausted = WeylOp.p(2, 1)
+    exhausted = WeylOp.p(2).truncated(1)
     assert assert_same_self_commutator(exhausted, refweyl.compose) is None
     # p1 p1* at degree 3 has jump 0: a zero at degree 3
     live = WeylOp({(((1, 1),), ((1, 1),)): U[1]}, 3)
     assert assert_same_self_commutator(live, refweyl.compose).working_degree == 3
     # p3 . p3 at degree 2 - 3 < 0 makes the t-graded commutator raise
-    top = TGradedOp({0: live, 1: WeylOp.p(3, 2)})
+    top = TGradedOp({0: live, 1: WeylOp.p(3).truncated(2)})
     assert assert_same_self_commutator(top, ref_tgraded_compose) is None
     assert assert_same_self_commutator(TGradedOp({0: live}), ref_tgraded_compose) is not None
 
