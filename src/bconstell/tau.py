@@ -10,12 +10,16 @@ inside the truncated operator algebra at working degree N.
 
 H = (1+b) log tau collects connected objects; the rooted fixed point checks
 that extracting a marked face out of H reproduces i dH/dp_i when the
-transfer operator is fed the rooted series back.
+transfer operator is fed the rooted series back.  It reads round m of the
+transfer only times t^m, so round m runs through t^(N-m); an entry at marked
+degree j there has p-degree at most N - 1 - j, which bounds the currents
+J_delta that act on it by its own coefficient degree.
 
 One series type, TauSeries, carries tau, H and the rooted series alike;
 ``TauSeries.sum`` merges its addends into one dict per power of t.
 """
 
+import math
 from fractions import Fraction
 
 from .coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, add_terms
@@ -91,10 +95,14 @@ class TauSeries:
     def scale(self, c):
         return self.map(lambda x: x * c)
 
-    def tshift(self, k):
-        """t^k times the series, truncated at the same order."""
+    def tshift(self, k, order=None):
+        """t^k times the series, through t^order (by default this series' order)."""
         shifted = [PPoly.zero()] * k + self.coeffs
-        return TauSeries(self.model, shifted[: self.order + 1])
+        return TauSeries(self.model, shifted[: (self.order if order is None else order) + 1])
+
+    def truncated(self, order):
+        """The series through t^order; empty for a negative order."""
+        return TauSeries(self.model, self.coeffs[: order + 1])
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -210,35 +218,54 @@ def tau_from_h(h):
 # -- rooted fixed point ------------------------------------------------------
 
 
-def _lambda_series(entries, order, shift, feedback):
+def _lambda_series(entries, order, shift, feedback, j_max):
     """Shifted transfer step on a y-vector of truncated series, with rooted feedback.
 
-    The currents are exact and act coefficient by coefficient.  delta stops
-    at the order and at the entry's largest coefficient degree, past which
-    J_delta annihilates every coefficient.  feedback maps a >= 1 to the rooted
-    series G_a = a dH/dp_a; the feedback term moves the marked degree up by a
-    while multiplying by G_a.
+    The currents are exact and act coefficient by coefficient, and the
+    feedback term is a truncated product, so t^n of the result reads only
+    t^0..t^n of the entries and the feedback.  delta stops at the entry's
+    largest coefficient degree, past which J_delta annihilates every
+    coefficient; no order bound is needed on top, since in round m of the
+    fixed point an entry at marked degree j and t^n, n <= N - m, has
+    p-degree n + m - 1 - j <= N - 1 - j.  feedback maps a >= 1 to the
+    rooted series G_a = a dH/dp_a; the feedback term moves the marked degree
+    up by a while multiplying by G_a.  Only the marked degrees <= j_max are
+    produced.
     """
 
     def terms():
         for j, s in entries.items():
             top = max(c.degree() for c in s.coeffs)
-            for delta in range(-j, min(top, order) + 1):
+            for delta in range(-j, min(top, j_max - j) + 1):
                 cur = current(delta)
                 if not cur.is_zero():
                     yield j + delta, s.map(cur.apply)
         for j, s in entries.items():
             c = B * j + shift
-            if c:
+            if c and j <= j_max:
                 yield j, s.scale(c)
             for a, g in feedback.items():
-                yield j + a, s.mul_series(g)
+                if j + a <= j_max:
+                    yield j + a, s.mul_series(g)
 
     return TauSeries.sums(terms(), order)
 
 
+def _truncated(series, order):
+    """{key: s through t^order} for the keys whose truncation is nonzero."""
+    cut = {key: s.truncated(order) for key, s in series.items()}
+    return {key: s for key, s in cut.items() if not s.is_zero()}
+
+
 def check_rooted_fixed_point(model, tau, i_max):
-    """Check i dH/dp_i against the rooted transfer formula, order by order."""
+    """Check i dH/dp_i against the rooted transfer formula, order by order.
+
+    Round m's y-vector is read only as y[i] q_m t^m through t^N, so round m
+    runs through t^(N-m) on truncated entries and feedback (G_a starts at
+    t^a); past m = N no entry is left.  The last step of the last round
+    produces only the marked degrees <= i_max - 1, which the shift turns into
+    the y[i], i <= i_max, that are read.
+    """
     h = h_series(tau)
     N = tau.order
 
@@ -247,22 +274,26 @@ def check_rooted_fixed_point(model, tau, i_max):
         return TauSeries(model, [h.coeff(n).dp(a) * a for n in range(N + 1)])
 
     feedback = {a: rooted(a) for a in range(1, N + 1)}
-    feedback = {a: g for a, g in feedback.items() if not g.is_zero()}
     qs = model.q_weights()
+    shifts = model.us()
 
     entries = {0: TauSeries.one(N)}
     per_round = []
-    for _ in range(1, model.r + 1):
-        for shift in model.us():
-            entries = _lambda_series(entries, N, shift, feedback)
+    for m in range(1, model.r + 1):
+        order = N - m
+        entries = _truncated(entries, order)
+        fed = _truncated(feedback, order)
+        for c, shift in enumerate(shifts, 1):
+            j_max = i_max - 1 if (m, c) == (model.r, len(shifts)) else math.inf
+            entries = _lambda_series(entries, order, shift, fed, j_max)
         entries = {j + 1: s for j, s in entries.items()}
-        per_round.append(dict(entries))
+        per_round.append(entries)
 
     items = []
     for i in range(1, i_max + 1):
         lhs = feedback.get(i, TauSeries.zero(N))
-        rounds = enumerate(per_round, 1)
-        rhs = TauSeries.sum((y[i].scale(qs[m]).tshift(m) for m, y in rounds if i in y), N)
+        read = enumerate(per_round, 1)
+        rhs = TauSeries.sum((y[i].scale(qs[m]).tshift(m, N) for m, y in read if i in y), N)
         for n, c in enumerate((lhs - rhs).coeffs):
             item = {"i": i, "n": n, "status": "pass"}
             if c:

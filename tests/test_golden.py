@@ -56,6 +56,11 @@ CASES = {
         ]
         for model in ("bip", "biple3")
     },
+    # orders below r: the rooted fixed point's later rounds read nothing
+    "tau_biple3_order2_fixed_point5": ["tau", "--model", "biple3", "--order", "2",
+                                       "--fixed-point", "5"],
+    "tau_bip_order0_fixed_point1": ["tau", "--model", "bip", "--order", "0",
+                                    "--fixed-point", "1"],
     "dump_J_i3_deg2": ["dump", "--op", "J", "--i", "3", "--deg", "2"],
     "dump_J_im2_deg4": ["dump", "--op", "J", "--i", "-2", "--deg", "4"],
     "dump_J_i0_deg3": ["dump", "--op", "J", "--i", "0", "--deg", "3"],

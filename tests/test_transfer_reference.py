@@ -7,12 +7,17 @@ the zero operator at d.  ``currents._y_state`` runs every y-route mode as
 rounds of shifted transfer steps, the single-color round included; A_i(s)
 and M^(k,m)_i must equal the charged reference transfer's.
 ``tau._lambda_series`` acts with the currents of ``currents`` on each
-coefficient and shifts each step by u_c; it must give the reference's
-entries on the real entries and feedback of every step of every round,
-where the reference's single-color step carries charge u instead.  A
-perturbed series must make the rooted fixed point fail at the first
-affected (i, n).
+coefficient and shifts each step by u_c; run through t^(N-m) on the
+truncated entries and feedback of every step of round m, it must give the
+reference's full-order entries on t^0..t^(N-m), where the reference's
+single-color step carries charge u instead.  ``tau.check_rooted_fixed_point``
+runs each round only through the orders and marked degrees its check reads;
+its report must equal the full-order reference's in reftau.py, also on
+perturbed series.  A perturbed series must make the rooted fixed point fail
+at the first affected (i, n).
 """
+
+import math
 
 import pytest
 
@@ -23,6 +28,7 @@ from bconstell.ppoly import PPoly
 from bconstell.tau import (
     TauSeries,
     _lambda_series,
+    _truncated,
     check_rooted_fixed_point,
     h_series,
     tau_evolve,
@@ -86,20 +92,62 @@ def test_lambda_series_matches_reference(model):
     steps = 0
     # the reference round: charge u and no shift for k = 1, shifts u_c else
     ref_steps = refcurrents.round_steps(model.k)
-    for _ in range(model.r):
+    for m in range(1, model.r + 1):
+        order = N - m
+        fed = _truncated(feedback, order)
         for shift, (ref_shift, ref_charge) in zip(model.us(), ref_steps):
-            got = _lambda_series(entries, N, shift, feedback)
+            got = _lambda_series(_truncated(entries, order), order, shift, fed, math.inf)
             want = reftau._lambda_series(
                 entries, N, ref_shift, ZERO if ref_charge is None else ref_charge,
                 feedback,
             )
-            assert sorted(got) == sorted(want)
-            for j in want:
-                assert got[j].coeffs == want[j].coeffs, (model.name, steps, j)
-            entries = got
+            cut = _truncated(want, order)
+            assert sorted(got) == sorted(cut)
+            for j in cut:
+                assert got[j].coeffs == cut[j].coeffs, (model.name, steps, j)
+            # capping the marked degree drops the entries above the cap only
+            for j_max in range(-1, max(got) + 1):
+                capped = _lambda_series(_truncated(entries, order), order, shift, fed,
+                                        j_max)
+                assert capped.keys() == {j for j in got if j <= j_max}
+                assert all(capped[j].coeffs == got[j].coeffs for j in capped)
+            entries = want
             steps += 1
         entries = {j + 1: s for j, s in entries.items()}
     assert steps == model.r * model.k
+
+
+def _reports_agree(model, tau, i_maxes):
+    for i_max in i_maxes:
+        want = reftau.check_rooted_fixed_point(model, tau, i_max)
+        assert check_rooted_fixed_point(model, tau, i_max) == want, (model.name, i_max)
+    return want
+
+
+@pytest.mark.parametrize("N", range(0, 7))
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+def test_fixed_point_report_matches_reference(model, N):
+    _reports_agree(model, tau_evolve(model, N), sorted({1, 3, N, N + 2}))
+
+
+def test_fixed_point_report_matches_reference_biple3_order7():
+    # every round's early marked degrees need delta past N - m: p-degree up to N - 1 - j
+    assert _reports_agree(BIPLE3, tau_evolve(BIPLE3, 7), [7])["ok"]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+def test_fixed_point_report_matches_reference_on_perturbed_series(model):
+    N = 5
+    tau = tau_evolve(model, N)
+    for n in (1, 2, N):
+        for mono in {((1, n),), ((n, 1),)}:
+            # add 1 to the coefficient of p1^n or p_n in [t^n] tau
+            slice_n = dict(tau.coeff(n).terms)
+            slice_n[mono] = slice_n.get(mono, Coeff.zero()) + Coeff.one()
+            coeffs = list(tau.coeffs)
+            coeffs[n] = PPoly(slice_n)
+            report = _reports_agree(model, TauSeries(model, coeffs), [3, N + 2])
+            assert report["ok"] is False, (model.name, n, mono)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
