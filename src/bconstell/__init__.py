@@ -18,13 +18,11 @@ from .constraints import (
     verify_commutators,
 )
 from .tau import (
-    HSeries,
     TauSeries,
     check_constraints,
     check_rooted_fixed_point,
     h_series,
     tau_evolve,
-    tau_from_h,
 )
 from .jack import (
     calibrate_convention,
@@ -60,12 +58,10 @@ __all__ = [
     "verify_commutators",
     "verify_simplified",
     "TauSeries",
-    "HSeries",
     "tau_evolve",
     "check_constraints",
     "check_rooted_fixed_point",
     "h_series",
-    "tau_from_h",
     "partitions",
     "jack",
     "jack_to_ppoly",

@@ -30,19 +30,23 @@ SCHEMA = 1
 # A_i(s) at --deg >= 1 carries b^(s-1), whose exponent the scalar ring holds
 # only up to MAX_EXP; at --deg 0 every deep level is zero
 A_LEVEL_LIMIT = MAX_EXP + 1
+# --b-eval is printed in the report, so its digits stay well below Python's
+# limit on int-to-str conversion (4300 digits)
+B_EVAL_DIGITS = 1000
 
 
 def _emit(report, as_json):
+    """Print a verify report: one JSON line, or one line per pair."""
     report = dict(report)
     report["schema"] = SCHEMA
     if as_json:
         print(json.dumps(report, sort_keys=True))
         return
-    params = report.get("params", {})
+    params = report["params"]
     head = " ".join("%s=%s" % (k, v) for k, v in sorted(params.items()) if v is not None)
     print("# %s" % head)
-    for item in report.get("pairs", report.get("items", [])):
-        keys = [k for k in ("level", "level2", "i", "j", "n") if k in item]
+    for item in report["pairs"]:
+        keys = [k for k in ("level", "level2", "i", "j") if k in item]
         label = " ".join("%s=%s" % (k, item[k]) for k in keys)
         extra = ""
         if item.get("first_mismatch"):
@@ -50,14 +54,33 @@ def _emit(report, as_json):
         if item.get("explicit_form"):
             extra += "  [grouped display deviates]"
         print("%-24s %s%s" % (label, item["status"], extra))
-    for flag in report.get("denominator_flags", []):
-        print("denominator flag: %s" % flag)
     print("overall: %s" % ("pass" if report["ok"] else "FAIL"))
 
 
 def _oracle_order(parser, flag, n):
     if n > JACK_BOUND:
         parser.error("%s %d exceeds the oracle bound %d" % (flag, n, JACK_BOUND))
+
+
+def _b_eval(parser, text):
+    """The rational that --b-eval names, refused past B_EVAL_DIGITS digits.
+
+    The bound is checked on the literal, before Fraction expands an
+    exponent such as 1e99999999 into its digits.
+    """
+    usage = "--b-eval expects a rational number such as 1 or -1/2"
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    try:
+        exponent = int(exponent) if exponent else 0
+    except ValueError:
+        parser.error(usage)
+    if sum(ch.isdigit() for ch in mantissa) + abs(exponent) > B_EVAL_DIGITS:
+        parser.error("--b-eval has more than %d digits once its exponent is expanded"
+                     % B_EVAL_DIGITS)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        parser.error(usage)
 
 
 def _model(parser, name):
@@ -74,10 +97,7 @@ def cmd_verify(parser, args):
         parser.error("--deg must be at least 1")
     b_eval = None
     if args.b_eval is not None:
-        try:
-            b_eval = Fraction(args.b_eval)
-        except (ValueError, ZeroDivisionError):
-            parser.error("--b-eval expects a rational number such as 1 or -1/2")
+        b_eval = _b_eval(parser, args.b_eval)
         if b_eval == -1:
             parser.error("--b-eval -1 is not allowed: 1/(1+b) is undefined at b = -1")
 
@@ -96,7 +116,7 @@ def cmd_verify(parser, args):
     if args.prop:
         if b_eval is not None:
             parser.error("--b-eval applies to the commutator sweep only")
-        levels = structure_family(model).levels
+        levels = structure_family(model)[0].levels
         report = verify_simplified(
             model, args.prop, levels, args.imax, args.deg, progress=stream
         )
@@ -222,7 +242,7 @@ def cmd_jack(parser, args):
             {"p_basis": list(mu), "coeff": str(vec[mu])} for mu in parts
         ],
     }
-    if args.dump or args.json:
+    if args.json:
         print(json.dumps(obj, sort_keys=True))
     else:
         for item in obj["coefficients"]:
@@ -282,8 +302,7 @@ def build_parser():
 
     j = sub.add_parser("jack", help="dump a deformed polynomial")
     j.add_argument("--lambda", dest="lam", required=True)
-    j.add_argument("--dump", action="store_true")
-    j.add_argument("--json", action="store_true")
+    j.add_argument("--json", "--dump", action="store_true")
 
     o = sub.add_parser("oracle", help="compare the series against the oracle")
     o.add_argument("--model", required=True)

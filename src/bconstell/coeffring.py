@@ -16,7 +16,7 @@ when ``dp > 0``.  (1+b) is monic, so by Gauss's lemma it divides ``n`` over
 the rationals exactly when it divides it over the integers: every
 reduction runs on ints.  ``num`` is a read-only view of ``n / den`` term by
 term, an ``int`` where integral and a ``Fraction`` otherwise; printing,
-parsing, evaluation and substitution read it, the arithmetic does not.
+evaluation and substitution read it, the arithmetic does not.
 
 A key packs the seven exponents into fixed fields of ``FIELD_BITS`` bits,
 ``b`` in the most significant field and ``q3`` in the least (packed exponent
@@ -40,7 +40,6 @@ products and t-convolutions (``PPoly.sum_products``) sum each output
 coefficient this way instead of canonicalising every partial sum.
 """
 
-import re
 from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -527,36 +526,6 @@ class Coeff:
         return "%s/(1+b)^%d" % (num_s, self.dp)
 
     __repr__ = __str__
-
-    _DENOM_RE = re.compile(r"^(.*?)/\(1\+b\)\^(\d+)$")
-    _MONO_RE = re.compile(r"^(%s)(?:\^(\d+))?$" % "|".join(VARS))
-
-    @classmethod
-    def parse(cls, s):
-        """Parse the textual form produced by str(); round-trips exactly."""
-        s = s.strip().replace(" ", "")
-        m = cls._DENOM_RE.match(s)
-        dp = 0
-        if m:
-            s, dp = m.group(1), int(m.group(2))
-            if s.startswith("(") and s.endswith(")"):
-                s = s[1:-1]
-        num = {}
-        for term in re.findall(r"[+-]?[^+-]+", s):
-            coeff = Fraction(1)
-            if term.startswith("-"):
-                coeff, term = -coeff, term[1:]
-            elif term.startswith("+"):
-                term = term[1:]
-            exps = dict.fromkeys(VARS, 0)
-            for factor in term.split("*"):
-                mono = cls._MONO_RE.match(factor)
-                if mono:
-                    exps[mono.group(1)] += int(mono.group(2) or 1)
-                else:
-                    coeff *= Fraction(factor)
-            add_term(num, _pack(exps.values()), coeff)
-        return cls(num, dp)
 
 
 ZERO = Coeff.zero()

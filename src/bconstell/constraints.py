@@ -17,13 +17,17 @@ Two right-hand sides are materialized for [L_i, L_j]:
 (shift 1, charge 0, modes A_l(s), weights e_{k-s}(u) at t^0) or Dtilde^(m)
 (shift 3, charge u, modes M_l(m), weights q_m at t^(m-1)).  Both forms sum
 over its weights: the structure form over the piecewise table
-`_structure_terms` (which `_structure_op` also reads), the grouped form over
-`_grouped_level`, a separate transcription of the displayed formula.  The
-two forms share products but not coefficients: each composes p_n . L_l and
+`_structure_terms`, the grouped form over `_grouped_level`, a separate
+transcription of the displayed formula.  `_structure_scalars` is the one
+reader of the table: it turns sum_l sum_s w t^tpow D^(s)_{ij,l} . target_l
+into scalars per (current, l, t power), and `_products_sum` composes them.
+The structure form, the simplified `--prop` relations and the D and Dtilde
+dumps (composed onto Id) all go through that pair.  The two forms of
+[L_i, L_j] share products but not coefficients: each composes p_n . L_l and
 p_n* . L_l unscaled through one products dict per pair and applies its own
-scalars afterwards.  Every sweep runs through one pair
-runner, `_pair_sweep`, and every check's ok is derived from its entries by
-`sweep_report`.  An index beyond a built family is the zero operator.
+scalars afterwards.  Every sweep runs through one pair runner, `_pair_sweep`,
+and every check's ok is derived from its entries by `sweep_report`.  An
+index beyond a built family is the zero operator.
 
 For the single-color model with vertex degrees up to 3 the grouped form, as
 usually displayed, carries a uniform charge term 3u(i-j)L_{i+j-3}; this is
@@ -36,7 +40,7 @@ from collections import namedtuple
 from functools import lru_cache, partial
 
 from .coeffring import B, ONE, ONE_PLUS_B, Q, U, add_term
-from .currents import build_A, build_M, current, esym
+from .currents import build_A, build_M, esym
 from .weyl import EXACT, WeylOp, compose_degree
 
 
@@ -225,62 +229,52 @@ def _structure_terms(level, shift, i, j, l):
         yield None, B * ((i - j) * (i + j - 2 - low))
 
 
-def _structure_op(level, shift, charge, i, j, l):
-    """Exact D^(level) (shift 1, no charge) or Dtilde^(level) (shift 3, charge u)."""
-    parts = (
-        (WeylOp.identity() if x is None else current(x, charge=charge)).scale(c)
-        for x, c in _structure_terms(level, shift, i, j, l)
-    )
-    return WeylOp.sum(parts, EXACT)
+Family = namedtuple("Family", "shift charge levels mode")
 
-
-def build_D(s, i, j, l, working_degree):
-    """Structure operator for the multi-color family (charge 0), 0 <= s <= 3."""
-    if not 0 <= s <= 3:
-        raise ValueError("s must be within 0..3")
-    return _structure_op(s, 1, None, i, j, l).truncated(working_degree)
-
-
-def build_Dtilde(m, i, j, l, working_degree):
-    """Structure operator for the single-color family (charge u), 1 <= m <= 3."""
-    if not 1 <= m <= 3:
-        raise ValueError("m must be within 1..3")
-    return _structure_op(m, 3, U[1], i, j, l).truncated(working_degree)
-
-
-Family = namedtuple("Family", "shift charge levels weights mode")
+# D^(s): shift 1, no charge on J_0, levels 0..3, modes A_l(s)
+D_FAMILY = Family(1, None, range(0, 4), lambda s, l, d: build_A(l, s, d))
+# Dtilde^(m): shift 3, charge u on J_0, levels 1..3, modes M_l(m)
+DTILDE_FAMILY = Family(3, U[1], range(1, 4), lambda m, l, d: build_M(1, m, l, d))
 
 
 @lru_cache(maxsize=None)
 def structure_family(model):
-    """The one place that picks a model's structure family.
+    """The one place that picks a model's structure family: (family, weights).
 
-    shift and charge select D^(s) (1, None) or Dtilde^(m) (3, u).  levels
-    are the levels the simplified relations check; weights maps each level
-    with a non-zero weight to (t power, scalar); mode(level, l, d) builds
-    A_l(s) or M_l(m), zero past l = d + 1 + shift.
+    family is D_FAMILY or DTILDE_FAMILY; its levels are the levels the
+    simplified relations check, and mode(level, l, d) builds A_l(s) or
+    M_l(m), zero past l = d + 1 + shift.  weights maps each level with a
+    non-zero weight to (t power, scalar).
     """
     if model.r == 1:
         us = model.us()
         weights = {s: (0, esym(model.k - s, us)) for s in range(min(model.k, 3) + 1)}
-        return Family(1, None, range(0, 4), weights, lambda s, l, d: build_A(l, s, d))
-    weights = {m: (m - 1, q) for m, q in model.q_weights().items()}
-    return Family(3, U[1], range(1, 4), weights, lambda m, l, d: build_M(1, m, l, d))
+        return D_FAMILY, weights
+    return DTILDE_FAMILY, {m: (m - 1, q) for m, q in model.q_weights().items()}
 
 
-def dsum(family, s, i, j, targets):
-    """sum_l D_{ij,l} . targets[l] with the family's level-s operators."""
-    structure = (
-        (_structure_op(s, family.shift, family.charge, i, j, l), op)
-        for l, op in targets.items()
-    )
-    return WeylOp.sum(
-        (dd.compose(op) for dd, op in structure if not dd.is_zero()),
-        min(op.working_degree for op in targets.values()),
-    )
+def _structure_scalars(family, weights, i, j, targets):
+    """{(x, l, tpow): c} of sum_l sum_s w t^tpow D^(s)_{ij,l} . targets[l].
+
+    weights maps each level s to (tpow, w).  Each term c * X_x . targets[l]
+    is read as in _products_sum: the (1+b) of J_x for x > 0 and the
+    family's charge of J_0 (read as Id) are folded into c.
+    """
+    scalars = {}
+    for l in targets:
+        for s, (tpow, w) in weights.items():
+            for x, c in _structure_terms(s, family.shift, i, j, l):
+                if x == 0:
+                    if family.charge is None:
+                        continue
+                    x, c = None, c * family.charge
+                elif x is not None and x > 0:
+                    c = c * ONE_PLUS_B
+                add_term(scalars, (x, l, tpow), w * c)
+    return scalars
 
 
-def _products_sum(scalars, ls, products):
+def _products_sum(scalars, ls, products=None):
     """The sum of c * t^tpow * X_x . L_l over scalars {(x, l, tpow): c}.
 
     X_x is p_{-x} for x < 0, p_x* for x > 0 and Id for x None.  Each X_x . L_l
@@ -305,6 +299,26 @@ def _products_sum(scalars, ls, products):
     )
 
 
+def _structure_level(family, level, i, j, l, working_degree):
+    """The family's exact level operator D_{ij,l}, composed onto Id and truncated."""
+    if level not in family.levels:
+        low, top = family.levels[0], family.levels[-1]
+        raise ValueError("level %d is not within %d..%d" % (level, low, top))
+    ids = {l: TGradedOp({0: WeylOp.identity()})}
+    scalars = _structure_scalars(family, {level: (0, ONE)}, i, j, ids)
+    return _products_sum(scalars, ids).piece(0).truncated(working_degree)
+
+
+def build_D(s, i, j, l, working_degree):
+    """Structure operator D^(s)_{ij,l} of the multi-color family (charge 0)."""
+    return _structure_level(D_FAMILY, s, i, j, l, working_degree)
+
+
+def build_Dtilde(m, i, j, l, working_degree):
+    """Structure operator Dtilde^(m)_{ij,l} of the single-color family (charge u)."""
+    return _structure_level(DTILDE_FAMILY, m, i, j, l, working_degree)
+
+
 def structure_rhs(model, i, j, ls, products=None):
     """t * sum_l D_{ij,l} . L_l with the l-sum truncated by the support bound.
 
@@ -312,19 +326,9 @@ def structure_rhs(model, i, j, ls, products=None):
     charge of J_0 are applied after composing; products may be shared with
     explicit_rhs for the same pair.
     """
-    family = structure_family(model)
-    scalars = {}
-    for l in ls:
-        for s, (tpow, w) in family.weights.items():
-            for x, c in _structure_terms(s, family.shift, i, j, l):
-                if x == 0:
-                    if family.charge is None:
-                        continue
-                    x, c = None, c * family.charge
-                elif x is not None and x > 0:
-                    c = c * ONE_PLUS_B
-                add_term(scalars, (x, l, tpow + 1), w * c)
-    return _products_sum(scalars, ls, products)
+    family, weights = structure_family(model)
+    shifted = {s: (tpow + 1, w) for s, (tpow, w) in weights.items()}
+    return _products_sum(_structure_scalars(family, shifted, i, j, ls), ls, products)
 
 
 def _grouped_level(level, family, i, j, l_top):
@@ -361,11 +365,11 @@ def explicit_rhs(model, i, j, ls, products=None):
     Its coefficients are its own; products may be shared with structure_rhs
     for the same pair.
     """
-    family = structure_family(model)
+    family, weights = structure_family(model)
     if i == j:
         return TGradedOp.zero()
     scalars = {}
-    for level, (tpow, w) in family.weights.items():
+    for level, (tpow, w) in weights.items():
         for x, l, c in _grouped_level(level, family, i, j, max(ls)):
             if l in ls:
                 add_term(scalars, (x, l, tpow + 1), w * c)
@@ -488,12 +492,13 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
 
 
 def _family_ops(model, levels, d_check):
-    """The model's structure family, its modes per level and their build degree."""
-    family = structure_family(model)
+    """The model's structure family, its t^0 modes per level and their build degree."""
+    family, _ = structure_family(model)
     d_build = _build_degree(model, d_check)
     top = d_build + family.shift + 1
     ops = {
-        s: {l: family.mode(s, l, d_build) for l in range(1, top + 1)} for s in levels
+        s: {l: TGradedOp({0: family.mode(s, l, d_build)}) for l in range(1, top + 1)}
+        for s in levels
     }
     return family, ops, d_build
 
@@ -508,29 +513,38 @@ def verify_simplified(model, which, levels, i_max, d_check, progress=None):
     if which not in ("dstruct", "mixed", "pstar"):
         raise ValueError("unknown relation family %r" % (which,))
     family, ops, d_build = _family_ops(model, levels, d_check)
-    zero = WeylOp.zero(d_build)
+    zero = TGradedOp({0: WeylOp.zero(d_build)})
 
     def op(s, i):
         return ops[s].get(i, zero)
 
+    def pstar(n):
+        return TGradedOp({0: WeylOp.p_star(n)})
+
+    # one products dict per family of targets, shared by every pair:
+    # X_x . target_l does not depend on the pair
+    modes = {s: (ops[s], {}) for s in levels}
+    pstars = {s: ({l: pstar(l) for l in ops[s]}, {}) for s in levels}
+
+    def structure_sum(s, i, j, targets):
+        tops, products = targets
+        scalars = _structure_scalars(family, {s: (0, ONE)}, i, j, tops)
+        return _products_sum(scalars, tops, products)
+
     def lhs_of(s, sp, i, j):
         if which == "dstruct":
-            out = op(s, i).commutator(op(s, j))
-        elif which == "mixed":
-            out = op(s, i).commutator(op(sp, j)) - op(s, j).commutator(op(sp, i))
-        else:
-            out = (WeylOp.p_star(i).commutator(op(s, j))
-                   - WeylOp.p_star(j).commutator(op(s, i)))
-        return TGradedOp({0: out})
+            return op(s, i).commutator(op(s, j))
+        if which == "mixed":
+            return op(s, i).commutator(op(sp, j)) - op(s, j).commutator(op(sp, i))
+        return pstar(i).commutator(op(s, j)) - pstar(j).commutator(op(s, i))
 
     def rhs_of(s, sp, i, j):
         if which == "dstruct":
-            out = dsum(family, s, i, j, ops[s])
-        elif which == "mixed":
-            out = dsum(family, sp, i, j, ops[s]) + dsum(family, s, i, j, ops[sp])
-        else:
-            out = dsum(family, s, i, j, {l: WeylOp.p_star(l) for l in ops[s]})
-        return TGradedOp({0: out})
+            return structure_sum(s, i, j, modes[s])
+        if which == "mixed":
+            return (structure_sum(sp, i, j, modes[s])
+                    + structure_sum(s, i, j, modes[sp]))
+        return structure_sum(s, i, j, pstars[s])
 
     if which == "mixed":
         combos = [({"level": s, "level2": sp}, s, sp) for s in levels for sp in levels]

@@ -1,7 +1,8 @@
 """Deformed Heisenberg currents and the catalytic-variable mode constructors.
 
 The current J_i is p_{-i} for i < 0, (1+b) p_i* for i > 0 and charge * Id
-for i = 0; the currents satisfy [J_i, J_j] = (1+b) i delta_{i,-j}.  They
+for i = 0; `current` builds the uncharged ones, with J_0 = 0.  The
+currents satisfy [J_i, J_j] = (1+b) i delta_{i,-j}.  They
 are exact; a sum of currents composed onto an operator op at working degree
 d stops at index d + jump(op), past which J_i annihilates all of op.
 
@@ -16,7 +17,8 @@ Mode operators are built two independent ways:
   o = 1 with shift u gives the single-color modes M_i(m).
 
 A charge c on J_0 adds c times the entry it acts on, so it is a shift by c;
-the transfer takes u only as a shift.  Both routes must agree exactly; the
+the transfer takes u only as a shift, and the structure operators fold the
+family's charge into their scalars.  Both routes must agree exactly; the
 test suite and the verification sweeps enforce this.
 """
 
@@ -24,16 +26,16 @@ import importlib
 from functools import lru_cache
 
 from .coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, U, ZERO
-from .weyl import WeylOp
+from .weyl import EXACT, WeylOp
 
 
-def current(i, charge=None):
-    """The current J_i, exact."""
+def current(i):
+    """The current J_i, exact; J_0 is zero."""
     if i < 0:
         return WeylOp.p(-i)
     if i > 0:
         return WeylOp.p_star(i, ONE_PLUS_B)
-    return WeylOp.scalar(charge if charge is not None else ZERO)
+    return WeylOp.zero(EXACT)
 
 
 class YVector:

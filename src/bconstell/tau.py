@@ -22,7 +22,7 @@ One series type, TauSeries, carries tau, H and the rooted series alike;
 import math
 from fractions import Fraction
 
-from .coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, add_terms
+from .coeffring import Coeff, B, ONE_PLUS_B, add_terms
 from .constraints import build_L, sweep_report
 from .currents import build_M, current
 from .ppoly import EMPTY, PPoly
@@ -115,15 +115,11 @@ class TauSeries:
         return out
 
 
-# H = (1+b) log tau is a series of the same type.
-HSeries = TauSeries
-
-
 def _transfer_operator(model, m, order):
     """M^(m) = sum_i p_i M^(k,m)_i materialized at working degree = order."""
     modes = ((i, build_M(model.k, m, i, order)) for i in range(1, order + 1))
     leads = (WeylOp.p(i).compose(mode) for i, mode in modes if not mode.is_zero())
-    return WeylOp.sum(leads, order)
+    return WeylOp.sum(leads)
 
 
 def tau_evolve(model, order):
@@ -200,19 +196,6 @@ def h_series(tau):
             + [(hs[j], tau.coeff(n - j), Fraction(-j, n)) for j in range(1, n)]
         ))
     return TauSeries(tau.model, hs)
-
-
-def tau_from_h(h):
-    """exp(H/(1+b)) back from H; inverse of h_series."""
-    N = h.order
-    s = [c * INV_1PB for c in h.coeffs]
-    # tau = exp(s) satisfies n tau_n = sum_{0<j<=n} j s_j tau_{n-j}
-    coeffs = [PPoly.one()]
-    for n in range(1, N + 1):
-        coeffs.append(PPoly.sum_products(
-            [(s[j], coeffs[n - j], Fraction(j, n)) for j in range(1, n + 1)]
-        ))
-    return TauSeries(h.model, coeffs)
 
 
 # -- rooted fixed point ------------------------------------------------------

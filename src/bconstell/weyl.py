@@ -188,13 +188,13 @@ class WeylOp:
     # -- linear operations -------------------------------------------------
 
     @classmethod
-    def sum(cls, ops, working_degree=None):
-        """The sum of ops at their least working degree, capped by working_degree."""
-        terms, d = {}, working_degree
+    def sum(cls, ops):
+        """The sum of ops at their least working degree; ops must not be empty."""
+        terms, d = {}, None
         for op in ops:
             d = _merge(terms, d, op)
         if d is None:
-            raise ValueError("an empty sum needs a working degree")
+            raise ValueError("an empty sum has no working degree")
         return cls._live(terms, d)
 
     @classmethod

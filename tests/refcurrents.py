@@ -16,7 +16,7 @@ shifts); the y-route modes must give the same terms and working degree.
 from functools import lru_cache
 
 from bconstell.coeffring import B, INV_1PB, ONE, ONE_PLUS_B, U, ZERO
-from bconstell.currents import YVector
+from bconstell.currents import YVector, current as engine_current
 from bconstell.weyl import WeylOp
 
 
@@ -31,6 +31,11 @@ def current(i, working_degree, charge=None):
     if i > 0:
         return WeylOp({((), ((i, 1),)): ONE_PLUS_B}, working_degree)
     return WeylOp({((), ()): charge if charge is not None else ZERO}, working_degree)
+
+
+def charged_current(i, charge):
+    """The exact current J_i with J_0 = charge * Id; the engine's J_0 is zero."""
+    return WeylOp.scalar(charge) if i == 0 else engine_current(i)
 
 
 @lru_cache(maxsize=None)

@@ -4,10 +4,14 @@ This is the original arithmetic behind ``Coeff``: numerators keyed by
 exponent tuples in ``VARS`` order with ``Fraction`` coefficients, values as
 ``(num, dp)`` pairs meaning ``num / (1+b)^dp``.  The packed integer kernel
 in ``bconstell.coeffring`` must agree with it on every operation.
+``parse`` reads the text form ``Coeff.__str__`` prints back into a ``Coeff``.
 """
 
+import re
 from fractions import Fraction
 from math import comb
+
+from bconstell import coeffring
 
 VARS = ("b", "u1", "u2", "u3", "q1", "q2", "q3")
 NVARS = len(VARS)
@@ -131,3 +135,34 @@ def to_str(x):
     if len(num) > 1 or num_s.startswith("-"):
         num_s = "(" + num_s + ")"
     return "%s/(1+b)^%d" % (num_s, dp)
+
+
+_DENOM_RE = re.compile(r"^(.*?)/\(1\+b\)\^(\d+)$")
+_MONO_RE = re.compile(r"^(%s)(?:\^(\d+))?$" % "|".join(coeffring.VARS))
+
+
+def parse(s):
+    """The Coeff whose str() is s; the inverse of Coeff.__str__."""
+    s = s.strip().replace(" ", "")
+    m = _DENOM_RE.match(s)
+    dp = 0
+    if m:
+        s, dp = m.group(1), int(m.group(2))
+        if s.startswith("(") and s.endswith(")"):
+            s = s[1:-1]
+    num = {}
+    for term in re.findall(r"[+-]?[^+-]+", s):
+        coeff = Fraction(1)
+        if term.startswith("-"):
+            coeff, term = -coeff, term[1:]
+        elif term.startswith("+"):
+            term = term[1:]
+        exps = dict.fromkeys(coeffring.VARS, 0)
+        for factor in term.split("*"):
+            mono = _MONO_RE.match(factor)
+            if mono:
+                exps[mono.group(1)] += int(mono.group(2) or 1)
+            else:
+                coeff *= Fraction(factor)
+        coeffring.add_term(num, coeffring._pack(exps.values()), coeff)
+    return coeffring.Coeff(num, dp)

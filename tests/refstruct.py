@@ -3,11 +3,11 @@
 These are the three hand-written copies of the piecewise structure
 coefficient that ``bconstell.constraints`` now derives from one table:
 ``build_D`` (charge 0), ``build_Dtilde`` (charge u) and the grouped
-top-level commutator ``final_commutator_rhs``, which the level-3 ``dsum``
-replaces.  The shared table must give the same terms and the same working
-degree.  ``explicit_rhs`` is the grouped display written out once per model,
-which ``constraints.explicit_rhs`` now sums level by level from the model's
-structure family.
+top-level commutator ``final_commutator_rhs``, which the level-3 relation
+composes from the table's scalars.  The shared table must give the same
+terms and the same working degree.  ``explicit_rhs`` is the grouped display
+written out once per model, which ``constraints.explicit_rhs`` now sums
+level by level from the model's structure family.
 
 ``structure_coefficient``, ``structure_rhs``, ``summed_explicit_rhs`` and its
 ``_grouped_level`` are the level-by-level sums as they stood before the two
@@ -217,11 +217,11 @@ def _structure_op(level, shift, charge, i, j, l, working_degree):
 
 def structure_coefficient(model, i, j, l, working_degree):
     """The model's t-graded structure operator in front of L_l."""
-    family = structure_family(model)
+    family, weights = structure_family(model)
     shift, charge = family.shift, family.charge
     ops = (
         (tpow, _structure_op(s, shift, charge, i, j, l, working_degree).scale(w))
-        for s, (tpow, w) in family.weights.items()
+        for s, (tpow, w) in weights.items()
     )
     return TGradedOp(WeylOp.sums(ops))
 
@@ -264,12 +264,12 @@ def _grouped_level(level, family, i, j, l_top, d_outer):
 
 def summed_explicit_rhs(model, i, j, ls, d_outer):
     """The grouped closed form of [L_i, L_j] as usually displayed."""
-    family = structure_family(model)
+    family, weights = structure_family(model)
     if i == j:
         return TGradedOp.zero()
 
     def terms():
-        for level, (tpow, w) in family.weights.items():
+        for level, (tpow, w) in weights.items():
             for factor, l, c in _grouped_level(level, family, i, j, max(ls), d_outer):
                 if l in ls:
                     op = ls[l] if factor is None else TGradedOp({0: factor}).compose(ls[l])

@@ -9,12 +9,12 @@ import pytest
 from bconstell.cli import main
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=120):
     proc = subprocess.run(
         [sys.executable, "-m", "bconstell.cli", *argv],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -187,6 +187,19 @@ def test_stdout_deterministic():
 def test_verify_bad_b_eval_exits_two(model, value):
     code, out, err = run_cli(
         "verify", "--model", model, "--imax", "1", "--deg", "2", "--b-eval", value
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and "--b-eval" in err
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1e99999999"])
+def test_verify_huge_b_eval_exits_two_at_once(value):
+    # the value's digits are bounded before Fraction expands the exponent:
+    # 1e5000 would fail to print, 1e99999999 would take minutes to build
+    code, out, err = run_cli(
+        "verify", "--model", "bip", "--imax", "1", "--deg", "2", "--b-eval", value,
+        timeout=30,
     )
     assert code == 2
     assert out == ""

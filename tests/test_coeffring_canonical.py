@@ -14,6 +14,8 @@ from bconstell.coeffring import (
     _B_SHIFT, _REST_MASK, B, INV_1PB, ONE_PLUS_B, Q, U, Coeff, sum_products,
 )
 
+import refring
+
 rational = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8))
 atoms = st.sampled_from([B, U[1], U[2], Q[1], ONE_PLUS_B, Coeff.one()])
 
@@ -59,7 +61,7 @@ def test_operations_return_canonical_values(x, y, k, e):
     assert_canonical(sum_products([(x, y, k), (y, x, -k)]))
     assert_canonical(x.subs({"u1": k}))
     assert_canonical(x.subs({"b": 2, "q1": Fraction(1, 3)}))
-    assert_canonical(Coeff.parse(str(x)))
+    assert_canonical(refring.parse(str(x)))
 
 
 @given(coeffs(), coeffs(), rational)

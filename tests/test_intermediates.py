@@ -10,6 +10,8 @@ from bconstell.coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, U
 from bconstell.currents import build_A, build_M, current
 from bconstell.weyl import WeylOp
 
+from refcurrents import charged_current
+
 D = 8
 frac = Coeff.from_rational
 
@@ -61,10 +63,10 @@ def test_charge_current_on_single_color_level_two():
     # with the charge-u current; creation corners ride the current extension
     for i in range(1, 5):
         for j in range(-4, 5):
-            lhs = current(j, charge=U[1]).commutator(build_M(1, 2, i, D + 4))
+            lhs = charged_current(j, U[1]).commutator(build_M(1, 2, i, D + 4))
             d = lhs.working_degree
             coeff = (1 if i + j >= 2 else 0) + (1 if j <= 0 else 0)
-            want = current(i + j - 2, charge=U[1]).scale(frac(j * coeff))
+            want = charged_current(i + j - 2, U[1]).scale(frac(j * coeff))
             if i + j == 2:
                 want = want - WeylOp.scalar(B * ((i - 1) * (i - 2)))
             assert lhs.equal_up_to(want, d), (i, j)
@@ -76,7 +78,7 @@ def test_derivative_on_single_color_level_two():
         for j in range(1, 5):
             lhs = WeylOp.p_star(j).commutator(build_M(1, 2, i, D + 2))
             d = lhs.working_degree
-            want = current(i + j - 2, charge=U[1]).scale(INV_1PB * j)
+            want = charged_current(i + j - 2, U[1]).scale(INV_1PB * j)
             assert lhs.equal_up_to(want, d), (i, j)
 
 

@@ -1,9 +1,10 @@
 import random
 
-from bconstell.coeffring import Coeff, B, U
+from bconstell.coeffring import B, U
 from bconstell.ppoly import PPoly, pm_degree
 
 from randops import random_ppoly
+import refring
 
 
 def degree_slice(f, d):
@@ -14,7 +15,8 @@ def degree_slice(f, d):
 def ppoly_from_json_obj(obj):
     """The inverse of PPoly.to_json_obj."""
     return PPoly({
-        tuple((int(i), int(e)) for i, e in item["monomial"]): Coeff.parse(item["coeff"])
+        tuple((int(i), int(e)) for i, e in item["monomial"]):
+            refring.parse(item["coeff"])
         for item in obj
     })
 

@@ -1,17 +1,18 @@
 """The one structure-coefficient table against the hand-written copies in refstruct.py.
 
-``build_D``, ``build_Dtilde`` and the level-3 ``dsum`` share one piecewise
-table; they must give the reference's terms and working degree, the last
-against the reference's grouped top-level commutator.  ``explicit_rhs`` sums
-one grouped-level formula over the model's structure family; it must give
-the reference's three per-model displays term for term.
+``build_D``, ``build_Dtilde`` and the level-3 relation read one piecewise
+table through ``_structure_scalars``; they must give the reference's terms
+and working degree, the last against the reference's grouped top-level
+commutator.  ``explicit_rhs`` sums one grouped-level formula over the
+model's structure family; it must give the reference's three per-model
+displays term for term.
 """
 
 import pytest
 
 import bconstell.constraints as C
 from bconstell.constraints import BIP, BIPLE3, THREECONST
-from bconstell.weyl import WeylOp
+from bconstell.coeffring import ONE, add_term
 
 import refstruct
 
@@ -47,12 +48,18 @@ def test_out_of_range_levels_rejected_like_reference():
 
 
 def reference_final_ops(model, d_build):
-    """The operator family the reference sweep built: nonzero level-3 modes."""
+    """The operator family the reference sweep built: nonzero level-3 modes, at t^0."""
     if model.r == 1:
         ops = {l: C.build_A(l, 3, d_build) for l in range(1, d_build + 2)}
     else:
         ops = {l: C.build_M(1, 3, l, d_build) for l in range(1, d_build + 4)}
-    return {l: op for l, op in ops.items() if not op.is_zero()}
+    return {l: C.TGradedOp({0: op}) for l, op in ops.items() if not op.is_zero()}
+
+
+def level_three_sum(family, i, j, tops):
+    """sum_l D^(3)_{ij,l} . tops[l], as the dstruct relation composes it."""
+    scalars = C._structure_scalars(family, {3: (0, ONE)}, i, j, tops)
+    return C._products_sum(scalars, tops)
 
 
 @pytest.mark.parametrize("model", [BIP, BIPLE3], ids=lambda m: m.name)
@@ -60,12 +67,16 @@ def reference_final_ops(model, d_build):
 def test_final_commutator_rhs_matches_reference(model, d_check):
     family, families, d_build = C._family_ops(model, [3], d_check)
     d_outer = refstruct.outer_degree(model, d_check)
-    for ops in (families[3], reference_final_ops(model, d_build)):
+    for tops in (families[3], reference_final_ops(model, d_build)):
+        mode = {l: top.piece(0) for l, top in tops.items()}
         for i in range(1, 6):
             for j in range(1, 6):
-                got = C.dsum(family, 3, i, j, ops)
-                want = refstruct.final_commutator_rhs(model, i, j, ops, d_outer)
-                assert same_op(got, want), (i, j)
+                got = refstruct.live_pieces(level_three_sum(family, i, j, tops))
+                want = refstruct.final_commutator_rhs(model, i, j, mode, d_outer)
+                want = refstruct.live_pieces(C.TGradedOp({0: want}))
+                assert got.keys() == want.keys(), (i, j)
+                for m, op in got.items():
+                    assert same_op(op, want[m]), (i, j, m)
 
 
 @pytest.mark.parametrize("model", [BIP, THREECONST, BIPLE3], ids=lambda m: m.name)
@@ -87,15 +98,17 @@ def statuses(report):
 
 
 def test_corrupted_table_fails_level_three_closure(monkeypatch):
-    real = C._structure_op
+    # the entry D^(3)_{31,2} off by Id, as the one reader of the table gives it
+    real = C._structure_scalars
 
-    def corrupted(level, shift, charge, i, j, l):
-        op = real(level, shift, charge, i, j, l)
-        if (level, shift, i, j, l) == (3, 1, 3, 1, 2):
-            return op + WeylOp.identity()
-        return op
+    def corrupted(family, weights, i, j, targets):
+        scalars = real(family, weights, i, j, targets)
+        if family.shift == 1 and 3 in weights and (i, j) == (3, 1) and 2 in targets:
+            tpow, w = weights[3]
+            add_term(scalars, (None, 2, tpow), w)
+        return scalars
 
-    monkeypatch.setattr(C, "_structure_op", corrupted)
+    monkeypatch.setattr(C, "_structure_scalars", corrupted)
     dstruct = C.verify_simplified(BIP, "dstruct", [3], 3, 4)
     failed = {(i, j) for i, j, status in statuses(dstruct) if status == "fail"}
     assert failed == {(3, 1)}

@@ -12,7 +12,8 @@ import pytest
 
 import bconstell.constraints as C
 from bconstell.constraints import BIP, BIPLE3, THREECONST
-from bconstell.weyl import WeylOp
+from bconstell.coeffring import add_term
+from bconstell.weyl import EXACT, WeylOp
 
 import refstruct
 
@@ -45,15 +46,18 @@ def direct_commutators(model, i_max, d_check, b_eval=None):
 
 
 def direct_simplified(model, which, levels, i_max, d_check):
-    family, ops, _ = C._family_ops(model, levels, d_check)
+    family, tops, _ = C._family_ops(model, levels, d_check)
+    ops = {s: {l: top.piece(0) for l, top in tops[s].items()} for s in levels}
+    d_outer = refstruct.outer_degree(model, d_check)
 
     def dsum(s, i, j, targets):
-        acc = C.TGradedOp.zero()
+        acc = WeylOp.zero(EXACT)
         for l, op in targets.items():
-            dd = C._structure_op(s, family.shift, family.charge, i, j, l)
+            dd = refstruct._structure_op(
+                s, family.shift, family.charge, i, j, l, d_outer)
             if not dd.is_zero():
-                acc = acc + C.TGradedOp({0: dd.compose(op)})
-        return acc
+                acc = acc + dd.compose(op)
+        return C.TGradedOp({0: acc})
 
     combos = [(s, sp) for s in levels for sp in levels] if which == "mixed" else [
         (s, s) for s in levels
@@ -164,18 +168,21 @@ def test_failing_structure_rhs_mismatches_match_direct_loop(monkeypatch):
 
 
 def test_failing_final_commutator_mismatches_match_direct_loop(monkeypatch):
-    real = C.dsum
+    real = C._structure_scalars
     real_ref = refstruct.final_commutator_rhs
 
-    def corrupted(family, s, i, j, ops):
-        rhs = real(family, s, i, j, ops)
-        return rhs + ops[1] if i > j else rhs
+    def corrupted(family, weights, i, j, targets):
+        scalars = real(family, weights, i, j, targets)
+        if i > j:
+            for tpow, w in weights.values():
+                add_term(scalars, (None, 1, tpow), w)
+        return scalars
 
     def corrupted_ref(model, i, j, ops, d_outer):
         rhs = real_ref(model, i, j, ops, d_outer)
         return rhs + ops[1] if i > j else rhs
 
-    monkeypatch.setattr(C, "dsum", corrupted)
+    monkeypatch.setattr(C, "_structure_scalars", corrupted)
     monkeypatch.setattr(refstruct, "final_commutator_rhs", corrupted_ref)
     report = C.verify_simplified(BIP, "dstruct", [3], 3, 5)
     direct = direct_final(BIP, 3, 5)
@@ -185,15 +192,25 @@ def test_failing_final_commutator_mismatches_match_direct_loop(monkeypatch):
 
 
 def test_failing_structure_operator_mismatches_match_direct_loop(monkeypatch):
-    real = C._structure_op
+    # one table entry D_{31,2} off by Id, in the engine's reader and the reference
+    real = C._structure_scalars
+    real_ref = refstruct._structure_op
 
-    def corrupted(s, shift, charge, i, j, l):
-        op = real(s, shift, charge, i, j, l)
+    def corrupted(family, weights, i, j, targets):
+        scalars = real(family, weights, i, j, targets)
+        if (i, j) == (3, 1) and 2 in targets:
+            for tpow, w in weights.values():
+                add_term(scalars, (None, 2, tpow), w)
+        return scalars
+
+    def corrupted_ref(s, shift, charge, i, j, l, d):
+        op = real_ref(s, shift, charge, i, j, l, d)
         if (i, j, l) == (3, 1, 2):
-            return op + WeylOp.identity()
+            return op + WeylOp.identity().truncated(d)
         return op
 
-    monkeypatch.setattr(C, "_structure_op", corrupted)
+    monkeypatch.setattr(C, "_structure_scalars", corrupted)
+    monkeypatch.setattr(refstruct, "_structure_op", corrupted_ref)
     levels = range(0, 4)
     for which in ("dstruct", "mixed"):
         report = C.verify_simplified(BIP, which, levels, 3, 5)

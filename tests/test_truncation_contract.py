@@ -41,8 +41,7 @@ def assert_truncates_to(big, small, d):
 
 BUILDERS = {
     # the exact current cut down to d, as dump prints it
-    "current": [lambda d, i=i, c=c: current(i, c).truncated(d)
-                for i in (-3, -1, 0, 2, 5) for c in (None, U[1])],
+    "current": [lambda d, i=i: current(i).truncated(d) for i in (-3, -1, 0, 2, 5)],
     "A_rec": [lambda d, i=i, s=s: build_A(i, s, d, route="rec")
               for i in (1, 2, 4) for s in (0, 2, 3)],
     "A_y": [lambda d, i=i, s=s: build_A(i, s, d, route="y")
@@ -211,18 +210,17 @@ def test_build_L_keeps_a_mode_zero_at_its_working_degree():
 # -- exact operators carry no working degree ------------------------------------
 
 
-@pytest.mark.parametrize("charge", [None, U[1]], ids=["uncharged", "charge-u"])
-def test_truncated_current_is_the_current_built_at_that_degree(charge):
+def test_truncated_current_is_the_current_built_at_that_degree():
     for i in range(-8, 9):
         for d in range(0, 9):
-            got = current(i, charge).truncated(d)
-            want = refcurrents.current(i, d, charge)
+            got = current(i).truncated(d)
+            want = refcurrents.current(i, d)
             assert got.working_degree == want.working_degree == d
             assert got.terms == want.terms, (i, d)
 
 
 def test_exact_builders_sit_at_exact():
-    exact = [current(-2), current(3), current(0, U[1]), WeylOp.p(2), WeylOp.p(0),
+    exact = [current(-2), current(3), current(0), WeylOp.p(2), WeylOp.p(0),
              WeylOp.p_star(2), WeylOp.creation(((1, 2), (3, 1))), WeylOp.scalar(3),
              WeylOp.identity(), TGradedOp({0: WeylOp.p(1)}).piece(1)]
     for op in exact:

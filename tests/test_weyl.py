@@ -7,6 +7,7 @@ from bconstell.ppoly import PPoly
 from bconstell.weyl import DegreeBudgetError, WeylOp
 
 from randops import random_op, random_homogeneous_op, random_ppoly
+import refring
 
 
 def weyl_from_json_obj(obj):
@@ -15,7 +16,7 @@ def weyl_from_json_obj(obj):
     for t in obj["terms"]:
         cr = tuple((int(i), int(e)) for i, e in t["create"])
         an = tuple((int(i), int(e)) for i, e in t["annihilate"])
-        terms[(cr, an)] = Coeff.parse(t["coeff"])
+        terms[(cr, an)] = refring.parse(t["coeff"])
     return WeylOp(terms, int(obj["working_degree"]))
 
 D = 8
