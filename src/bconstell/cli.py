@@ -2,12 +2,14 @@
 
 Commands: verify (commutator sweeps), tau (series generation and checks),
 dump (operator JSON), jack (deformed polynomial dump), oracle (series
-cross-check).  Exit codes: 0 pass, 1 check failure, 2 usage error.  Stdout
-is deterministic for fixed flags; wall time goes to stderr.
+cross-check).  Exit codes: 0 pass, 1 check failure, 2 usage error, 3 stdout
+closed before the output was written.  Stdout is deterministic for fixed
+flags; wall time goes to stderr.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -33,6 +35,8 @@ A_LEVEL_LIMIT = MAX_EXP + 1
 # --b-eval is printed in the report, so its digits stay well below Python's
 # limit on int-to-str conversion (4300 digits)
 B_EVAL_DIGITS = 1000
+# exit code when the reader of stdout goes away (e.g. `| head`)
+EXIT_BROKEN_PIPE = 3
 
 
 def _emit(report, as_json):
@@ -81,6 +85,14 @@ def _b_eval(parser, text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         parser.error(usage)
+
+
+def _with_first_failure(entry, report):
+    """entry, plus the report's first failing item when the check failed."""
+    if not report["ok"]:
+        item = next(x for x in report["items"] if x["status"] != "pass")
+        entry["first_failure"] = {k: v for k, v in item.items() if k != "status"}
+    return entry
 
 
 def _model(parser, name):
@@ -142,14 +154,16 @@ def cmd_tau(parser, args):
     ok = True
     checks = []
     if args.check_constraints:
-        rep = check_constraints(series, args.check_constraints)
+        rep = check_constraints(model, series, args.check_constraints)
         ok = ok and rep["ok"]
-        checks.append({"constraints": rep["ok"], "imax": args.check_constraints,
-                       "denominator_flags": rep["denominator_flags"]})
+        checks.append(_with_first_failure(
+            {"constraints": rep["ok"], "imax": args.check_constraints,
+             "denominator_flags": rep["denominator_flags"]}, rep))
     if args.fixed_point:
         rep = check_rooted_fixed_point(model, series, args.fixed_point)
         ok = ok and rep["ok"]
-        checks.append({"fixed_point": rep["ok"], "imax": args.fixed_point})
+        checks.append(_with_first_failure(
+            {"fixed_point": rep["ok"], "imax": args.fixed_point}, rep))
     if args.oracle:
         rep = compare_with_engine(model, args.order, engine=series)
         ok = ok and rep["ok"]
@@ -298,7 +312,6 @@ def build_parser():
     d.add_argument("--k", type=int)
     d.add_argument("--model")
     d.add_argument("--deg", type=int, required=True)
-    d.add_argument("--json", action="store_true")
 
     j = sub.add_parser("jack", help="dump a deformed polynomial")
     j.add_argument("--lambda", dest="lam", required=True)
@@ -322,7 +335,15 @@ def main(argv=None):
         "jack": cmd_jack,
         "oracle": cmd_oracle,
     }
-    code = handlers[args.command](parser, args)
+    try:
+        code = handlers[args.command](parser, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     print("elapsed: %.2fs" % (time.monotonic() - start), file=sys.stderr)
     return code
 

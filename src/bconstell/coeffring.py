@@ -15,8 +15,8 @@ of ``n``, zero is ``({}, 1, 0)``, and ``n`` is not divisible by ``(1+b)``
 when ``dp > 0``.  (1+b) is monic, so by Gauss's lemma it divides ``n`` over
 the rationals exactly when it divides it over the integers: every
 reduction runs on ints.  ``num`` is a read-only view of ``n / den`` term by
-term, an ``int`` where integral and a ``Fraction`` otherwise; printing,
-evaluation and substitution read it, the arithmetic does not.
+term, an ``int`` where integral and a ``Fraction`` otherwise; printing and
+substitution read it, the arithmetic does not.
 
 A key packs the seven exponents into fixed fields of ``FIELD_BITS`` bits,
 ``b`` in the most significant field and ``q3`` in the least (packed exponent
@@ -40,9 +40,9 @@ products and t-convolutions (``PPoly.sum_products``) sum each output
 coefficient this way instead of canonicalising every partial sum.
 """
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, gcd, lcm
+from types import MappingProxyType
 
 VARS = ("b", "u1", "u2", "u3", "q1", "q2", "q3")
 NVARS = len(VARS)
@@ -72,10 +72,6 @@ def _pack(exps):
             raise _overflow()
         key = (key << FIELD_BITS) | e
     return key
-
-
-def _unpack(key):
-    return tuple((key >> s) & _FIELD_MASK for s in _SHIFTS)
 
 
 def _check_keys(num):
@@ -215,20 +211,16 @@ def _normal(n, den, dp):
     return _make(n, den, dp)
 
 
-def _reduce(n, dp):
-    """Divide an int-valued numerator by (1+b) while it divides and dp > 0."""
-    while dp > 0:
+def _canon(n, den, dp):
+    """Coeff from an owned int-valued dict, reduced to canonical form.
+
+    Divides the numerator by (1+b) while it divides and dp > 0.
+    """
+    while dp > 0 and n:
         quot = _div_one_plus_b(n)
         if quot is None:
             break
         n, dp = quot, dp - 1
-    return n, dp
-
-
-def _canon(n, den, dp):
-    """Coeff from an owned int-valued dict, reduced to canonical form."""
-    if dp > 0 and n:
-        n, dp = _reduce(n, dp)
     return _normal(n, den, dp)
 
 
@@ -260,8 +252,7 @@ def sum_products(triples):
             _mul_into(acc, pa, pb, kn * (den // d))
         n = _checked(acc)
         if n:
-            n, rdp = _reduce(n, dp)
-            part = _normal(n, den, rdp)
+            part = _canon(n, den, dp)
             total = part if total is None else total + part
     return _make({}, 1, 0) if total is None else total
 
@@ -284,30 +275,6 @@ def _rational(x):
     return x.numerator if x.denominator == 1 else x
 
 
-class _Rationals(Mapping):
-    """Read-only {key: n[key] / den} view: an int where integral, else a Fraction."""
-
-    __slots__ = ("_n", "_den")
-
-    def __init__(self, n, den):
-        self._n = n
-        self._den = den
-
-    def __getitem__(self, key):
-        c = self._n[key]
-        den = self._den
-        return c if den == 1 else Fraction(c, den) if c % den else c // den
-
-    def __iter__(self):
-        return iter(self._n)
-
-    def __len__(self):
-        return len(self._n)
-
-    def __repr__(self):
-        return repr(dict(self))
-
-
 class Coeff:
     """Exact scalar: polynomial in b, u1..u3, q1..q3 over a power of (1+b)."""
 
@@ -327,8 +294,11 @@ class Coeff:
 
     @property
     def num(self):
-        """The numerator over the rationals, as a read-only {key: rational} view."""
-        return _Rationals(self.n, self.den)
+        """The numerator over the rationals, as a read-only {key: rational} mapping."""
+        n, den = self.n, self.den
+        if den != 1:
+            n = {e: Fraction(c, den) if c % den else c // den for e, c in n.items()}
+        return MappingProxyType(n)
 
     # -- constructors ------------------------------------------------------
 
@@ -361,7 +331,8 @@ class Coeff:
     # -- ring operations ---------------------------------------------------
 
     @staticmethod
-    def _coerce(x):
+    def coerce(x):
+        """x as a Coeff for a Coeff, int or Fraction, else NotImplemented."""
         if isinstance(x, Coeff):
             return x
         if isinstance(x, (int, Fraction)):
@@ -369,7 +340,7 @@ class Coeff:
         return NotImplemented
 
     def __add__(self, other):
-        other = Coeff._coerce(other)
+        other = Coeff.coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self, other
@@ -396,7 +367,7 @@ class Coeff:
         return _make({e: -c for e, c in self.n.items()}, self.den, self.dp)
 
     def __sub__(self, other):
-        other = Coeff._coerce(other)
+        other = Coeff.coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
@@ -447,7 +418,7 @@ class Coeff:
         return not self.n
 
     def __eq__(self, other):
-        other = Coeff._coerce(other)
+        other = Coeff.coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.dp == other.dp and self.den == other.den and self.n == other.n
@@ -455,26 +426,7 @@ class Coeff:
     def __hash__(self):
         return hash((self.dp, self.den, frozenset(self.n.items())))
 
-    # -- evaluation --------------------------------------------------------
-
-    def eval(self, assignment):
-        """Evaluate at rationals; variables the value does not use may be left out.
-
-        A missing variable that the value uses raises KeyError naming it.
-        """
-        vals = {v: Fraction(x) for v, x in assignment.items()}
-        if self.dp and vals["b"] == -1:
-            raise ZeroDivisionError("evaluation at b = -1 with a (1+b) denominator")
-        total = Fraction(0)
-        for key, c in self.num.items():
-            t = c
-            for v, e in zip(VARS, _unpack(key)):
-                if e:
-                    t *= vals[v] ** e
-            total += t
-        if self.dp:
-            total /= (1 + vals["b"]) ** self.dp
-        return total
+    # -- substitution ------------------------------------------------------
 
     def subs(self, assignment):
         """Substitute rationals for a subset of the variables."""

@@ -497,7 +497,7 @@ def tau_jack(model, order, convention="standard"):
         coeffs.append(PPoly({
             _ppoly_key(mu): _series_coeff(groups, denom) for mu, groups in sums.items()
         }))
-    return TauSeries(model, coeffs)
+    return TauSeries(coeffs)
 
 
 def calibrate_convention(model, order=2, reference=None):
@@ -543,7 +543,7 @@ def compare_with_engine(model, order, convention=None, engine=None):
     for n in range(order + 1):
         diff = engine.coeff(n) - oracle.coeff(n)
         if diff:
-            mono, coeff = diff.sorted_terms()[0]
+            (mono, coeff), = diff.first_term().terms.items()
             first_diff = {
                 "order": n,
                 "monomial": [[i, e] for i, e in mono],

@@ -7,8 +7,6 @@ not exist, constructors for them yield the zero polynomial.
 ``PPoly.sum`` merges each addend of any iterable into one dict as it arrives.
 """
 
-from fractions import Fraction
-
 from .coeffring import Coeff, add_term, add_terms, sum_grouped
 
 
@@ -67,14 +65,6 @@ class PPoly:
         )
 
     @staticmethod
-    def _coerce_scalar(x):
-        if isinstance(x, Coeff):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Coeff.from_rational(x)
-        return None
-
-    @staticmethod
     def sum(polys):
         """The sum of the polynomials in polys."""
         p = PPoly.__new__(PPoly)
@@ -97,8 +87,8 @@ class PPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        scal = PPoly._coerce_scalar(other)
-        if scal is not None:
+        scal = Coeff.coerce(other)
+        if scal is not NotImplemented:
             if not scal:
                 return PPoly.zero()
             p = PPoly.__new__(PPoly)
@@ -164,6 +154,13 @@ class PPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: pm_sort_key(mc[0]))
+
+    def first_term(self):
+        """The first of sorted_terms as a one-term PPoly; zero for zero."""
+        if not self.terms:
+            return PPoly()
+        m = min(self.terms, key=pm_sort_key)
+        return PPoly({m: self.terms[m]})
 
     def to_json_obj(self):
         return [

@@ -30,22 +30,21 @@ from .weyl import WeylOp
 
 
 class TauSeries:
-    """A series in t through t^order with PPoly coefficients; `model` may be None."""
+    """A series in t through t^order with PPoly coefficients."""
 
-    __slots__ = ("model", "order", "coeffs")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, model, coeffs):
-        self.model = model
+    def __init__(self, coeffs):
         self.coeffs = list(coeffs)
         self.order = len(self.coeffs) - 1
 
     @classmethod
     def zero(cls, order):
-        return cls(None, [PPoly.zero()] * (order + 1))
+        return cls([PPoly.zero()] * (order + 1))
 
     @classmethod
     def one(cls, order):
-        return cls(None, [PPoly.one()] + [PPoly.zero()] * order)
+        return cls([PPoly.one()] + [PPoly.zero()] * order)
 
     @classmethod
     def sum(cls, series, order):
@@ -64,7 +63,7 @@ class TauSeries:
                 part = parts[key] = [PPoly() for _ in range(order + 1)]
             for out, c in zip(part, s.coeffs):
                 add_terms(out.terms, c.terms)
-        return {key: cls(None, part) for key, part in parts.items()}
+        return {key: cls(part) for key, part in parts.items()}
 
     def coeff(self, n):
         if 0 <= n <= self.order:
@@ -72,14 +71,14 @@ class TauSeries:
         return PPoly.zero()
 
     def __add__(self, other):
-        return TauSeries(self.model, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return TauSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
-        return TauSeries(self.model, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return TauSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def mul_series(self, other):
         """The product, truncated at this series' order."""
-        return TauSeries(self.model, [
+        return TauSeries([
             PPoly.sum_products([
                 (self.coeffs[a], other.coeffs[n - a], 1) for a in range(n + 1)
             ])
@@ -87,7 +86,7 @@ class TauSeries:
         ])
 
     def map(self, fn):
-        return TauSeries(self.model, [fn(c) for c in self.coeffs])
+        return TauSeries([fn(c) for c in self.coeffs])
 
     def map_coeff(self, fn):
         return self.map(lambda c: c.map_coeff(fn))
@@ -98,11 +97,11 @@ class TauSeries:
     def tshift(self, k, order=None):
         """t^k times the series, through t^order (by default this series' order)."""
         shifted = [PPoly.zero()] * k + self.coeffs
-        return TauSeries(self.model, shifted[: (self.order if order is None else order) + 1])
+        return TauSeries(shifted[: (self.order if order is None else order) + 1])
 
     def truncated(self, order):
         """The series through t^order; empty for a negative order."""
-        return TauSeries(self.model, self.coeffs[: order + 1])
+        return TauSeries(self.coeffs[: order + 1])
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -139,10 +138,10 @@ def tau_evolve(model, order):
         if not term.is_homogeneous(n):
             raise AssertionError("[t^%d] tau is not homogeneous of degree %d" % (n, n))
         coeffs.append(term)
-    return TauSeries(model, coeffs)
+    return TauSeries(coeffs)
 
 
-def check_constraints(tau, i_max, subs=None):
+def check_constraints(model, tau, i_max, subs=None):
     """Check [t^n](L_i tau) = 0 for all i <= i_max and n <= tau.order.
 
     Also asserts the homogeneity of every slice before it is tested for
@@ -150,7 +149,6 @@ def check_constraints(tau, i_max, subs=None):
     that is not homogeneous.  With subs, parameters are substituted first (used for the
     specializations of the vertex-degree weights).
     """
-    model = tau.model
     N = tau.order
     series = tau.map_coeff(lambda c: c.subs(subs)) if subs else tau
     items = []
@@ -172,9 +170,8 @@ def check_constraints(tau, i_max, subs=None):
                 item.update(status="fail", reason=reason)
             slice_sum = PPoly.sum(parts.values())
             if slice_sum:
-                first = min(slice_sum.terms)
                 item["status"] = "fail"
-                item["first_nonzero"] = str(PPoly({first: slice_sum.terms[first]}))
+                item["first_nonzero"] = str(slice_sum.first_term())
             items.append(item)
     params = {"model": model.name, "imax": i_max, "order": N,
               "subs": {k: str(v) for k, v in (subs or {}).items()}}
@@ -195,7 +192,7 @@ def h_series(tau):
             [(tau.coeff(n), one_plus_b, 1)]
             + [(hs[j], tau.coeff(n - j), Fraction(-j, n)) for j in range(1, n)]
         ))
-    return TauSeries(tau.model, hs)
+    return TauSeries(hs)
 
 
 # -- rooted fixed point ------------------------------------------------------
@@ -254,7 +251,7 @@ def check_rooted_fixed_point(model, tau, i_max):
 
     def rooted(a):
         """G_a = a dH/dp_a through t^N."""
-        return TauSeries(model, [h.coeff(n).dp(a) * a for n in range(N + 1)])
+        return TauSeries([h.coeff(n).dp(a) * a for n in range(N + 1)])
 
     feedback = {a: rooted(a) for a in range(1, N + 1)}
     qs = model.q_weights()
@@ -281,6 +278,6 @@ def check_rooted_fixed_point(model, tau, i_max):
             item = {"i": i, "n": n, "status": "pass"}
             if c:
                 item["status"] = "fail"
-                item["first_mismatch"] = str(c)
+                item["first_mismatch"] = str(c.first_term())
             items.append(item)
     return sweep_report({"model": model.name, "imax": i_max, "order": N}, items, "items")

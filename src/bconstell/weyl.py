@@ -30,7 +30,6 @@ iterable into one dict as it arrives, at the least working degree among
 them, zero addends included, as a left fold of ``+`` gives.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
@@ -122,13 +121,11 @@ class WeylOp:
     @classmethod
     def scalar(cls, c):
         """c * Id, exact."""
-        if isinstance(c, (int, Fraction)):
-            c = Coeff.from_rational(c)
-        return cls({(EMPTY, EMPTY): c}, EXACT)
+        return cls.identity().scale(c)
 
     @classmethod
     def identity(cls):
-        return cls.scalar(Coeff.one())
+        return cls({(EMPTY, EMPTY): Coeff.one()}, EXACT)
 
     @classmethod
     def creation(cls, mono, coeff=None):
@@ -220,8 +217,9 @@ class WeylOp:
         return self + (-other)
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = Coeff.from_rational(c)
+        c = Coeff.coerce(c)
+        if c is NotImplemented:
+            raise TypeError("an operator scales by a Coeff, int or Fraction")
         if not c:
             return WeylOp.zero(self.working_degree)
         # the scalars form an integral domain, so no product v * c is zero

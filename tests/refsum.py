@@ -38,7 +38,7 @@ def tgraded_add(a, b):
 
 
 def tau_add(a, b):
-    return TauSeries(a.model, [ppoly_add(f, g) for f, g in zip(a.coeffs, b.coeffs)])
+    return TauSeries([ppoly_add(f, g) for f, g in zip(a.coeffs, b.coeffs)])
 
 
 def fold(add, items, start=None):

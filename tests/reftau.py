@@ -87,7 +87,7 @@ def check_rooted_fixed_point(model, tau, i_max):
 
     def rooted(a):
         """G_a = a dH/dp_a through t^N."""
-        return TauSeries(model, [h.coeff(n).dp(a) * a for n in range(N + 1)])
+        return TauSeries([h.coeff(n).dp(a) * a for n in range(N + 1)])
 
     feedback = {a: rooted(a) for a in range(1, N + 1)}
     feedback = {a: g for a, g in feedback.items() if not g.is_zero()}
@@ -110,6 +110,6 @@ def check_rooted_fixed_point(model, tau, i_max):
             item = {"i": i, "n": n, "status": "pass"}
             if c:
                 item["status"] = "fail"
-                item["first_mismatch"] = str(c)
+                item["first_mismatch"] = str(c.first_term())
             items.append(item)
     return sweep_report({"model": model.name, "imax": i_max, "order": N}, items, "items")

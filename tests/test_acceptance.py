@@ -103,10 +103,10 @@ def test_criterion_5_constraint_nullity():
     ok = True
     for model in (BIP, THREECONST, BIPLE3):
         series = tau_evolve(model, 5)
-        rep = check_constraints(series, 5)
+        rep = check_constraints(model, series, 5)
         ok = ok and rep["ok"]
     series = tau_evolve(BIPLE3, 6)
-    rep = check_constraints(series, 5, subs={"q1": 0, "q3": 0, "q2": 1})
+    rep = check_constraints(BIPLE3, series, 5, subs={"q1": 0, "q3": 0, "q2": 1})
     ok = ok and rep["ok"]
     _report(5, "constraints annihilate the series through t^5, i <= 5, all models incl. even-degree specialization", ok, started)
 

@@ -6,7 +6,9 @@ import time
 
 import pytest
 
-from bconstell.cli import main
+from bconstell.cli import EXIT_BROKEN_PIPE, main
+from bconstell.constraints import THREECONST
+from perturb import perturbed_tau
 
 
 def run_cli(*argv, timeout=120):
@@ -419,3 +421,55 @@ def test_sympy_stays_a_lazy_import():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0] False\n"
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # the series through t^6 is far larger than a pipe's buffer, so the CLI
+    # is still writing when its reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bconstell", "tau", "--model", "threeconst", "--order", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert "Traceback" not in err and "Error" not in err
+
+
+def test_tau_failing_checks_name_their_first_failure(monkeypatch, capsys):
+    import bconstell.cli as cli_mod
+
+    # 1 added to the coefficient of p1^3 in [t^3] tau
+    series = perturbed_tau(THREECONST, 4)
+    monkeypatch.setattr(cli_mod, "tau_evolve", lambda model, order: series)
+    argv = ["tau", "--model", "threeconst", "--order", "4", "--check-constraints", "3",
+            "--fixed-point", "3", "--oracle"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "overall: FAIL"
+    lines = [json.loads(x[len("check "):]) for x in out if x.startswith("check ")]
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == lines
+    constraints, fixed_point, oracle = lines
+    assert constraints == {
+        "constraints": False, "imax": 3, "denominator_flags": [],
+        "first_failure": {"i": 1, "n": 3, "first_nonzero": "(-3)*p1^2"},
+    }
+    assert fixed_point == {
+        "fixed_point": False, "imax": 3,
+        "first_failure": {"i": 1, "n": 3, "first_mismatch": "(3*b + 3)*p1^2"},
+    }
+    assert oracle == {
+        "oracle": False, "convention": "standard",
+        "first_mismatch": {"order": 3, "monomial": [[1, 3]], "engine_minus_oracle": "1"},
+    }
+
+
+def test_dump_has_no_json_flag():
+    # dump always prints JSON; the flag that did nothing is gone
+    code, _, err = run_cli("dump", "--op", "J", "--i", "1", "--deg", "2", "--json")
+    assert code == 2
+    assert "unrecognized arguments: --json" in err

@@ -8,6 +8,7 @@ Equal values must then be equal field by field, however they were built.
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
 from bconstell.coeffring import (
@@ -98,3 +99,12 @@ def test_num_is_a_read_only_rational_view():
     assert x.num == {0: Fraction(1, 2), 1 << _B_SHIFT: Fraction(3, 4)}
     assert type((x * 4).num[0]) is int
     assert Coeff(x.num, x.dp) == x
+    # over den = 2 one term is integral and one is not
+    y = B * 2 + Fraction(1, 2)
+    assert y.num == {0: Fraction(1, 2), 1 << _B_SHIFT: 2}
+    assert type(y.num[0]) is Fraction and type(y.num[1 << _B_SHIFT]) is int
+    # read-only, over n itself (den = 1) as over the built dict (den > 1)
+    for value in (x, y, U[1]):
+        with pytest.raises(TypeError):
+            value.num[0] = 1
+    assert 0 not in U[1].n

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import refjack
+from perturb import perturbed_tau
 from bconstell.coeffring import VARS, Coeff, ONE_PLUS_B, Q, U
 from bconstell.constraints import BIP, BIPLE3, THREECONST
 from bconstell.jack import (
@@ -148,9 +149,10 @@ def test_undeformed_limit_is_proportional_to_schur():
         got = jack_to_ppoly(lam).map_coeff(lambda c: c.subs({"b": 0}))
         schur = PPoly({m: Coeff.from_rational(c) for m, c in sexp.items()})
         ones = ((1, sum(lam)),)
-        ratio = got.terms[ones].eval(
+        constant = got.terms[ones].subs(
             {"b": 0, "u1": 0, "u2": 0, "u3": 0, "q1": 0, "q2": 0, "q3": 0}
-        ) / sexp[ones]
+        )
+        ratio = constant.num[0] / sexp[ones]
         assert got == schur * Coeff.from_rational(ratio), lam
 
 
@@ -357,3 +359,13 @@ def test_series_is_unchanged_by_rescaled_tables(model, monkeypatch):
     got = tau_jack(model, 4)
     for n in range(5):
         assert got.coeff(n) == expected.coeff(n), n
+
+
+def test_oracle_locates_a_perturbed_engine_series():
+    # 1 added to the coefficient of p1^3 in [t^3] of the engine's series
+    report = compare_with_engine(THREECONST, 4, engine=perturbed_tau(THREECONST, 4))
+    assert report["ok"] is False
+    assert report["params"]["convention"] == "standard"
+    assert report["first_mismatch"] == {
+        "order": 3, "monomial": [[1, 3]], "engine_minus_oracle": "1"
+    }

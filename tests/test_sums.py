@@ -131,7 +131,7 @@ def test_tau_series_sum_matches_fold(seed, count):
     rng = random.Random(seed)
 
     def series(rng):
-        return TauSeries(None, [random_poly(rng) for _ in range(3)])
+        return TauSeries([random_poly(rng) for _ in range(3)])
 
     items = random_addends(rng, count, series, lambda rng, s: s.scale(-1))
     got = TauSeries.sum(one_shot(items), 2)

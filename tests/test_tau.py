@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import refweyl
+from perturb import perturbed_tau
 from bconstell.coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, Q, U
 from bconstell.constraints import BIP, BIPLE3, THREECONST
 from bconstell.ppoly import PPoly
@@ -56,8 +57,8 @@ def test_extension_consistency():
 
 def test_non_homogeneous_slice_is_one_entry():
     # [t^1] mixes degrees 1 and 2, so -p_1* maps it to degrees 0 and 1
-    series = TauSeries(BIP, [PPoly.one(), p1 + p1 * p1, PPoly.zero()])
-    rep = check_constraints(series, 2)
+    series = TauSeries([PPoly.one(), p1 + p1 * p1, PPoly.zero()])
+    rep = check_constraints(BIP, series, 2)
     keys = [(item["i"], item["n"]) for item in rep["items"]]
     assert len(keys) == len(set(keys)) == 2 * 3
     (item,) = [item for item in rep["items"] if (item["i"], item["n"]) == (1, 1)]
@@ -69,29 +70,72 @@ def test_non_homogeneous_slice_is_one_entry():
 def test_constraints_small():
     for model in (BIP, THREECONST, BIPLE3):
         series = tau_evolve(model, 3)
-        rep = check_constraints(series, 3)
+        rep = check_constraints(model, series, 3)
         assert rep["ok"], model.name
         assert rep["denominator_flags"] == []
 
 
 def test_constraints_vacuous_below_index():
     series = tau_evolve(BIP, 2)
-    rep = check_constraints(series, 5)
+    rep = check_constraints(BIP, series, 5)
     low = [x for x in rep["items"] if x["n"] < x["i"]]
     assert low and all(x["status"] == "pass" for x in low)
 
 
 def test_constraints_detect_corruption():
     series = tau_evolve(BIP, 2)
-    broken = TauSeries(BIP, [series.coeff(0), series.coeff(1) + p1, series.coeff(2)])
-    rep = check_constraints(broken, 2)
+    broken = TauSeries([series.coeff(0), series.coeff(1) + p1, series.coeff(2)])
+    rep = check_constraints(BIP, broken, 2)
     assert not rep["ok"]
     assert any(x.get("first_nonzero") for x in rep["items"])
 
 
+def test_constraints_take_the_model_not_the_series():
+    # a series built without a model, such as the constant 1, is checked too
+    rep = check_constraints(BIP, TauSeries.one(2), 1)
+    assert [(x["i"], x["n"], x["status"]) for x in rep["items"]] == [
+        (1, 0, "pass"), (1, 1, "fail"), (1, 2, "pass")
+    ]
+    assert rep["items"][1]["first_nonzero"] == "u1*u2/(1+b)^1"
+    assert rep["ok"] is False
+
+
+def _is_one_term(text):
+    """Whether text prints a one-term PPoly: no " + " outside the coefficient."""
+    if "p" not in text:
+        return True  # only the constant monomial; its coefficient is unbracketed
+    depth = 0
+    for pos, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and text.startswith(" + ", pos):
+            return False
+    return True
+
+
+def test_failing_checks_name_one_term():
+    # 1 added to the coefficient of p1^3 in [t^3] tau of threeconst
+    series = perturbed_tau(THREECONST, 6)
+    constraints = check_constraints(THREECONST, series, 5)
+    fixed_point = check_rooted_fixed_point(THREECONST, series, 3)
+    for rep, key in ((constraints, "first_nonzero"), (fixed_point, "first_mismatch")):
+        failing = [x for x in rep["items"] if x["status"] == "fail"]
+        assert failing and all(_is_one_term(x[key]) for x in failing)
+    first = [x for x in constraints["items"] if x["status"] == "fail"][0]
+    assert (first["i"], first["n"], first["first_nonzero"]) == (1, 3, "(-3)*p1^2")
+    first = [x for x in fixed_point["items"] if x["status"] == "fail"][0]
+    assert (first["i"], first["n"], first["first_mismatch"]) == (1, 3, "(3*b + 3)*p1^2")
+
+
+def test_first_term_is_the_first_sorted_term():
+    f = p2 * B + p1 * p1 * 3 + p1
+    assert str(f.first_term()) == "p1"
+    assert f.first_term().terms == dict(f.sorted_terms()[:1])
+    assert not PPoly.zero().first_term()
+
+
 def test_general_maps_specialization():
     series = tau_evolve(BIPLE3, 4)
-    rep = check_constraints(series, 3, subs={"q1": 0, "q3": 0, "q2": 1})
+    rep = check_constraints(BIPLE3, series, 3, subs={"q1": 0, "q3": 0, "q2": 1})
     assert rep["ok"]
     spec = series.map_coeff(lambda c: c.subs({"q1": 0, "q3": 0, "q2": 1}))
     # only even sizes survive once odd-degree vertices are forbidden
@@ -109,7 +153,7 @@ def test_h_series_examples():
 
 
 def test_h_series_requires_unit_constant():
-    bad = TauSeries(BIP, [PPoly.zero()])
+    bad = TauSeries([PPoly.zero()])
     with pytest.raises(ValueError):
         h_series(bad)
 
@@ -141,12 +185,11 @@ def test_fixed_point_order_zero_and_first():
 def test_one_series_type_truncates_at_its_order():
     assert isinstance(h_series(tau_evolve(BIP, 2)), TauSeries)
     one = TauSeries.one(2)
-    assert one.model is None and one.order == 2
+    assert one.order == 2
     assert TauSeries.zero(2).is_zero() and not one.is_zero()
-    g = TauSeries(BIP, [PPoly.zero(), p1, p2])
+    g = TauSeries([PPoly.zero(), p1, p2])
     # t * g would reach t^3; the series stays at order 2
     shifted = g.tshift(1)
-    assert shifted.model is BIP
     assert shifted.coeffs == [PPoly.zero(), PPoly.zero(), p1]
     assert g.mul_series(g).coeffs == [PPoly.zero(), PPoly.zero(), p1 * p1]
     assert (one + g - g).coeffs == one.coeffs
@@ -193,6 +236,6 @@ def test_convolutions_match_stepwise_loops(model):
     h = h_series(tau)
     assert h.coeffs == stepwise_h(tau)
     assert stepwise_exp(h) == tau.coeffs
-    rooted = TauSeries(model, [c.dp(1) * INV_1PB ** 3 for c in h.coeffs])
+    rooted = TauSeries([c.dp(1) * INV_1PB ** 3 for c in h.coeffs])
     for f, g in ((tau, h), (h, rooted), (rooted, tau)):
         assert f.mul_series(g).coeffs == stepwise_product(f, g)

@@ -77,7 +77,7 @@ def _feedback(model, tau):
     N = tau.order
     out = {}
     for a in range(1, N + 1):
-        g = TauSeries(model, [h.coeff(n).dp(a) * a for n in range(N + 1)])
+        g = TauSeries([h.coeff(n).dp(a) * a for n in range(N + 1)])
         if not g.is_zero():
             out[a] = g
     return out
@@ -146,7 +146,7 @@ def test_fixed_point_report_matches_reference_on_perturbed_series(model):
             slice_n[mono] = slice_n.get(mono, Coeff.zero()) + Coeff.one()
             coeffs = list(tau.coeffs)
             coeffs[n] = PPoly(slice_n)
-            report = _reports_agree(model, TauSeries(model, coeffs), [3, N + 2])
+            report = _reports_agree(model, TauSeries(coeffs), [3, N + 2])
             assert report["ok"] is False, (model.name, n, mono)
 
 
@@ -161,7 +161,7 @@ def test_fixed_point_fails_on_a_perturbed_series(model):
     slice2[mono] = slice2.get(mono, Coeff.zero()) + Coeff.one()
     coeffs = list(tau.coeffs)
     coeffs[2] = PPoly(slice2)
-    report = check_rooted_fixed_point(model, TauSeries(model, coeffs), 3)
+    report = check_rooted_fixed_point(model, TauSeries(coeffs), 3)
     assert report["ok"] is False
     failing = [item for item in report["items"] if item["status"] == "fail"]
     first = failing[0]

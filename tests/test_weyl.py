@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -155,3 +156,17 @@ def test_internal_constructor_matches_public_filtering():
             results.append(a.compose(b))
         for op in results:
             assert op.terms == WeylOp(op.terms, op.working_degree).terms
+
+
+def test_scalars_come_in_through_the_scalar_ring():
+    half = Coeff.from_rational(Fraction(1, 2))
+    assert WeylOp.scalar(Fraction(1, 2)).terms == WeylOp.scalar(half).terms
+    assert WeylOp.scalar(0).is_zero() and WeylOp.scalar(0).working_degree == float("inf")
+    op = p(1) + p_star(2)
+    assert op.scale(2).terms == op.scale(Coeff.from_rational(2)).terms
+    assert (op * Fraction(1, 2)).terms == op.scale(half).terms
+    for bad in ("1", 0.5, None, PPoly.one()):
+        with pytest.raises(TypeError):
+            WeylOp.scalar(bad)
+        with pytest.raises(TypeError):
+            op.scale(bad)
