@@ -10,8 +10,8 @@ The deformed polynomials J_lam are constructed by Gram-Schmidt against the
 lexicographic order (which refines dominance) over the alpha-deformed
 power-sum pairing, normalized so the coefficient of p_1^n is 1.  Their
 p-coordinates are polynomials in alpha, and the tables hold them
-fraction-free on integers, as dense univariate lists over ZZ (sympy's dup_*
-arithmetic).  The start vector of lam is its augmented monomial
+fraction-free on integers, as dense univariate lists over ZZ (the module's
+own arithmetic, below).  The start vector of lam is its augmented monomial
 prod_i m_i(lam)! m_lam, whose p-coordinates are integers given by one
 Moebius sum over the set partitions of lam's parts (_m_in_p).  Each
 projection step is v <- <g,g> v - <v,g> g against a finished vector g,
@@ -48,7 +48,8 @@ powers of 1+b), and keeping the oracle on a separate arithmetic stack is
 the point; values cross into Coeff only in _series_coeff.  jack and
 jack_norm return elements of the field Q(alpha, u1, u2, u3, q1, q2, q3),
 which is built for those values and the error message only.
-sympy is imported lazily, by the first oracle call.
+sympy is imported lazily, by _field() alone: the tables and the series
+never load it, so neither does tau --oracle.
 
 The deformed content of a box is a convention to calibrate, not to assume:
 c(row r, column c) = alpha*(c-1) - (r-1) ("standard") or its transpose
@@ -59,7 +60,7 @@ is told which one matched.
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .coeffring import _B_SHIFT, VARS, Coeff, _pack, add_term
 from .ppoly import PPoly
@@ -82,6 +83,132 @@ class OracleCalibrationError(ArithmeticError):
 
 class JackTableError(ArithmeticError):
     """The Gram-Schmidt table failed its exact division or its norm check."""
+
+
+# -- dense ZZ[alpha] arithmetic -----------------------------------------------
+# A polynomial in alpha is a list of ints, highest degree first, with no
+# leading zero; [] is zero.  Results follow sympy's dup_* over ZZ, signs
+# included, which tests/test_jack_reference.py checks result for result.
+
+
+class _InexactQuotient(ArithmeticError):
+    """A dense ZZ[alpha] division left a remainder."""
+
+
+def _strip(f):
+    """f without its leading zeros."""
+    for i, x in enumerate(f):
+        if x:
+            return f[i:] if i else f
+    return []
+
+
+def _add(f, g):
+    d = len(f) - len(g)
+    if d > 0:
+        return f[:d] + [x + y for x, y in zip(f[d:], g)]
+    if d < 0:
+        return g[:-d] + [x + y for x, y in zip(f, g[-d:])]
+    return _strip([x + y for x, y in zip(f, g)])
+
+
+def _neg(f):
+    return [-x for x in f]
+
+
+def _sub(f, g):
+    return _add(f, _neg(g))
+
+
+def _mul(f, g):
+    if not f or not g:
+        return []
+    if len(f) < len(g):
+        f, g = g, f
+    if len(g) == 1:
+        c = g[0]
+        return [c * x for x in f]
+    out = [0] * (len(f) + len(g) - 1)
+    for i, c in enumerate(g):
+        if c:
+            for j, x in enumerate(f, i):
+                out[j] += c * x
+    return out
+
+
+def _mul_ground(f, c):
+    return [c * x for x in f] if c else []
+
+
+def _exquo(f, g):
+    """f / g for a non-zero g; raises _InexactQuotient unless g divides f."""
+    top = max(len(f) - len(g) + 1, 0)
+    lc, tail = g[0], g[1:]
+    r = list(f)
+    for i in range(top):
+        q, rem = divmod(r[i], lc)
+        if rem:
+            break
+        r[i] = q
+        for j, y in enumerate(tail, i + 1):
+            r[j] -= q * y
+    else:
+        if not any(r[top:]):
+            return r[:top]
+    raise _InexactQuotient("%s does not divide %s" % (g, f))
+
+
+def _primitive(f):
+    """(content, f / content), the content a non-negative integer."""
+    content = reduce(gcd, f, 0)
+    if content in (0, 1):
+        return content, f
+    return content, [x // content for x in f]
+
+
+def _prem(f, g):
+    """The remainder of f by g times a non-zero integer (f, g non-zero)."""
+    lc, tail = g[0], g[1:]
+    while len(f) >= len(g):
+        c = f[0]
+        pad = [0] * (len(f) - len(g))
+        f = _strip([lc * x - c * y for x, y in zip(f[1:], tail + pad)])
+    return f
+
+
+def _gcd(f, g):
+    """gcd in ZZ[alpha] with a positive leading coefficient.
+
+    The primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1)
+    gives the primitive part; the gcd of the contents multiplies it.
+    """
+    fc, f = _primitive(f)
+    gc, g = _primitive(g)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _primitive(_prem(f, g))[1]
+    c = gcd(fc, gc)
+    return _mul_ground(f, -c if f and f[0] < 0 else c)
+
+
+def _inner_gcd(f, g):
+    """(h, f / h, g / h) with h = _gcd(f, g); all three are [] when f = g = []."""
+    h = _gcd(f, g)
+    if not h:
+        return [], [], []
+    return h, _exquo(f, h), _exquo(g, h)
+
+
+def _lcm(f, g):
+    """lcm in ZZ[alpha] with a positive leading coefficient; [] if f or g is zero."""
+    if not f or not g:
+        return []
+    fc, f = _primitive(f)
+    gc, g = _primitive(g)
+    h = _exquo(_mul(f, g), _gcd(f, g))
+    c = lcm(fc, gc)
+    return _mul_ground(h, -c if h[0] < 0 else c)
 
 
 # -- partitions --------------------------------------------------------------
@@ -187,15 +314,12 @@ def _inner_field(f, g):
     <p_lam, p_lam> = alpha^len(lam) z_lam, and distinct p_lam are orthogonal.
     The result is a dense list, highest degree first; [] is zero.
     """
-    from sympy.polys.densearith import dup_add, dup_mul, dup_mul_ground
-    from sympy.polys.domains import ZZ
-
     acc = []
     for lam, cf in f.items():
         cg = g.get(lam)
         if cg:
-            term = dup_mul_ground(dup_mul(cf, cg, ZZ), z_of(lam), ZZ)
-            acc = dup_add(acc, term + [0] * len(lam), ZZ)
+            term = _mul_ground(_mul(cf, cg), z_of(lam))
+            acc = _add(acc, term + [0] * len(lam))
     return acc
 
 
@@ -206,17 +330,13 @@ def _stanley_norm(lam):
     Macdonald, Symmetric Functions and Hall Polynomials, VI.10); returned
     as a dense ZZ[alpha] list.
     """
-    from sympy.polys.densearith import dup_mul
-    from sympy.polys.densebasic import dup_strip
-    from sympy.polys.domains import ZZ
-
     acc = [1]
     for r, row_len in enumerate(lam):
         for c in range(row_len):
             arm = row_len - c - 1
             leg = sum(1 for below in lam[r + 1:] if below > c)
-            acc = dup_mul(acc, dup_strip([arm, leg + 1]), ZZ)
-            acc = dup_mul(acc, [arm + 1, leg], ZZ)
+            acc = _mul(acc, _strip([arm, leg + 1]))
+            acc = _mul(acc, [arm + 1, leg])
     return acc
 
 
@@ -229,10 +349,6 @@ def _jack_table(n):
     """
     if n > JACK_BOUND:
         raise JackBoundError("size %d exceeds the configured bound %d" % (n, JACK_BOUND))
-    from sympy.polys.densearith import dup_exquo, dup_mul, dup_mul_ground, dup_neg, dup_sub
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
-
     if n == 0:
         return {(): {(): [1]}}
     m_in_p = _m_in_p(n)
@@ -246,26 +362,25 @@ def _jack_table(n):
             c = _inner_field(v, g)
             if c:
                 # v <- <g,g> v - <v,g> g, both factors divided by their gcd
-                _, scale, c = dup_inner_gcd(norm, c, ZZ)
+                _, scale, c = _inner_gcd(norm, c)
                 v = {
-                    mu: dup_sub(dup_mul(scale, v.get(mu, []), ZZ),
-                                dup_mul(c, g.get(mu, []), ZZ), ZZ)
+                    mu: _sub(_mul(scale, v.get(mu, [])), _mul(c, g.get(mu, [])))
                     for mu in set(v) | set(g)
                 }
                 v = {mu: x for mu, x in v.items() if x}
-        content = reduce(lambda x, y: dup_gcd(x, y, ZZ), v.values())
-        lead = dup_exquo(v[ones], content, ZZ) if ones in v else []
+        content = reduce(_gcd, v.values())
+        lead = _exquo(v[ones], content) if ones in v else []
         if len(lead) != 1:
             raise JackTableError(
                 "J%s: the p_1^%d coefficient does not divide the Gram-Schmidt "
                 "vector exactly" % (lam, n)
             )
         if lead[0] < 0:
-            content = dup_neg(content, ZZ)
-        v = {mu: dup_exquo(x, content, ZZ) for mu, x in v.items()}
+            content = _neg(content)
+        v = {mu: _exquo(x, content) for mu, x in v.items()}
         lead = v[ones][0]
         norm = _inner_field(v, v)
-        expected = dup_mul_ground(_stanley_norm(lam), lead * lead, ZZ)
+        expected = _mul_ground(_stanley_norm(lam), lead * lead)
         if norm != expected:
             raise JackTableError(
                 "J%s: Gram-Schmidt norm %s differs from the closed form times "
@@ -293,10 +408,6 @@ def _series_scales(n):
     the table object _jack_table returns, so a rebuilt table gets its scales
     afresh.
     """
-    from sympy.polys.densearith import dup_exquo, dup_mul_ground
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_lcm
-
     table = _jack_table(n)
     memo = _SCALES.get(n)
     if memo is not None and memo[0] is table:
@@ -304,13 +415,13 @@ def _series_scales(n):
     ones = (1,) * n
     leads = {lam: v[ones][0] for lam, v in table.items()}
     norms = {lam: _stanley_norm(lam) for lam in table}
-    common = reduce(lambda x, y: dup_lcm(x, y, ZZ), norms.values())
+    common = reduce(_lcm, norms.values())
     scale = lcm(*leads.values())
     scales = (
-        {lam: {mu: dup_mul_ground(c, scale // leads[lam], ZZ) for mu, c in v.items()}
+        {lam: {mu: _mul_ground(c, scale // leads[lam]) for mu, c in v.items()}
          for lam, v in table.items()},
-        {lam: dup_exquo(common, norm, ZZ) for lam, norm in norms.items()},
-        dup_mul_ground(common, scale * scale, ZZ),
+        {lam: _exquo(common, norm) for lam, norm in norms.items()},
+        _mul_ground(common, scale * scale),
     )
     _SCALES[n] = (table, scales)
     return scales
@@ -355,19 +466,14 @@ def _series_coeff(groups, denom):
     built, for the error message.  Each alpha^e then becomes the binomial
     row of (1+b)^e, expanded once per distinct e.
     """
-    from sympy.polys.densearith import dup_exquo, dup_neg
-    from sympy.polys.densetools import dup_primitive
-    from sympy.polys.domains import ZZ
-    from sympy.polys.polyerrors import ExactQuotientFailed
-
     a = next(i for i, x in enumerate(reversed(denom)) if x)
-    content, dprime = dup_primitive(denom[:len(denom) - a], ZZ)
+    content, dprime = _primitive(denom[:len(denom) - a])
     if dprime[-1] < 0:
-        content, dprime = -content, dup_neg(dprime, ZZ)
+        content, dprime = -content, _neg(dprime)
     if len(dprime) > 1:
         try:
-            groups = {rest: dup_exquo(c, dprime, ZZ) for rest, c in groups.items()}
-        except ExactQuotientFailed:
+            groups = {rest: _exquo(c, dprime) for rest, c in groups.items()}
+        except _InexactQuotient:
             frac = _field()[0].field((_terms(groups), _terms({_NO_UQ: denom})))
             raise OracleDenominatorError(
                 "series coefficient has a non-(1+b) denominator: %s; this is a "
@@ -412,22 +518,18 @@ def _content_rows(lam, convention):
 
     rows[e] is the coefficient of u^e.
     """
-    from sympy.polys.densearith import dup_add, dup_mul
-    from sympy.polys.densebasic import dup_strip
-    from sympy.polys.domains import ZZ
-
     rows = [[1]]
     for r, row_len in enumerate(lam):
         for c in range(row_len):
             if convention == "standard":
-                content = dup_strip([c, -r])
+                content = _strip([c, -r])
             elif convention == "transpose":
-                content = dup_strip([r, -c])
+                content = _strip([r, -c])
             else:
                 raise ValueError("unknown content convention %r" % (convention,))
             # (u + content) sum_e rows[e] u^e: new rows[e] = rows[e-1] + content rows[e]
             rows = [
-                dup_add(low, dup_mul(content, high, ZZ), ZZ)
+                _add(low, _mul(content, high))
                 for low, high in zip([[]] + rows, rows + [[]])
             ]
     return rows
@@ -440,12 +542,9 @@ def _weight(vec, ratio, rows, model):
     ZZ[alpha]; rows are the content rows of P_lam.  Returns {u, q
     exponents: dense ZZ[alpha] list} without zero entries.
     """
-    from sympy.polys.densearith import dup_mul
-    from sympy.polys.domains import ZZ
-
     if model.r == 1:
         # q_j = [j == 1]: only the p_1^n coordinate survives
-        weight = {_NO_UQ: dup_mul(vec[(1,) * sum(next(iter(vec)))], ratio, ZZ)}
+        weight = {_NO_UQ: _mul(vec[(1,) * sum(next(iter(vec)))], ratio)}
     else:
         weight = {}
         for mu, c in vec.items():
@@ -454,11 +553,11 @@ def _weight(vec, ratio, rows, model):
             rest = list(_NO_UQ)
             for part in mu:
                 rest[_Q_SLOTS[part]] += 1
-            weight[tuple(rest)] = dup_mul(c, ratio, ZZ)
+            weight[tuple(rest)] = _mul(c, ratio)
     # distinct mu (parts <= r) and distinct u exponents give distinct keys
     for slot in _U_SLOTS[:model.k]:
         weight = {
-            rest[:slot] + (e,) + rest[slot + 1:]: dup_mul(x, row, ZZ)
+            rest[:slot] + (e,) + rest[slot + 1:]: _mul(x, row)
             for rest, x in weight.items()
             for e, row in enumerate(rows)
             if row
@@ -474,9 +573,6 @@ def tau_jack(model, order, convention="standard"):
     then one exact division by the alpha-free part of that denominator per
     u, q monomial (_series_coeff).
     """
-    from sympy.polys.densearith import dup_add, dup_mul
-    from sympy.polys.domains import ZZ
-
     from .tau import TauSeries
 
     if order > JACK_BOUND:
@@ -493,7 +589,7 @@ def tau_jack(model, order, convention="standard"):
             for mu, c in v.items():
                 groups = sums.setdefault(mu, {})
                 for rest, w in weight.items():
-                    groups[rest] = dup_add(groups.get(rest, []), dup_mul(c, w, ZZ), ZZ)
+                    groups[rest] = _add(groups.get(rest, []), _mul(c, w))
         coeffs.append(PPoly({
             _ppoly_key(mu): _series_coeff(groups, denom) for mu, groups in sums.items()
         }))

@@ -10,19 +10,28 @@ over n variables (_p_in_m), inverted by Gauss-Jordan over Fractions
 (_m_in_p).  The fraction-free ZZ[alpha] tables built from Moebius rows, the
 integer assembly and the grouped conversion in ``bconstell.jack`` must
 agree with it.
+
+``dup_jack_table`` is the fraction-free table build itself on sympy's dense
+``dup_*`` arithmetic over ``ZZ``, with its pairing and closed-form norm
+(``dup_inner``, ``dup_stanley_norm``): ``bconstell.jack`` runs the same
+steps on its own integer-list arithmetic and must give the same lists.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from bconstell.coeffring import Coeff, ONE_PLUS_B, U as COEFF_U, Q as COEFF_Q, VARS
 from bconstell.jack import (
+    JACK_BOUND,
+    JackBoundError,
+    JackTableError,
     OracleDenominatorError,
     _field,
     _ppoly_key,
     partitions,
     z_of,
 )
+from bconstell.jack import _m_in_p as moebius_rows
 from bconstell.ppoly import PPoly
 
 
@@ -199,3 +208,91 @@ def tau_coeffs(model, order, convention="standard"):
             _ppoly_key(mu): field_to_coeff(c) for mu, c in vec.items() if c
         }))
     return coeffs
+
+
+# -- the fraction-free table on sympy's dup_* arithmetic ----------------------
+
+
+def dup_inner(f, g):
+    """alpha-deformed pairing of two p-coordinate vectors over dense ZZ[alpha]."""
+    from sympy.polys.densearith import dup_add, dup_mul, dup_mul_ground
+    from sympy.polys.domains import ZZ
+
+    acc = []
+    for lam, cf in f.items():
+        cg = g.get(lam)
+        if cg:
+            term = dup_mul_ground(dup_mul(cf, cg, ZZ), z_of(lam), ZZ)
+            acc = dup_add(acc, term + [0] * len(lam), ZZ)
+    return acc
+
+
+def dup_stanley_norm(lam):
+    """Closed form prod_s (alpha a(s) + l(s) + 1)(alpha a(s) + l(s) + alpha), dense."""
+    from sympy.polys.densearith import dup_mul
+    from sympy.polys.densebasic import dup_strip
+    from sympy.polys.domains import ZZ
+
+    acc = [1]
+    for r, row_len in enumerate(lam):
+        for c in range(row_len):
+            arm = row_len - c - 1
+            leg = sum(1 for below in lam[r + 1:] if below > c)
+            acc = dup_mul(acc, dup_strip([arm, leg + 1]), ZZ)
+            acc = dup_mul(acc, [arm + 1, leg], ZZ)
+    return acc
+
+
+def dup_jack_table(n):
+    """All deformed polynomials of size n as p-coordinate vectors over dense ZZ[alpha].
+
+    The vector of lam is lead * J_lam, primitive (its coordinates have gcd 1
+    in ZZ[alpha]), with lead, its p_1^n coordinate, a positive integer.
+    """
+    if n > JACK_BOUND:
+        raise JackBoundError("size %d exceeds the configured bound %d" % (n, JACK_BOUND))
+    from sympy.polys.densearith import dup_exquo, dup_mul, dup_mul_ground, dup_neg, dup_sub
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
+
+    if n == 0:
+        return {(): {(): [1]}}
+    m_in_p = moebius_rows(n)
+    ones = (1,) * n
+    done = []
+    table = {}
+    # increasing lexicographic order refines dominance upward
+    for lam in reversed(partitions(n)):
+        v = {mu: [c] for mu, c in m_in_p[lam].items()}
+        for g, norm in done:
+            c = dup_inner(v, g)
+            if c:
+                # v <- <g,g> v - <v,g> g, both factors divided by their gcd
+                _, scale, c = dup_inner_gcd(norm, c, ZZ)
+                v = {
+                    mu: dup_sub(dup_mul(scale, v.get(mu, []), ZZ),
+                                dup_mul(c, g.get(mu, []), ZZ), ZZ)
+                    for mu in set(v) | set(g)
+                }
+                v = {mu: x for mu, x in v.items() if x}
+        content = reduce(lambda x, y: dup_gcd(x, y, ZZ), v.values())
+        lead = dup_exquo(v[ones], content, ZZ) if ones in v else []
+        if len(lead) != 1:
+            raise JackTableError(
+                "J%s: the p_1^%d coefficient does not divide the Gram-Schmidt "
+                "vector exactly" % (lam, n)
+            )
+        if lead[0] < 0:
+            content = dup_neg(content, ZZ)
+        v = {mu: dup_exquo(x, content, ZZ) for mu, x in v.items()}
+        lead = v[ones][0]
+        norm = dup_inner(v, v)
+        expected = dup_mul_ground(dup_stanley_norm(lam), lead * lead, ZZ)
+        if norm != expected:
+            raise JackTableError(
+                "J%s: Gram-Schmidt norm %s differs from the closed form times "
+                "lead^2 = %s (dense coefficients in alpha)" % (lam, norm, expected)
+            )
+        done.append((v, norm))
+        table[lam] = v
+    return table

@@ -414,13 +414,42 @@ print(codes, "sympy" in sys.modules)
 
 
 def test_sympy_stays_a_lazy_import():
-    # only the oracle needs sympy, and importing it costs more than a small
-    # verify or tau run: neither may load it
+    # only the field values of jack and jack_norm need sympy, and importing
+    # it costs more than a small verify or tau run: neither may load it
     proc = subprocess.run(
         [sys.executable, "-c", SYMPY_PROBE], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0] False\n"
+
+
+ORACLE_PROBE = """
+import contextlib, io, sys
+from bconstell.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["tau", "--model", "biple3", "--order", "2", "--oracle"]),
+        main(["oracle", "--model", "bip", "--order", "2"]),
+    ]
+print(codes, "sympy" in sys.modules)
+print(main(["jack", "--lambda", "2,1"]), "sympy" in sys.modules)
+"""
+
+
+def test_oracle_runs_without_sympy():
+    # the tables and the series run on jack's own integer-list arithmetic;
+    # only the field values jack --lambda prints import sympy
+    proc = subprocess.run(
+        [sys.executable, "-c", ORACLE_PROBE], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "[0, 0] False\n"
+        "p_[3]: -alpha\n"
+        "p_[2, 1]: alpha - 1\n"
+        "p_[1, 1, 1]: 1\n"
+        "0 True\n"
+    )
 
 
 def test_closed_stdout_pipe_exits_without_traceback():

@@ -152,3 +152,72 @@ def test_biple3_vertex_weight_matches_reference_through_six(model):
             lead = vec[(1,) * n][0]
             got = field.field((jackmod._terms(weight), lead))
             assert got == refjack.vertex_weight(lam, model), lam
+
+
+# -- the dense ZZ[alpha] kernel against sympy's dup_* over ZZ ------------------
+
+from sympy.polys.densearith import (
+    dup_add, dup_exquo, dup_mul, dup_mul_ground, dup_neg, dup_sub,
+)
+from sympy.polys.densebasic import dup_strip
+from sympy.polys.densetools import dup_primitive
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd, dup_lcm
+from sympy.polys.polyerrors import ExactQuotientFailed
+
+# small coefficients make common factors and exact quotients likely; large
+# ones pass the machine-word sizes
+coefficients = st.one_of(st.integers(-6, 6), st.integers(-2**70, 2**70))
+raw_lists = st.lists(coefficients, max_size=7)
+# zero, constants and negative leading coefficients are all drawn
+polys = raw_lists.map(dup_strip)
+nonzero = polys.filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_lists, polys, polys, coefficients)
+def test_kernel_ring_operations_match_sympy(raw, f, g, c):
+    assert jackmod._strip(raw) == dup_strip(raw)
+    assert jackmod._add(f, g) == dup_add(f, g, ZZ)
+    assert jackmod._sub(f, g) == dup_sub(f, g, ZZ)
+    assert jackmod._neg(f) == dup_neg(f, ZZ)
+    assert jackmod._mul(f, g) == dup_mul(f, g, ZZ)
+    assert jackmod._mul_ground(f, c) == dup_mul_ground(f, c, ZZ)
+    assert jackmod._primitive(f) == dup_primitive(f, ZZ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, nonzero, polys)
+def test_kernel_exact_quotient_matches_sympy(f, g, r):
+    assert jackmod._exquo(dup_mul(f, g, ZZ), g) == f
+    # f g + r is divisible by g only when r is, so both outcomes are drawn
+    num = dup_add(dup_mul(f, g, ZZ), r, ZZ)
+    try:
+        want = dup_exquo(num, g, ZZ)
+    except ExactQuotientFailed:
+        with pytest.raises(jackmod._InexactQuotient):
+            jackmod._exquo(num, g)
+    else:
+        assert jackmod._exquo(num, g) == want
+
+
+def test_kernel_inexact_quotient_raises():
+    for num, den in (([1, 0, 1], [2, -4]), ([3], [2]), ([1], [1, 1]), ([1, 1], [1, 0])):
+        with pytest.raises(jackmod._InexactQuotient):
+            jackmod._exquo(num, den)
+    assert issubclass(jackmod._InexactQuotient, ArithmeticError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys, polys)
+def test_kernel_gcd_and_lcm_match_sympy(h, f, g):
+    # h is a built common factor of both arguments; h = [] makes both zero
+    for a, b in ((dup_mul(h, f, ZZ), dup_mul(h, g, ZZ)), (f, g)):
+        assert jackmod._gcd(a, b) == dup_gcd(a, b, ZZ)
+        assert jackmod._inner_gcd(a, b) == dup_inner_gcd(a, b, ZZ)
+        assert jackmod._lcm(a, b) == dup_lcm(a, b, ZZ)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_tables_match_sympy_build_through_eight(n):
+    assert jackmod._jack_table(n) == refjack.dup_jack_table(n)
