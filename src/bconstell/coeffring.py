@@ -35,9 +35,10 @@ passes the overflow guard before cancelled terms are dropped; each power
 group is reduced by (1+b) and by the gcd of its denominator and content
 once, and the groups are added in ascending power by ``Coeff.__add__``, the
 one place that rescales by (1+b)^k.  ``sum_grouped`` runs it once per key of
-a dict of triple lists.  ``WeylOp.apply``, ``WeylOp.compose`` and ``PPoly``
-products and t-convolutions (``PPoly.sum_products``) sum each output
-coefficient this way instead of canonicalising every partial sum.
+a dict of triple lists.  ``WeylOp.apply``, ``WeylOp.compose``, the
+structure sums of ``constraints._products_sum`` and ``PPoly`` products and
+t-convolutions (``PPoly.sum_products``) sum each output coefficient this way
+instead of canonicalising every partial sum.
 """
 
 from fractions import Fraction

@@ -22,12 +22,14 @@ transcription of the displayed formula.  `_structure_scalars` is the one
 reader of the table: it turns sum_l sum_s w t^tpow D^(s)_{ij,l} . target_l
 into scalars per (current, l, t power), and `_products_sum` composes them.
 The structure form, the simplified `--prop` relations and the D and Dtilde
-dumps (composed onto Id) all go through that pair.  The two forms of
-[L_i, L_j] share products but not coefficients: each composes p_n . L_l and
-p_n* . L_l unscaled through one products dict per pair and applies its own
-scalars afterwards.  Every sweep runs through one pair runner, `_pair_sweep`,
-and every check's ok is derived from its entries by `sweep_report`.  An
-index beyond a built family is the zero operator.
+dumps (composed onto Id) all go through that pair; `_products_sum` sums
+each t power in one `sum_grouped`.  The two forms of [L_i, L_j] share
+products but not coefficients: each composes p_n . L_l and p_n* . L_l
+unscaled through one products dict per sweep, since no product depends on
+the pair, and applies its own scalars afterwards.  Every sweep runs through
+one pair runner, `_pair_sweep`, and every check's ok is derived from its
+entries by `sweep_report`.  An index beyond a built family is the zero
+operator.
 
 For the single-color model with vertex degrees up to 3 the grouped form, as
 usually displayed, carries a uniform charge term 3u(i-j)L_{i+j-3}; this is
@@ -39,8 +41,9 @@ from fractions import Fraction
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .coeffring import B, ONE, ONE_PLUS_B, Q, U, add_term
+from .coeffring import B, ONE, ONE_PLUS_B, Q, U, add_term, sum_grouped
 from .currents import build_A, build_M, esym
+from .ppoly import pm_degree
 from .weyl import EXACT, WeylOp, compose_degree
 
 
@@ -279,8 +282,11 @@ def _products_sum(scalars, ls, products=None):
 
     X_x is p_{-x} for x < 0, p_x* for x > 0 and Id for x None.  Each X_x . L_l
     is composed unscaled at most once per products dict (a fresh one when
-    None) and scaled once per t power.  Id . L_l is L_l itself: the identity
-    drops no term at any degree, so nothing is composed for it.
+    None).  Id . L_l is L_l itself: the identity drops no term at any degree,
+    so nothing is composed for it.  Each t power is summed in one pass: the
+    triples (term coefficient, c, 1) of all its addends are grouped by term
+    and summed by sum_grouped, at the least working degree among the
+    addends, zero pieces included, as TGradedOp.sum gives.
     """
     if products is None:
         products = {}
@@ -294,9 +300,19 @@ def _products_sum(scalars, ls, products=None):
             top = products[x, l] = TGradedOp({0: factor}).compose(ls[l])
         return top
 
-    return TGradedOp.sum(
-        product(x, l).scale(c).tshift(tpow) for (x, l, tpow), c in scalars.items()
-    )
+    degrees, groups = {}, {}
+    for (x, l, tpow), c in scalars.items():
+        for m, op in product(x, l).pieces.items():
+            power = m + tpow
+            degrees[power] = min(degrees.get(power, EXACT), op.working_degree)
+            group = groups.setdefault(power, {})
+            for key, v in op.terms.items():
+                group.setdefault(key, []).append((v, c, 1))
+    pieces = {}
+    for power, d in degrees.items():
+        live = {k: ts for k, ts in groups[power].items() if pm_degree(k[1]) <= d}
+        pieces[power] = WeylOp._live(sum_grouped(live), d)
+    return TGradedOp(pieces)
 
 
 def _structure_level(family, level, i, j, l, working_degree):
@@ -324,7 +340,7 @@ def structure_rhs(model, i, j, ls, products=None):
 
     The table's scalar, the level weight, the (1+b) of J_x for x > 0 and the
     charge of J_0 are applied after composing; products may be shared with
-    explicit_rhs for the same pair.
+    explicit_rhs and across pairs.
     """
     family, weights = structure_family(model)
     shifted = {s: (tpow + 1, w) for s, (tpow, w) in weights.items()}
@@ -363,7 +379,7 @@ def explicit_rhs(model, i, j, ls, products=None):
     """The grouped closed form of [L_i, L_j] as usually displayed.
 
     Its coefficients are its own; products may be shared with structure_rhs
-    for the same pair.
+    and across pairs.
     """
     family, weights = structure_family(model)
     if i == j:
@@ -463,12 +479,11 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
     def lhs_of(i, j):
         return post(ls.get(i, zero).commutator(ls.get(j, zero)))
 
-    # one set of products per ordered pair, shared by its two right-hand
-    # sides: rhs_of(i, j) starts it and grouped(i, j, lhs) follows
+    # one products dict for the whole sweep, shared by both right-hand sides
+    # of every pair: X_x . L_l does not depend on the pair
     products = {}
 
     def rhs_of(i, j):
-        products.clear()
         return post(structure_rhs(model, i, j, ls, products))
 
     def grouped(i, j, lhs):

@@ -253,6 +253,8 @@ class WeylOp:
         # derivatives.  Terms left above new_d are dropped by the truncation
         # contract, so they are skipped before any coefficient or monomial is
         # built: a whole term pair when even full contraction stays above.
+        # A pair that shares no index has the one contraction gamma = 0,
+        # which keeps every factor.
         rights = [
             (cr2, an2, dict(cr2), pm_degree(an2), c2)
             for (cr2, an2), c2 in other.terms.items()
@@ -264,6 +266,11 @@ class WeylOp:
             for cr2, an2, cr2d, an2_deg, c2 in rights:
                 an_deg = an1_deg + an2_deg
                 common = [i for i in an1d if i in cr2d]
+                if not common:
+                    if an_deg <= new_d:
+                        key = (pm_mul(cr1, cr2), pm_mul(an1, an2))
+                        out.setdefault(key, []).append((c1, c2, 1))
+                    continue
                 tops = [min(an1d[i], cr2d[i]) for i in common]
                 floor = an_deg
                 for i, g in zip(common, tops):

@@ -5,7 +5,9 @@
 addend lists with mixed working degrees, zero addends and cancelling pairs
 (some at another working degree, so that a partial sum is cut down or
 cancels to zero) they must give the terms and working degrees of the fold,
-and each takes a one-shot generator.
+and each takes a one-shot generator.  ``constraints._products_sum``, which
+sums c * t^tpow * X_x . L_l per t power in one ``sum_grouped``, must give the
+fold of the scaled and shifted products.
 """
 
 import random
@@ -13,12 +15,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import bconstell.constraints as C
 from bconstell.constraints import TGradedOp
 from bconstell.ppoly import PPoly
 from bconstell.tau import TauSeries
 from bconstell.weyl import WeylOp
 
-from randops import random_op, random_ppoly
+from randops import COEFF_POOL, random_op, random_ppoly
 from refsum import fold, ppoly_add, tau_add, tgraded_add, weyl_add
 
 MAX_D = 8
@@ -136,6 +139,33 @@ def test_tau_series_sum_matches_fold(seed, count):
     items = random_addends(rng, count, series, lambda rng, s: s.scale(-1))
     got = TauSeries.sum(one_shot(items), 2)
     assert got.coeffs == fold(tau_add, items, TauSeries.zero(2)).coeffs
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 8))
+def test_products_sum_matches_fold(seed, count):
+    # L_l with mixed degrees and zero pieces, some the negation of another,
+    # so that equal scalars on Id . L_l cancel across l
+    rng = random.Random(seed)
+    family = random_addends(rng, 3, random_tgraded, negated_tgraded)
+    ls = dict(enumerate(family, 1))
+    scalars = {}
+    for _ in range(count):
+        key = (rng.choice([None, None, -2, -1, 1, 3]), rng.choice(list(ls)), rng.randrange(3))
+        scalars[key] = rng.choice(COEFF_POOL)
+
+    def product(x, l):
+        if x is None:
+            return ls[l]
+        factor = WeylOp.p(-x) if x < 0 else WeylOp.p_star(x)
+        return TGradedOp({0: factor}).compose(ls[l])
+
+    got = C._products_sum(scalars, ls)
+    want = fold(tgraded_add, [
+        product(x, l).scale(c).tshift(tpow) for (x, l, tpow), c in scalars.items()
+    ], TGradedOp.zero())
+    assert sorted(got.pieces) == sorted(want.pieces)
+    for m, op in want.pieces.items():
+        assert_same_op(got.pieces[m], op)
 
 
 def test_two_addend_operators_are_the_sums():

@@ -4,7 +4,10 @@ The kernel skips term pairs and contractions whose derivative part lands
 above the result's working degree before it multiplies any coefficient.
 These tests pin that the skipped work is exactly the work the truncation
 contract drops: the same terms, the same working degree, and exactly the
-live contractions reaching the coefficient sums.
+live contractions reaching the coefficient sums.  A term pair that shares
+no index has the one contraction gamma = 0: through compose and apply it is
+kept when its derivatives add up to exactly the working degree and dropped,
+without a coefficient product, one degree over.
 """
 
 import random
@@ -80,24 +83,40 @@ def test_compose_matches_reference_homogeneous(seed, d1, d2, jump):
     assert_same_compose(right, left)
 
 
-def test_every_contraction_dead_does_no_work():
+REFERENCE = {"compose": refweyl.compose, "apply": refweyl.apply}
+
+
+def engine(route, a, b):
+    """a.compose(b), through compose_checked, or a.apply(b)."""
+    return compose_checked(a, b) if route == "compose" else a.apply(b)
+
+
+@pytest.mark.parametrize("route, a, b", [
     # p3* p1* after p2: no index is shared, so the four derivatives survive,
     # and new_d = min(1, 8 - 2) = 1 drops the only term pair
-    left = WeylOp({((), ((1, 1), (3, 1))): U[1]}, 8)
-    right = WeylOp.p(2, ONE_PLUS_B).truncated(1)
+    ("compose", WeylOp({((), ((1, 1), (3, 1))): U[1]}, 8),
+     WeylOp.p(2, ONE_PLUS_B).truncated(1)),
+    # the same free pair at new_d = min(3, 8 - 2) = 3, one derivative over
+    ("compose", WeylOp({((), ((1, 1), (3, 1))): U[1]}, 8),
+     WeylOp.p(2, ONE_PLUS_B).truncated(3)),
+    # p1* on p2: no index is shared and new_d = 0, one derivative over
+    ("apply", WeylOp.p_star(1, U[1]).truncated(5), PPoly.gen(2, 1, ONE_PLUS_B)),
+], ids=["compose-3-over", "compose-1-over", "apply-1-over"])
+def test_every_contraction_dead_does_no_work(route, a, b):
     products = []
     real_mul = Coeff.__mul__
 
-    def counting(a, b):
-        products.append((a, b))
-        return real_mul(a, b)
+    def counting(x, y):
+        products.append((x, y))
+        return real_mul(x, y)
 
+    want = REFERENCE[route](a, b)
     with mock.patch.object(Coeff, "__mul__", counting):
-        got = compose_checked(left, right)
+        got = engine(route, a, b)
     assert products == []
-    assert got.is_zero() and got.working_degree == 1
-    want = refweyl.compose(left, right)
-    assert want.is_zero() and want.working_degree == 1
+    assert got.terms == want.terms == {}
+    if route == "compose":
+        assert got.working_degree == want.working_degree
 
 
 def test_partly_dead_contractions():
@@ -111,15 +130,24 @@ def test_partly_dead_contractions():
     assert got.terms == refweyl.compose(left, right).terms
 
 
-def test_floor_exactly_at_new_d_is_kept():
-    # full contraction lands exactly on new_d: the term must stay
-    left = WeylOp.p_star(1).truncated(6)
-    right = WeylOp({(((1, 1),), ((2, 1),)): Coeff.one()}, 2)
-    got = compose_checked(left, right)
-    want = refweyl.compose(left, right)
-    assert got.working_degree == want.working_degree == 2
+@pytest.mark.parametrize("route, a, b, kept", [
+    # full contraction lands exactly on new_d = 2: the term must stay
+    ("compose", WeylOp.p_star(1).truncated(6),
+     WeylOp({(((1, 1),), ((2, 1),)): Coeff.one()}, 2), ((), ((2, 1),))),
+    # p1* after p2 p1* shares no index; its two derivatives are new_d =
+    # min(2, 6 - 1) = 2, so the free pair must stay
+    ("compose", WeylOp.p_star(1).truncated(6),
+     WeylOp({(((2, 1),), ((1, 1),)): U[1]}, 2), (((2, 1),), ((1, 2),))),
+    # p3 on p2 shares no index and leaves no derivative at new_d = 0
+    ("apply", WeylOp.p(3, B).truncated(4) + WeylOp.p_star(1).truncated(4),
+     PPoly.gen(2, 1, U[2]), ((2, 1), (3, 1))),
+], ids=["compose-contracted", "compose-free", "apply-free"])
+def test_floor_exactly_at_new_d_is_kept(route, a, b, kept):
+    got, want = engine(route, a, b), REFERENCE[route](a, b)
     assert got.terms == want.terms
-    assert ((), ((2, 1),)) in got.terms
+    assert kept in got.terms
+    if route == "compose":
+        assert got.working_degree == want.working_degree == 2
 
 
 # -- [A, A] against compose - compose ------------------------------------------
