@@ -91,18 +91,20 @@ def engine(route, a, b):
     return compose_checked(a, b) if route == "compose" else a.apply(b)
 
 
-@pytest.mark.parametrize("route, a, b", [
+@pytest.mark.parametrize("route, a, b, new_d", [
     # p3* p1* after p2: no index is shared, so the four derivatives survive,
     # and new_d = min(1, 8 - 2) = 1 drops the only term pair
     ("compose", WeylOp({((), ((1, 1), (3, 1))): U[1]}, 8),
-     WeylOp.p(2, ONE_PLUS_B).truncated(1)),
+     WeylOp.p(2, ONE_PLUS_B).truncated(1), 1),
     # the same free pair at new_d = min(3, 8 - 2) = 3, one derivative over
     ("compose", WeylOp({((), ((1, 1), (3, 1))): U[1]}, 8),
-     WeylOp.p(2, ONE_PLUS_B).truncated(3)),
-    # p1* on p2: no index is shared and new_d = 0, one derivative over
-    ("apply", WeylOp.p_star(1, U[1]).truncated(5), PPoly.gen(2, 1, ONE_PLUS_B)),
+     WeylOp.p(2, ONE_PLUS_B).truncated(3), 3),
+    # p1* on p2: no index is shared and new_d = 0, one derivative over; a
+    # polynomial has no working degree
+    ("apply", WeylOp.p_star(1, U[1]).truncated(5), PPoly.gen(2, 1, ONE_PLUS_B),
+     None),
 ], ids=["compose-3-over", "compose-1-over", "apply-1-over"])
-def test_every_contraction_dead_does_no_work(route, a, b):
+def test_every_contraction_dead_does_no_work(route, a, b, new_d):
     products = []
     real_mul = Coeff.__mul__
 
@@ -116,7 +118,7 @@ def test_every_contraction_dead_does_no_work(route, a, b):
     assert products == []
     assert got.terms == want.terms == {}
     if route == "compose":
-        assert got.working_degree == want.working_degree
+        assert got.working_degree == want.working_degree == new_d
 
 
 def test_partly_dead_contractions():
