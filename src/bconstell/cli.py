@@ -25,7 +25,7 @@ from .constraints import (
     verify_commutators,
 )
 from .currents import build_A, build_M, current
-from .jack import JACK_BOUND, compare_with_engine, jack
+from .jack import JACK_BOUND, alpha_str, compare_with_engine, jack
 from .tau import check_constraints, check_rooted_fixed_point, tau_evolve
 
 SCHEMA = 1
@@ -253,7 +253,7 @@ def cmd_jack(parser, args):
         "schema": SCHEMA,
         "partition": sorted(lam, reverse=True),
         "coefficients": [
-            {"p_basis": list(mu), "coeff": str(vec[mu])} for mu in parts
+            {"p_basis": list(mu), "coeff": alpha_str(vec[mu])} for mu in parts
         ],
     }
     if args.json:

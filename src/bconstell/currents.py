@@ -102,10 +102,14 @@ def _filled(level_of, top, *key):
     """level_of(top, *key) after caching each lower level bottom-up.
 
     Each level recurses into the one below it; filled in order, that
-    recursion is one level deep however deep `top` is.
+    recursion is one level deep however deep `top` is.  A level is built
+    from the one below it alone, so above an empty level every level is
+    empty: the fill stops at the first one and returns it.
     """
     for n in range(top):
-        level_of(n, *key)
+        level = level_of(n, *key)
+        if not level:
+            return level
     return level_of(top, *key)
 
 
@@ -193,9 +197,13 @@ def esym(j, values):
 
 
 def clear_caches():
-    """Empty the unbounded memo tables of the modes and of the Jack oracle."""
+    """Empty the unbounded memo tables of the modes and of the Jack oracle.
+
+    Every memo table in the two modules is an lru_cache: the y-states and
+    recursion levels here, and the partitions, start rows, tables and norm
+    ratios of the oracle.
+    """
     jack = importlib.import_module(".jack", __package__)
     for table in (*globals().values(), *vars(jack).values()):
         if hasattr(table, "cache_clear"):
             table.cache_clear()
-    jack._SCALES.clear()

@@ -9,47 +9,38 @@ evolution engine, so exact agreement of the two series is a real check.
 The deformed polynomials J_lam are constructed by Gram-Schmidt against the
 lexicographic order (which refines dominance) over the alpha-deformed
 power-sum pairing, normalized so the coefficient of p_1^n is 1.  Their
-p-coordinates are polynomials in alpha, and the tables hold them
-fraction-free on integers, as dense univariate lists over ZZ (the module's
-own arithmetic, below).  The start vector of lam is its augmented monomial
-prod_i m_i(lam)! m_lam, whose p-coordinates are integers given by one
-Moebius sum over the set partitions of lam's parts (_m_in_p).  Each
-projection step is v <- <g,g> v - <v,g> g against a finished vector g,
-with both factors divided by their gcd in ZZ[alpha].  The finished vector
-is made primitive (its coordinates have gcd 1 in ZZ[alpha]), so it is
-lead * J_lam with lead, its p_1^n coordinate, a positive integer; the
-start vector's own scale drops out here.  A lead that is not constant
-means J_lam is not polynomial and raises JackTableError.  Every norm is
-checked in ZZ[alpha] against Stanley's closed form, as
-<v,v> == j_lam lead^2 with
+p-coordinates are integer polynomials in alpha, held as dense univariate
+lists over ZZ (the module's own arithmetic, below).  The start vector of lam
+is its augmented monomial prod_i m_i(lam)! m_lam, whose p-coordinates are
+integers given by one Moebius sum over the set partitions of lam's parts
+(_m_in_p).  Each projection step is v <- <g,g> v - <v,g> g against a
+finished vector g, with both factors divided by their gcd in ZZ[alpha].  The
+finished vector is made primitive (its coordinates have gcd 1 in
+ZZ[alpha]), which drops the start vector's own scale; its p_1^n coordinate
+must then be 1 or -1, and the sign is chosen to make it 1, so the vector is
+J_lam itself.  Any other p_1^n coordinate raises JackTableError.  Every
+norm <v,v> is checked in ZZ[alpha] against Stanley's closed form
 j_lam = prod_s (alpha a(s) + l(s) + 1)(alpha a(s) + l(s) + alpha); a
-differing norm raises JackTableError too, so jack_norm and the series
-read the closed form.  The tables never divide by lead: the series
-divides it out once per size, in _series_scales, and jack and
-jack_to_ppoly divide by it when they read one entry.
+differing norm raises JackTableError too, so the series reads the closed
+form.
 
 The series at order n is accumulated on integers, as one dense ZZ[alpha]
 list per p-monomial and u, q monomial (a u, q monomial is its exponent
-tuple in VARS[1:] order).  _series_scales normalises the size-n tables and
-scales them to integers in one step, each vector v by L_n / lead with L_n
-the lcm of the leads; every weight is scaled by D_n / j_lam, where D_n is
-the lcm of the closed-form norms of size n in ZZ[alpha], so these ratios
-are integer polynomials; the scaled tables, ratios and denominator are
-memoised next to the tables.  The content product prod_c P_lam(u_c) is
-built from the rows of P_lam(u), one dense list per power of u
-(_content_rows), and multiplied with the vertex-side sum and the ratio by
-u, q monomial (_weight).  Each output p-monomial is then N / (L_n^2 D_n),
-and its denominator must reduce to a power of alpha = 1+b.  Writing that
-denominator as c alpha^a D' with D' free of alpha, this holds exactly when
-D' divides N, which _series_coeff checks by one exact division by D' per
-u, q monomial; an inexact one raises OracleDenominatorError.  The engine's
-scalar ring cannot host the intermediate norms (their denominators are not
-powers of 1+b), and keeping the oracle on a separate arithmetic stack is
-the point; values cross into Coeff only in _series_coeff.  jack and
-jack_norm return elements of the field Q(alpha, u1, u2, u3, q1, q2, q3),
-which is built for those values and the error message only.
-sympy is imported lazily, by _field() alone: the tables and the series
-never load it, so neither does tau --oracle.
+tuple in VARS[1:] order).  Every weight is scaled by D_n / j_lam, where D_n
+is the lcm of the closed-form norms of size n in ZZ[alpha], so these ratios
+are integer polynomials (_norm_ratios, memoised per size).  The content
+product prod_c P_lam(u_c) is built from the rows of P_lam(u), one dense list
+per power of u (_content_rows), and multiplied with the vertex-side sum and
+the ratio by u, q monomial (_weight).  Each output p-monomial is then
+N / D_n, and its denominator must reduce to a power of alpha = 1+b.  Writing
+that denominator as c alpha^a D' with D' free of alpha, this holds exactly
+when D' divides N, which _series_coeff checks by one exact division by D'
+per u, q monomial; an inexact one raises OracleDenominatorError.  The
+engine's scalar ring cannot host the intermediate norms (their denominators
+are not powers of 1+b), and keeping the oracle on a separate arithmetic
+stack is the point; values cross into Coeff only in _series_coeff.  jack
+returns the table's dense lists, and alpha_str prints one as a polynomial
+in alpha (-36*alpha**4 + 36*alpha**3, alpha - 1, 1).
 
 The deformed content of a box is a convention to calibrate, not to assume:
 c(row r, column c) = alpha*(c-1) - (r-1) ("standard") or its transpose
@@ -211,6 +202,20 @@ def _lcm(f, g):
     return _mul_ground(h, -c if h[0] < 0 else c)
 
 
+def alpha_str(f):
+    """f as a polynomial in alpha, highest degree first: -36*alpha**4 + 36*alpha**3."""
+    out = ""
+    for i, c in enumerate(f):
+        if c:
+            e = len(f) - 1 - i
+            mono = "alpha**%d" % e if e > 1 else "alpha" if e else ""
+            coeff = "" if abs(c) == 1 and mono else str(abs(c))
+            out += (" - " if c < 0 else " + ") + coeff + ("*" if coeff and mono else "") + mono
+    if not out:
+        return "0"
+    return ("-" if out[1] == "-" else "") + out[3:]
+
+
 # -- partitions --------------------------------------------------------------
 
 
@@ -246,39 +251,13 @@ def z_of(lam):
     return z
 
 
-# -- exact field and basis conversions ---------------------------------------
-
-
-@lru_cache(maxsize=1)
-def _field():
-    from sympy import symbols
-    from sympy.polys.domains import QQ
-
-    names = ("alpha",) + VARS[1:]
-    field = QQ.frac_field(*symbols(names))
-    gens = dict(zip(names, field.gens))
-    return field, gens
+# -- tables and basis conversions --------------------------------------------
 
 
 # slots of u_c and q_j in a u, q exponent tuple (the VARS[1:] order)
 _U_SLOTS = tuple(i for i, v in enumerate(VARS[1:]) if v[0] == "u")
 _Q_SLOTS = (None,) + tuple(i for i, v in enumerate(VARS[1:]) if v[0] == "q")
 _NO_UQ = (0,) * (len(VARS) - 1)
-
-
-def _terms(groups):
-    """{u, q exponents: dense ZZ[alpha] list} as {exponents in field order: int}."""
-    return {
-        (len(c) - 1 - i,) + rest: x
-        for rest, c in groups.items()
-        for i, x in enumerate(c)
-        if x
-    }
-
-
-def _to_field(c, scale):
-    """c / scale in the field, for c in dense ZZ[alpha] and a non-zero integer scale."""
-    return _field()[0].field((_terms({_NO_UQ: c}), scale))
 
 
 @lru_cache(maxsize=None)
@@ -344,8 +323,8 @@ def _stanley_norm(lam):
 def _jack_table(n):
     """All deformed polynomials of size n as p-coordinate vectors over dense ZZ[alpha].
 
-    The vector of lam is lead * J_lam, primitive (its coordinates have gcd 1
-    in ZZ[alpha]), with lead, its p_1^n coordinate, a positive integer.
+    The vector of lam is J_lam: primitive (its coordinates have gcd 1 in
+    ZZ[alpha]), with p_1^n coordinate 1.
     """
     if n > JACK_BOUND:
         raise JackBoundError("size %d exceeds the configured bound %d" % (n, JACK_BOUND))
@@ -369,87 +348,46 @@ def _jack_table(n):
                 }
                 v = {mu: x for mu, x in v.items() if x}
         content = reduce(_gcd, v.values())
-        lead = _exquo(v[ones], content) if ones in v else []
-        if len(lead) != 1:
-            raise JackTableError(
-                "J%s: the p_1^%d coefficient does not divide the Gram-Schmidt "
-                "vector exactly" % (lam, n)
-            )
-        if lead[0] < 0:
-            content = _neg(content)
         v = {mu: _exquo(x, content) for mu, x in v.items()}
-        lead = v[ones][0]
+        lead = v.get(ones, [])
+        if lead == [-1]:
+            v = {mu: _neg(x) for mu, x in v.items()}
+        elif lead != [1]:
+            raise JackTableError(
+                "J%s: the primitive Gram-Schmidt vector has p_1^%d coordinate %s, "
+                "not 1 or -1" % (lam, n, alpha_str(lead))
+            )
         norm = _inner_field(v, v)
-        expected = _mul_ground(_stanley_norm(lam), lead * lead)
+        expected = _stanley_norm(lam)
         if norm != expected:
             raise JackTableError(
-                "J%s: Gram-Schmidt norm %s differs from the closed form times "
-                "lead^2 = %s (dense coefficients in alpha)" % (lam, norm, expected)
+                "J%s: Gram-Schmidt norm %s differs from the closed form %s "
+                "(dense coefficients in alpha)" % (lam, norm, expected)
             )
         done.append((v, norm))
         table[lam] = v
     return table
 
 
-# size n -> (the table, its _series_scales); emptied by clear_caches()
-_SCALES = {}
+@lru_cache(maxsize=None)
+def _norm_ratios(n):
+    """The ratios D_n / j_lam by partition lam of n, and D_n, over dense ZZ[alpha].
 
-
-def _series_scales(n):
-    """The size-n tables and ratios D_n / j_lam, and their denominator, over dense ZZ[alpha].
-
-    The series divides each table vector v = lead * J_lam by its lead here,
-    once per size: with L_n the lcm of the leads of size n, J_lam is scaled
-    to the integer vector (L_n / lead) v.  j_lam is Stanley's closed form,
-    which _jack_table checked against <v, v> / lead^2, and D_n is the lcm of
-    the j_lam of size n in ZZ[alpha], so the ratios D_n / j_lam are integer
-    polynomials.  Each series term carries the denominator D_n L_n^2 (the
-    coordinate and the vertex weight both carry L_n).  Memoised per size for
-    the table object _jack_table returns, so a rebuilt table gets its scales
-    afresh.
+    j_lam is Stanley's closed form, which _jack_table checked against
+    <J_lam, J_lam>, and D_n is the lcm of the j_lam of size n in ZZ[alpha],
+    so the ratios are integer polynomials.
     """
-    table = _jack_table(n)
-    memo = _SCALES.get(n)
-    if memo is not None and memo[0] is table:
-        return memo[1]
-    ones = (1,) * n
-    leads = {lam: v[ones][0] for lam, v in table.items()}
-    norms = {lam: _stanley_norm(lam) for lam in table}
+    norms = {lam: _stanley_norm(lam) for lam in partitions(n)}
     common = reduce(_lcm, norms.values())
-    scale = lcm(*leads.values())
-    scales = (
-        {lam: {mu: _mul_ground(c, scale // leads[lam]) for mu, c in v.items()}
-         for lam, v in table.items()},
-        {lam: _exquo(common, norm) for lam, norm in norms.items()},
-        _mul_ground(common, scale * scale),
-    )
-    _SCALES[n] = (table, scales)
-    return scales
-
-
-def _table_entry(lam):
-    """lam sorted, the table vector of its deformed polynomial, and that vector's lead."""
-    lam = tuple(sorted(lam, reverse=True))
-    if any(part <= 0 for part in lam):
-        raise ValueError("partitions have positive parts")
-    n = sum(lam)
-    vec = _jack_table(n)[lam]
-    return lam, vec, vec[(1,) * n][0]
+    return {lam: _exquo(common, norm) for lam, norm in norms.items()}, common
 
 
 def jack(lam):
-    """The deformed polynomial indexed by lam, as {partition: field coeff}."""
-    _, vec, lead = _table_entry(lam)
-    return {mu: _to_field(c, lead) for mu, c in vec.items()}
-
-
-def jack_norm(lam):
-    """Squared norm of the deformed polynomial under the pairing.
-
-    That is Stanley's closed form, which building the table checked.
-    """
-    lam, _, _ = _table_entry(lam)
-    return _to_field(_stanley_norm(lam), 1)
+    """The deformed polynomial indexed by lam, as {partition: dense ZZ[alpha] list}."""
+    lam = tuple(sorted(lam, reverse=True))
+    if any(part <= 0 for part in lam):
+        raise ValueError("partitions have positive parts")
+    return {mu: list(c) for mu, c in _jack_table(sum(lam))[lam].items()}
 
 
 def _series_coeff(groups, denom):
@@ -462,9 +400,10 @@ def _series_coeff(groups, denom):
     so the reduced fraction has a power of alpha as denominator exactly
     when D' divides every group; D' is primitive, so it divides over ZZ
     whenever it divides over QQ (Gauss's lemma): one exact division per
-    group.  Only when a division is inexact is the cancelled fraction
-    built, for the error message.  Each alpha^e then becomes the binomial
-    row of (1+b)^e, expanded once per distinct e.
+    group.  Only when a division is inexact is the denominator of the
+    cancelled fraction computed, for the error message: denom over its gcd
+    with every group, with a positive leading coefficient.  Each alpha^e
+    then becomes the binomial row of (1+b)^e, expanded once per distinct e.
     """
     a = next(i for i, x in enumerate(reversed(denom)) if x)
     content, dprime = _primitive(denom[:len(denom) - a])
@@ -474,10 +413,11 @@ def _series_coeff(groups, denom):
         try:
             groups = {rest: _exquo(c, dprime) for rest, c in groups.items()}
         except _InexactQuotient:
-            frac = _field()[0].field((_terms(groups), _terms({_NO_UQ: denom})))
+            reduced = _exquo(denom, reduce(_gcd, groups.values(), denom))
             raise OracleDenominatorError(
                 "series coefficient has a non-(1+b) denominator: %s; this is a "
-                "finding to report, not to patch" % (frac.denom,)
+                "finding to report, not to patch"
+                % (alpha_str(_neg(reduced) if reduced[0] < 0 else reduced),)
             ) from None
     rows = {}
     num = {}
@@ -506,8 +446,9 @@ def _ppoly_key(mu):
 
 def jack_to_ppoly(lam):
     """The deformed polynomial as a PPoly with alpha evaluated at 1+b."""
-    _, vec, lead = _table_entry(lam)
-    return PPoly({_ppoly_key(mu): _series_coeff({_NO_UQ: c}, [lead]) for mu, c in vec.items()})
+    return PPoly({
+        _ppoly_key(mu): _series_coeff({_NO_UQ: c}, [1]) for mu, c in jack(lam).items()
+    })
 
 
 # -- the oracle series -------------------------------------------------------
@@ -538,13 +479,13 @@ def _content_rows(lam, convention):
 def _weight(vec, ratio, rows, model):
     """ratio times the vertex-side sum of vec times prod_c P_lam(u_c), by u, q monomial.
 
-    vec is a p-coordinate vector and ratio a scale, both over dense
-    ZZ[alpha]; rows are the content rows of P_lam.  Returns {u, q
+    vec is the p-coordinate vector of J_lam and ratio a scale, both over
+    dense ZZ[alpha]; rows are the content rows of P_lam.  Returns {u, q
     exponents: dense ZZ[alpha] list} without zero entries.
     """
     if model.r == 1:
-        # q_j = [j == 1]: only the p_1^n coordinate survives
-        weight = {_NO_UQ: _mul(vec[(1,) * sum(next(iter(vec)))], ratio)}
+        # q_j = [j == 1]: only the p_1^n coordinate, 1, survives
+        weight = {_NO_UQ: ratio}
     else:
         weight = {}
         for mu, c in vec.items():
@@ -569,7 +510,7 @@ def tau_jack(model, order, convention="standard"):
     """The oracle series up to t^order as a TauSeries.
 
     Order n is summed per p-monomial and u, q monomial over dense ZZ[alpha],
-    over the common denominator of _series_scales(n); each p-monomial is
+    over the common denominator D_n of _norm_ratios(n); each p-monomial is
     then one exact division by the alpha-free part of that denominator per
     u, q monomial (_series_coeff).
     """
@@ -581,10 +522,11 @@ def tau_jack(model, order, convention="standard"):
         )
     coeffs = [PPoly.one()]
     for n in range(1, order + 1):
-        vectors, ratios, denom = _series_scales(n)
+        table = _jack_table(n)
+        ratios, denom = _norm_ratios(n)
         sums = {}
         for lam in partitions(n):
-            v = vectors[lam]
+            v = table[lam]
             weight = _weight(v, ratios[lam], _content_rows(lam, convention), model)
             for mu, c in v.items():
                 groups = sums.setdefault(mu, {})

@@ -15,10 +15,17 @@ agree with it.
 ``dup_*`` arithmetic over ``ZZ``, with its pairing and closed-form norm
 (``dup_inner``, ``dup_stanley_norm``): ``bconstell.jack`` runs the same
 steps on its own integer-list arithmetic and must give the same lists.
+
+The field is built here, on sympy, and ``to_field`` reads the package's
+dense ``ZZ[alpha]`` values into it, so no field code of the package is
+used to check the package.
 """
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+
+from sympy import symbols
+from sympy.polys.domains import QQ
 
 from bconstell.coeffring import Coeff, ONE_PLUS_B, U as COEFF_U, Q as COEFF_Q, VARS
 from bconstell.jack import (
@@ -26,13 +33,36 @@ from bconstell.jack import (
     JackBoundError,
     JackTableError,
     OracleDenominatorError,
-    _field,
     _ppoly_key,
     partitions,
     z_of,
 )
 from bconstell.jack import _m_in_p as moebius_rows
 from bconstell.ppoly import PPoly
+
+
+@lru_cache(maxsize=1)
+def _field():
+    """The field Q(alpha, u1, u2, u3, q1, q2, q3) and its generators by name."""
+    names = ("alpha",) + VARS[1:]
+    field = QQ.frac_field(*symbols(names))
+    return field, dict(zip(names, field.gens))
+
+
+def to_field(groups):
+    """{u, q exponents (VARS[1:] order): dense ZZ[alpha] list} as one field element."""
+    terms = {
+        (len(c) - 1 - i,) + rest: x
+        for rest, c in groups.items()
+        for i, x in enumerate(c)
+        if x
+    }
+    return _field()[0].field((terms, 1))
+
+
+def from_dense(c):
+    """A dense ZZ[alpha] list as a field element."""
+    return to_field({(0,) * (len(VARS) - 1): c})
 
 
 def field_to_coeff(elem):
@@ -246,12 +276,12 @@ def dup_stanley_norm(lam):
 def dup_jack_table(n):
     """All deformed polynomials of size n as p-coordinate vectors over dense ZZ[alpha].
 
-    The vector of lam is lead * J_lam, primitive (its coordinates have gcd 1
-    in ZZ[alpha]), with lead, its p_1^n coordinate, a positive integer.
+    The vector of lam is J_lam: primitive (its coordinates have gcd 1 in
+    ZZ[alpha]), with p_1^n coordinate 1.
     """
     if n > JACK_BOUND:
         raise JackBoundError("size %d exceeds the configured bound %d" % (n, JACK_BOUND))
-    from sympy.polys.densearith import dup_exquo, dup_mul, dup_mul_ground, dup_neg, dup_sub
+    from sympy.polys.densearith import dup_exquo, dup_mul, dup_neg, dup_sub
     from sympy.polys.domains import ZZ
     from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
 
@@ -276,22 +306,21 @@ def dup_jack_table(n):
                 }
                 v = {mu: x for mu, x in v.items() if x}
         content = reduce(lambda x, y: dup_gcd(x, y, ZZ), v.values())
-        lead = dup_exquo(v[ones], content, ZZ) if ones in v else []
-        if len(lead) != 1:
-            raise JackTableError(
-                "J%s: the p_1^%d coefficient does not divide the Gram-Schmidt "
-                "vector exactly" % (lam, n)
-            )
-        if lead[0] < 0:
-            content = dup_neg(content, ZZ)
         v = {mu: dup_exquo(x, content, ZZ) for mu, x in v.items()}
-        lead = v[ones][0]
+        lead = v.get(ones, [])
+        if lead == [-1]:
+            v = {mu: dup_neg(x, ZZ) for mu, x in v.items()}
+        elif lead != [1]:
+            raise JackTableError(
+                "J%s: the primitive Gram-Schmidt vector has p_1^%d coordinate %s, "
+                "not 1 or -1" % (lam, n, lead)
+            )
         norm = dup_inner(v, v)
-        expected = dup_mul_ground(dup_stanley_norm(lam), lead * lead, ZZ)
+        expected = dup_stanley_norm(lam)
         if norm != expected:
             raise JackTableError(
-                "J%s: Gram-Schmidt norm %s differs from the closed form times "
-                "lead^2 = %s (dense coefficients in alpha)" % (lam, norm, expected)
+                "J%s: Gram-Schmidt norm %s differs from the closed form %s "
+                "(dense coefficients in alpha)" % (lam, norm, expected)
             )
         done.append((v, norm))
         table[lam] = v

@@ -149,6 +149,7 @@ def test_clear_caches_empties_every_memo_table():
     import importlib
 
     import bconstell
+    from bconstell.constraints import BIP
 
     currents = importlib.import_module("bconstell.currents")
     jack = importlib.import_module("bconstell.jack")
@@ -156,7 +157,7 @@ def test_clear_caches_empties_every_memo_table():
     build_A(2, 2, 4, route="rec")
     build_M(1, 2, 1, 4, route="rec")
     build_M(2, 1, 1, 4)
-    jack.jack((2, 1))
+    jack.tau_jack(BIP, 2)
     caches = [
         fn for mod in (currents, jack) for fn in vars(mod).values()
         if hasattr(fn, "cache_info")

@@ -9,7 +9,7 @@ import pytest
 import refjack
 from bconstell.coeffring import VARS
 from bconstell.constraints import BIP, BIPLE3, THREECONST
-from bconstell.jack import jack, jack_norm, partitions, tau_jack
+from bconstell.jack import JACK_BOUND, alpha_str, jack, partitions, tau_jack
 
 jackmod = importlib.import_module("bconstell.jack")
 
@@ -20,8 +20,29 @@ def test_tables_match_reference_up_to_five():
     for n in range(1, 6):
         for lam in partitions(n):
             ref = refjack.jack(lam)
-            assert jack(lam) == ref, lam
-            assert jack_norm(lam) == refjack.inner(ref, ref), lam
+            assert {mu: refjack.from_dense(c) for mu, c in jack(lam).items()} == ref, lam
+            norm = refjack.from_dense(jackmod._stanley_norm(lam))
+            assert norm == refjack.inner(ref, ref), lam
+
+
+def test_printed_values_match_sympy_through_the_bound():
+    # jack --lambda prints each coordinate as sympy prints the field element
+    for n in range(1, JACK_BOUND + 1):
+        for lam in partitions(n):
+            for mu, c in jack(lam).items():
+                assert alpha_str(c) == str(refjack.from_dense(c)), (lam, mu)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [[], [0], [-1], [-1, 0, 0], [0, 0, 1, -1], [3, 0, -1, 0]],
+    ids=["empty", "zero", "minus-one", "unit-lead", "leading-zeros", "gap"],
+)
+def test_printer_edges_match_sympy(f):
+    # lists no table coordinate reaches: the zero polynomial, a -1 or -alpha**k
+    # with its unit coefficient dropped, zeros ahead of the lead, a zero
+    # coordinate between two terms
+    assert alpha_str(f) == str(refjack.from_dense(f))
 
 
 def test_transition_rows_match_reference_through_eight():
@@ -62,7 +83,7 @@ def test_field_conversion_matches_reference():
         for lam in partitions(n):
             want = {
                 jackmod._ppoly_key(mu): refjack.field_to_coeff(c)
-                for mu, c in jack(lam).items()
+                for mu, c in refjack.jack(lam).items()
             }
             assert jack_to_ppoly(lam).terms == want, lam
             for k in (1, 2, 3):
@@ -88,7 +109,7 @@ def test_series_coeff_matches_field_route(terms, a, scale, in_denom, in_numer):
     from sympy.polys.densearith import dup_add, dup_mul
     from sympy.polys.domains import ZZ
 
-    field, gens = jackmod._field()
+    field, gens = refjack._field()
     alpha = gens["alpha"]
     # the dense route: one ZZ[alpha] list per u, q monomial
     groups = {}
@@ -117,6 +138,8 @@ def test_series_coeff_matches_field_route(terms, a, scale, in_denom, in_numer):
     except OracleDenominatorError as exc:
         with pytest.raises(OracleDenominatorError) as got:
             jackmod._series_coeff(groups, denom)
+        # the message names the cancelled fraction's denominator as sympy prints it
+        assert "denominator: %s;" % ((numer / fdenom).denom,) in str(got.value)
         assert str(got.value) == str(exc)
     else:
         assert jackmod._series_coeff(groups, denom) == expected
@@ -129,11 +152,10 @@ def test_series_coeff_matches_field_route(terms, a, scale, in_denom, in_numer):
 def test_content_rows_match_reference_through_eight(convention):
     # three colours stop at size 6: the field reference alone takes about 9 s
     # per convention for sizes 7 and 8 there
-    field, _ = jackmod._field()
     for k, top in ((1, 8), (2, 8), (3, 6)):
         for n in range(1, top + 1):
             for lam in partitions(n):
-                got = field.field((jackmod._terms(content_product_groups(lam, k, convention)), 1))
+                got = refjack.to_field(content_product_groups(lam, k, convention))
                 assert got == refjack.content_product(lam, k, convention), (lam, k)
 
 
@@ -144,14 +166,10 @@ Colours = namedtuple("Colours", "k r")
 @pytest.mark.parametrize("model", [BIPLE3, Colours(1, 2)], ids=["biple3", "r2"])
 def test_biple3_vertex_weight_matches_reference_through_six(model):
     # a unit ratio and the constant rows [1] (P = 1) leave the vertex-side sum
-    field, _ = jackmod._field()
     for n in range(1, 7):
         for lam in partitions(n):
-            vec = jackmod._jack_table(n)[lam]
-            weight = jackmod._weight(vec, [1], [[1]], model)
-            lead = vec[(1,) * n][0]
-            got = field.field((jackmod._terms(weight), lead))
-            assert got == refjack.vertex_weight(lam, model), lam
+            weight = jackmod._weight(jack(lam), [1], [[1]], model)
+            assert refjack.to_field(weight) == refjack.vertex_weight(lam, model), lam
 
 
 # -- the dense ZZ[alpha] kernel against sympy's dup_* over ZZ ------------------
