@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .coeffring import MAX_EXP
 from .constraints import (
@@ -32,9 +31,6 @@ SCHEMA = 1
 # A_i(s) at --deg >= 1 carries b^(s-1), whose exponent the scalar ring holds
 # only up to MAX_EXP; at --deg 0 every deep level is zero
 A_LEVEL_LIMIT = MAX_EXP + 1
-# --b-eval is printed in the report, so its digits stay well below Python's
-# limit on int-to-str conversion (4300 digits)
-B_EVAL_DIGITS = 1000
 # exit code when the reader of stdout goes away (e.g. `| head`)
 EXIT_BROKEN_PIPE = 3
 
@@ -66,27 +62,6 @@ def _oracle_order(parser, flag, n):
         parser.error("%s %d exceeds the oracle bound %d" % (flag, n, JACK_BOUND))
 
 
-def _b_eval(parser, text):
-    """The rational that --b-eval names, refused past B_EVAL_DIGITS digits.
-
-    The bound is checked on the literal, before Fraction expands an
-    exponent such as 1e99999999 into its digits.
-    """
-    usage = "--b-eval expects a rational number such as 1 or -1/2"
-    mantissa, _, exponent = text.strip().lower().partition("e")
-    try:
-        exponent = int(exponent) if exponent else 0
-    except ValueError:
-        parser.error(usage)
-    if sum(ch.isdigit() for ch in mantissa) + abs(exponent) > B_EVAL_DIGITS:
-        parser.error("--b-eval has more than %d digits once its exponent is expanded"
-                     % B_EVAL_DIGITS)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        parser.error(usage)
-
-
 def _with_first_failure(entry, report):
     """entry, plus the report's first failing item when the check failed."""
     if not report["ok"]:
@@ -107,12 +82,6 @@ def cmd_verify(parser, args):
         parser.error("--imax must be at least 1")
     if args.deg < 1:
         parser.error("--deg must be at least 1")
-    b_eval = None
-    if args.b_eval is not None:
-        b_eval = _b_eval(parser, args.b_eval)
-        if b_eval == -1:
-            parser.error("--b-eval -1 is not allowed: 1/(1+b) is undefined at b = -1")
-
     last = time.perf_counter()
 
     def stream(entry):
@@ -126,16 +95,12 @@ def cmd_verify(parser, args):
         print("done %s" % json.dumps(timed, sort_keys=True), file=sys.stderr)
 
     if args.prop:
-        if b_eval is not None:
-            parser.error("--b-eval applies to the commutator sweep only")
         levels = structure_family(model)[0].levels
         report = verify_simplified(
             model, args.prop, levels, args.imax, args.deg, progress=stream
         )
     else:
-        report = verify_commutators(
-            model, args.imax, args.deg, b_eval=b_eval, progress=stream
-        )
+        report = verify_commutators(model, args.imax, args.deg, progress=stream)
     _emit(report, args.json)
     return 0 if report["ok"] else 1
 
@@ -288,7 +253,6 @@ def build_parser():
     v.add_argument("--imax", type=int, required=True)
     v.add_argument("--deg", type=int, required=True)
     v.add_argument("--prop", choices=("dstruct", "mixed", "pstar"))
-    v.add_argument("--b-eval", dest="b_eval")
     v.add_argument("--json", action="store_true")
 
     t = sub.add_parser("tau", help="integrate the series and run checks")

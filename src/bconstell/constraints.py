@@ -37,7 +37,6 @@ only correct when min(i,j) >= 2.  The sweeps therefore check both forms and
 report pairs where the grouped display deviates, instead of silently
 patching either side."""
 
-from fractions import Fraction
 from collections import namedtuple
 from functools import lru_cache, partial
 
@@ -460,7 +459,7 @@ def sweep_report(params, entries, key="pairs", **extra):
     return {"params": params, key: entries, **extra, "ok": ok}
 
 
-def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
+def verify_commutators(model, i_max, d_check, progress=None):
     """Check [L_i, L_j] against both right-hand sides for all 1 <= i,j <= i_max.
 
     Returns a report dict; overall status reflects the structure-operator
@@ -470,24 +469,20 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
     ls = _build_l_family(model, d_check)
-    subs = {"b": Fraction(b_eval)} if b_eval is not None else None
     zero = TGradedOp.zero()
 
-    def post(op):
-        return op.map_coeff(lambda c: c.subs(subs)) if subs else op
-
     def lhs_of(i, j):
-        return post(ls.get(i, zero).commutator(ls.get(j, zero)))
+        return ls.get(i, zero).commutator(ls.get(j, zero))
 
     # one products dict for the whole sweep, shared by both right-hand sides
     # of every pair: X_x . L_l does not depend on the pair
     products = {}
 
     def rhs_of(i, j):
-        return post(structure_rhs(model, i, j, ls, products))
+        return structure_rhs(model, i, j, ls, products)
 
     def grouped(i, j, lhs):
-        rhs = post(explicit_rhs(model, i, j, ls, products))
+        rhs = explicit_rhs(model, i, j, ls, products)
         if lhs.equal_up_to(rhs, d_check):
             return {}
         return {
@@ -499,7 +494,8 @@ def verify_commutators(model, i_max, d_check, b_eval=None, progress=None):
         "model": model.name,
         "imax": i_max,
         "degree": d_check,
-        "b_eval": None if b_eval is None else str(b_eval),
+        # always null, kept because schema 1 prints it: the comparison is symbolic in b
+        "b_eval": None,
     }
     return _pair_sweep(
         params, i_max, d_check, [({}, lhs_of, rhs_of)], extra=grouped, progress=progress

@@ -50,15 +50,6 @@ def test_verify_prop_flag(capsys):
     assert out["params"]["relation"] == "pstar"
 
 
-def test_verify_b_eval(capsys):
-    code = main(
-        ["verify", "--model", "bip", "--imax", "2", "--deg", "4", "--b-eval", "1",
-         "--json"]
-    )
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0 and out["ok"]
-
-
 @pytest.mark.parametrize("extra", [[], ["--prop", "dstruct"]], ids=["sweep", "dstruct"])
 def test_verify_progress_lines_carry_elapsed_time(capsys, extra):
     code = main(["verify", "--model", "bip", "--imax", "2", "--deg", "4", "--json", *extra])
@@ -184,28 +175,15 @@ def test_stdout_deterministic():
     assert td1[1] == td2[1]
 
 
-@pytest.mark.parametrize("model", ["bip", "threeconst", "biple3"])
-@pytest.mark.parametrize("value", ["abc", "1/0", "-1", "-2/2"])
-def test_verify_bad_b_eval_exits_two(model, value):
+def test_verify_b_eval_is_a_usage_error():
+    # verify compares symbolically in b and takes no point to substitute
     code, out, err = run_cli(
-        "verify", "--model", model, "--imax", "1", "--deg", "2", "--b-eval", value
+        "verify", "--model", "bip", "--imax", "1", "--deg", "2", "--b-eval", "1/2"
     )
     assert code == 2
     assert out == ""
-    assert "Traceback" not in err and "--b-eval" in err
-
-
-@pytest.mark.parametrize("value", ["1e5000", "1e99999999"])
-def test_verify_huge_b_eval_exits_two_at_once(value):
-    # the value's digits are bounded before Fraction expands the exponent:
-    # 1e5000 would fail to print, 1e99999999 would take minutes to build
-    code, out, err = run_cli(
-        "verify", "--model", "bip", "--imax", "1", "--deg", "2", "--b-eval", value,
-        timeout=30,
-    )
-    assert code == 2
-    assert out == ""
-    assert "Traceback" not in err and "--b-eval" in err
+    assert "Traceback" not in err
+    assert "unrecognized arguments" in err and "--b-eval" in err
 
 
 @pytest.mark.parametrize("argv", [

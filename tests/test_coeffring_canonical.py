@@ -81,6 +81,16 @@ def test_equal_values_built_differently_are_equal(x, y, k):
     assert x + y - y == x and hash(x + y - y) == hash(x)
 
 
+@given(coeffs(), coeffs(), rational.filter(lambda r: r != -1))
+def test_substituting_b_is_a_ring_homomorphism(x, y, r):
+    # why a symbolic pass of the commutator sweep holds at every b != -1
+    s = {"b": r}
+    for left in (Coeff(x.num), x * INV_1PB ** 4):
+        for right in (Coeff(y.num), y * INV_1PB):
+            assert (left * right).subs(s) == left.subs(s) * right.subs(s)
+            assert (left + right).subs(s) == left.subs(s) + right.subs(s)
+
+
 def test_rational_factors_meet_one_canonical_form():
     a = Fraction(2, 3) * Fraction(1, 2) * U[1]
     b = Coeff.from_rational(Fraction(2, 3)) * Fraction(1, 2) * U[1]

@@ -201,23 +201,6 @@ def test_verify_commutators_antisymmetric_diagonal():
     assert all(p["status"] == "pass" for p in diag)
 
 
-def test_verify_commutators_b_specialized():
-    for val in (0, 1):
-        rep = verify_commutators(BIP, 3, 6, b_eval=val)
-        assert rep["ok"], val
-        rep = verify_commutators(THREECONST, 2, 6, b_eval=val)
-        assert rep["ok"], val
-        rep = verify_commutators(BIPLE3, 2, 6, b_eval=val)
-        assert rep["ok"], val
-
-
-def test_threeconst_numeric_spot_check():
-    # (i, j) = (2, 1) with b = 0: the identity survives evaluation
-    rep = verify_commutators(THREECONST, 2, 6, b_eval=0)
-    pair = [p for p in rep["pairs"] if (p["i"], p["j"]) == (2, 1)][0]
-    assert pair["status"] == "pass"
-
-
 def test_grouped_display_deviation_is_pinned():
     """Where the grouped display disagrees, the difference is exactly the
     known boundary charge term."""

@@ -21,10 +21,6 @@ CASES = {
     "verify_threeconst": ["verify", "--model", "threeconst", *SMALL, "--json"],
     "verify_biple3": ["verify", "--model", "biple3", *SMALL, "--json"],
     "verify_biple3_text": ["verify", "--model", "biple3", *SMALL],
-    "verify_biple3_beval": ["verify", "--model", "biple3", *SMALL, "--b-eval", "1/2",
-                            "--json"],
-    "verify_threeconst_beval0": ["verify", "--model", "threeconst", *SMALL,
-                                 "--b-eval", "0", "--json"],
     **{
         "prop_%s_%s" % (prop, model): [
             "verify", "--model", model, *PROP, "--prop", prop, "--json"

@@ -6,8 +6,6 @@ directly, also when right-hand sides are corrupted so that the (j, i)
 entries fail and carry a first mismatch.
 """
 
-from fractions import Fraction
-
 import pytest
 
 import bconstell.constraints as C
@@ -22,18 +20,13 @@ def ordered_pairs(i_max):
     return [(i, j) for i in range(1, i_max + 1) for j in range(1, i_max + 1)]
 
 
-def direct_commutators(model, i_max, d_check, b_eval=None):
+def direct_commutators(model, i_max, d_check):
     ls = C._build_l_family(model, d_check)
-    subs = {"b": Fraction(b_eval)} if b_eval is not None else None
-
-    def post(op):
-        return op.map_coeff(lambda c: c.subs(subs)) if subs else op
-
     pairs = []
     for i, j in ordered_pairs(i_max):
-        lhs = post(ls[i].commutator(ls[j]))
-        rhs = post(C.structure_rhs(model, i, j, ls))
-        grouped = post(C.explicit_rhs(model, i, j, ls))
+        lhs = ls[i].commutator(ls[j])
+        rhs = C.structure_rhs(model, i, j, ls)
+        grouped = C.explicit_rhs(model, i, j, ls)
         entry = {"i": i, "j": j, "status": "pass"}
         if not lhs.equal_up_to(rhs, d_check):
             entry["status"] = "fail"
@@ -120,17 +113,14 @@ def check_report(report, direct, streamed=None):
 
 
 @pytest.mark.parametrize(
-    "model, i_max, d_check, b_eval",
-    [(BIP, 4, 6, None), (THREECONST, 4, 6, None), (THREECONST, 3, 5, 1),
-     (BIPLE3, 4, 5, None)],
-    ids=["bip", "threeconst", "threeconst-b1", "biple3"],
+    "model, i_max, d_check",
+    [(BIP, 4, 6), (THREECONST, 4, 6), (BIPLE3, 4, 5)],
+    ids=["bip", "threeconst", "biple3"],
 )
-def test_verify_commutators_matches_direct_loop(model, i_max, d_check, b_eval):
+def test_verify_commutators_matches_direct_loop(model, i_max, d_check):
     streamed = []
-    report = C.verify_commutators(
-        model, i_max, d_check, b_eval=b_eval, progress=streamed.append
-    )
-    check_report(report, direct_commutators(model, i_max, d_check, b_eval), streamed)
+    report = C.verify_commutators(model, i_max, d_check, progress=streamed.append)
+    check_report(report, direct_commutators(model, i_max, d_check), streamed)
 
 
 @pytest.mark.parametrize("which", ["dstruct", "mixed", "pstar"])
