@@ -175,10 +175,14 @@ def test_stdout_deterministic():
     assert td1[1] == td2[1]
 
 
-def test_verify_b_eval_is_a_usage_error():
-    # verify compares symbolically in b and takes no point to substitute
+@pytest.mark.parametrize("model", ["bip", "threeconst", "biple3"])
+@pytest.mark.parametrize("value", ["1/2", "0", "abc", "-1", "1e99999999"])
+def test_verify_b_eval_is_a_usage_error(model, value):
+    # verify compares symbolically in b and takes no point to substitute;
+    # argparse refuses the option before the value is read
     code, out, err = run_cli(
-        "verify", "--model", "bip", "--imax", "1", "--deg", "2", "--b-eval", "1/2"
+        "verify", "--model", model, "--imax", "1", "--deg", "2", "--b-eval", value,
+        timeout=30,
     )
     assert code == 2
     assert out == ""

@@ -81,14 +81,38 @@ def test_equal_values_built_differently_are_equal(x, y, k):
     assert x + y - y == x and hash(x + y - y) == hash(x)
 
 
-@given(coeffs(), coeffs(), rational.filter(lambda r: r != -1))
-def test_substituting_b_is_a_ring_homomorphism(x, y, r):
-    # why a symbolic pass of the commutator sweep holds at every b != -1
-    s = {"b": r}
+def with_and_without_denominators(x, y):
     for left in (Coeff(x.num), x * INV_1PB ** 4):
         for right in (Coeff(y.num), y * INV_1PB):
-            assert (left * right).subs(s) == left.subs(s) * right.subs(s)
-            assert (left + right).subs(s) == left.subs(s) + right.subs(s)
+            yield left, right
+
+
+# why a symbolic pass of the commutator sweep holds at every b != -1:
+# substituting b = r is a ring homomorphism there
+@given(coeffs(), coeffs(), rational.filter(lambda r: r != -1))
+def test_substituting_b_respects_products(x, y, r):
+    s = {"b": r}
+    for left, right in with_and_without_denominators(x, y):
+        assert (left * right).subs(s) == left.subs(s) * right.subs(s)
+
+
+@given(coeffs(), coeffs(), rational.filter(lambda r: r != -1))
+def test_substituting_b_respects_sums(x, y, r):
+    s = {"b": r}
+    for left, right in with_and_without_denominators(x, y):
+        assert (left + right).subs(s) == left.subs(s) + right.subs(s)
+
+
+@given(coeffs())
+def test_substituting_b_minus_one_refuses_a_denominator(x):
+    # the one point excluded above: (1+b) would be inverted at zero
+    value = x * INV_1PB
+    if value.dp:
+        with pytest.raises(ZeroDivisionError):
+            value.subs({"b": -1})
+    else:
+        # a polynomial in b once (1+b) cancels: defined at every b
+        assert value.subs({"b": -1}) == Coeff(value.num).subs({"b": -1})
 
 
 def test_rational_factors_meet_one_canonical_form():

@@ -201,6 +201,27 @@ def test_verify_commutators_antisymmetric_diagonal():
     assert all(p["status"] == "pass" for p in diag)
 
 
+@pytest.mark.parametrize("b", [0, 1, Fraction(1, 2)], ids=["b0", "b1", "b1/2"])
+@pytest.mark.parametrize("model", [BIP, THREECONST, BIPLE3])
+def test_commutator_of_b_specialized_operators(model, b):
+    """Substituting b commutes with composing: the commutator of the
+    specialized L_i is the specialized commutator, and so the identity
+    checked symbolically holds at this b."""
+    d_check = 5
+    ls = _build_l_family(model, d_check)
+
+    def at_b(op):
+        return op.map_coeff(lambda c: c.subs({"b": b}))
+
+    special = {l: at_b(op) for l, op in ls.items()}
+    for i in (1, 2):
+        for j in (1, 2, 3):
+            lhs = special[i].commutator(special[j])
+            assert lhs.equal_up_to(at_b(ls[i].commutator(ls[j])), d_check), (i, j)
+            rhs = at_b(structure_rhs(model, i, j, ls))
+            assert lhs.equal_up_to(rhs, d_check), (i, j)
+
+
 def test_grouped_display_deviation_is_pinned():
     """Where the grouped display disagrees, the difference is exactly the
     known boundary charge term."""
