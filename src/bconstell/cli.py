@@ -193,8 +193,6 @@ def cmd_dump(parser, args):
             if None in (level, args.j, args.l) or min(args.i, args.j, args.l) < 1:
                 raise ValueError("%s needs --%s and --i, --j, --l >= 1" % (op, flag))
             out = build(level, args.i, args.j, args.l, deg)
-        else:
-            raise ValueError("unknown op %r" % (op,))
     except (ValueError, OverflowError) as exc:
         parser.error(str(exc))
     obj = out.to_json_obj()

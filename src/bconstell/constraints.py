@@ -42,8 +42,7 @@ from functools import lru_cache, partial
 
 from .coeffring import B, ONE, ONE_PLUS_B, Q, U, add_term, sum_grouped
 from .currents import build_A, build_M, esym
-from .ppoly import pm_degree
-from .weyl import EXACT, WeylOp, compose_degree
+from .weyl import EXACT, WeylOp, compose_degree, live_terms
 
 
 class Model:
@@ -309,8 +308,7 @@ def _products_sum(scalars, ls, products=None):
                 group.setdefault(key, []).append((v, c, 1))
     pieces = {}
     for power, d in degrees.items():
-        live = {k: ts for k, ts in groups[power].items() if pm_degree(k[1]) <= d}
-        pieces[power] = WeylOp._live(sum_grouped(live), d)
+        pieces[power] = WeylOp._live(sum_grouped(live_terms(groups[power], d)), d)
     return TGradedOp(pieces)
 
 

@@ -51,10 +51,10 @@ is told which one matched.
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .coeffring import _B_SHIFT, VARS, Coeff, _pack, add_term
-from .ppoly import PPoly
+from .ppoly import PPoly, pm_normal
 
 
 JACK_BOUND = 8
@@ -238,16 +238,16 @@ def partitions(n):
     return tuple(gen(n, n))
 
 
+def _ppoly_key(mu):
+    """The PPoly monomial key of the power-sum product p_mu."""
+    return pm_normal((part, 1) for part in mu)
+
+
 def z_of(lam):
     """The symmetry factor prod_i i^{m_i} m_i!."""
     z = 1
-    mult = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
-        z *= part ** m
-        for k in range(1, m + 1):
-            z *= k
+    for part, m in _ppoly_key(lam):
+        z *= part ** m * factorial(m)
     return z
 
 
@@ -436,14 +436,6 @@ def _series_coeff(groups, denom):
     return out if content == 1 else out * Fraction(1, content)
 
 
-def _ppoly_key(mu):
-    """The PPoly monomial key of the power-sum product p_mu."""
-    counts = {}
-    for part in mu:
-        counts[part] = counts.get(part, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def jack_to_ppoly(lam):
     """The deformed polynomial as a PPoly with alpha evaluated at 1+b."""
     return PPoly({
@@ -568,12 +560,13 @@ def compare_with_engine(model, order, convention=None, engine=None):
     """Full oracle comparison; returns a report dict.
 
     `engine` is the engine series through `order`, when the caller already
-    holds it; otherwise it is evolved here.  Calibration reuses it.
+    holds it; otherwise it is evolved here, through t^max(order, 2) so that
+    calibration reuses it.
     """
     if engine is None:
         from .tau import tau_evolve
 
-        engine = tau_evolve(model, order)
+        engine = tau_evolve(model, max(order, 2))
     if convention is None:
         convention = calibrate_convention(model, reference=engine)
     oracle = tau_jack(model, order, convention)

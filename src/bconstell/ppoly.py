@@ -26,6 +26,41 @@ def pm_sort_key(m):
     return (pm_degree(m), m)
 
 
+def pm_normal(pairs):
+    """The monomial of prod p_i^e over (i, e) pairs; None when an index is <= 0.
+
+    Repeated indices merge and zero exponents drop out.
+    """
+    merged = {}
+    for i, e in pairs:
+        if e:
+            if i <= 0:
+                return None
+            merged[i] = merged.get(i, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def pm_sub(a, b):
+    """The monomial a / b; b must divide a."""
+    if not b:
+        return a
+    d = dict(a)
+    for i, e in b:
+        r = d[i] - e
+        if r:
+            d[i] = r
+        else:
+            del d[i]
+    return tuple(sorted(d.items()))
+
+
+def pm_str(m, mark=""):
+    """m as p1*p2^3, with mark after each index (p2*^3 for mark "*")."""
+    return "*".join(
+        "p%d%s" % (i, mark) if e == 1 else "p%d%s^%d" % (i, mark, e) for i, e in m
+    )
+
+
 EMPTY = ()
 
 
@@ -54,15 +89,11 @@ class PPoly:
 
     @classmethod
     def monomial(cls, mono, coeff=None):
-        merged = {}
-        for i, e in mono:
-            if e:
-                if i <= 0:
-                    return cls.zero()
-                merged[i] = merged.get(i, 0) + e
-        return cls(
-            {tuple(sorted(merged.items())): Coeff.one() if coeff is None else coeff}
-        )
+        """c * p^mono, zero when an index is <= 0."""
+        mono = pm_normal(mono)
+        if mono is None:
+            return cls.zero()
+        return cls({mono: Coeff.one() if coeff is None else coeff})
 
     @staticmethod
     def sum(polys):
@@ -137,16 +168,9 @@ class PPoly:
         """Partial derivative with respect to p_i."""
         out = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(i, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[i]
-            else:
-                d[i] = e - 1
-            key = tuple(sorted(d.items()))
-            add_term(out, key, c * e)
+            e = dict(m).get(i)
+            if e:
+                add_term(out, pm_sub(m, ((i, 1),)), c * e)
         return PPoly(out)
 
     def map_coeff(self, fn):
@@ -173,7 +197,7 @@ class PPoly:
             return "0"
         chunks = []
         for m, c in self.sorted_terms():
-            mono = "*".join("p%d" % i if e == 1 else "p%d^%d" % (i, e) for i, e in m)
+            mono = pm_str(m)
             cs = str(c)
             if mono:
                 chunks.append(mono if cs == "1" else "(%s)*%s" % (cs, mono))

@@ -115,10 +115,10 @@ class TauSeries:
 
 
 def _transfer_operator(model, m, order):
-    """M^(m) = sum_i p_i M^(k,m)_i materialized at working degree = order."""
+    """M^(m) = q_m sum_i p_i M^(k,m)_i materialized at working degree = order."""
     modes = ((i, build_M(model.k, m, i, order)) for i in range(1, order + 1))
     leads = (WeylOp.p(i).compose(mode) for i, mode in modes if not mode.is_zero())
-    return WeylOp.sum(leads)
+    return WeylOp.sum(leads).scale(model.q_weights()[m])
 
 
 def tau_evolve(model, order):
@@ -129,11 +129,8 @@ def tau_evolve(model, order):
     transfer = {
         m: _transfer_operator(model, m, order) for m in model.q_weights()
     } if order else {}
-    qs = model.q_weights()
     for n in range(1, order + 1):
-        acc = PPoly.sum(
-            op.apply(coeffs[n - m]) * qs[m] for m, op in transfer.items() if m <= n
-        )
+        acc = PPoly.sum(op.apply(coeffs[n - m]) for m, op in transfer.items() if m <= n)
         term = acc * Coeff.from_rational(Fraction(1, n))
         if not term.is_homogeneous(n):
             raise AssertionError("[t^%d] tau is not homogeneous of degree %d" % (n, n))

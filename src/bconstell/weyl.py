@@ -5,12 +5,12 @@ where p_i* denotes i * d/dp_i, stored with all multiplications to the left
 of all derivatives.  The defining contraction is [p_i*, p_j] = i delta_ij.
 
 Truncation contract: an operator with working_degree D acts exactly on every
-polynomial of degree <= D.  Terms whose derivative part exceeds degree D are
-dropped (they act as zero within the contract).  Composition propagates the
-tightest working degree that keeps the result exact: composing O1 after O2
-yields min(D2, D1 - jump(O2)) where jump(O2) is the largest degree raise O2
-can produce.  A DegreeBudgetError means the requested computation cannot be
-certified at any degree.
+polynomial of degree <= D.  ``live_terms`` drops the terms whose derivative
+part exceeds degree D, which act as zero within the contract.  Composition
+propagates the tightest working degree that keeps the result exact: composing
+O1 after O2 yields min(D2, D1 - jump(O2)) where jump(O2) is the largest degree
+raise O2 can produce.  A DegreeBudgetError means the requested computation
+cannot be certified at any degree.
 
 p_i, p_i*, monomial multiplications, scalars and the identity are exact on
 every polynomial: they sit at working degree ``EXACT`` (infinity), and
@@ -34,7 +34,9 @@ from itertools import product
 from math import comb, factorial
 
 from .coeffring import Coeff, add_terms, sum_grouped
-from .ppoly import EMPTY, PPoly, pm_degree, pm_mul, pm_sort_key
+from .ppoly import (
+    EMPTY, PPoly, pm_degree, pm_mul, pm_normal, pm_sort_key, pm_str, pm_sub,
+)
 
 
 EXACT = float("inf")
@@ -44,33 +46,31 @@ class DegreeBudgetError(Exception):
     """Raised when an operation exceeds its truncation contract."""
 
 
-def _pm_sub(a, b):
-    if not b:
-        return a
-    d = dict(a)
-    for i, e in b:
-        r = d[i] - e
-        if r:
-            d[i] = r
-        else:
-            del d[i]
-    return tuple(sorted(d.items()))
+def live_terms(terms, d):
+    """The entries of {(create, annihilate): value} whose terms act at degree d."""
+    return {key: v for key, v in terms.items() if pm_degree(key[1]) <= d}
+
+
+def _term_order(item):
+    """Sort key of a ((create, annihilate), value) item: annihilator first."""
+    (cr, an), _ = item
+    return (pm_sort_key(an), pm_sort_key(cr))
 
 
 def _merge(terms, d, op):
     """Merge op into the partial sum (terms, d), d None before the first addend.
 
-    Returns the new degree; only terms live at it are kept, as in a fold.
+    Returns the new partial sum; only terms live at its degree are kept, as in
+    a fold.
     """
     od = op.working_degree
     if d is not None and od > d:
-        add_terms(terms, {k: c for k, c in op.terms.items() if pm_degree(k[1]) <= d})
-        return d
+        add_terms(terms, live_terms(op.terms, d))
+        return terms, d
     if d is not None and od < d:
-        for key in [key for key in terms if pm_degree(key[1]) > od]:
-            del terms[key]
+        terms = live_terms(terms, od)
     add_terms(terms, op.terms)
-    return od
+    return terms, od
 
 
 def compose_degree(left_degree, right):
@@ -96,11 +96,8 @@ class WeylOp:
         if working_degree < 0:
             raise DegreeBudgetError("working degree must be non-negative")
         self.working_degree = working_degree
-        self.terms = {
-            key: c
-            for key, c in (terms or {}).items()
-            if c and pm_degree(key[1]) <= working_degree
-        }
+        live = live_terms(terms or {}, working_degree)
+        self.terms = {key: c for key, c in live.items() if c}
         self._jump = None
 
     @classmethod
@@ -130,13 +127,9 @@ class WeylOp:
     @classmethod
     def creation(cls, mono, coeff=None):
         """Multiplication by the monomial p^mono, exact; zero if any index <= 0."""
-        merged = {}
-        for i, e in mono:
-            if e:
-                if i <= 0:
-                    return cls.zero(EXACT)
-                merged[i] = merged.get(i, 0) + e
-        mono = tuple(sorted(merged.items()))
+        mono = pm_normal(mono)
+        if mono is None:
+            return cls.zero(EXACT)
         return cls({(mono, EMPTY): Coeff.one() if coeff is None else coeff}, EXACT)
 
     @classmethod
@@ -189,7 +182,7 @@ class WeylOp:
         """The sum of ops at their least working degree; ops must not be empty."""
         terms, d = {}, None
         for op in ops:
-            d = _merge(terms, d, op)
+            terms, d = _merge(terms, d, op)
         if d is None:
             raise ValueError("an empty sum has no working degree")
         return cls._live(terms, d)
@@ -199,10 +192,7 @@ class WeylOp:
         """{key: the sum of the ops paired with key} over (key, op) pairs."""
         parts = {}
         for key, op in pairs:
-            part = parts.get(key)
-            if part is None:
-                part = parts[key] = [{}, None]
-            part[1] = _merge(part[0], part[1], op)
+            parts[key] = _merge(*(parts.get(key) or ({}, None)), op)
         return {key: cls._live(terms, d) for key, (terms, d) in parts.items()}
 
     def __add__(self, other):
@@ -292,8 +282,8 @@ class WeylOp:
                     gm = tuple(
                         (i, g) for i, g in sorted(zip(common, gammas)) if g
                     )
-                    an = pm_mul(_pm_sub(an1, gm), an2)
-                    cr = pm_mul(cr1, _pm_sub(cr2, gm))
+                    an = pm_mul(pm_sub(an1, gm), an2)
+                    cr = pm_mul(cr1, pm_sub(cr2, gm))
                     out.setdefault((cr, an), []).append((c1, c2, factor))
         # every key passed the new_d checks above and no zero sum is kept
         return WeylOp._live(sum_grouped(out), new_d)
@@ -306,9 +296,6 @@ class WeylOp:
 
     # -- comparison ----------------------------------------------------------
 
-    def _trunc_terms(self, d):
-        return {k: c for k, c in self.terms.items() if pm_degree(k[1]) <= d}
-
     def equal_up_to(self, other, d):
         """Exact equality as operators on all polynomials of degree <= d."""
         if d > min(self.working_degree, other.working_degree):
@@ -316,16 +303,12 @@ class WeylOp:
                 "comparison degree %s exceeds working degrees (%s, %s)"
                 % (d, self.working_degree, other.working_degree)
             )
-        return self._trunc_terms(d) == other._trunc_terms(d)
+        return live_terms(self.terms, d) == live_terms(other.terms, d)
 
     def diff_up_to(self, other, d):
         """Sorted mismatching terms of self - other at degree <= d."""
-        diff = self - other
-        out = []
-        for (cr, an), c in diff._trunc_terms(d).items():
-            out.append((cr, an, c))
-        out.sort(key=lambda t: (pm_sort_key(t[1]), pm_sort_key(t[0])))
-        return out
+        live = live_terms((self - other).terms, d)
+        return [(cr, an, c) for (cr, an), c in sorted(live.items(), key=_term_order)]
 
     def first_mismatch(self, other, d):
         """The first term of diff_up_to, human-readable, or None when equal."""
@@ -338,10 +321,7 @@ class WeylOp:
     # -- serialization -------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kc: (pm_sort_key(kc[0][1]), pm_sort_key(kc[0][0])),
-        )
+        return sorted(self.terms.items(), key=_term_order)
 
     def to_json_obj(self):
         return {
@@ -362,9 +342,7 @@ class WeylOp:
             return "0"
         chunks = []
         for (cr, an), c in self.sorted_terms():
-            fac = ["p%d" % i if e == 1 else "p%d^%d" % (i, e) for i, e in cr]
-            fac += ["p%d*" % i if e == 1 else "p%d*^%d" % (i, e) for i, e in an]
-            body = "*".join(fac) if fac else "1"
+            body = "*".join(f for f in (pm_str(cr), pm_str(an, "*")) if f) or "1"
             cs = str(c)
             chunks.append(body if cs == "1" else "(%s)*%s" % (cs, body))
         return " + ".join(chunks)

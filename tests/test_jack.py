@@ -10,6 +10,7 @@ from bconstell.constraints import BIP, BIPLE3, THREECONST
 from bconstell.jack import (
     JackBoundError,
     _add,
+    _ppoly_key,
     _content_rows,
     _inner_field,
     _jack_table,
@@ -82,6 +83,18 @@ def test_dominance():
 def test_inner_examples():
     assert z_of((2, 1, 1)) == 4
     assert z_of((3, 3)) == 18
+
+
+@pytest.mark.parametrize("lam, key, z", [
+    ((), (), 1),
+    ((1, 1, 1, 1), ((1, 4),), 24),
+    ((3, 2, 2, 1), ((1, 1), (2, 2), (3, 1)), 24),
+    ((2, 2, 1, 1, 1), ((1, 3), (2, 2)), 48),
+    ((4, 4, 4), ((4, 3),), 384),
+])
+def test_partition_key_and_symmetry_factor(lam, key, z):
+    assert _ppoly_key(lam) == key
+    assert z_of(lam) == z
 
 
 def test_jack_small_values():

@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from bconstell.coeffring import B, U
 from bconstell.ppoly import PPoly, pm_degree
+from bconstell.weyl import EXACT, WeylOp
 
 from randops import random_ppoly
 import refring
@@ -50,6 +53,37 @@ def test_partition_monomial_degree():
 def test_no_p0_or_negative():
     assert PPoly.gen(0) == PPoly.zero()
     assert PPoly.gen(-2) == PPoly.zero()
+
+
+@pytest.mark.parametrize("pairs, mono", [
+    (((2, 1), (1, 1), (2, 2)), ((1, 1), (2, 3))),
+    (((3, 0), (1, 2), (3, 0)), ((1, 2),)),
+    (((0, 0), (-1, 0)), ()),
+    ((), ()),
+    (((1, 1), (0, 1)), None),
+    (((-2, 3),), None),
+])
+def test_monomial_and_creation_normalize_their_pairs(pairs, mono):
+    # None: an index <= 0 with a non-zero exponent makes the monomial zero
+    c = U[1]
+    terms = {} if mono is None else {mono: c}
+    assert PPoly.monomial(pairs, c).terms == terms
+    op = WeylOp.creation(pairs, c)
+    assert op.working_degree == EXACT
+    assert op.terms == {(m, ()): v for m, v in terms.items()}
+
+
+@pytest.mark.parametrize("mono, i, e, rest", [
+    (((2, 3),), 2, 3, ((2, 2),)),
+    (((2, 1),), 2, 1, ()),
+    (((1, 2), (2, 1), (3, 4)), 2, 1, ((1, 2), (3, 4))),
+    (((1, 2), (3, 4)), 3, 4, ((1, 2), (3, 3))),
+    (((1, 2), (3, 1)), 2, 0, None),
+    ((), 1, 0, None),
+])
+def test_dp_of_a_monomial(mono, i, e, rest):
+    f = PPoly.monomial(mono, B)
+    assert f.dp(i) == (PPoly.zero() if rest is None else PPoly.monomial(rest, B * e))
 
 
 def test_mul_commutative_associative_random():

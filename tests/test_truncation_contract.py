@@ -23,10 +23,10 @@ from bconstell.constraints import (
 from bconstell.cli import main
 from bconstell.coeffring import U
 from bconstell.currents import build_A, build_M, current
-from bconstell.weyl import EXACT, DegreeBudgetError, WeylOp
+from bconstell.weyl import EXACT, DegreeBudgetError, WeylOp, live_terms
 
 import refcurrents
-from randops import random_op
+from randops import COEFF_POOL, random_op
 
 D = 4
 RAISES = (1, 3)
@@ -118,6 +118,35 @@ def test_compose_of_random_ops_truncates(seed, d1, d2, k):
     assert_compose_truncates(
         lambda r: x_big if r else x_small, lambda r: y_big if r else y_small, k
     )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d1=st.integers(0, 7),
+    d2=st.integers(0, 7),
+    d=st.integers(0, 7),
+)
+def test_every_result_stores_only_live_terms(seed, d1, d2, d):
+    rng = random.Random(seed)
+    a = random_op(rng, d1, max_terms=5)
+    b = random_op(rng, d2, max_terms=5)
+    results = [a, b, -a, a.scale(rng.choice(COEFF_POOL)), a.scale(0),
+               WeylOp.sum([a, b]), WeylOp.sum([b, a, b])]
+    results += WeylOp.sums([(0, a), (1, b), (0, b), (1, a)]).values()
+    if d <= d1:
+        results.append(a.truncated(d))
+    if d1 - b.max_jump() >= 0:
+        results.append(a.compose(b))
+    for op in results:
+        assert op.terms == live_terms(op.terms, op.working_degree)
+    # y differs from a on some terms; at d the two are equal exactly when
+    # every differing term acts only above d
+    changed = {key: c + 1 for key, c in a.terms.items() if rng.random() < 0.5}
+    y = WeylOp({**a.terms, **changed}, d1 + 1)
+    d = min(d, d1)
+    equal = a.equal_up_to(y, d)
+    assert equal == (live_terms(a.terms, d) == live_terms(y.terms, d))
+    assert equal == (not a.diff_up_to(y, d))
 
 
 def test_graded_comparison_above_a_zero_piece_raises():
