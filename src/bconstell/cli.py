@@ -16,6 +16,7 @@ import time
 from .coeffring import MAX_EXP
 from .constraints import (
     MODELS,
+    RELATIONS,
     build_D,
     build_Dtilde,
     build_L,
@@ -35,12 +36,15 @@ A_LEVEL_LIMIT = MAX_EXP + 1
 EXIT_BROKEN_PIPE = 3
 
 
+def _print_json(obj):
+    """Print obj, stamped with the schema, as one line of sorted JSON."""
+    print(json.dumps({**obj, "schema": SCHEMA}, sort_keys=True))
+
+
 def _emit(report, as_json):
     """Print a verify report: one JSON line, or one line per pair."""
-    report = dict(report)
-    report["schema"] = SCHEMA
     if as_json:
-        print(json.dumps(report, sort_keys=True))
+        _print_json(report)
         return
     params = report["params"]
     head = " ".join("%s=%s" % (k, v) for k, v in sorted(params.items()) if v is not None)
@@ -62,12 +66,16 @@ def _oracle_order(parser, flag, n):
         parser.error("%s %d exceeds the oracle bound %d" % (flag, n, JACK_BOUND))
 
 
-def _with_first_failure(entry, report):
-    """entry, plus the report's first failing item when the check failed."""
-    if not report["ok"]:
-        item = next(x for x in report["items"] if x["status"] != "pass")
-        entry["first_failure"] = {k: v for k, v in item.items() if k != "status"}
-    return entry
+def _check_line(name, report):
+    """A tau check line: the verdict under name, the params the command line
+    does not show, the report's other fields and its first failing item."""
+    line = {name: report["ok"]}
+    line.update((k, v) for k, v in report["params"].items() if k not in ("model", "order"))
+    line.update((k, v) for k, v in report.items() if k not in ("params", "ok", "items"))
+    first = next((x for x in report.get("items", ()) if x["status"] != "pass"), None)
+    if first:
+        line["first_failure"] = {k: v for k, v in first.items() if k != "status"}
+    return line
 
 
 def _model(parser, name):
@@ -116,35 +124,24 @@ def cmd_tau(parser, args):
     if args.oracle:
         _oracle_order(parser, "--order", args.order)
     series = tau_evolve(model, args.order)
-    ok = True
-    checks = []
+    reports = {}
     if args.check_constraints:
-        rep = check_constraints(model, series, args.check_constraints)
-        ok = ok and rep["ok"]
-        checks.append(_with_first_failure(
-            {"constraints": rep["ok"], "imax": args.check_constraints,
-             "denominator_flags": rep["denominator_flags"]}, rep))
+        reports["constraints"] = check_constraints(model, series, args.check_constraints)
     if args.fixed_point:
-        rep = check_rooted_fixed_point(model, series, args.fixed_point)
-        ok = ok and rep["ok"]
-        checks.append(_with_first_failure(
-            {"fixed_point": rep["ok"], "imax": args.fixed_point}, rep))
+        reports["fixed_point"] = check_rooted_fixed_point(model, series, args.fixed_point)
     if args.oracle:
-        rep = compare_with_engine(model, args.order, engine=series)
-        ok = ok and rep["ok"]
-        checks.append({"oracle": rep["ok"],
-                       "convention": rep["params"]["convention"],
-                       "first_mismatch": rep["first_mismatch"]})
+        reports["oracle"] = compare_with_engine(model, args.order, engine=series)
+    checks = [_check_line(name, rep) for name, rep in reports.items()]
+    ok = all(rep["ok"] for rep in reports.values())
     if args.json:
-        print(json.dumps({
+        _print_json({
             "params": {"model": model.name, "order": args.order},
             "order": series.order,
             "coeffs": [c.to_json_obj() for c in series.coeffs],
             "denom_pow": series.denom_pow_profile(),
             "checks": checks,
             "ok": ok,
-            "schema": SCHEMA,
-        }, sort_keys=True))
+        })
     else:
         for n, c in enumerate(series.coeffs):
             print("[t^%d] %s" % (n, c))
@@ -181,11 +178,7 @@ def cmd_dump(parser, args):
             model = _model(parser, args.model or "")
             if args.i < 1:
                 raise ValueError("L needs --i >= 1")
-            print(json.dumps(
-                {"schema": SCHEMA, "op": "L", "model": model.name, "i": args.i,
-                 "pieces": build_L(model, args.i, deg).to_json_obj()},
-                sort_keys=True))
-            return 0
+            out = build_L(model, args.i, deg)
         elif op in ("D", "Dtilde"):
             flag, level, build = (
                 ("s", args.s, build_D) if op == "D" else ("m", args.m, build_Dtilde)
@@ -196,9 +189,9 @@ def cmd_dump(parser, args):
     except (ValueError, OverflowError) as exc:
         parser.error(str(exc))
     obj = out.to_json_obj()
-    obj["schema"] = SCHEMA
-    obj["op"] = op
-    print(json.dumps(obj, sort_keys=True))
+    if op == "L":
+        obj = {"model": args.model, "i": args.i, "pieces": obj}
+    _print_json(dict(obj, op=op))
     return 0
 
 
@@ -213,14 +206,13 @@ def cmd_jack(parser, args):
     vec = jack(lam)
     parts = sorted(vec, reverse=True)
     obj = {
-        "schema": SCHEMA,
         "partition": sorted(lam, reverse=True),
         "coefficients": [
             {"p_basis": list(mu), "coeff": alpha_str(vec[mu])} for mu in parts
         ],
     }
     if args.json:
-        print(json.dumps(obj, sort_keys=True))
+        _print_json(obj)
     else:
         for item in obj["coefficients"]:
             print("p_%s: %s" % (item["p_basis"], item["coeff"]))
@@ -233,8 +225,7 @@ def cmd_oracle(parser, args):
         parser.error("--order must be non-negative")
     _oracle_order(parser, "--order", args.order)
     report = compare_with_engine(model, args.order)
-    report["schema"] = SCHEMA
-    print(json.dumps(report, sort_keys=True))
+    _print_json(report)
     return 0 if report["ok"] else 1
 
 
@@ -250,7 +241,7 @@ def build_parser():
     v.add_argument("--model", required=True)
     v.add_argument("--imax", type=int, required=True)
     v.add_argument("--deg", type=int, required=True)
-    v.add_argument("--prop", choices=("dstruct", "mixed", "pstar"))
+    v.add_argument("--prop", choices=RELATIONS)
     v.add_argument("--json", action="store_true")
 
     t = sub.add_parser("tau", help="integrate the series and run checks")

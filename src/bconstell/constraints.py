@@ -27,9 +27,9 @@ each t power in one `sum_grouped`.  The two forms of [L_i, L_j] share
 products but not coefficients: each composes p_n . L_l and p_n* . L_l
 unscaled through one products dict per sweep, since no product depends on
 the pair, and applies its own scalars afterwards.  Every sweep runs through
-one pair runner, `_pair_sweep`, and every check's ok is derived from its
-entries by `sweep_report`.  An index beyond a built family is the zero
-operator.
+one pair runner, `_pair_sweep`; every check builds its entries by
+`sweep_entry` and derives its ok from them by `sweep_report`.  An index
+beyond a built family is the zero operator at the build degree.
 
 For the single-color model with vertex degrees up to 3 the grouped form, as
 usually displayed, carries a uniform charge term 3u(i-j)L_{i+j-3}; this is
@@ -76,6 +76,7 @@ BIP = Model("bip", 2, 1)
 THREECONST = Model("threeconst", 3, 1)
 BIPLE3 = Model("biple3", 1, 3)
 MODELS = {m.name: m for m in (BIP, THREECONST, BIPLE3)}
+RELATIONS = ("dstruct", "mixed", "pstar")  # the families verify_simplified checks
 
 
 class TGradedOp:
@@ -439,16 +440,21 @@ def _pair_sweep(params, i_max, d_check, relations, extra=None, progress=None):
     for label, lhs_of, rhs_of in relations:
         for i, j, lhs in _antisymmetric_sweep(i_max, lhs_of):
             rhs = rhs_of(i, j)
-            entry = dict(label, i=i, j=j, status="pass")
-            if not lhs.equal_up_to(rhs, d_check):
-                entry["status"] = "fail"
-                entry["first_mismatch"] = lhs.first_mismatch(rhs, d_check)
+            equal = lhs.equal_up_to(rhs, d_check)  # first_mismatch subtracts
+            mismatch = None if equal else lhs.first_mismatch(rhs, d_check)
+            entry = sweep_entry(dict(label, i=i, j=j), first_mismatch=mismatch)
             if extra is not None:
                 entry.update(extra(i, j, lhs))
             if progress is not None:
                 progress(entry)
             entries.append(entry)
     return sweep_report(params, entries)
+
+
+def sweep_entry(coords, **found):
+    """coords plus each non-empty field of found; "fail" exactly when one is left."""
+    found = {k: v for k, v in found.items() if v}
+    return {**coords, "status": "fail" if found else "pass", **found}
 
 
 def sweep_report(params, entries, key="pairs", **extra):
@@ -467,7 +473,7 @@ def verify_commutators(model, i_max, d_check, progress=None):
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
     ls = _build_l_family(model, d_check)
-    zero = TGradedOp.zero()
+    zero = TGradedOp({0: WeylOp.zero(_build_degree(model, d_check))})
 
     def lhs_of(i, j):
         return ls.get(i, zero).commutator(ls.get(j, zero))
@@ -519,7 +525,7 @@ def verify_simplified(model, which, levels, i_max, d_check, progress=None):
     antisymmetrized mixed-level relation, 'pstar' for the relation against
     the bare derivative operators.
     """
-    if which not in ("dstruct", "mixed", "pstar"):
+    if which not in RELATIONS:
         raise ValueError("unknown relation family %r" % (which,))
     family, ops, d_build = _family_ops(model, levels, d_check)
     zero = TGradedOp({0: WeylOp.zero(d_build)})

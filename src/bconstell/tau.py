@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .coeffring import Coeff, B, ONE_PLUS_B, add_terms
-from .constraints import build_L, sweep_report
+from .constraints import build_L, sweep_entry, sweep_report
 from .currents import build_M, current
 from .ppoly import EMPTY, PPoly
 from .weyl import WeylOp
@@ -138,40 +138,31 @@ def tau_evolve(model, order):
     return TauSeries(coeffs)
 
 
-def check_constraints(model, tau, i_max, subs=None):
+def check_constraints(model, tau, i_max):
     """Check [t^n](L_i tau) = 0 for all i <= i_max and n <= tau.order.
 
     Also asserts the homogeneity of every slice before it is tested for
     cancellation; each (i, n) gives one entry, which names the first piece
-    that is not homogeneous.  With subs, parameters are substituted first (used for the
-    specializations of the vertex-degree weights).
+    that is not homogeneous.  The check is symbolic in b, u and q, so a pass
+    holds at every specialization of them (b != -1).
     """
     N = tau.order
-    series = tau.map_coeff(lambda c: c.subs(subs)) if subs else tau
     items = []
     denom_flags = [
         {"order": n, "denom_pow": bound}
-        for n, bound in enumerate(series.denom_pow_profile())
+        for n, bound in enumerate(tau.denom_pow_profile())
         if bound > n
     ]
     for i in range(1, i_max + 1):
         L = build_L(model, i, N)
-        if subs:
-            L = L.map_coeff(lambda c: c.subs(subs))
         for n in range(0, N + 1):
-            item = {"i": i, "n": n, "status": "pass"}
-            parts = {m: L.pieces[m].apply(series.coeff(n - m)) for m in L.pieces if m <= n}
+            parts = {m: L.pieces[m].apply(tau.coeff(n - m)) for m in L.pieces if m <= n}
             bad = [m for m, part in parts.items() if not part.is_homogeneous(n - i)]
-            if bad:
-                reason = "t^%d piece is not homogeneous of degree %d" % (bad[0], n - i)
-                item.update(status="fail", reason=reason)
+            reason = bad and "t^%d piece is not homogeneous of degree %d" % (bad[0], n - i)
             slice_sum = PPoly.sum(parts.values())
-            if slice_sum:
-                item["status"] = "fail"
-                item["first_nonzero"] = str(slice_sum.first_term())
-            items.append(item)
-    params = {"model": model.name, "imax": i_max, "order": N,
-              "subs": {k: str(v) for k, v in (subs or {}).items()}}
+            first = slice_sum and str(slice_sum.first_term())
+            items.append(sweep_entry({"i": i, "n": n}, reason=reason, first_nonzero=first))
+    params = {"model": model.name, "imax": i_max, "order": N}
     return sweep_report(params, items, "items", denominator_flags=denom_flags)
 
 
@@ -272,9 +263,6 @@ def check_rooted_fixed_point(model, tau, i_max):
         read = enumerate(per_round, 1)
         rhs = TauSeries.sum((y[i].scale(qs[m]).tshift(m, N) for m, y in read if i in y), N)
         for n, c in enumerate((lhs - rhs).coeffs):
-            item = {"i": i, "n": n, "status": "pass"}
-            if c:
-                item["status"] = "fail"
-                item["first_mismatch"] = str(c.first_term())
-            items.append(item)
+            first = c and str(c.first_term())
+            items.append(sweep_entry({"i": i, "n": n}, first_mismatch=first))
     return sweep_report({"model": model.name, "imax": i_max, "order": N}, items, "items")

@@ -5,7 +5,7 @@ import pytest
 import refweyl
 from perturb import perturbed_tau
 from bconstell.coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, Q, U
-from bconstell.constraints import BIP, BIPLE3, THREECONST
+from bconstell.constraints import BIP, BIPLE3, THREECONST, build_L
 from bconstell.ppoly import PPoly
 from bconstell.tau import (
     TauSeries,
@@ -62,8 +62,11 @@ def test_non_homogeneous_slice_is_one_entry():
     keys = [(item["i"], item["n"]) for item in rep["items"]]
     assert len(keys) == len(set(keys)) == 2 * 3
     (item,) = [item for item in rep["items"] if (item["i"], item["n"]) == (1, 1)]
-    assert item["status"] == "fail"
-    assert item["reason"] == "t^0 piece is not homogeneous of degree 0"
+    assert item == {
+        "i": 1, "n": 1, "status": "fail",
+        "reason": "t^0 piece is not homogeneous of degree 0",
+        "first_nonzero": "(-b + u1*u2 - 1)/(1+b)^1",
+    }
     assert not rep["ok"]
 
 
@@ -135,13 +138,39 @@ def test_first_term_is_the_first_sorted_term():
 
 def test_general_maps_specialization():
     series = tau_evolve(BIPLE3, 4)
-    rep = check_constraints(BIPLE3, series, 3, subs={"q1": 0, "q3": 0, "q2": 1})
+    # symbolic in q, so the check holds at q1 = q3 = 0, q2 = 1 too
+    rep = check_constraints(BIPLE3, series, 3)
     assert rep["ok"]
     spec = series.map_coeff(lambda c: c.subs({"q1": 0, "q3": 0, "q2": 1}))
     # only even sizes survive once odd-degree vertices are forbidden
     assert not spec.coeff(1)
     assert not spec.coeff(3)
     assert spec.coeff(2)
+
+
+@pytest.mark.parametrize(
+    "subs",
+    [{"q1": 0, "q2": 1, "q3": 0}, {"u1": 2, "u2": Fraction(1, 3)}, {"b": 1}],
+    ids=["q-even", "u", "b1"],
+)
+@pytest.mark.parametrize("model", [BIP, THREECONST, BIPLE3], ids=lambda m: m.name)
+def test_specializing_commutes_with_applying_L(model, subs):
+    """Substituting u, q or b commutes with applying L_i: each specialized
+    slice is the specialized piece applied to the specialized series, so
+    the symbolic constraint check holds at every specialization."""
+
+    def at(c):
+        return c.subs(subs)
+
+    series = tau_evolve(model, 5)
+    special = series.map_coeff(at)
+    for i in (1, 2, 3):
+        for m, op in build_L(model, i, 5).pieces.items():
+            op_at = op.map_coeff(at)
+            for n in range(6):
+                got = op_at.apply(special.coeff(n))
+                want = op.apply(series.coeff(n)).map_coeff(at)
+                assert not got - want, (i, m, n)
 
 
 def test_h_series_examples():

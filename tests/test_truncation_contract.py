@@ -17,8 +17,9 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import bconstell.constraints as constraints_mod
 from bconstell.constraints import (
-    BIP, BIPLE3, THREECONST, TGradedOp, build_D, build_Dtilde, build_L,
+    BIP, BIPLE3, THREECONST, TGradedOp, build_D, build_Dtilde, build_L, verify_commutators,
 )
 from bconstell.cli import main
 from bconstell.coeffring import U
@@ -234,6 +235,22 @@ def test_build_L_keeps_a_mode_zero_at_its_working_degree():
     assert L.piece(1).working_degree == 5
     with pytest.raises(DegreeBudgetError):
         L.equal_up_to(build_L(BIPLE3, 7, 6), 6)
+
+
+def test_index_past_the_family_is_zero_at_the_build_degree(monkeypatch):
+    # bip at check degree 1 builds L_1..L_4 at degree 1; L_5 is zero only up to it
+    seen = []
+
+    def capture(params, i_max, d_check, relations, extra=None, progress=None):
+        seen.extend(lhs_of for _, lhs_of, _ in relations)
+
+    monkeypatch.setattr(constraints_mod, "_pair_sweep", capture)
+    verify_commutators(BIP, 6, 1)
+    (lhs_of,) = seen
+    lhs = lhs_of(5, 1)
+    assert lhs.equal_up_to(TGradedOp.zero(), 1)
+    with pytest.raises(DegreeBudgetError):
+        lhs.equal_up_to(TGradedOp.zero(), 2)
 
 
 # -- exact operators carry no working degree ------------------------------------
