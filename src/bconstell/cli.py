@@ -197,7 +197,8 @@ def cmd_dump(parser, args):
 
 def cmd_jack(parser, args):
     try:
-        lam = tuple(int(x) for x in args.lam.split(",") if x)
+        # "" is the empty partition; an empty part elsewhere is malformed
+        lam = tuple(int(x) for x in args.lam.split(",")) if args.lam else ()
     except ValueError:
         parser.error("--lambda expects a comma-separated partition, e.g. 2,1")
     if any(x < 1 for x in lam):

@@ -31,16 +31,18 @@ is the lcm of the closed-form norms of size n in ZZ[alpha], so these ratios
 are integer polynomials (_norm_ratios, memoised per size).  The content
 product prod_c P_lam(u_c) is built from the rows of P_lam(u), one dense list
 per power of u (_content_rows), and multiplied with the vertex-side sum and
-the ratio by u, q monomial (_weight).  Each output p-monomial is then
-N / D_n, and its denominator must reduce to a power of alpha = 1+b.  Writing
-that denominator as c alpha^a D' with D' free of alpha, this holds exactly
-when D' divides N, which _series_coeff checks by one exact division by D'
-per u, q monomial; an inexact one raises OracleDenominatorError.  The
-engine's scalar ring cannot host the intermediate norms (their denominators
-are not powers of 1+b), and keeping the oracle on a separate arithmetic
-stack is the point; values cross into Coeff only in _series_coeff.  jack
-returns the table's dense lists, and alpha_str prints one as a polynomial
-in alpha (-36*alpha**4 + 36*alpha**3, alpha - 1, 1).
+the ratio by u, q monomial (_weight).  The sum over lam is one packed
+big-int assembly (_assemble, Kronecker substitution).  Each output
+p-monomial is then N / D_n, and its denominator must reduce to a power of
+alpha = 1+b.  Writing that denominator as c alpha^a D' with D' free of
+alpha, this holds exactly when D' divides N, which _series_coeff checks by
+one exact division by D' per u, q monomial; an inexact one raises
+OracleDenominatorError.  The engine's scalar ring cannot host the
+intermediate norms (their denominators are not powers of 1+b), and keeping
+the oracle on a separate arithmetic stack is the point; values cross into
+Coeff only in _series_coeff.  jack returns the table's dense lists, and
+alpha_str prints one as a polynomial in alpha (-36*alpha**4 + 36*alpha**3,
+alpha - 1, 1).
 
 The deformed content of a box is a convention to calibrate, not to assume:
 c(row r, column c) = alpha*(c-1) - (r-1) ("standard") or its transpose
@@ -57,7 +59,7 @@ from .coeffring import _B_SHIFT, VARS, Coeff, _pack, add_term
 from .ppoly import PPoly, pm_normal
 
 
-JACK_BOUND = 8
+JACK_BOUND = 10
 
 
 class JackBoundError(ValueError):
@@ -498,13 +500,68 @@ def _weight(vec, ratio, rows, model):
     return weight
 
 
+def _assemble(table, weights):
+    """sum_lam table[lam][mu] weights[lam][rest] by mu and rest, over dense ZZ[alpha].
+
+    Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 8): alpha becomes 2^B, and every u, q monomial rest gets a
+    slot of L digits, L the longest product.  A polynomial is then one int,
+    each lam's whole weight dict one int, and each (lam, mu) product one
+    big-int product.  Every digit of a sum lies in (-2^(B-1), 2^(B-1)), so
+    adding 2^(B-1) to every digit leaves no carry and to_bytes reads each
+    one back.  Returns {mu: {rest: dense list}} without empty lists or mu.
+    """
+    slots = list(dict.fromkeys(rest for w in weights.values() for rest in w))
+    cs = [c for v in table.values() for c in v.values()]
+    ws = [w for weight in weights.values() for w in weight.values()]
+    lc, lw = max(map(len, cs), default=0), max(map(len, ws), default=0)
+    if not (lc and lw):
+        return {}  # every product is zero
+    width = lc + lw - 1
+    top = max(abs(x) for c in cs for x in c) * max(abs(x) for w in ws for x in w)
+    nb = (len(table) * min(lc, lw) * top).bit_length() // 8 + 1
+    half = 1 << (8 * nb - 1)
+    zero = half.to_bytes(nb, "big")
+
+    def pack(fs, n):
+        """The lists fs, each in n digits (leading zeros first), as one int."""
+        buf = b"".join(
+            zero * (n - len(f)) + b"".join((x + half).to_bytes(nb, "big") for x in f)
+            for f in fs
+        )
+        return int.from_bytes(buf, "big") - int.from_bytes(zero * (n * len(fs)), "big")
+
+    sums = {}
+    for lam, v in table.items():
+        packed = pack([weights[lam].get(rest, []) for rest in slots], width)
+        for mu, c in v.items():
+            sums[mu] = sums.get(mu, 0) + pack([c], len(c)) * packed
+    del weights, ws  # unpacking is the peak; a caller holding no weights frees them
+    out = {}
+    size = width * nb
+    offset = int.from_bytes(zero * (width * len(slots)), "big")
+    for mu in list(sums):
+        buf = (sums.pop(mu) + offset).to_bytes(size * len(slots), "big")
+        groups = {}
+        for i, rest in enumerate(slots):
+            f = _strip([
+                int.from_bytes(buf[k:k + nb], "big") - half
+                for k in range(i * size, (i + 1) * size, nb)
+            ])
+            if f:
+                groups[rest] = f
+        if groups:
+            out[mu] = groups
+    return out
+
+
 def tau_jack(model, order, convention="standard"):
     """The oracle series up to t^order as a TauSeries.
 
-    Order n is summed per p-monomial and u, q monomial over dense ZZ[alpha],
-    over the common denominator D_n of _norm_ratios(n); each p-monomial is
-    then one exact division by the alpha-free part of that denominator per
-    u, q monomial (_series_coeff).
+    Order n is summed per p-monomial and u, q monomial over dense ZZ[alpha]
+    by _assemble, over the common denominator D_n of _norm_ratios(n); each
+    p-monomial is then one exact division by the alpha-free part of that
+    denominator per u, q monomial (_series_coeff).
     """
     from .tau import TauSeries
 
@@ -516,14 +573,10 @@ def tau_jack(model, order, convention="standard"):
     for n in range(1, order + 1):
         table = _jack_table(n)
         ratios, denom = _norm_ratios(n)
-        sums = {}
-        for lam in partitions(n):
-            v = table[lam]
-            weight = _weight(v, ratios[lam], _content_rows(lam, convention), model)
-            for mu, c in v.items():
-                groups = sums.setdefault(mu, {})
-                for rest, w in weight.items():
-                    groups[rest] = _add(groups.get(rest, []), _mul(c, w))
+        sums = _assemble(table, {
+            lam: _weight(v, ratios[lam], _content_rows(lam, convention), model)
+            for lam, v in table.items()
+        })
         coeffs.append(PPoly({
             _ppoly_key(mu): _series_coeff(groups, denom) for mu, groups in sums.items()
         }))

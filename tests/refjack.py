@@ -33,7 +33,14 @@ from bconstell.jack import (
     JackBoundError,
     JackTableError,
     OracleDenominatorError,
+    _add,
+    _content_rows,
+    _jack_table,
+    _mul,
+    _norm_ratios,
     _ppoly_key,
+    _series_coeff,
+    _weight,
     partitions,
     z_of,
 )
@@ -325,3 +332,46 @@ def dup_jack_table(n):
         done.append((v, norm))
         table[lam] = v
     return table
+
+
+# -- the series sums as one dense product per (lam, mu, u, q monomial) --------
+
+
+def list_assembly(table, weights):
+    """sum_lam table[lam][mu] weights[lam][rest] by mu and rest, one _mul each.
+
+    The loop is tau_jack's assembly before the packed one, on the package's
+    dense ZZ[alpha] _add and _mul (which test_jack_reference.py checks against
+    sympy's dup_*); empty lists and mu without any are dropped, as
+    bconstell.jack._assemble drops them.
+    """
+    sums = {}
+    for lam, v in table.items():
+        weight = weights[lam]
+        for mu, c in v.items():
+            groups = sums.setdefault(mu, {})
+            for rest, w in weight.items():
+                groups[rest] = _add(groups.get(rest, []), _mul(c, w))
+    sums = {mu: {rest: f for rest, f in groups.items() if f} for mu, groups in sums.items()}
+    return {mu: groups for mu, groups in sums.items() if groups}
+
+
+def list_tau_coeffs(model, order, convention="standard"):
+    """tau_jack's series t^0 .. t^order as PPoly values, summed by list_assembly."""
+    coeffs = [PPoly.one()]
+    for n in range(1, order + 1):
+        sums = list_assembly(_jack_table(n), series_weights(model, n, convention))
+        denom = _norm_ratios(n)[1]
+        coeffs.append(PPoly({
+            _ppoly_key(mu): _series_coeff(groups, denom) for mu, groups in sums.items()
+        }))
+    return coeffs
+
+
+def series_weights(model, n, convention):
+    """The weights tau_jack assembles at order n, by partition of n."""
+    ratios = _norm_ratios(n)[0]
+    return {
+        lam: _weight(v, ratios[lam], _content_rows(lam, convention), model)
+        for lam, v in _jack_table(n).items()
+    }

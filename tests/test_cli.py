@@ -191,16 +191,25 @@ def test_verify_b_eval_is_a_usage_error(model, value):
 
 
 @pytest.mark.parametrize("argv", [
-    ["jack", "--lambda", "9"],
-    ["jack", "--lambda", "5,4"],
-    ["oracle", "--model", "bip", "--order", "9"],
-    ["tau", "--model", "bip", "--order", "9", "--oracle"],
+    ["jack", "--lambda", "11"],
+    ["jack", "--lambda", "6,5"],
+    ["oracle", "--model", "bip", "--order", "11"],
+    ["tau", "--model", "bip", "--order", "11", "--oracle"],
 ])
 def test_beyond_jack_bound_exits_two(argv):
     code, out, err = run_cli(*argv)
     assert code == 2
     assert out == ""
-    assert "Traceback" not in err and "oracle bound 8" in err
+    assert "Traceback" not in err and "oracle bound 10" in err
+
+
+@pytest.mark.parametrize("lam", ["3,,2", "2,1,", ",2"])
+def test_jack_empty_part_exits_two(lam):
+    code, out, err = run_cli("jack", "--lambda", lam)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "--lambda expects a comma-separated partition" in err
 
 
 def test_tau_oracle_bound_checked_before_engine(monkeypatch, capsys):
@@ -211,9 +220,9 @@ def test_tau_oracle_bound_checked_before_engine(monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod, "tau_evolve", engine_must_not_run)
     with pytest.raises(SystemExit) as exc:
-        main(["tau", "--model", "biple3", "--order", "9", "--oracle"])
+        main(["tau", "--model", "biple3", "--order", "11", "--oracle"])
     assert exc.value.code == 2
-    assert "oracle bound 8" in capsys.readouterr().err
+    assert "oracle bound 10" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -206,10 +206,10 @@ def test_oracle_mismatch_is_located():
 
 
 def test_bound_errors():
-    with pytest.raises(JackBoundError, match="bound 8"):
-        jack((9,))
-    with pytest.raises(JackBoundError, match="bound 8"):
-        tau_jack(BIP, 9)
+    with pytest.raises(JackBoundError, match="bound 10"):
+        jack((11,))
+    with pytest.raises(JackBoundError, match="bound 10"):
+        tau_jack(BIP, 11)
 
 
 import importlib

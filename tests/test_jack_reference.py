@@ -239,3 +239,57 @@ def test_kernel_gcd_and_lcm_match_sympy(h, f, g):
 @pytest.mark.parametrize("n", range(0, 9))
 def test_tables_match_sympy_build_through_eight(n):
     assert jackmod._jack_table(n) == refjack.dup_jack_table(n)
+
+
+# -- the packed assembly against the list loop ---------------------------------
+
+from hypothesis import example
+
+mus = st.sampled_from([(1,), (2,), (1, 1), (3,), (2, 1)])
+rests = st.sampled_from([(0,) * 6, (1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0)])
+
+
+@st.composite
+def assembly_inputs(draw):
+    # lists of length 1 and > 1, [] coordinates, one or many lam
+    lams = draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True))
+    table = {lam: draw(st.dictionaries(mus, polys, max_size=3)) for lam in lams}
+    weights = {lam: draw(st.dictionaries(rests, polys, max_size=3)) for lam in lams}
+    return table, weights
+
+
+BIG = 2**70
+# sums that reach the digit bound (lam count * overlap * max|c| * max|w|)
+# exactly, of either sign: one byte narrower digits cannot hold them.  In
+# the second, 6 BIG (2 BIG - 1) needs 144 bits, and 2 or 3 BIG (2 BIG - 1),
+# the bound without the lam count or the overlap, needs at most 143
+@example(({0: {(1,): [BIG]}}, {0: {(0,) * 6: [-BIG]}}))
+@example((
+    {lam: {(2, 1): [2 * BIG - 1, 2 * BIG - 1]} for lam in range(3)},
+    {lam: {(1, 0, 0, 0, 0, 0): [BIG, BIG]} for lam in range(3)},
+))
+@example(({0: {(1,): [1]}}, {0: {(0,) * 6: [1]}}))
+@settings(max_examples=300, deadline=None)
+@given(assembly_inputs())
+def test_packed_assembly_matches_list_loop(inputs):
+    table, weights = inputs
+    assert jackmod._assemble(table, weights) == refjack.list_assembly(table, weights)
+
+
+def _series_or_error(build):
+    try:
+        return build()
+    except OracleDenominatorError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("convention", ["standard", "transpose"])
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+def test_series_matches_list_assembly_through_t6(model, convention):
+    # the transpose convention's series raises OracleDenominatorError at t^3
+    # (both sides, same message); its sums are still compared at every order
+    for n in range(1, 7):
+        table, weights = jackmod._jack_table(n), refjack.series_weights(model, n, convention)
+        assert jackmod._assemble(table, weights) == refjack.list_assembly(table, weights), n
+    got = _series_or_error(lambda: tau_jack(model, 6, convention).coeffs)
+    assert got == _series_or_error(lambda: refjack.list_tau_coeffs(model, 6, convention))
