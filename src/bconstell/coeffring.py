@@ -28,14 +28,20 @@ field, so adding two keys never carries into a neighbouring field; a result
 that reaches that guard bit raises OverflowError instead of wrapping.
 
 Sums of products.  ``sum_products`` returns the canonical sum of ``a * b * k``
-over ``(Coeff, Coeff, rational)`` triples.  The products sharing a (1+b)
-power are accumulated on integers into one dict over the common
-denominator of their ``den * den * k.denominator``; every accumulated key
-passes the overflow guard before cancelled terms are dropped; each power
-group is reduced by (1+b) and by the gcd of its denominator and content
-once, and the groups are added in ascending power by ``Coeff.__add__``, the
-one place that rescales by (1+b)^k.  ``sum_grouped`` runs it once per key of
-a dict of triple lists.  ``WeylOp.apply``, ``WeylOp.compose``, the
+over ``(Coeff, Coeff, rational)`` triples, by one of two paths with the same
+result.  Below ``PACKED_PAIRS`` term pairs (the dict path, ``_sum_dict``),
+the products sharing a (1+b) power are accumulated on integers into one
+dict over the common denominator of their ``den * den * k.denominator``;
+every accumulated key passes the overflow guard before cancelled terms are
+dropped; each power group is reduced by (1+b) and by the gcd of its
+denominator and content once, and the groups are added in ascending power
+by ``Coeff.__add__``.  From ``PACKED_PAIRS`` on (the packed path,
+``_sum_packed``), each numerator is one int per u, q monomial, its
+b-polynomial at X = 2^B; all power groups accumulate into one int per
+monomial rescaled by (X+1)^(top - dp), a division by (1+b) is one
+``divmod`` by X+1 per int, and B is large enough for every digit to read
+back (see ``_sum_packed``).  ``sum_grouped`` runs ``sum_products`` once per
+key of a dict of triple lists.  ``WeylOp.apply``, ``WeylOp.compose``, the
 structure sums of ``constraints._products_sum`` and ``PPoly`` products and
 t-convolutions (``PPoly.sum_products``) sum each output coefficient this way
 instead of canonicalising every partial sum.
@@ -225,25 +231,53 @@ def _canon(n, den, dp):
     return _normal(n, den, dp)
 
 
+# a sum with at least this many term pairs takes the packed path; smaller
+# sums, such as the commutator sweeps' many sums of a few pairs each, are
+# cheaper on the dict path
+PACKED_PAIRS = 256
+
+
 def sum_products(triples):
     """The canonical Coeff sum of a * b * k over (Coeff, Coeff, rational) triples.
 
-    Products sharing a (1+b) power accumulate on integers in one dict over a
-    common denominator; each such group is checked for exponent overflow
-    (before cancelled terms are dropped), reduced to canonical form once,
-    and the groups are then added in ascending power.
+    Below PACKED_PAIRS term pairs the products accumulate by monomial
+    (_sum_dict), from there on by packed b-polynomials (_sum_packed).
     """
     if len(triples) == 1:
         (a, b, k), = triples
         p = a * b
         return p if k == 1 else p * k
+    groups, pairs = _grouped(triples)
+    if pairs >= PACKED_PAIRS:
+        return _sum_packed(groups)
+    return _sum_dict(groups)
+
+
+def _grouped(triples):
+    """The non-zero triples by (1+b) power, and their number of term pairs.
+
+    Each triple becomes (a.n, b.n, k.numerator, a.den * b.den * k.denominator).
+    """
     groups = {}
+    pairs = 0
     for a, b, k in triples:
         if not (k and a.n and b.n):
             continue
         groups.setdefault(a.dp + b.dp, []).append(
             (a.n, b.n, k.numerator, a.den * b.den * k.denominator)
         )
+        pairs += len(a.n) * len(b.n)
+    return groups, pairs
+
+
+def _sum_dict(groups):
+    """The canonical sum of _grouped's groups, accumulated by monomial.
+
+    Products sharing a (1+b) power accumulate on integers in one dict over a
+    common denominator; each such group is checked for exponent overflow
+    (before cancelled terms are dropped), reduced to canonical form once,
+    and the groups are then added in ascending power.
+    """
     total = None
     for dp in sorted(groups):
         items = groups[dp]
@@ -256,6 +290,100 @@ def sum_products(triples):
             part = _canon(n, den, dp)
             total = part if total is None else total + part
     return _make({}, 1, 0) if total is None else total
+
+
+def _sum_packed(groups):
+    """The canonical sum of _grouped's groups, accumulated by packed b-polynomials.
+
+    Kronecker substitution in b alone (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 8): with X = 2^B, a numerator becomes one int per
+    u, q monomial ("rest"), its b-polynomial at X.  Every product is one int
+    product per pair of rests, scaled by kn * (den / d) and by
+    (X+1)^(top - dp), so all power groups accumulate into one column per rest
+    over den * (1+b)^top.  (1+b) divides the numerator exactly when X+1
+    divides every column, and the quotients are the columns of the quotient.
+
+    B comes from bounds that cost one pass: no column coefficient exceeds
+    C = sum |kn| (den / d) max|a| max|b| min(#a, #b) 2^(top - dp) over the
+    triples, and no column's b-degree exceeds deg, the largest b-degree of a
+    rescaled product.  A division by (1+b) multiplies the bound on the coefficients,
+    and on the alternating sum P(-1), by at most deg + 1.  So with
+    2^(B-1) > C (deg+1)^(top+1) all of them stay inside (-2^(B-1), 2^(B-1))
+    through top divisions: X+1 divides a column exactly when P(-1) = 0, and
+    the column reads back uniquely as balanced base-X digits.
+    """
+    if not groups:
+        return _make({}, 1, 0)
+    top = max(groups)
+    den = lcm(*[d for items in groups.values() for *_, d in items])
+    nums = {id(p): p for items in groups.values() for pa, pb, _, _ in items for p in (pa, pb)}
+    # the largest |coefficient| and the b-degree (key order puts b first)
+    sizes = {i: (max(map(abs, p.values())), max(p) >> _B_SHIFT) for i, p in nums.items()}
+    bound = deg = 0
+    for dp, items in groups.items():
+        for pa, pb, kn, d in items:
+            (ma, da), (mb, db) = sizes[id(pa)], sizes[id(pb)]
+            bound += (abs(kn) * (den // d) * ma * mb * min(len(pa), len(pb))) << (top - dp)
+            deg = max(deg, da + db + top - dp)
+    if deg > MAX_EXP:
+        # a product, or a product rescaled to top, passes the b field: the
+        # dict path raises where it overflows, and only there
+        return _sum_dict(groups)
+    shift = (bound * (deg + 1) ** (top + 1)).bit_length() + 1
+    x1 = (1 << shift) + 1
+    packed = {i: _pack_columns(p, shift) for i, p in nums.items()}
+    acc = {}
+    for dp, items in groups.items():
+        scale = x1 ** (top - dp)
+        for pa, pb, kn, d in items:
+            _mul_into(acc, packed[id(pa)], packed[id(pb)], kn * (den // d) * scale)
+    _check_keys(acc)  # the rest fields, cancelled columns included
+    cols = {rest: v for rest, v in acc.items() if v}
+    dp = top
+    while dp and cols:
+        quot = _div_columns(cols, x1)
+        if quot is None:
+            break
+        cols, dp = quot, dp - 1
+    return _normal(_unpack(cols, shift), den, dp)
+
+
+def _pack_columns(p, shift):
+    """{rest: the b-polynomial of p at 2^shift} over the u, q monomials of p."""
+    cols = {}
+    for key, c in p.items():
+        rest = key & _REST_MASK
+        cols[rest] = cols.get(rest, 0) + (c << shift * (key >> _B_SHIFT))
+    return cols
+
+
+def _div_columns(cols, x1):
+    """Every column divided by x1 = X+1, or None when one leaves a remainder."""
+    quot = {}
+    for rest, v in cols.items():
+        q, r = divmod(v, x1)
+        if r:
+            return None
+        quot[rest] = q
+    return quot
+
+
+def _unpack(cols, shift):
+    """The numerator dict of columns of balanced base-2^shift digits."""
+    base = 1 << shift
+    mask, half = base - 1, base >> 1
+    n = {}
+    for rest, v in cols.items():
+        e = 0
+        while v:
+            c = v & mask
+            if c >= half:
+                c -= base
+            if c:
+                n[(e << _B_SHIFT) | rest] = c
+            v = (v - c) >> shift
+            e += 1
+    return n
 
 
 def sum_grouped(groups):

@@ -1,12 +1,17 @@
 """The packed integer kernel of Coeff against the reference tuple kernel."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 import refring
-from bconstell.coeffring import B, INV_1PB, MAX_EXP, ONE_PLUS_B, Q, U, Coeff, sum_products
+from bconstell import coeffring
+from bconstell.coeffring import (
+    B, INV_1PB, MAX_EXP, NVARS, ONE_PLUS_B, Q, U, Coeff, _grouped, _pack, _sum_dict,
+    _sum_packed, sum_products,
+)
 
 nonzero = st.integers(-20, 20).filter(bool)
 rational = st.builds(Fraction, nonzero, st.integers(1, 6))
@@ -175,3 +180,121 @@ def test_sum_products_overflow_raises_even_when_cancelled(dp):
         sum_products([(big, Q[1] ** 1500, 1), (big, Q[1] ** 1500, -1)])
     with pytest.raises(OverflowError, match="exponent"):
         sum_products([(U[1], U[2], 1), (big, Q[1] ** 1500, 2), (Q[1] ** 1500, big, -2)])
+
+
+# -- the packed path of sum_products against the dict path ----------------------
+
+wide = st.one_of(
+    st.integers(-40, 40),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.sampled_from([2 ** 70 - 1, -(2 ** 70) + 1, 2 ** 69, -(2 ** 69)]),
+).filter(bool)
+key_exps = st.tuples(st.integers(0, 6), *[st.integers(0, 3)] * (NVARS - 1))
+operand = st.builds(
+    lambda terms, q, dp: Coeff({_pack(e): c for e, c in terms.items()}) * Fraction(1, q) * INV_1PB ** dp,
+    st.dictionaries(key_exps, wide, min_size=1, max_size=8),
+    st.integers(1, 6),
+    st.integers(0, 4),
+)
+ratio = st.one_of(
+    st.integers(-5, 5).filter(bool),
+    st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(2, 9)),
+)
+
+
+@st.composite
+def packed_sums(draw):
+    """Triples over a small pool of operands, some made divisible or cancelling.
+
+    A drawn triple (x, y, k) with a drawn j in 0..3 becomes the j + 1 triples
+    (x * b^i, y, k * C(j, i)): their sum x y k (1+b)^j is divisible by
+    (1+b)^j where the single products need not be.  A drawn flag appends
+    every triple negated, so the sum is zero.
+    """
+    pool = draw(st.lists(operand, min_size=1, max_size=4))
+    pick = st.sampled_from(pool)
+    triples = []
+    for x, y, k, j in draw(st.lists(st.tuples(pick, pick, ratio, st.integers(0, 3)),
+                                    min_size=1, max_size=5)):
+        triples += [(x * B ** i, y, k * comb(j, i)) for i in range(j + 1)]
+    if draw(st.booleans()):
+        triples += [(x, y, -k) for x, y, k in triples]
+    return triples
+
+
+def assert_paths_agree(triples):
+    groups, _ = _grouped(triples)
+    got = _sum_packed(groups)
+    want = _sum_dict(groups)
+    assert (got.n, got.den, got.dp) == (want.n, want.den, want.dp)
+    assert str(got) == str(want)
+    return got
+
+
+@given(packed_sums())
+def test_packed_path_matches_dict_path(triples):
+    assert_paths_agree(triples)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("dp", [0, 2])
+@pytest.mark.parametrize("rest", [Coeff.one(), U[1] * Q[3] ** 2])
+def test_packed_path_at_its_digit_bound(sign, dp, rest):
+    # with no b and one top power, every column coefficient reaches the bound
+    # C = sum |kn| max|a| max|b| min(#a, #b) exactly; a digit one bit
+    # narrower than 2^(B-1) > C reads it back as a wrong pair of digits
+    c = 2 ** 70 - 1
+    a = rest * c * INV_1PB ** dp
+    triples = [(a, Coeff.from_rational(sign * c), 1), (Coeff.from_rational(c), a, sign)]
+    got = assert_paths_agree(triples)
+    assert got == rest * (2 * sign * c * c) * INV_1PB ** dp
+
+
+def test_packed_path_cancels_to_zero():
+    x = (U[1] + B * Q[2] - 3) * INV_1PB ** 2
+    y = B ** 3 + U[3] * Fraction(1, 3)
+    zero = assert_paths_agree([(x, y, 2), (y, x, Fraction(-1, 2)), (x * y, ONE_PLUS_B, Fraction(-3, 2)),
+                               (x * y * B, Coeff.one(), Fraction(3, 2))])
+    assert zero.n == {} and zero.den == 1 and zero.dp == 0
+
+
+@pytest.mark.parametrize("dp", [0, 3])
+@pytest.mark.parametrize("var", [B, Q[1]])
+def test_packed_path_overflow_raises_even_when_cancelled(dp, var):
+    # a product past the b field leaves the sum to the dict path, which
+    # raises; a rest field is checked on the accumulated rest sums before
+    # cancelled columns are dropped
+    big = var ** 1500 * INV_1PB ** dp
+    for triples in (
+        [(big, var ** 1500, 1), (big, var ** 1500, -1)],
+        [(U[1], U[2], 1), (big, var ** 1500, 2), (var ** 1500, big, -2)],
+    ):
+        groups, _ = _grouped(triples)
+        for path in (_sum_packed, _sum_dict):
+            with pytest.raises(OverflowError, match="exponent"):
+                path(groups)
+
+
+def test_packed_path_past_the_b_field_after_rescaling():
+    # b^2000 rescaled by (1+b)^100 passes the b field although each product
+    # fits; the dict path's rescale refuses it, and so does the packed path
+    triples = [(B ** 2000, U[1], 1), (INV_1PB ** 100, U[1], 1)]
+    groups, _ = _grouped(triples)
+    for path in (_sum_packed, _sum_dict):
+        with pytest.raises(OverflowError, match="exponent"):
+            path(groups)
+
+
+def test_large_sums_take_the_packed_path(monkeypatch):
+    # 20 * 15 term pairs: sum_products takes the packed path, and an
+    # overflowing product that cancels still raises there
+    x = sum((B ** i * U[1] ** j * (i + j + 1) for i in range(4) for j in range(5)), Coeff.zero())
+    y = sum((Q[2] ** i * B ** j * INV_1PB for i in range(5) for j in range(3)), Coeff.zero())
+    assert len(x.n) * len(y.n) >= coeffring.PACKED_PAIRS
+    calls = []
+    monkeypatch.setattr(coeffring, "_sum_packed", lambda groups: calls.append(1) or _sum_packed(groups))
+    assert sum_products([(x, y, 1), (y, x, Fraction(1, 2))]) == x * y * Fraction(3, 2)
+    big = Q[1] ** 1500
+    with pytest.raises(OverflowError, match="exponent"):
+        sum_products([(x, y, 1), (big, big, 1), (big, big, -1)])
+    assert len(calls) == 2

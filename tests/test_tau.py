@@ -4,6 +4,8 @@ import pytest
 
 import refweyl
 from perturb import perturbed_tau
+import bconstell
+from bconstell import coeffring
 from bconstell.coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, Q, U
 from bconstell.constraints import BIP, BIPLE3, THREECONST, build_L
 from bconstell.ppoly import PPoly
@@ -268,3 +270,25 @@ def test_convolutions_match_stepwise_loops(model):
     rooted = TauSeries([c.dp(1) * INV_1PB ** 3 for c in h.coeffs])
     for f, g in ((tau, h), (h, rooted), (rooted, tau)):
         assert f.mul_series(g).coeffs == stepwise_product(f, g)
+
+
+def test_series_sums_take_the_packed_path(monkeypatch):
+    # threeconst at t^6 and its nullity check through i = 5 route large sums
+    # through the packed path; with every sum kept on the dict path, the
+    # series and the report are the same
+    def run():
+        bconstell.clear_caches()
+        series = tau_evolve(THREECONST, 6)
+        return series, check_constraints(THREECONST, series, 5)
+
+    calls = []
+    packed = coeffring._sum_packed
+    monkeypatch.setattr(coeffring, "_sum_packed", lambda groups: calls.append(1) or packed(groups))
+    series, report = run()
+    assert calls and report["ok"]
+    calls.clear()
+    monkeypatch.setattr(coeffring, "PACKED_PAIRS", 1 << 62)
+    dict_series, dict_report = run()
+    assert not calls
+    assert series.coeffs == dict_series.coeffs
+    assert report == dict_report
