@@ -15,8 +15,11 @@ of ``n``, zero is ``({}, 1, 0)``, and ``n`` is not divisible by ``(1+b)``
 when ``dp > 0``.  (1+b) is monic, so by Gauss's lemma it divides ``n`` over
 the rationals exactly when it divides it over the integers: every
 reduction runs on ints.  ``num`` is a read-only view of ``n / den`` term by
-term, an ``int`` where integral and a ``Fraction`` otherwise; printing and
-substitution read it, the arithmetic does not.
+term, an ``int`` where integral and a ``Fraction`` otherwise; substitution
+reads it, the arithmetic and printing do not (``str`` reduces each
+coefficient of ``n`` against ``den`` by one gcd).  A product by a rational
+constant (a numerator ``{0: k}`` with ``dp == 0``) scales the other operand's
+numerator in one pass and keeps its keys (``_times``).
 
 A key packs the seven exponents into fixed fields of ``FIELD_BITS`` bits,
 ``b`` in the most significant field and ``q3`` in the least (packed exponent
@@ -40,11 +43,15 @@ by ``Coeff.__add__``.  From ``PACKED_PAIRS`` on (the packed path,
 b-polynomial at X = 2^B; all power groups accumulate into one int per
 monomial rescaled by (X+1)^(top - dp), a division by (1+b) is one
 ``divmod`` by X+1 per int, and B is large enough for every digit to read
-back (see ``_sum_packed``).  ``sum_grouped`` runs ``sum_products`` once per
-key of a dict of triple lists.  ``WeylOp.apply``, ``WeylOp.compose``, the
-structure sums of ``constraints._products_sum`` and ``PPoly`` products and
-t-convolutions (``PPoly.sum_products``) sum each output coefficient this way
-instead of canonicalising every partial sum.
+back (see ``_digit_width``).  B is rounded up to a multiple of
+``WIDTH_CLASS`` bits, and each ``Coeff`` keeps its packed numerator per
+width in its ``packed`` slot, so a numerator met by many sums is packed
+once per width class and the packing is freed with the ``Coeff``.
+``sum_grouped`` runs ``sum_products`` once per key of a dict of triple
+lists.  ``WeylOp.apply``, ``WeylOp.compose``, the structure sums of
+``constraints._products_sum`` and ``PPoly`` products and t-convolutions
+(``PPoly.sum_products``) sum each output coefficient this way instead of
+canonicalising every partial sum.
 """
 
 from fractions import Fraction
@@ -196,6 +203,7 @@ def _make(n, den, dp):
     """Coeff from an owned dict already in canonical form with den and dp."""
     c = object.__new__(Coeff)
     c.n = n
+    c.packed = None
     if n:
         c.den = den
         c.dp = dp
@@ -235,6 +243,9 @@ def _canon(n, den, dp):
 # sums, such as the commutator sweeps' many sums of a few pairs each, are
 # cheaper on the dict path
 PACKED_PAIRS = 256
+# the packed path rounds its digit width up to a multiple of this many bits,
+# so a numerator met by many sums is packed once per width class
+WIDTH_CLASS = 64
 
 
 def sum_products(triples):
@@ -256,7 +267,7 @@ def sum_products(triples):
 def _grouped(triples):
     """The non-zero triples by (1+b) power, and their number of term pairs.
 
-    Each triple becomes (a.n, b.n, k.numerator, a.den * b.den * k.denominator).
+    Each triple becomes (a, b, k.numerator, a.den * b.den * k.denominator).
     """
     groups = {}
     pairs = 0
@@ -264,7 +275,7 @@ def _grouped(triples):
         if not (k and a.n and b.n):
             continue
         groups.setdefault(a.dp + b.dp, []).append(
-            (a.n, b.n, k.numerator, a.den * b.den * k.denominator)
+            (a, b, k.numerator, a.den * b.den * k.denominator)
         )
         pairs += len(a.n) * len(b.n)
     return groups, pairs
@@ -283,8 +294,8 @@ def _sum_dict(groups):
         items = groups[dp]
         den = lcm(*[d for _, _, _, d in items])
         acc = {}
-        for pa, pb, kn, d in items:
-            _mul_into(acc, pa, pb, kn * (den // d))
+        for a, b, kn, d in items:
+            _mul_into(acc, a.n, b.n, kn * (den // d))
         n = _checked(acc)
         if n:
             part = _canon(n, den, dp)
@@ -295,48 +306,68 @@ def _sum_dict(groups):
 def _sum_packed(groups):
     """The canonical sum of _grouped's groups, accumulated by packed b-polynomials.
 
-    Kronecker substitution in b alone (von zur Gathen and Gerhard, Modern
-    Computer Algebra, ch. 8): with X = 2^B, a numerator becomes one int per
-    u, q monomial ("rest"), its b-polynomial at X.  Every product is one int
-    product per pair of rests, scaled by kn * (den / d) and by
-    (X+1)^(top - dp), so all power groups accumulate into one column per rest
-    over den * (1+b)^top.  (1+b) divides the numerator exactly when X+1
-    divides every column, and the quotients are the columns of the quotient.
-
-    B comes from bounds that cost one pass: no column coefficient exceeds
-    C = sum |kn| (den / d) max|a| max|b| min(#a, #b) 2^(top - dp) over the
-    triples, and no column's b-degree exceeds deg, the largest b-degree of a
-    rescaled product.  A division by (1+b) multiplies the bound on the coefficients,
-    and on the alternating sum P(-1), by at most deg + 1.  So with
-    2^(B-1) > C (deg+1)^(top+1) all of them stay inside (-2^(B-1), 2^(B-1))
-    through top divisions: X+1 divides a column exactly when P(-1) = 0, and
-    the column reads back uniquely as balanced base-X digits.
+    The least digit width the bounds allow (_digit_width) is rounded up to a
+    multiple of WIDTH_CLASS bits; any wider one is as good, and a Coeff
+    keeps its packing at each width it meets (_packed).
     """
     if not groups:
         return _make({}, 1, 0)
-    top = max(groups)
-    den = lcm(*[d for items in groups.values() for *_, d in items])
-    nums = {id(p): p for items in groups.values() for pa, pb, _, _ in items for p in (pa, pb)}
-    # the largest |coefficient| and the b-degree (key order puts b first)
-    sizes = {i: (max(map(abs, p.values())), max(p) >> _B_SHIFT) for i, p in nums.items()}
-    bound = deg = 0
-    for dp, items in groups.items():
-        for pa, pb, kn, d in items:
-            (ma, da), (mb, db) = sizes[id(pa)], sizes[id(pb)]
-            bound += (abs(kn) * (den // d) * ma * mb * min(len(pa), len(pb))) << (top - dp)
-            deg = max(deg, da + db + top - dp)
-    if deg > MAX_EXP:
+    shift = _digit_width(groups)
+    if shift is None:
         # a product, or a product rescaled to top, passes the b field: the
         # dict path raises where it overflows, and only there
         return _sum_dict(groups)
-    shift = (bound * (deg + 1) ** (top + 1)).bit_length() + 1
+    return _sum_columns(groups, -(-shift // WIDTH_CLASS) * WIDTH_CLASS)
+
+
+def _digit_width(groups):
+    """The least B for _sum_columns over non-empty groups, or None past the b field.
+
+    No column coefficient exceeds C = sum |kn| (den / d) max|a| max|b|
+    min(#a, #b) 2^(top - dp) over the triples, and no column's b-degree
+    exceeds deg, the largest b-degree of a rescaled product.  A division by
+    (1+b) multiplies the bound on the coefficients, and on the alternating
+    sum P(-1), by at most deg + 1.  So with 2^(B-1) > C (deg+1)^(top+1) all
+    of them stay inside (-2^(B-1), 2^(B-1)) through top divisions: X+1
+    divides a column exactly when P(-1) = 0, and the column reads back
+    uniquely as balanced base-X digits.  None when deg passes MAX_EXP.
+    """
+    top = max(groups)
+    den = _common_den(groups)
+    # the largest |coefficient| and the b-degree (key order puts b first)
+    sizes = {id(c): (max(map(abs, c.n.values())), max(c.n) >> _B_SHIFT) for c in _operands(groups)}
+    bound = deg = 0
+    for dp, items in groups.items():
+        for a, b, kn, d in items:
+            (ma, da), (mb, db) = sizes[id(a)], sizes[id(b)]
+            bound += (abs(kn) * (den // d) * ma * mb * min(len(a.n), len(b.n))) << (top - dp)
+            deg = max(deg, da + db + top - dp)
+    if deg > MAX_EXP:
+        return None
+    return (bound * (deg + 1) ** (top + 1)).bit_length() + 1
+
+
+def _sum_columns(groups, shift):
+    """The canonical sum of non-empty groups by Kronecker substitution at X = 2^shift.
+
+    Kronecker substitution in b alone (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 8): a numerator becomes one int per u, q monomial
+    ("rest"), its b-polynomial at X.  Every product is one int product per
+    pair of rests, scaled by kn * (den / d) and by (X+1)^(top - dp), so all
+    power groups accumulate into one column per rest over den * (1+b)^top.
+    (1+b) divides the numerator exactly when X+1 divides every column, and
+    the quotients are the columns of the quotient.  shift must be at least
+    _digit_width(groups).
+    """
+    top = max(groups)
+    den = _common_den(groups)
     x1 = (1 << shift) + 1
-    packed = {i: _pack_columns(p, shift) for i, p in nums.items()}
+    packed = {id(c): _packed(c, shift) for c in _operands(groups)}
     acc = {}
     for dp, items in groups.items():
         scale = x1 ** (top - dp)
-        for pa, pb, kn, d in items:
-            _mul_into(acc, packed[id(pa)], packed[id(pb)], kn * (den // d) * scale)
+        for a, b, kn, d in items:
+            _mul_into(acc, packed[id(a)], packed[id(b)], kn * (den // d) * scale)
     _check_keys(acc)  # the rest fields, cancelled columns included
     cols = {rest: v for rest, v in acc.items() if v}
     dp = top
@@ -346,6 +377,27 @@ def _sum_packed(groups):
             break
         cols, dp = quot, dp - 1
     return _normal(_unpack(cols, shift), den, dp)
+
+
+def _common_den(groups):
+    """The lcm of the denominators of the triples of groups."""
+    return lcm(*[d for items in groups.values() for *_, d in items])
+
+
+def _operands(groups):
+    """The distinct Coeffs of the triples of groups."""
+    return {id(c): c for items in groups.values() for a, b, _, _ in items for c in (a, b)}.values()
+
+
+def _packed(c, shift):
+    """_pack_columns(c.n, shift), packed once per Coeff and shift."""
+    cache = c.packed
+    if cache is None:
+        cache = c.packed = {}
+    cols = cache.get(shift)
+    if cols is None:
+        cols = cache[shift] = _pack_columns(c.n, shift)
+    return cols
 
 
 def _pack_columns(p, shift):
@@ -396,6 +448,33 @@ def sum_grouped(groups):
     return out
 
 
+def _times(x, k, d):
+    """x * k/d for a Coeff x and k/d in lowest terms, d > 0; x's keys stay.
+
+    x.den is coprime to the content of x.n, and k to d, so only gcd(k, x.den)
+    and gcd(d, content) cancel: one pass over the numerator.
+    """
+    if not k:
+        return _make({}, 1, 0)
+    if k == d:
+        return x
+    g = gcd(k, x.den)
+    h = 1 if d == 1 else gcd(d, *x.n.values())
+    m = k // g
+    n = _scaled(x.n, m) if h == 1 else {e: c // h * m for e, c in x.n.items()}
+    return _make(n, x.den // g * (d // h), x.dp)
+
+
+def _factors(key):
+    """The printed factors of a monomial key, joined by '*'."""
+    factors = []
+    for v, shift in _VAR_SHIFT.items():
+        e = (key >> shift) & _FIELD_MASK
+        if e:
+            factors.append(v if e == 1 else "%s^%d" % (v, e))
+    return "*".join(factors)
+
+
 def _rational(x):
     """x as an int when integral, else as a Fraction."""
     if x.__class__ is int:
@@ -407,7 +486,8 @@ def _rational(x):
 class Coeff:
     """Exact scalar: polynomial in b, u1..u3, q1..q3 over a power of (1+b)."""
 
-    __slots__ = ("n", "den", "dp")
+    # packed: None, or _sum_packed's {shift: columns} of n (see _packed)
+    __slots__ = ("n", "den", "dp", "packed")
 
     def __init__(self, num=None, dp=0):
         """The value of num / (1+b)^dp for {key: rational} num."""
@@ -420,6 +500,7 @@ class Coeff:
         self.n = canon.n
         self.den = canon.den
         self.dp = canon.dp
+        self.packed = None
 
     @property
     def num(self):
@@ -508,12 +589,14 @@ class Coeff:
         if other.__class__ is not Coeff:
             if isinstance(other, (int, Fraction)):
                 x = _rational(other)
-                if not x:
-                    return _make({}, 1, 0)
-                n = _scaled(self.n, x.numerator)
-                return _normal(n, self.den * x.denominator, self.dp)
+                return _times(self, x.numerator, x.denominator)
             if not isinstance(other, Coeff):
                 return NotImplemented
+        # a rational constant scales the other operand, whose keys stay
+        if not other.dp and len(other.n) == 1 and 0 in other.n:
+            return _times(self, other.n[0], other.den)
+        if not self.dp and len(self.n) == 1 and 0 in self.n:
+            return _times(other, self.n[0], self.den)
         n = _poly_mul(self.n, other.n)
         den = self.den * other.den
         dp = self.dp + other.dp
@@ -580,20 +663,34 @@ class Coeff:
     # -- serialization -----------------------------------------------------
 
     def __str__(self):
-        if not self.n:
+        n = self.n
+        if not n:
             return "0"
-        num = self.num
+        den = self.den
+        rests = {}  # the u, q factors of each u, q monomial, built once
         parts = []
-        for key in sorted(num, reverse=True):
-            c = num[key]
+        for key in sorted(n, reverse=True):
+            c = n[key]
             neg = c < 0
-            mag = str(-c if neg else c)
+            if neg:
+                c = -c
+            g = gcd(c, den)
             # a unit magnitude is printed only on the constant monomial
-            factors = [mag] if mag != "1" or not key else []
-            for v, shift in _VAR_SHIFT.items():
-                e = (key >> shift) & _FIELD_MASK
-                if e:
-                    factors.append(v if e == 1 else "%s^%d" % (v, e))
+            if g != den:
+                factors = ["%d/%d" % (c // g, den // g)]
+            elif c != den or not key:
+                factors = [str(c // den)]
+            else:
+                factors = []
+            if key > _REST_MASK:
+                e = key >> _B_SHIFT
+                factors.append("b" if e == 1 else "b^%d" % e)
+            rest = key & _REST_MASK
+            if rest:
+                uq = rests.get(rest)
+                if uq is None:
+                    uq = rests[rest] = _factors(rest)
+                factors.append(uq)
             body = "*".join(factors)
             if parts:
                 parts.append((" - " if neg else " + ") + body)
@@ -602,7 +699,7 @@ class Coeff:
         num_s = "".join(parts)
         if not self.dp:
             return num_s
-        if len(num) > 1 or num_s.startswith("-"):
+        if len(n) > 1 or num_s.startswith("-"):
             num_s = "(" + num_s + ")"
         return "%s/(1+b)^%d" % (num_s, self.dp)
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from bconstell import coeffring
+from bconstell.coeffring import _FIELD_MASK, _VAR_SHIFT
 
 VARS = ("b", "u1", "u2", "u3", "q1", "q2", "q3")
 NVARS = len(VARS)
@@ -166,3 +167,35 @@ def parse(s):
                 coeff *= Fraction(factor)
         coeffring.add_term(num, coeffring._pack(exps.values()), coeff)
     return coeffring.Coeff(num, dp)
+
+
+
+# Coeff.__str__ as it was when it printed from the rational view Coeff.num,
+# verbatim but for its name; the printer that reads n and den directly must
+# agree with it
+def num_str(self):
+    if not self.n:
+        return "0"
+    num = self.num
+    parts = []
+    for key in sorted(num, reverse=True):
+        c = num[key]
+        neg = c < 0
+        mag = str(-c if neg else c)
+        # a unit magnitude is printed only on the constant monomial
+        factors = [mag] if mag != "1" or not key else []
+        for v, shift in _VAR_SHIFT.items():
+            e = (key >> shift) & _FIELD_MASK
+            if e:
+                factors.append(v if e == 1 else "%s^%d" % (v, e))
+        body = "*".join(factors)
+        if parts:
+            parts.append((" - " if neg else " + ") + body)
+        else:
+            parts.append("-" + body if neg else body)
+    num_s = "".join(parts)
+    if not self.dp:
+        return num_s
+    if len(num) > 1 or num_s.startswith("-"):
+        num_s = "(" + num_s + ")"
+    return "%s/(1+b)^%d" % (num_s, self.dp)

@@ -9,9 +9,11 @@ from hypothesis import given, strategies as st
 import refring
 from bconstell import coeffring
 from bconstell.coeffring import (
-    B, INV_1PB, MAX_EXP, NVARS, ONE_PLUS_B, Q, U, Coeff, _grouped, _pack, _sum_dict,
-    _sum_packed, sum_products,
+    B, INV_1PB, MAX_EXP, NVARS, ONE_PLUS_B, Q, U, WIDTH_CLASS, Coeff, _digit_width, _grouped,
+    _normal, _pack, _poly_mul, _sum_columns, _sum_dict, _sum_packed, sum_products,
 )
+from bconstell.constraints import THREECONST
+from bconstell.tau import check_constraints, check_rooted_fixed_point, tau_evolve
 
 nonzero = st.integers(-20, 20).filter(bool)
 rational = st.builds(Fraction, nonzero, st.integers(1, 6))
@@ -222,9 +224,9 @@ def packed_sums(draw):
     return triples
 
 
-def assert_paths_agree(triples):
+def assert_paths_agree(triples, packed=_sum_packed):
     groups, _ = _grouped(triples)
-    got = _sum_packed(groups)
+    got = packed(groups)
     want = _sum_dict(groups)
     assert (got.n, got.den, got.dp) == (want.n, want.den, want.dp)
     assert str(got) == str(want)
@@ -236,17 +238,24 @@ def test_packed_path_matches_dict_path(triples):
     assert_paths_agree(triples)
 
 
+def at_least_width(groups):
+    """The packed sum at the least B the bound allows, not rounded up to a width class."""
+    return _sum_columns(groups, _digit_width(groups))
+
+
+@pytest.mark.parametrize("packed", [_sum_packed, at_least_width], ids=["class", "least"])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("dp", [0, 2])
 @pytest.mark.parametrize("rest", [Coeff.one(), U[1] * Q[3] ** 2])
-def test_packed_path_at_its_digit_bound(sign, dp, rest):
+def test_packed_path_at_its_digit_bound(sign, dp, rest, packed):
     # with no b and one top power, every column coefficient reaches the bound
     # C = sum |kn| max|a| max|b| min(#a, #b) exactly; a digit one bit
-    # narrower than 2^(B-1) > C reads it back as a wrong pair of digits
+    # narrower than 2^(B-1) > C reads it back as a wrong pair of digits, which
+    # the least B shows and the rounding to a width class may hide
     c = 2 ** 70 - 1
     a = rest * c * INV_1PB ** dp
     triples = [(a, Coeff.from_rational(sign * c), 1), (Coeff.from_rational(c), a, sign)]
-    got = assert_paths_agree(triples)
+    got = assert_paths_agree(triples, packed)
     assert got == rest * (2 * sign * c * c) * INV_1PB ** dp
 
 
@@ -298,3 +307,96 @@ def test_large_sums_take_the_packed_path(monkeypatch):
     with pytest.raises(OverflowError, match="exponent"):
         sum_products([(x, y, 1), (big, big, 1), (big, big, -1)])
     assert len(calls) == 2
+
+
+# -- packing each numerator once per width class --------------------------------
+
+width_scale = st.sampled_from([1, -1, 2 ** 40, -(2 ** 90), 2 ** 150, 2 ** 300])
+
+
+@given(st.lists(operand, min_size=2, max_size=4),
+       st.lists(st.tuples(width_scale, st.integers(0, 2)), min_size=2, max_size=6))
+def test_shared_operands_across_width_classes(pool, sums):
+    # the same Coeffs meet sums whose B falls into different width classes,
+    # in any order, so each keeps packings at several widths; every sum must
+    # match the dict path, whichever packings were made before it
+    for k, skip in sums:
+        x, *rest = pool[skip % len(pool):] + pool[:skip % len(pool)]
+        triples = [(x, y, k) for y in rest] + [(y, x, Fraction(1, 3)) for y in rest]
+        assert_paths_agree(triples)
+
+
+def test_a_coeff_keeps_one_packing_per_width_class():
+    x = (U[1] + B * 3 - B ** 2 * Q[2]) * INV_1PB
+    y = B * U[2] - 5
+    wide = [(x, y, 1), (y, x, 2 ** 300)]
+    for triples in ([(x, y, 1), (y, x, 2)], wide, [(x, y, -1)], wide):
+        assert_paths_agree(triples)
+    assert len(x.packed) == len(y.packed) == 2
+    assert all(w % WIDTH_CLASS == 0 for w in x.packed)
+    assert Coeff.one().packed is None and (x * 3).packed is None
+
+
+def test_series_packs_each_numerator_once_per_width_class(monkeypatch):
+    # the series workload's sizes: every _pack_columns call packs the
+    # numerator of a Coeff (kept alive here, so ids are not reused) at a
+    # width that Coeff had not been packed at
+    packs = []
+    readers = []
+    packed, pack_columns = coeffring._packed, coeffring._pack_columns
+
+    def reading(c, shift):
+        readers.append(c)
+        return packed(c, shift)
+
+    def counting(p, shift):
+        assert p is readers[-1].n
+        packs.append((readers[-1], shift))
+        return pack_columns(p, shift)
+
+    monkeypatch.setattr(coeffring, "_packed", reading)
+    monkeypatch.setattr(coeffring, "_pack_columns", counting)
+    tau = tau_evolve(THREECONST, 6)
+    assert check_constraints(THREECONST, tau, 5)["ok"]
+    assert check_rooted_fixed_point(THREECONST, tau, 3)["ok"]
+    keys = [(id(c), shift) for c, shift in packs]
+    assert len(set(keys)) == len(keys)
+    assert 0 < len(packs) <= 210
+    assert all(shift % WIDTH_CLASS == 0 for _, shift in packs)
+
+
+# -- printing from the integer numerator, and products by constants ------------
+
+PRINTED = [
+    Coeff.zero(), Coeff.one(), -Coeff.one(), Coeff.from_rational(Fraction(-3, 4)),
+    Coeff.from_rational(7) * INV_1PB ** 2, -INV_1PB, -B * INV_1PB ** 3, B ** 5 * Fraction(2, 3),
+    U[1] * Q[3] ** 4 * Fraction(-1, 6) + 1, (U[2] - B * Fraction(5, 2)) * INV_1PB,
+    (Q[1] * Fraction(3, 2) - B * U[3] * Fraction(1, 2) + Fraction(1, 6)) * INV_1PB ** 4,
+]
+
+
+@pytest.mark.parametrize("x", PRINTED, ids=str)
+def test_printer_matches_rational_printer_on_examples(x):
+    assert str(x) == refring.num_str(x)
+    assert refring.parse(str(x)) == x
+
+
+@given(spec_strategy, st.one_of(st.integers(-3, 3), st.builds(Fraction, nonzero, st.integers(1, 9))))
+def test_printer_matches_rational_printer(spec, k):
+    # Fraction content, negative leads, unit magnitudes, constants, dp > 0,
+    # and monomials in b alone or without b, over a drawn rational scale
+    x, _ = build(spec)
+    for y in (x, x * k, -x):
+        assert str(y) == refring.num_str(y)
+
+
+@given(spec_strategy, st.one_of(st.integers(-4, 4), st.builds(Fraction, nonzero, st.integers(1, 9))))
+def test_constant_products_scale(spec, q):
+    # a rational constant scales the other operand: the same canonical value
+    # as the product by the bare rational and as the term-by-term product
+    x, _ = build(spec)
+    c = Coeff.from_rational(q)
+    want = _normal(_poly_mul(x.n, c.n), x.den * c.den, x.dp)
+    for got in (x * c, c * x, x * q, q * x):
+        assert (got.n, got.den, got.dp) == (want.n, want.den, want.dp)
+        assert str(got) == str(want)
