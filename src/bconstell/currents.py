@@ -200,8 +200,8 @@ def clear_caches():
     """Empty the unbounded memo tables of the modes and of the Jack oracle.
 
     Every memo table in the two modules is an lru_cache: the y-states and
-    recursion levels here, and the partitions, start rows, tables and norm
-    ratios of the oracle.
+    recursion levels here, and the partitions, triangular matrices, tables
+    and norm ratios of the oracle.
     """
     jack = importlib.import_module(".jack", __package__)
     for table in (*globals().values(), *vars(jack).values()):

@@ -6,23 +6,23 @@ the face variables and in the vertex-degree variables, weighted by a
 content product and divided by the squared norm.  Nothing here touches the
 evolution engine, so exact agreement of the two series is a real check.
 
-The deformed polynomials J_lam are constructed by Gram-Schmidt against the
-lexicographic order (which refines dominance) over the alpha-deformed
-power-sum pairing, normalized so the coefficient of p_1^n is 1.  Their
-p-coordinates are integer polynomials in alpha, held as dense univariate
-lists over ZZ (the module's own arithmetic, below).  The start vector of lam
-is its augmented monomial prod_i m_i(lam)! m_lam, whose p-coordinates are
-integers given by one Moebius sum over the set partitions of lam's parts
-(_m_in_p).  Each projection step is v <- <g,g> v - <v,g> g against a
-finished vector g, with both factors divided by their gcd in ZZ[alpha].  The
-finished vector is made primitive (its coordinates have gcd 1 in
-ZZ[alpha]), which drops the start vector's own scale; its p_1^n coordinate
-must then be 1 or -1, and the sign is chosen to make it 1, so the vector is
-J_lam itself.  Any other p_1^n coordinate raises JackTableError.  Every
-norm <v,v> is checked in ZZ[alpha] against Stanley's closed form
-j_lam = prod_s (alpha a(s) + l(s) + 1)(alpha a(s) + l(s) + alpha); a
-differing norm raises JackTableError too, so the series reads the closed
-form.
+The deformed polynomials J_lam are built by two triangular steps, with no
+inner product (_jack_vector).  Their monomial coordinates come from the
+Laplace-Beltrami operator D(alpha), whose eigenvector J_lam is: the
+coordinate of m_lam is the lower hook product prod_s (alpha a(s) + l(s) + 1),
+and each lower one, in decreasing lex order (which refines dominance), is
+one exact division by the linear factor e_lam - e_mu of a sum over the
+integer raising coefficients of D(alpha) (Stanley 1989, Adv. Math. 77).
+Their p-coordinates, integer polynomials in alpha held as dense univariate
+lists over ZZ (the module's own arithmetic, below), then follow by
+back-substitution through the integer transition matrix R_rho,mu of p_rho
+in the monomial basis, one exact division by R_mu,mu = prod_i m_i(mu)! per
+coordinate.  Both integer matrices are memoised per size (_triangles).
+Every finished vector must have p_1^n coordinate 1, and its norm
+<J_lam, J_lam> must equal Stanley's closed form
+j_lam = prod_s (alpha a(s) + l(s) + 1)(alpha a(s) + l(s) + alpha) in
+ZZ[alpha]; either failure, or an inexact division in either step, raises
+JackTableError, so the series reads the closed form.
 
 The series at order n is accumulated on integers, as one dense ZZ[alpha]
 list per p-monomial and u, q monomial (a u, q monomial is its exponent
@@ -51,15 +51,14 @@ it empirically against the evolution engine at sizes <= 2 and the caller
 is told which one matched.
 """
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, gcd, lcm
 
-from .coeffring import _B_SHIFT, VARS, Coeff, _pack, add_term
+from .coeffring import _B_SHIFT, VARS, _check_keys, _normal, _pack, add_term
 from .ppoly import PPoly, pm_normal
 
 
-JACK_BOUND = 10
+JACK_BOUND = 12
 
 
 class JackBoundError(ValueError):
@@ -75,7 +74,7 @@ class OracleCalibrationError(ArithmeticError):
 
 
 class JackTableError(ArithmeticError):
-    """The Gram-Schmidt table failed its exact division or its norm check."""
+    """A table vector failed an exact division, its p_1^n coordinate or its norm check."""
 
 
 # -- dense ZZ[alpha] arithmetic -----------------------------------------------
@@ -185,14 +184,6 @@ def _gcd(f, g):
     return _mul_ground(f, -c if f and f[0] < 0 else c)
 
 
-def _inner_gcd(f, g):
-    """(h, f / h, g / h) with h = _gcd(f, g); all three are [] when f = g = []."""
-    h = _gcd(f, g)
-    if not h:
-        return [], [], []
-    return h, _exquo(f, h), _exquo(g, h)
-
-
 def _lcm(f, g):
     """lcm in ZZ[alpha] with a positive leading coefficient; [] if f or g is zero."""
     if not f or not g:
@@ -262,33 +253,6 @@ _Q_SLOTS = (None,) + tuple(i for i, v in enumerate(VARS[1:]) if v[0] == "q")
 _NO_UQ = (0,) * (len(VARS) - 1)
 
 
-@lru_cache(maxsize=None)
-def _m_in_p(n):
-    """Each augmented monomial prod_i m_i(lam)! m_lam over the p basis (integers).
-
-    Moebius inversion on the lattice of set partitions (Doubilet 1972):
-    the augmented monomial of lam is the sum over the set partitions sigma
-    of lam's parts of prod_B (-1)^(|B|-1) (|B|-1)! p_lam(sigma), where
-    lam(sigma) sorts the block sums.  The parts are placed one at a time,
-    each in a new block or in an existing block of size s, which multiplies
-    the coefficient by -s.
-    """
-    table = {}
-    for lam in partitions(n):
-        terms = [((), 1)]
-        for part in lam:
-            terms = [(blocks + ((1, part),), c) for blocks, c in terms] + [
-                (blocks[:i] + ((size + 1, total + part),) + blocks[i + 1:], -size * c)
-                for blocks, c in terms
-                for i, (size, total) in enumerate(blocks)
-            ]
-        row = {}
-        for blocks, c in terms:
-            add_term(row, tuple(sorted((total for _, total in blocks), reverse=True)), c)
-        table[lam] = row
-    return table
-
-
 def _inner_field(f, g):
     """alpha-deformed pairing of two p-coordinate vectors over dense ZZ[alpha].
 
@@ -312,61 +276,172 @@ def _stanley_norm(lam):
     as a dense ZZ[alpha] list.
     """
     acc = [1]
+    for arm, leg in _arms_and_legs(lam):
+        acc = _mul(acc, _strip([arm, leg + 1]))
+        acc = _mul(acc, [arm + 1, leg])
+    return acc
+
+
+def _count_maps(parts, caps, memo):
+    """The maps from the parts to rows of capacities caps that fill every row.
+
+    parts and caps are weakly decreasing tuples of equal sum.  Rows of equal
+    remaining capacity are interchangeable, so the state is the sorted
+    capacities and a part placed in one of m rows of capacity c counts m
+    times; memo is shared by every call of one size.
+    """
+    if not parts:
+        return 1
+    key = parts, caps
+    count = memo.get(key)
+    if count is None:
+        first, rest = parts[0], parts[1:]
+        count = 0
+        for i, c in enumerate(caps):
+            if c < first:
+                break
+            if i and caps[i - 1] == c:
+                continue
+            left = caps[:i] + caps[i + 1:]
+            if c > first:
+                left = tuple(sorted(left + (c - first,), reverse=True))
+            count += caps.count(c) * _count_maps(rest, left, memo)
+        memo[key] = count
+    return count
+
+
+@lru_cache(maxsize=None)
+def _triangles(n):
+    """The integer matrices of both triangular steps at size n.
+
+    Returns (transition, raising), each {mu: {partition: int}} over the
+    partitions mu of n.  transition[mu][rho] = R_rho,mu, the coefficient of
+    m_mu in p_rho: the maps from rho's parts to mu's rows whose row sums are
+    mu (Macdonald, Symmetric Functions and Hall Polynomials, I.6).  It is
+    non-zero only for rho <= mu in dominance, and R_mu,mu = prod_i m_i(mu)!.
+    raising[mu][nu] = c_nu,mu, the coefficient of m_mu in D(alpha) m_nu off
+    the diagonal (Stanley 1989, Adv. Math. 77, section 3).  The part of
+    D(alpha) that mixes the rows i < j sends the pair of exponents (a, c),
+    a > c, to (a - c) sum_{0<r<a-c} x_i^(a-r) x_j^(c+r), so c_nu,mu sums
+    p - q over the pairs of mu's non-zero parts (mu_i, mu_j), i < j, raised
+    to (p, q) = (mu_i + r, mu_j - r), 0 < r <= mu_j, that sort to nu > mu.
+    """
+    parts = partitions(n)
+    memo = {}
+    transition = {}
+    raising = {}
+    for k, mu in enumerate(parts):
+        row = {}
+        for rho in parts[k:]:  # lex order refines dominance: rho <= mu sits here
+            count = _count_maps(rho, mu, memo)
+            if count:
+                row[rho] = count
+        transition[mu] = row
+        coeffs = {}
+        for j in range(1, len(mu)):
+            for i in range(j):
+                for r in range(1, mu[j] + 1):
+                    nu = list(mu)
+                    nu[i] += r
+                    nu[j] -= r
+                    nu = tuple(sorted((x for x in nu if x), reverse=True))
+                    coeffs[nu] = coeffs.get(nu, 0) + mu[i] - mu[j] + 2 * r
+        raising[mu] = coeffs
+    return transition, raising
+
+
+def _n_of(lam):
+    """n(lam) = sum_i (i-1) lam_i."""
+    return sum(i * part for i, part in enumerate(lam))
+
+
+def _n_of_conjugate(lam):
+    """n(lam') = sum_i binom(lam_i, 2)."""
+    return sum(part * (part - 1) // 2 for part in lam)
+
+
+def _arms_and_legs(lam):
+    """(a(s), l(s)) for every box s of lam, row by row."""
     for r, row_len in enumerate(lam):
         for c in range(row_len):
-            arm = row_len - c - 1
-            leg = sum(1 for below in lam[r + 1:] if below > c)
-            acc = _mul(acc, _strip([arm, leg + 1]))
-            acc = _mul(acc, [arm + 1, leg])
-    return acc
+            yield row_len - c - 1, sum(1 for below in lam[r + 1:] if below > c)
+
+
+def _jack_vector(lam, parts, transition, raising):
+    """J_lam over the p basis: its monomial coordinates, then back-substitution.
+
+    The monomial coordinate of lam is the lower hook product
+    prod_s (alpha a(s) + l(s) + 1).  J_lam is the eigenvector of D(alpha)
+    with eigenvalue e_lam = alpha n(lam') - n(lam), up to a constant shared
+    by every partition of n, so for mu below lam in decreasing lex order
+    (e_lam - e_mu) v_mu = sum_nu c_nu,mu v_nu: one exact division by a
+    linear factor in ZZ[alpha] (J_lam is integral in the monomial basis,
+    Knop and Sahi 1997).  Then v_mu = sum_rho w_rho R_rho,mu is solved for
+    the p-coordinates w in increasing lex order, one exact division by the
+    integer R_mu,mu each.  v_mu is zero unless mu <= lam in dominance, and
+    those mu all follow lam in decreasing lex order.
+    """
+    below = parts[parts.index(lam):]
+    eigen = {mu: [_n_of_conjugate(mu), -_n_of(mu)] for mu in below}
+    lead = [1]
+    for arm, leg in _arms_and_legs(lam):
+        lead = _mul(lead, _strip([arm, leg + 1]))
+    v = {lam: lead}
+    for mu in below[1:]:
+        rhs = []
+        for nu, c in raising[mu].items():
+            x = v.get(nu)
+            if x:
+                rhs = _add(rhs, _mul_ground(x, c))
+        if rhs:
+            # rhs != 0 puts mu strictly below lam in dominance, so e_lam != e_mu
+            v[mu] = _exquo(rhs, _sub(eigen[lam], eigen[mu]))
+    w = {}
+    for mu in reversed(parts):
+        x = v.get(mu, [])
+        for rho, count in transition[mu].items():
+            if rho in w:  # every rho but mu, which is not solved yet
+                x = _add(x, _mul_ground(w[rho], -count))
+        if x:
+            w[mu] = _exquo(x, [transition[mu][mu]])
+    return w
 
 
 @lru_cache(maxsize=None)
 def _jack_table(n):
     """All deformed polynomials of size n as p-coordinate vectors over dense ZZ[alpha].
 
-    The vector of lam is J_lam: primitive (its coordinates have gcd 1 in
-    ZZ[alpha]), with p_1^n coordinate 1.
+    The vector of lam is J_lam, built by the two triangular steps of
+    _jack_vector, and must have p_1^n coordinate 1 and the norm <J_lam, J_lam>
+    of Stanley's closed form; neither check takes part in the construction.
     """
     if n > JACK_BOUND:
         raise JackBoundError("size %d exceeds the configured bound %d" % (n, JACK_BOUND))
     if n == 0:
         return {(): {(): [1]}}
-    m_in_p = _m_in_p(n)
+    parts = partitions(n)
+    transition, raising = _triangles(n)
     ones = (1,) * n
-    done = []
     table = {}
-    # increasing lexicographic order refines dominance upward
-    for lam in reversed(partitions(n)):
-        v = {mu: [c] for mu, c in m_in_p[lam].items()}
-        for g, norm in done:
-            c = _inner_field(v, g)
-            if c:
-                # v <- <g,g> v - <v,g> g, both factors divided by their gcd
-                _, scale, c = _inner_gcd(norm, c)
-                v = {
-                    mu: _sub(_mul(scale, v.get(mu, [])), _mul(c, g.get(mu, [])))
-                    for mu in set(v) | set(g)
-                }
-                v = {mu: x for mu, x in v.items() if x}
-        content = reduce(_gcd, v.values())
-        v = {mu: _exquo(x, content) for mu, x in v.items()}
-        lead = v.get(ones, [])
-        if lead == [-1]:
-            v = {mu: _neg(x) for mu, x in v.items()}
-        elif lead != [1]:
+    for lam in reversed(parts):
+        try:
+            v = _jack_vector(lam, parts, transition, raising)
+        except _InexactQuotient as exc:
             raise JackTableError(
-                "J%s: the primitive Gram-Schmidt vector has p_1^%d coordinate %s, "
-                "not 1 or -1" % (lam, n, alpha_str(lead))
+                "J%s: the triangular construction left a remainder: %s" % (lam, exc)
+            ) from None
+        lead = v.get(ones, [])
+        if lead != [1]:
+            raise JackTableError(
+                "J%s: the p_1^%d coordinate is %s, not 1" % (lam, n, alpha_str(lead))
             )
         norm = _inner_field(v, v)
         expected = _stanley_norm(lam)
         if norm != expected:
             raise JackTableError(
-                "J%s: Gram-Schmidt norm %s differs from the closed form %s "
+                "J%s: the norm %s differs from the closed form %s "
                 "(dense coefficients in alpha)" % (lam, norm, expected)
             )
-        done.append((v, norm))
         table[lam] = v
     return table
 
@@ -404,8 +479,12 @@ def _series_coeff(groups, denom):
     whenever it divides over QQ (Gauss's lemma): one exact division per
     group.  Only when a division is inexact is the denominator of the
     cancelled fraction computed, for the error message: denom over its gcd
-    with every group, with a positive leading coefficient.  Each alpha^e
-    then becomes the binomial row of (1+b)^e, expanded once per distinct e.
+    with every group, with a positive leading coefficient.  alpha = 1+b
+    divides the numerator exactly when every group's alpha^0 coefficient is
+    0, so the common trailing zeros of the groups, at most a of them, are
+    stripped and a lowered by their count; the rest is already canonical.
+    Each alpha^e then becomes the binomial row of (1+b)^e, expanded once
+    per distinct e.
     """
     a = next(i for i, x in enumerate(reversed(denom)) if x)
     content, dprime = _primitive(denom[:len(denom) - a])
@@ -421,21 +500,27 @@ def _series_coeff(groups, denom):
                 "finding to report, not to patch"
                 % (alpha_str(_neg(reduced) if reduced[0] < 0 else reduced),)
             ) from None
+    shift = min([a] + [
+        next((i for i, x in enumerate(reversed(c)) if x), a) for c in groups.values()
+    ])
+    a -= shift
     rows = {}
     num = {}
     for rest, c in groups.items():
         key = _pack((0,) + rest)
-        for i, x in enumerate(c):
+        for i, x in enumerate(c[:len(c) - shift]):
             if not x:
                 continue
-            e = len(c) - 1 - i
+            e = len(c) - 1 - shift - i
             row = rows.get(e)
             if row is None:
                 row = rows[e] = [comb(e, k) for k in range(e + 1)]
             for k, binom in enumerate(row):
                 add_term(num, key + (k << _B_SHIFT), x * binom)
-    out = Coeff(num, a)
-    return out if content == 1 else out * Fraction(1, content)
+    if content < 0:
+        num = {key: -x for key, x in num.items()}
+    _check_keys(num)
+    return _normal(num, abs(content), a)
 
 
 def jack_to_ppoly(lam):

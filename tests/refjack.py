@@ -7,14 +7,17 @@ multivariate gcd, and the conversion to Coeff builds every term from Coeff
 powers and products.  Its start vectors come from the monomial-to-power-sum
 transition of the first tables: every p_lam expanded monomial by monomial
 over n variables (_p_in_m), inverted by Gauss-Jordan over Fractions
-(_m_in_p).  The fraction-free ZZ[alpha] tables built from Moebius rows, the
-integer assembly and the grouped conversion in ``bconstell.jack`` must
-agree with it.
+(_m_in_p).  The triangular ZZ[alpha] tables, the integer assembly and the
+grouped conversion in ``bconstell.jack`` must agree with it.
 
-``dup_jack_table`` is the fraction-free table build itself on sympy's dense
-``dup_*`` arithmetic over ``ZZ``, with its pairing and closed-form norm
-(``dup_inner``, ``dup_stanley_norm``): ``bconstell.jack`` runs the same
-steps on its own integer-list arithmetic and must give the same lists.
+``dup_jack_table`` is fraction-free Gram-Schmidt on sympy's dense ``dup_*``
+arithmetic over ``ZZ``, with its pairing and closed-form norm
+(``dup_inner``, ``dup_stanley_norm``) and its start vectors from one
+Moebius sum over set partitions (``moebius_rows``): the package built its
+tables this way before the triangular construction, and its tables must
+still give the same lists.  ``laplace_beltrami_rows`` applies the operator
+D(alpha) to monomial symmetric functions on sympy polynomials, for the
+eigenvalues and raising coefficients the triangular construction uses.
 
 The field is built here, on sympy, and ``to_field`` reads the package's
 dense ``ZZ[alpha]`` values into it, so no field code of the package is
@@ -27,7 +30,7 @@ from functools import lru_cache, reduce
 from sympy import symbols
 from sympy.polys.domains import QQ
 
-from bconstell.coeffring import Coeff, ONE_PLUS_B, U as COEFF_U, Q as COEFF_Q, VARS
+from bconstell.coeffring import Coeff, ONE_PLUS_B, U as COEFF_U, Q as COEFF_Q, VARS, add_term
 from bconstell.jack import (
     JACK_BOUND,
     JackBoundError,
@@ -44,7 +47,6 @@ from bconstell.jack import (
     partitions,
     z_of,
 )
-from bconstell.jack import _m_in_p as moebius_rows
 from bconstell.ppoly import PPoly
 
 
@@ -247,7 +249,70 @@ def tau_coeffs(model, order, convention="standard"):
     return coeffs
 
 
+def laplace_beltrami_rows(n):
+    """D(alpha) on each m_nu over n variables, as the coefficients of the m_mu.
+
+    D(alpha) = (alpha/2) sum_i x_i^2 d_i^2 + sum_{i<j} (x_i^2 d_i - x_j^2 d_j)
+    / (x_i - x_j) (Stanley 1989, Adv. Math. 77, section 3), applied on sympy
+    polynomials with every pair quotient divided out exactly.  Returns
+    (diagonal, off): diagonal[nu] = (A, B) for the coefficient A alpha + B of
+    m_nu, and off[nu] = {mu: B} for the other m_mu, which carry no alpha.
+    """
+    from sympy import Poly, div
+    from sympy.utilities.iterables import multiset_permutations
+
+    xs = symbols("x1:%d" % (n + 1))
+    diagonal, off = {}, {}
+    for nu in partitions(n):
+        padded = list(nu) + [0] * (n - len(nu))
+        f = Poly({tuple(a): 1 for a in multiset_permutations(padded)}, *xs)
+        second = sum((Poly(x**2, *xs) * f.diff(x).diff(x) for x in xs), Poly(0, *xs))
+        first = Poly(0, *xs)
+        for j in range(n):
+            for i in range(j):
+                num = Poly(xs[i]**2, *xs) * f.diff(xs[i]) - Poly(xs[j]**2, *xs) * f.diff(xs[j])
+                quot, rem = div(num, Poly(xs[i] - xs[j], *xs))
+                assert rem.is_zero
+                first += quot
+        second, first = second.as_dict(), first.as_dict()
+        assert all(sorted(a, reverse=True) == padded for a in second)
+        diagonal[nu] = (second.get(tuple(padded), 0) // 2, first.get(tuple(padded), 0))
+        off[nu] = {
+            mu: first.get(tuple(mu) + (0,) * (n - len(mu)), 0)
+            for mu in partitions(n)
+            if mu != nu
+        }
+    return diagonal, off
+
+
 # -- the fraction-free table on sympy's dup_* arithmetic ----------------------
+
+
+@lru_cache(maxsize=None)
+def moebius_rows(n):
+    """Each augmented monomial prod_i m_i(lam)! m_lam over the p basis (integers).
+
+    Moebius inversion on the lattice of set partitions (Doubilet 1972):
+    the augmented monomial of lam is the sum over the set partitions sigma
+    of lam's parts of prod_B (-1)^(|B|-1) (|B|-1)! p_lam(sigma), where
+    lam(sigma) sorts the block sums.  The parts are placed one at a time,
+    each in a new block or in an existing block of size s, which multiplies
+    the coefficient by -s.
+    """
+    table = {}
+    for lam in partitions(n):
+        terms = [((), 1)]
+        for part in lam:
+            terms = [(blocks + ((1, part),), c) for blocks, c in terms] + [
+                (blocks[:i] + ((size + 1, total + part),) + blocks[i + 1:], -size * c)
+                for blocks, c in terms
+                for i, (size, total) in enumerate(blocks)
+            ]
+        row = {}
+        for blocks, c in terms:
+            add_term(row, tuple(sorted((total for _, total in blocks), reverse=True)), c)
+        table[lam] = row
+    return table
 
 
 def dup_inner(f, g):

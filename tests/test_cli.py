@@ -191,16 +191,16 @@ def test_verify_b_eval_is_a_usage_error(model, value):
 
 
 @pytest.mark.parametrize("argv", [
-    ["jack", "--lambda", "11"],
-    ["jack", "--lambda", "6,5"],
-    ["oracle", "--model", "bip", "--order", "11"],
-    ["tau", "--model", "bip", "--order", "11", "--oracle"],
+    ["jack", "--lambda", "13"],
+    ["jack", "--lambda", "7,6"],
+    ["oracle", "--model", "bip", "--order", "13"],
+    ["tau", "--model", "bip", "--order", "13", "--oracle"],
 ])
 def test_beyond_jack_bound_exits_two(argv):
     code, out, err = run_cli(*argv)
     assert code == 2
     assert out == ""
-    assert "Traceback" not in err and "oracle bound 10" in err
+    assert "Traceback" not in err and "oracle bound 12" in err
 
 
 @pytest.mark.parametrize("lam", ["3,,2", "2,1,", ",2"])
@@ -220,9 +220,9 @@ def test_tau_oracle_bound_checked_before_engine(monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod, "tau_evolve", engine_must_not_run)
     with pytest.raises(SystemExit) as exc:
-        main(["tau", "--model", "biple3", "--order", "11", "--oracle"])
+        main(["tau", "--model", "biple3", "--order", "13", "--oracle"])
     assert exc.value.code == 2
-    assert "oracle bound 10" in capsys.readouterr().err
+    assert "oracle bound 12" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -109,8 +109,8 @@ def test_jack_normalization():
             assert jack(lam)[(1,) * n] == [1], lam
 
 
-def test_orthogonality_up_to_five():
-    for n in range(1, 6):
+def test_orthogonality_through_twelve():
+    for n in range(1, 13):
         tab = _jack_table(n)
         parts = partitions(n)
         for a in range(len(parts)):
@@ -206,12 +206,13 @@ def test_oracle_mismatch_is_located():
 
 
 def test_bound_errors():
-    with pytest.raises(JackBoundError, match="bound 10"):
-        jack((11,))
-    with pytest.raises(JackBoundError, match="bound 10"):
-        tau_jack(BIP, 11)
+    with pytest.raises(JackBoundError, match="bound 12"):
+        jack((13,))
+    with pytest.raises(JackBoundError, match="bound 12"):
+        tau_jack(BIP, 13)
 
 
+import copy
 import importlib
 
 from bconstell.jack import JackTableError, OracleDenominatorError
@@ -278,32 +279,53 @@ def test_norm_disagreeing_with_closed_form_is_loud(monkeypatch, fresh_tables):
         jackmod._jack_table(2)
 
 
+def _faulty_triangles(monkeypatch, n, corrupt):
+    """Make _jack_table(n) read a corrupted copy of the triangular matrices."""
+    real = jackmod._triangles
+
+    def faulty(m):
+        data = copy.deepcopy(real(m))
+        if m == n:
+            corrupt(*data)
+        return data
+
+    monkeypatch.setattr(jackmod, "_triangles", faulty)
+
+
 def test_non_unit_lead_is_loud(monkeypatch, fresh_tables):
-    # the first size-2 vector, 2 p_1^2 - p_2, is primitive with p_1^2
-    # coordinate 2: no table vector may be a multiple of J_lam
-    real = jackmod._m_in_p
+    # doubled raising coefficients give v_(1,1) = 4 for lam = (2): the vector
+    # 2 p_1^2 + (alpha - 1) p_2 divides exactly but is not J_(2)
+    def doubled(transition, raising):
+        for row in raising.values():
+            for nu in row:
+                row[nu] *= 2
 
-    def doubled_lead(n):
-        rows = dict(real(n))
-        if n == 2:
-            rows[(1, 1)] = {(1, 1): 2, (2,): -1}
-        return rows
-
-    monkeypatch.setattr(jackmod, "_m_in_p", doubled_lead)
-    with pytest.raises(JackTableError, match=r"J\(1, 1\): .* p_1\^2 coordinate 2, not 1 or -1"):
+    _faulty_triangles(monkeypatch, 2, doubled)
+    with pytest.raises(JackTableError, match=r"J\(2,\): the p_1\^2 coordinate is 2, not 1"):
         jackmod._jack_table(2)
 
 
-def test_corrupted_projection_is_loud(monkeypatch, fresh_tables):
-    # doubling every cross pairing leaves a vector that is no Jack polynomial
-    real = jackmod._inner_field
-    monkeypatch.setattr(
-        jackmod,
-        "_inner_field",
-        lambda f, g: real(f, g) if f is g else [2 * x for x in real(f, g)],
-    )
-    with pytest.raises(JackTableError):
-        jackmod._jack_table(3)
+def test_inexact_raising_step_is_loud(monkeypatch, fresh_tables):
+    # c_(4),(3,1) = 5 instead of 4 carries into the right side of m_(2,1,1),
+    # (alpha + 1)(72 alpha + 44), which e_(4) - e_(2,1,1) = 5 alpha + 3 does
+    # not divide in ZZ[alpha]
+    def raised(transition, raising):
+        raising[(3, 1)][(4,)] += 1
+
+    _faulty_triangles(monkeypatch, 4, raised)
+    with pytest.raises(JackTableError, match=r"J\(4,\): the triangular construction left a remainder"):
+        jackmod._jack_table(4)
+
+
+def test_inexact_transition_step_is_loud(monkeypatch, fresh_tables):
+    # R_(1,1),(1,1) = 3 instead of 2! leaves v_(1,1) = 2 without an integer
+    # p-coordinate
+    def diagonal(transition, raising):
+        transition[(1, 1)][(1, 1)] = 3
+
+    _faulty_triangles(monkeypatch, 2, diagonal)
+    with pytest.raises(JackTableError, match=r"J\(1, 1\): the triangular construction left a remainder"):
+        jackmod._jack_table(2)
 
 
 # -- the integer assembly and its denominator check ---------------------------

@@ -2,7 +2,6 @@
 
 import importlib
 from collections import namedtuple
-from math import factorial, prod
 
 import pytest
 
@@ -46,13 +45,26 @@ def test_printer_edges_match_sympy(f):
 
 
 def test_transition_rows_match_reference_through_eight():
-    # the Moebius row of lam is prod_i m_i(lam)! times the inverted expansion's
+    # R_rho,mu counted by the capacity recursion is the coefficient of m_mu in
+    # p_rho expanded monomial by monomial over n variables
     for n in range(1, 9):
-        new, ref = jackmod._m_in_p(n), refjack._m_in_p(n)
-        for lam in partitions(n):
-            scale = prod(factorial(lam.count(part)) for part in set(lam))
-            want = {mu: scale * c for mu, c in ref[lam].items() if c}
-            assert new[lam] == want, lam
+        transition, ref = jackmod._triangles(n)[0], refjack._p_in_m(n)
+        for mu in partitions(n):
+            want = {rho: row[mu] for rho, row in ref.items() if row[mu]}
+            assert transition[mu] == want, mu
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_raising_rows_match_the_operator(n):
+    # D(alpha) m_nu = (e_nu + (n - 1) n) m_nu + sum_mu c_nu,mu m_mu over n
+    # variables, applied on sympy polynomials with each pair quotient divided
+    # out exactly
+    diagonal, off = refjack.laplace_beltrami_rows(n)
+    raising = jackmod._triangles(n)[1]
+    for mu in partitions(n):
+        assert {nu: row[mu] for nu, row in off.items() if row.get(mu)} == raising[mu], mu
+        e = jackmod._n_of_conjugate(mu), -jackmod._n_of(mu)
+        assert diagonal[mu] == (e[0], e[1] + (n - 1) * n), mu
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
@@ -72,7 +84,7 @@ def test_both_conventions_match_reference_at_t2(model, convention):
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bconstell.jack import OracleDenominatorError, jack_to_ppoly
 from test_jack import content_product_coeff, content_product_groups
@@ -97,6 +109,10 @@ numerators = st.dictionaries(monomials, st.integers(-20, 20).filter(bool), min_s
 FACTORS = [(2, 1), (1, 2), (3, 1), (2, 3)]  # (c0, c1) for c0 + c1 * alpha
 
 
+# alpha divides every group once (a drops from 3 to 2), and alpha^3 divides
+# every group past a = 2 (no power of alpha is left), with D' in both
+@example({(2, 1, 0, 0, 0, 0, 0): 3, (1, 0, 0, 0, 0, 0, 0): -2}, 3, 2, [], [])
+@example({(3, 0, 1, 0, 0, 0, 0): 5, (3, 0, 0, 0, 0, 1, 0): 1}, 2, -3, [0], [0, 1])
 @settings(max_examples=60, deadline=None)
 @given(
     numerators,
@@ -180,7 +196,7 @@ from sympy.polys.densearith import (
 from sympy.polys.densebasic import dup_strip
 from sympy.polys.densetools import dup_primitive
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd, dup_lcm
+from sympy.polys.euclidtools import dup_gcd, dup_lcm
 from sympy.polys.polyerrors import ExactQuotientFailed
 
 # small coefficients make common factors and exact quotients likely; large
@@ -232,18 +248,17 @@ def test_kernel_gcd_and_lcm_match_sympy(h, f, g):
     # h is a built common factor of both arguments; h = [] makes both zero
     for a, b in ((dup_mul(h, f, ZZ), dup_mul(h, g, ZZ)), (f, g)):
         assert jackmod._gcd(a, b) == dup_gcd(a, b, ZZ)
-        assert jackmod._inner_gcd(a, b) == dup_inner_gcd(a, b, ZZ)
         assert jackmod._lcm(a, b) == dup_lcm(a, b, ZZ)
 
 
-@pytest.mark.parametrize("n", range(0, 9))
-def test_tables_match_sympy_build_through_eight(n):
+@pytest.mark.parametrize("n", range(0, 11))
+def test_tables_match_gram_schmidt_through_ten(n):
+    # the triangular table against fraction-free Gram-Schmidt on sympy's dup_*
     assert jackmod._jack_table(n) == refjack.dup_jack_table(n)
 
 
 # -- the packed assembly against the list loop ---------------------------------
 
-from hypothesis import example
 
 mus = st.sampled_from([(1,), (2,), (1, 1), (3,), (2, 1)])
 rests = st.sampled_from([(0,) * 6, (1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0)])
