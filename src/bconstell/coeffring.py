@@ -46,7 +46,8 @@ monomial rescaled by (X+1)^(top - dp), a division by (1+b) is one
 back (see ``_digit_width``).  B is rounded up to a multiple of
 ``WIDTH_CLASS`` bits, and each ``Coeff`` keeps its packed numerator per
 width in its ``packed`` slot, so a numerator met by many sums is packed
-once per width class and the packing is freed with the ``Coeff``.
+once per width class and the packing is freed with the ``Coeff``; its
+height and b-degree, which bound B, are kept beside it in ``sizes``.
 ``sum_grouped`` runs ``sum_products`` once per key of a dict of triple
 lists.  ``WeylOp.apply``, ``WeylOp.compose``, the structure sums of
 ``constraints._products_sum`` and ``PPoly`` products and t-convolutions
@@ -203,7 +204,7 @@ def _make(n, den, dp):
     """Coeff from an owned dict already in canonical form with den and dp."""
     c = object.__new__(Coeff)
     c.n = n
-    c.packed = None
+    c.packed = c.sizes = None
     if n:
         c.den = den
         c.dp = dp
@@ -334,12 +335,10 @@ def _digit_width(groups):
     """
     top = max(groups)
     den = _common_den(groups)
-    # the largest |coefficient| and the b-degree (key order puts b first)
-    sizes = {id(c): (max(map(abs, c.n.values())), max(c.n) >> _B_SHIFT) for c in _operands(groups)}
     bound = deg = 0
     for dp, items in groups.items():
         for a, b, kn, d in items:
-            (ma, da), (mb, db) = sizes[id(a)], sizes[id(b)]
+            (ma, da), (mb, db) = _sizes(a), _sizes(b)
             bound += (abs(kn) * (den // d) * ma * mb * min(len(a.n), len(b.n))) << (top - dp)
             deg = max(deg, da + db + top - dp)
     if deg > MAX_EXP:
@@ -387,6 +386,15 @@ def _common_den(groups):
 def _operands(groups):
     """The distinct Coeffs of the triples of groups."""
     return {id(c): c for items in groups.values() for a, b, _, _ in items for c in (a, b)}.values()
+
+
+def _sizes(c):
+    """The largest |coefficient| of c.n and its b-degree, computed once per Coeff."""
+    sizes = c.sizes
+    if sizes is None:
+        # key order puts b first
+        sizes = c.sizes = (max(map(abs, c.n.values())), max(c.n) >> _B_SHIFT)
+    return sizes
 
 
 def _packed(c, shift):
@@ -486,8 +494,9 @@ def _rational(x):
 class Coeff:
     """Exact scalar: polynomial in b, u1..u3, q1..q3 over a power of (1+b)."""
 
-    # packed: None, or _sum_packed's {shift: columns} of n (see _packed)
-    __slots__ = ("n", "den", "dp", "packed")
+    # packed: None, or _sum_packed's {shift: columns} of n (see _packed);
+    # sizes: None, or _digit_width's (height, b-degree) of n (see _sizes)
+    __slots__ = ("n", "den", "dp", "packed", "sizes")
 
     def __init__(self, num=None, dp=0):
         """The value of num / (1+b)^dp for {key: rational} num."""
@@ -500,7 +509,7 @@ class Coeff:
         self.n = canon.n
         self.den = canon.den
         self.dp = canon.dp
-        self.packed = None
+        self.packed = self.sizes = None
 
     @property
     def num(self):

@@ -22,6 +22,18 @@ budget rule: ``apply`` composes onto f as a multiplication operator at
 working degree 0, where only the fully contracted terms survive and a
 polynomial above the working degree exhausts the budget.
 
+Inside ``compose`` a monomial is one int with ``FIELD_BITS`` bits per index
+(p_i's exponent in the field at (i - 1) * FIELD_BITS) and a bitmask of its
+indices.  Each operator packs its terms once, on its first composition, and
+keeps them in its ``_packed`` slot (``_packed_terms``).  A term pair whose
+left annihilator and right creator masks do not meet shares no index, and
+its key is two int additions; a contraction subtracts one packed gamma from
+both sides.  Exponents stay at most ``MAX_EXP``, below each field's top bit,
+so adding two packed monomials never carries into a neighbouring field; a
+larger exponent raises OverflowError when its operator is packed.  The keys
+are read back into (index, exponent) tuples before ``sum_grouped``, each
+once per call, so every operator outside ``compose`` holds tuple monomials.
+
 A zero operator keeps its working degree: it is zero on every polynomial
 of degree <= D and unknown above, and this is the one zero that sums,
 products and comparisons read, a t power of a TGradedOp included.
@@ -34,12 +46,15 @@ from itertools import product
 from math import comb, factorial
 
 from .coeffring import Coeff, add_terms, sum_grouped
-from .ppoly import (
-    EMPTY, PPoly, pm_degree, pm_mul, pm_normal, pm_sort_key, pm_str, pm_sub,
-)
+from .ppoly import EMPTY, PPoly, pm_degree, pm_normal, pm_sort_key, pm_str
 
 
 EXACT = float("inf")
+
+# compose's packed monomials (see the module docstring)
+FIELD_BITS = 16
+MAX_EXP = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class DegreeBudgetError(Exception):
@@ -73,6 +88,54 @@ def _merge(terms, d, op):
     return terms, od
 
 
+def _pack_mono(m):
+    """(key, mask) of the monomial m: its packed exponents and its index bits."""
+    key = mask = 0
+    for i, e in m:
+        if e > MAX_EXP:
+            raise OverflowError(
+                "exponent %d of p_%d exceeds the packed field limit %d of compose"
+                % (e, i, MAX_EXP)
+            )
+        key |= e << (i - 1) * FIELD_BITS
+        mask |= 1 << (i - 1)
+    return key, mask
+
+
+def _unpack_mono(key):
+    """The monomial of a packed key, as a sorted (index, exponent) tuple."""
+    m = []
+    i = 1
+    while key:
+        e = key & _FIELD_MASK
+        if e:
+            m.append((i, e))
+        key >>= FIELD_BITS
+        i += 1
+    return tuple(m)
+
+
+def _pack_terms(terms):
+    """[(create, annihilate, create mask, annihilate mask, deg annihilate, c)].
+
+    One entry per term of {(create, annihilate): c}, both monomials packed.
+    """
+    packed = []
+    for (cr, an), c in terms.items():
+        crk, crm = _pack_mono(cr)
+        ank, anm = _pack_mono(an)
+        packed.append((crk, ank, crm, anm, pm_degree(an), c))
+    return packed
+
+
+def _packed_terms(op):
+    """_pack_terms(op.terms), packed once per operator."""
+    packed = op._packed
+    if packed is None:
+        packed = op._packed = _pack_terms(op.terms)
+    return packed
+
+
 def compose_degree(left_degree, right):
     """Working degree of L . right for an L at left_degree, as compose gives it.
 
@@ -88,9 +151,13 @@ def compose_degree(left_degree, right):
 
 
 class WeylOp:
-    """Truncated normal-ordered operator: sum of c * p^alpha (p*)^beta."""
+    """Truncated normal-ordered operator: sum of c * p^alpha (p*)^beta.
 
-    __slots__ = ("terms", "working_degree", "_jump")
+    ``terms`` is never written after construction: sums merge into dicts of
+    their own.  The cached packing of ``_packed_terms`` relies on that.
+    """
+
+    __slots__ = ("terms", "working_degree", "_jump", "_packed")
 
     def __init__(self, terms=None, working_degree=0):
         if working_degree < 0:
@@ -99,6 +166,7 @@ class WeylOp:
         live = live_terms(terms or {}, working_degree)
         self.terms = {key: c for key, c in live.items() if c}
         self._jump = None
+        self._packed = None
 
     @classmethod
     def _live(cls, terms, working_degree):
@@ -107,6 +175,7 @@ class WeylOp:
         op.terms = terms
         op.working_degree = working_degree
         op._jump = None
+        op._packed = None
         return op
 
     # -- constructors ------------------------------------------------------
@@ -243,50 +312,51 @@ class WeylOp:
         # derivatives.  Terms left above new_d are dropped by the truncation
         # contract, so they are skipped before any coefficient or monomial is
         # built: a whole term pair when even full contraction stays above.
-        # A pair that shares no index has the one contraction gamma = 0,
-        # which keeps every factor.
-        rights = [
-            (cr2, an2, dict(cr2), pm_degree(an2), c2)
-            for (cr2, an2), c2 in other.terms.items()
-        ]
+        # A pair whose index masks do not meet has the one contraction
+        # gamma = 0, which keeps every factor: its key is two additions.
+        rights = _packed_terms(other)
         out = {}
-        for (cr1, an1), c1 in self.terms.items():
-            an1d = dict(an1)
-            an1_deg = pm_degree(an1)
-            for cr2, an2, cr2d, an2_deg, c2 in rights:
+        for cr1, an1, _, an1m, an1_deg, c1 in _packed_terms(self):
+            for cr2, an2, cr2m, _, an2_deg, c2 in rights:
                 an_deg = an1_deg + an2_deg
-                common = [i for i in an1d if i in cr2d]
+                common = an1m & cr2m
                 if not common:
                     if an_deg <= new_d:
-                        key = (pm_mul(cr1, cr2), pm_mul(an1, an2))
-                        out.setdefault(key, []).append((c1, c2, 1))
+                        out.setdefault((cr1 + cr2, an1 + an2), []).append((c1, c2, 1))
                     continue
-                tops = [min(an1d[i], cr2d[i]) for i in common]
+                # (index, field shift, p_i* power of an1, p_i power of cr2),
+                # by increasing index
+                fields = []
                 floor = an_deg
-                for i, g in zip(common, tops):
-                    floor -= i * g
+                while common:
+                    low = common & -common
+                    common ^= low
+                    i = low.bit_length()
+                    s = (i - 1) * FIELD_BITS
+                    a, c = (an1 >> s) & _FIELD_MASK, (cr2 >> s) & _FIELD_MASK
+                    fields.append((i, s, a, c))
+                    floor -= i * min(a, c)
                 if floor > new_d:
                     continue
-                for gammas in product(*[range(g + 1) for g in tops]):
+                for gammas in product(*[range(min(a, c) + 1) for _, _, a, c in fields]):
                     left = an_deg
-                    for i, g in zip(common, gammas):
+                    for (i, _, _, _), g in zip(fields, gammas):
                         left -= i * g
                     if left > new_d:
                         continue
                     factor = 1
-                    for i, g in zip(common, gammas):
+                    gm = 0
+                    for (i, s, a, c), g in zip(fields, gammas):
                         if g:
-                            factor *= (
-                                comb(an1d[i], g) * comb(cr2d[i], g) * factorial(g) * i ** g
-                            )
-                    gm = tuple(
-                        (i, g) for i, g in sorted(zip(common, gammas)) if g
-                    )
-                    an = pm_mul(pm_sub(an1, gm), an2)
-                    cr = pm_mul(cr1, pm_sub(cr2, gm))
-                    out.setdefault((cr, an), []).append((c1, c2, factor))
-        # every key passed the new_d checks above and no zero sum is kept
-        return WeylOp._live(sum_grouped(out), new_d)
+                            factor *= comb(a, g) * comb(c, g) * factorial(g) * i ** g
+                            gm |= g << s
+                    key = (cr1 + cr2 - gm, an1 - gm + an2)
+                    out.setdefault(key, []).append((c1, c2, factor))
+        # every key passed the new_d checks above and no zero sum is kept;
+        # each distinct packed monomial is read back once
+        monos = {k: _unpack_mono(k) for k in {k for pair in out for k in pair}}
+        grouped = {(monos[cr], monos[an]): triples for (cr, an), triples in out.items()}
+        return WeylOp._live(sum_grouped(grouped), new_d)
 
     def commutator(self, other):
         """[self, other]; [A, A] is zero at A . A's degree, nothing composed."""

@@ -65,3 +65,18 @@ def random_ppoly(rng, max_degree, max_terms=3, pool=COEFF_POOL):
         mono = random_mono(rng, max_index=max_degree or 1, max_total=max_degree)
         terms[mono] = rng.choice(pool)
     return PPoly(terms)
+
+
+def random_wide_mono(rng, indices, exps):
+    """A monomial on up to three of indices, each exponent drawn from exps."""
+    return tuple(sorted((i, rng.choice(exps)) for i in rng.sample(indices, rng.randrange(0, 4))))
+
+
+def random_wide_op(rng, working_degree, indices, create_exps, annihilate_exps, max_terms=3):
+    """An operator on the given indices, with its exponents drawn per side."""
+    terms = {}
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        cr = random_wide_mono(rng, indices, create_exps)
+        an = random_wide_mono(rng, indices, annihilate_exps)
+        terms[(cr, an)] = rng.choice(COEFF_POOL)
+    return WeylOp(terms, working_degree)

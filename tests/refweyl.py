@@ -35,7 +35,7 @@ def _working_degree(left, right):
     new_d = min(right.working_degree, left.working_degree - right.max_jump())
     if new_d < 0:
         raise DegreeBudgetError(
-            "composition budget exhausted (degrees %d and %d, jump %d)"
+            "composition budget exhausted (degrees %s and %s, jump %d)"
             % (left.working_degree, right.working_degree, right.max_jump())
         )
     return new_d

@@ -337,6 +337,17 @@ def test_a_coeff_keeps_one_packing_per_width_class():
     assert Coeff.one().packed is None and (x * 3).packed is None
 
 
+def test_a_coeff_keeps_the_sizes_that_bound_its_width():
+    # _digit_width reads each operand's height and b-degree, computed once
+    x = (U[1] + B * 3 - B ** 2 * Q[2]) * INV_1PB
+    y = B * U[2] - 5
+    assert x.sizes is None and y.sizes is None
+    for triples in ([(x, y, 1), (y, x, 2)], [(x, y, -1)]):
+        assert_paths_agree(triples)
+    assert x.sizes == (3, 2) and y.sizes == (5, 1)
+    assert (x * 3).sizes is None
+
+
 def test_series_packs_each_numerator_once_per_width_class(monkeypatch):
     # the series workload's sizes: every _pack_columns call packs the
     # numerator of a Coeff (kept alive here, so ids are not reused) at a

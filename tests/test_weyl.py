@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from bconstell import weyl
 from bconstell.coeffring import Coeff, ONE_PLUS_B
 from bconstell.ppoly import PPoly
-from bconstell.weyl import DegreeBudgetError, WeylOp
+from bconstell.weyl import EXACT, DegreeBudgetError, WeylOp
 
 from randops import random_op, random_homogeneous_op, random_ppoly
 import refring
@@ -170,3 +171,27 @@ def test_scalars_come_in_through_the_scalar_ring():
             WeylOp.scalar(bad)
         with pytest.raises(TypeError):
             op.scale(bad)
+
+
+def test_sums_leave_packed_addends_unchanged():
+    # compose keeps each operator's packed terms, which is sound only while
+    # no sum writes into an addend's terms; every merge path is taken here:
+    # the first addend, higher and lower degrees, zeros and exact operators
+    rng = random.Random(11)
+    for _ in range(60):
+        ops = [random_op(rng, rng.choice([0, 2, 5, 9, EXACT]), max_terms=5) for _ in range(4)]
+        ops.append(WeylOp.zero(rng.choice([1, 4, EXACT])))
+        rng.shuffle(ops)
+        before = [(dict(op.terms), list(weyl._packed_terms(op))) for op in ops]
+        sums = [WeylOp.sum(ops), ops[0] + ops[1], ops[2] - ops[3]]
+        sums += WeylOp.sums((k % 2, op) for k, op in enumerate(ops)).values()
+        terms, d = {}, None
+        for op in ops:
+            terms, d = weyl._merge(terms, d, op)
+        sums.append(WeylOp._live(terms, d))
+        # summing into a sum must not reach back to its addends either
+        sums.append(WeylOp.sum(sums))
+        for op, (terms, packed) in zip(ops, before):
+            assert op.terms == terms
+            assert weyl._packed_terms(op) == packed == weyl._pack_terms(op.terms)
+            assert all(s.terms is not op.terms for s in sums)

@@ -19,11 +19,11 @@ from hypothesis import given, strategies as st
 import refweyl
 from bconstell import weyl
 from bconstell.coeffring import B, INV_1PB, Coeff, ONE_PLUS_B, U
-from bconstell.constraints import TGradedOp
+from bconstell.constraints import THREECONST, TGradedOp, verify_commutators
 from bconstell.ppoly import PPoly, pm_degree
-from bconstell.weyl import DegreeBudgetError, WeylOp
+from bconstell.weyl import EXACT, MAX_EXP, DegreeBudgetError, WeylOp
 
-from randops import COEFF_POOL, random_homogeneous_op, random_op, random_ppoly
+from randops import COEFF_POOL, random_homogeneous_op, random_op, random_ppoly, random_wide_op
 
 
 def compose_checked(left, right):
@@ -257,3 +257,69 @@ def test_ppoly_mul_matches_stepwise_reference(seed, terms):
     # (f + g)(f - g) cancels every cross term
     assert (f + g) * (f - g) == refweyl.ppoly_mul(f + g, f - g)
     assert (f + g) * (f - g) == refweyl.ppoly_mul(f, f) - refweyl.ppoly_mul(g, g)
+
+
+# -- packed monomials -----------------------------------------------------------
+
+SMALL = [1, 2, 3]
+NEAR_GUARD = [MAX_EXP - 2, MAX_EXP - 1, MAX_EXP]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degrees=st.tuples(*[st.sampled_from([0, 3, 9, 10**6, EXACT])] * 2),
+    terms=st.integers(1, 5),
+    wide=st.lists(st.integers(29, 40), min_size=1, max_size=4, unique=True),
+)
+def test_compose_matches_reference_on_wide_keys(seed, degrees, terms, wide):
+    # indices past 30 make keys wider than a machine word, and exponents at
+    # the guard meet in a free pair's sums (up to 2 MAX_EXP, read back
+    # without a carry); the left's annihilator exponents stay small, so no
+    # contraction enumerates more than four gammas per index
+    rng = random.Random(seed)
+    indices = SMALL + wide
+    exps = SMALL + NEAR_GUARD
+    left = random_wide_op(rng, degrees[0], indices, exps, SMALL, max_terms=terms)
+    right = random_wide_op(rng, degrees[1], indices, exps, exps, max_terms=terms)
+    assert_same_compose(left, right)
+
+
+@pytest.mark.parametrize("side", ["create", "annihilate"])
+def test_exponent_past_the_guard_raises_when_packed(side):
+    def op(e):
+        mono = ((31, e),)
+        return WeylOp({(mono, ()) if side == "create" else ((), mono): U[1]}, EXACT)
+
+    one = WeylOp.identity()
+    assert op(MAX_EXP).compose(one).terms == one.compose(op(MAX_EXP)).terms == op(MAX_EXP).terms
+    for left, right in ((op(MAX_EXP + 1), one), (one, op(MAX_EXP + 1))):
+        with pytest.raises(OverflowError):
+            left.compose(right)
+    # a product may reach past the guard; it is refused when it is packed
+    twice = op(MAX_EXP).compose(op(MAX_EXP))
+    assert twice.terms.keys() == op(2 * MAX_EXP).terms.keys()
+    with pytest.raises(OverflowError):
+        twice.compose(one)
+
+
+def test_release_sweep_packs_each_operator_once(monkeypatch):
+    # the sweep workload's sizes: every _pack_terms call packs the terms of
+    # an operator (kept alive here, so ids are not reused) not packed before
+    readers, packs = [], []
+    packed_terms, pack_terms = weyl._packed_terms, weyl._pack_terms
+
+    def reading(op):
+        readers.append(op)
+        return packed_terms(op)
+
+    def counting(terms):
+        assert terms is readers[-1].terms
+        packs.append(readers[-1])
+        return pack_terms(terms)
+
+    monkeypatch.setattr(weyl, "_packed_terms", reading)
+    monkeypatch.setattr(weyl, "_pack_terms", counting)
+    assert verify_commutators(THREECONST, 6, 10)["ok"]
+    ids = [id(op) for op in packs]
+    assert len(set(ids)) == len(ids) > 0
+    assert len(readers) > len(packs)
