@@ -28,7 +28,6 @@ from .jack import (
     calibrate_convention,
     compare_with_engine,
     jack,
-    jack_to_ppoly,
     partitions,
     tau_jack,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "h_series",
     "partitions",
     "jack",
-    "jack_to_ppoly",
     "tau_jack",
     "calibrate_convention",
     "compare_with_engine",

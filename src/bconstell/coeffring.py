@@ -15,11 +15,13 @@ of ``n``, zero is ``({}, 1, 0)``, and ``n`` is not divisible by ``(1+b)``
 when ``dp > 0``.  (1+b) is monic, so by Gauss's lemma it divides ``n`` over
 the rationals exactly when it divides it over the integers: every
 reduction runs on ints.  ``num`` is a read-only view of ``n / den`` term by
-term, an ``int`` where integral and a ``Fraction`` otherwise; substitution
-reads it, the arithmetic and printing do not (``str`` reduces each
-coefficient of ``n`` against ``den`` by one gcd).  A product by a rational
-constant (a numerator ``{0: k}`` with ``dp == 0``) scales the other operand's
-numerator in one pass and keeps its keys (``_times``).
+term, an ``int`` where integral and a ``Fraction`` otherwise; neither the
+arithmetic nor printing reads it (``str`` reduces each coefficient of ``n``
+against ``den`` by one gcd).  The operations are ``+``, unary ``-`` and
+``*``, with ``int`` and ``Fraction`` operands coerced; a rational constant
+equals, and hashes as, the ``int`` or ``Fraction`` it holds.  A product by a
+rational constant (a numerator ``{0: k}`` with ``dp == 0``) scales the other
+operand's numerator in one pass and keeps its keys (``_times``).
 
 A key packs the seven exponents into fixed fields of ``FIELD_BITS`` bits,
 ``b`` in the most significant field and ``q3`` in the least (packed exponent
@@ -492,24 +494,15 @@ def _rational(x):
 
 
 class Coeff:
-    """Exact scalar: polynomial in b, u1..u3, q1..q3 over a power of (1+b)."""
+    """Exact scalar: polynomial in b, u1..u3, q1..q3 over a power of (1+b).
+
+    Values come from the classmethods, the module constants and the
+    arithmetic; there is no constructor from a numerator.
+    """
 
     # packed: None, or _sum_packed's {shift: columns} of n (see _packed);
     # sizes: None, or _digit_width's (height, b-degree) of n (see _sizes)
     __slots__ = ("n", "den", "dp", "packed", "sizes")
-
-    def __init__(self, num=None, dp=0):
-        """The value of num / (1+b)^dp for {key: rational} num."""
-        num = {e: _rational(c) for e, c in num.items() if c} if num else {}
-        _check_keys(num)
-        den = lcm(*[c.denominator for c in num.values()])
-        if den != 1:
-            num = {e: c.numerator * (den // c.denominator) for e, c in num.items()}
-        canon = _canon(num, den, dp)
-        self.n = canon.n
-        self.den = canon.den
-        self.dp = canon.dp
-        self.packed = self.sizes = None
 
     @property
     def num(self):
@@ -542,10 +535,6 @@ class Coeff:
     def inv_one_plus_b(cls, power=1):
         """1/(1+b)^power."""
         return _make({0: 1}, 1, power)
-
-    @classmethod
-    def one_plus_b(cls):
-        return cls.one() + cls.var("b")
 
     # -- ring operations ---------------------------------------------------
 
@@ -585,15 +574,6 @@ class Coeff:
     def __neg__(self):
         return _make({e: -c for e, c in self.n.items()}, self.den, self.dp)
 
-    def __sub__(self, other):
-        other = Coeff.coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if other.__class__ is not Coeff:
             if isinstance(other, (int, Fraction)):
@@ -619,24 +599,8 @@ class Coeff:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        out = Coeff.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:  # a square past the top bit is unused and may overflow
-                base = base * base
-        return out
-
     def __bool__(self):
         return bool(self.n)
-
-    def is_zero(self):
-        return not self.n
 
     def __eq__(self, other):
         other = Coeff.coerce(other)
@@ -645,29 +609,11 @@ class Coeff:
         return self.dp == other.dp and self.den == other.den and self.n == other.n
 
     def __hash__(self):
-        return hash((self.dp, self.den, frozenset(self.n.items())))
-
-    # -- substitution ------------------------------------------------------
-
-    def subs(self, assignment):
-        """Substitute rationals for a subset of the variables."""
-        vals = {_VAR_SHIFT[v]: Fraction(x) for v, x in assignment.items()}
-        num = {}
-        for key, c in self.num.items():
-            t = c
-            for shift, v in vals.items():
-                e = (key >> shift) & _FIELD_MASK
-                if e:
-                    t *= v ** e
-                    key &= ~(_FIELD_MASK << shift)
-            add_term(num, key, t)
-        dp = self.dp
-        if _B_SHIFT in vals and dp:
-            scale = 1 + vals[_B_SHIFT]
-            if scale == 0:
-                raise ZeroDivisionError("substituting b = -1 with a (1+b) denominator")
-            return Coeff(num) * (1 / scale ** dp)
-        return Coeff(num, dp)
+        # a constant equals, so hashes as, the rational it holds
+        n = self.n
+        if not self.dp and n.keys() <= {0}:
+            return hash(Fraction(n.get(0, 0), self.den))
+        return hash((self.dp, self.den, frozenset(n.items())))
 
     # -- serialization -----------------------------------------------------
 
@@ -718,7 +664,7 @@ class Coeff:
 ZERO = Coeff.zero()
 ONE = Coeff.one()
 B = Coeff.var("b")
-ONE_PLUS_B = Coeff.one_plus_b()
+ONE_PLUS_B = ONE + B
 INV_1PB = Coeff.inv_one_plus_b()
 U = [None] + [Coeff.var(v) for v in VARS if v[0] == "u"]
 Q = [None] + [Coeff.var(v) for v in VARS if v[0] == "q"]

@@ -68,9 +68,6 @@ class Model:
     def us(self):
         return [U[c] for c in range(1, self.k + 1)]
 
-    def __repr__(self):
-        return "Model(%r, k=%d, r=%d)" % (self.name, self.k, self.r)
-
 
 BIP = Model("bip", 2, 1)
 THREECONST = Model("threeconst", 3, 1)
@@ -120,12 +117,6 @@ class TGradedOp:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        return TGradedOp({m: op.scale(c) for m, op in self.pieces.items()})
-
-    def tshift(self, k):
-        return TGradedOp({m + k: op for m, op in self.pieces.items()})
-
     def compose(self, other):
         """self . other per pair of t powers."""
         return TGradedOp(WeylOp.sums(
@@ -143,9 +134,6 @@ class TGradedOp:
                 for m2, op2 in self.pieces.items()
             ))
         return self.compose(other) - other.compose(self)
-
-    def map_coeff(self, fn):
-        return TGradedOp({m: op.map_coeff(fn) for m, op in self.pieces.items()})
 
     def _powers(self, other):
         return sorted({*self.pieces, *other.pieces})

@@ -56,10 +56,6 @@ class YVector:
         """The start state: Id/(1+b) at marked degree 0, at working degree d."""
         return cls({0: WeylOp.scalar(INV_1PB).truncated(d)}, d)
 
-    @classmethod
-    def zero(cls, working_degree):
-        return cls({}, working_degree)
-
     def entry(self, j):
         return self.entries.get(j, WeylOp.zero(self.working_degree))
 

@@ -523,13 +523,6 @@ def _series_coeff(groups, denom):
     return _normal(num, abs(content), a)
 
 
-def jack_to_ppoly(lam):
-    """The deformed polynomial as a PPoly with alpha evaluated at 1+b."""
-    return PPoly({
-        _ppoly_key(mu): _series_coeff({_NO_UQ: c}, [1]) for mu, c in jack(lam).items()
-    })
-
-
 # -- the oracle series -------------------------------------------------------
 
 

@@ -54,11 +54,9 @@ def pm_sub(a, b):
     return tuple(sorted(d.items()))
 
 
-def pm_str(m, mark=""):
-    """m as p1*p2^3, with mark after each index (p2*^3 for mark "*")."""
-    return "*".join(
-        "p%d%s" % (i, mark) if e == 1 else "p%d%s^%d" % (i, mark, e) for i, e in m
-    )
+def pm_str(m):
+    """m as p1*p2^3."""
+    return "*".join("p%d" % i if e == 1 else "p%d^%d" % (i, e) for i, e in m)
 
 
 EMPTY = ()
@@ -79,13 +77,6 @@ class PPoly:
     @classmethod
     def one(cls):
         return cls({EMPTY: Coeff.one()})
-
-    @classmethod
-    def gen(cls, i, e=1, coeff=None):
-        """c * p_i^e, zero when i <= 0."""
-        if i <= 0 or e <= 0:
-            return cls.zero()
-        return cls({((i, e),): Coeff.one() if coeff is None else coeff})
 
     @classmethod
     def monomial(cls, mono, coeff=None):
@@ -152,9 +143,6 @@ class PPoly:
     def __eq__(self, other):
         return isinstance(other, PPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset((m, c) for m, c in self.terms.items()))
-
     def degree(self):
         """Maximal monomial degree, 0 for the zero polynomial."""
         if not self.terms:
@@ -172,9 +160,6 @@ class PPoly:
             if e:
                 add_term(out, pm_sub(m, ((i, 1),)), c * e)
         return PPoly(out)
-
-    def map_coeff(self, fn):
-        return PPoly({m: fn(c) for m, c in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: pm_sort_key(mc[0]))

@@ -70,9 +70,6 @@ class TauSeries:
             return self.coeffs[n]
         return PPoly.zero()
 
-    def __add__(self, other):
-        return TauSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __sub__(self, other):
         return TauSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
@@ -87,9 +84,6 @@ class TauSeries:
 
     def map(self, fn):
         return TauSeries([fn(c) for c in self.coeffs])
-
-    def map_coeff(self, fn):
-        return self.map(lambda c: c.map_coeff(fn))
 
     def scale(self, c):
         return self.map(lambda x: x * c)

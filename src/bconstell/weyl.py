@@ -3,6 +3,11 @@
 A WeylOp is a finite Coeff-linear combination of terms p^alpha (p*)^beta,
 where p_i* denotes i * d/dp_i, stored with all multiplications to the left
 of all derivatives.  The defining contraction is [p_i*, p_j] = i delta_ij.
+An operator is built from its terms or by ``p``, ``p_star``, ``creation``,
+``scalar`` and ``identity``, and combined by ``+``, ``-``, ``scale`` and
+``compose``; commutators are taken of t-graded operators
+(``constraints.TGradedOp.commutator``), and ``to_json_obj`` is its printed
+form.
 
 Truncation contract: an operator with working_degree D acts exactly on every
 polynomial of degree <= D.  ``live_terms`` drops the terms whose derivative
@@ -46,7 +51,7 @@ from itertools import product
 from math import comb, factorial
 
 from .coeffring import Coeff, add_terms, sum_grouped
-from .ppoly import EMPTY, PPoly, pm_degree, pm_normal, pm_sort_key, pm_str
+from .ppoly import EMPTY, PPoly, pm_degree, pm_normal, pm_sort_key
 
 
 EXACT = float("inf")
@@ -241,9 +246,6 @@ class WeylOp:
             )
         return WeylOp(self.terms, d)
 
-    def map_coeff(self, fn):
-        return WeylOp({k: fn(c) for k, c in self.terms.items()}, self.working_degree)
-
     # -- linear operations -------------------------------------------------
 
     @classmethod
@@ -284,11 +286,6 @@ class WeylOp:
         # the scalars form an integral domain, so no product v * c is zero
         terms = {k: v * c for k, v in self.terms.items()}
         return WeylOp._live(terms, self.working_degree)
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
 
     # -- action and composition ---------------------------------------------
 
@@ -358,12 +355,6 @@ class WeylOp:
         grouped = {(monos[cr], monos[an]): triples for (cr, an), triples in out.items()}
         return WeylOp._live(sum_grouped(grouped), new_d)
 
-    def commutator(self, other):
-        """[self, other]; [A, A] is zero at A . A's degree, nothing composed."""
-        if other is self:
-            return WeylOp.zero(compose_degree(self.working_degree, self))
-        return self.compose(other) - other.compose(self)
-
     # -- comparison ----------------------------------------------------------
 
     def equal_up_to(self, other, d):
@@ -406,15 +397,3 @@ class WeylOp:
                 for (cr, an), c in self.sorted_terms()
             ],
         }
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (cr, an), c in self.sorted_terms():
-            body = "*".join(f for f in (pm_str(cr), pm_str(an, "*")) if f) or "1"
-            cs = str(c)
-            chunks.append(body if cs == "1" else "(%s)*%s" % (cs, body))
-        return " + ".join(chunks)
-
-    __repr__ = __str__

@@ -14,7 +14,7 @@ COEFF_POOL = [
     B,
     U[1],
     ONE_PLUS_B,
-    B * U[2] - 1,
+    B * U[2] + -1,
     Coeff.inv_one_plus_b(),
 ]
 

@@ -23,6 +23,7 @@ from math import factorial
 
 from bconstell.coeffring import Coeff
 from bconstell.ppoly import PPoly
+from refring import coeff_power
 
 
 def cycle_type(perm):
@@ -80,7 +81,7 @@ def to_ppoly(counts):
         coeff = Coeff.from_rational(c)
         for name, exps in (("u", us), ("q", qs)):
             for j, e in enumerate(exps, start=1):
-                coeff = coeff * Coeff.var("%s%d" % (name, j)) ** e
+                coeff = coeff * coeff_power(Coeff.var("%s%d" % (name, j)), e)
         mono = tuple((part, lam.count(part)) for part in sorted(set(lam)))
         terms[mono] = terms.get(mono, Coeff.zero()) + coeff
     return PPoly(terms)

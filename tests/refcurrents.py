@@ -109,7 +109,7 @@ def lambda_y(self, shift=None, charge=None):
     for j, op in self.entries.items():
         j_budget = d + op.max_jump()
         for delta in range(-j, j_budget + 1):
-            if delta == 0 and (charge is None or charge.is_zero()):
+            if delta == 0 and (charge is None or not charge):
                 continue
             cur = current(delta, j_budget, charge)
             if cur.is_zero():

@@ -18,6 +18,8 @@ tables this way before the triangular construction, and its tables must
 still give the same lists.  ``laplace_beltrami_rows`` applies the operator
 D(alpha) to monomial symmetric functions on sympy polynomials, for the
 eigenvalues and raising coefficients the triangular construction uses.
+``jack_to_ppoly`` reads one of the package's dense tables into a ``PPoly``
+through the package's own conversion, ``_series_coeff``.
 
 The field is built here, on sympy, and ``to_field`` reads the package's
 dense ``ZZ[alpha]`` values into it, so no field code of the package is
@@ -36,6 +38,7 @@ from bconstell.jack import (
     JackBoundError,
     JackTableError,
     OracleDenominatorError,
+    _NO_UQ,
     _add,
     _content_rows,
     _jack_table,
@@ -44,10 +47,12 @@ from bconstell.jack import (
     _ppoly_key,
     _series_coeff,
     _weight,
+    jack as dense_jack,
     partitions,
     z_of,
 )
 from bconstell.ppoly import PPoly
+from refring import coeff_power
 
 
 @lru_cache(maxsize=1)
@@ -90,10 +95,10 @@ def field_to_coeff(elem):
     for exps, c in numer.terms():
         term = Coeff.from_rational(Fraction(c.numerator, c.denominator))
         if exps[0]:
-            term = term * ONE_PLUS_B ** exps[0]
+            term = term * coeff_power(ONE_PLUS_B, exps[0])
         for idx in range(1, 7):
             if exps[idx]:
-                term = term * params[idx] ** exps[idx]
+                term = term * coeff_power(params[idx], exps[idx])
         out = out + term
     scale = Fraction(dcoeff.numerator, dcoeff.denominator)
     return out * (1 / scale) * Coeff.inv_one_plus_b(e) if e else out * (1 / scale)
@@ -194,6 +199,13 @@ def jack_table(n):
 
 def jack(lam):
     return jack_table(sum(lam))[tuple(lam)]
+
+
+def jack_to_ppoly(lam):
+    """The package's deformed polynomial as a PPoly with alpha evaluated at 1+b."""
+    return PPoly({
+        _ppoly_key(mu): _series_coeff({_NO_UQ: c}, [1]) for mu, c in dense_jack(lam).items()
+    })
 
 
 def content_product(lam, k, convention):

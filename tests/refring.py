@@ -5,14 +5,20 @@ exponent tuples in ``VARS`` order with ``Fraction`` coefficients, values as
 ``(num, dp)`` pairs meaning ``num / (1+b)^dp``.  The packed integer kernel
 in ``bconstell.coeffring`` must agree with it on every operation.
 ``parse`` reads the text form ``Coeff.__str__`` prints back into a ``Coeff``.
+
+``coeff``, ``subs`` and ``coeff_power`` are ``Coeff`` operations no command
+runs: a value from a ``{key: rational}`` numerator, the evaluation at
+rationals, and a power by repeated products.
 """
 
+import operator
 import re
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from math import comb, lcm
 
 from bconstell import coeffring
-from bconstell.coeffring import _FIELD_MASK, _VAR_SHIFT
+from bconstell.coeffring import _B_SHIFT, _FIELD_MASK, _VAR_SHIFT, Coeff
 
 VARS = ("b", "u1", "u2", "u3", "q1", "q2", "q3")
 NVARS = len(VARS)
@@ -153,9 +159,9 @@ def parse(s):
             s = s[1:-1]
     num = {}
     for term in re.findall(r"[+-]?[^+-]+", s):
-        coeff = Fraction(1)
+        c = Fraction(1)
         if term.startswith("-"):
-            coeff, term = -coeff, term[1:]
+            c, term = -c, term[1:]
         elif term.startswith("+"):
             term = term[1:]
         exps = dict.fromkeys(coeffring.VARS, 0)
@@ -164,9 +170,45 @@ def parse(s):
             if mono:
                 exps[mono.group(1)] += int(mono.group(2) or 1)
             else:
-                coeff *= Fraction(factor)
-        coeffring.add_term(num, coeffring._pack(exps.values()), coeff)
-    return coeffring.Coeff(num, dp)
+                c *= Fraction(factor)
+        coeffring.add_term(num, coeffring._pack(exps.values()), c)
+    return coeff(num, dp)
+
+
+def coeff(num, dp=0):
+    """The Coeff num / (1+b)^dp for a {key: rational} num."""
+    num = {e: coeffring._rational(c) for e, c in num.items() if c}
+    coeffring._check_keys(num)
+    den = lcm(*[c.denominator for c in num.values()])
+    if den != 1:
+        num = {e: c.numerator * (den // c.denominator) for e, c in num.items()}
+    return coeffring._canon(num, den, dp)
+
+
+def subs(x, assignment):
+    """The Coeff x with rationals substituted for a subset of the variables."""
+    vals = {_VAR_SHIFT[v]: Fraction(c) for v, c in assignment.items()}
+    num = {}
+    for key, c in x.num.items():
+        t = c
+        for shift, v in vals.items():
+            e = (key >> shift) & _FIELD_MASK
+            if e:
+                t *= v ** e
+                key &= ~(_FIELD_MASK << shift)
+        coeffring.add_term(num, key, t)
+    dp = x.dp
+    if _B_SHIFT in vals and dp:
+        scale = 1 + vals[_B_SHIFT]
+        if scale == 0:
+            raise ZeroDivisionError("substituting b = -1 with a (1+b) denominator")
+        return coeff(num) * (1 / scale ** dp)
+    return coeff(num, dp)
+
+
+def coeff_power(x, n):
+    """x^n for a Coeff x and n >= 0, by n products."""
+    return reduce(operator.mul, [x] * n, Coeff.one())
 
 
 

@@ -28,6 +28,16 @@ from bconstell.coeffring import B, Coeff, ONE_PLUS_B, Q, U
 from bconstell.constraints import TGradedOp, structure_family
 from bconstell.weyl import WeylOp
 
+
+def scale(top, c):
+    """c times the TGradedOp top."""
+    return TGradedOp({m: op.scale(c) for m, op in top.pieces.items()})
+
+
+def tshift(top, k):
+    """t^k times the TGradedOp top."""
+    return TGradedOp({m + k: op for m, op in top.pieces.items()})
+
 from refcurrents import current
 
 
@@ -163,7 +173,7 @@ def explicit_rhs(model, i, j, ls, d_outer):
         return TGradedOp({0: WeylOp.p_star(n).truncated(d_outer)})
 
     if model.name == "bip":
-        return L(i + j - 1).scale(Coeff.from_rational(i - j)).tshift(1)
+        return tshift(scale(L(i + j - 1), Coeff.from_rational(i - j)), 1)
 
     if model.name == "threeconst":
         rhs = TGradedOp.zero()
@@ -171,18 +181,18 @@ def explicit_rhs(model, i, j, ls, d_outer):
             if i + j + n - 1 not in ls:
                 continue
             term = p(n).compose(L(i + j + n - 1))
-            rhs = rhs + term.scale(Coeff.from_rational(2 * (i - j)))
-        rhs = rhs + L(i + j - 1).scale(B * ((i - j) * (i + j - 2)))
+            rhs = rhs + scale(term, Coeff.from_rational(2 * (i - j)))
+        rhs = rhs + scale(L(i + j - 1), B * ((i - j) * (i + j - 2)))
         for n in range(1, mu):
             term = p_star(n).compose(L(i + j - 1 - n))
-            rhs = rhs + term.scale(ONE_PLUS_B * (3 * (i - j)))
+            rhs = rhs + scale(term, ONE_PLUS_B * (3 * (i - j)))
         for n in range(mu, M):
             c = _sgn(i - j) * (2 * M - 2 * n - mu - 1)
             if c:
                 term = p_star(n).compose(L(i + j - 1 - n))
-                rhs = rhs + term.scale(ONE_PLUS_B * c)
-        rhs = rhs + L(i + j - 1).scale((U[1] + U[2] + U[3]) * (i - j))
-        return rhs.tshift(1)
+                rhs = rhs + scale(term, ONE_PLUS_B * c)
+        rhs = rhs + scale(L(i + j - 1), (U[1] + U[2] + U[3]) * (i - j))
+        return tshift(rhs, 1)
 
     if model.name == "biple3":
         q2, q3 = Q[2], Q[3]
@@ -192,19 +202,19 @@ def explicit_rhs(model, i, j, ls, d_outer):
             if l not in ls:
                 continue
             term = p(n).compose(L(l))
-            rhs = rhs + term.scale(q3 * (2 * (i - j))).tshift(2)
-        rhs = rhs + L(i + j - 3).scale(q3 * B * ((i - j) * (i + j - 3))).tshift(2)
+            rhs = rhs + tshift(scale(term, q3 * (2 * (i - j))), 2)
+        rhs = rhs + tshift(scale(L(i + j - 3), q3 * B * ((i - j) * (i + j - 3))), 2)
         for n in range(1, mu - 1):
             term = p_star(n).compose(L(i + j - 3 - n))
-            rhs = rhs + term.scale(q3 * ONE_PLUS_B * (3 * (i - j))).tshift(2)
+            rhs = rhs + tshift(scale(term, q3 * ONE_PLUS_B * (3 * (i - j))), 2)
         for n in range(max(mu - 1, 1), M - 1):
             c = _sgn(i - j) * (2 * M - 2 * n - mu - 3)
             if c:
                 term = p_star(n).compose(L(i + j - 3 - n))
-                rhs = rhs + term.scale(q3 * ONE_PLUS_B * c).tshift(2)
-        rhs = rhs + L(i + j - 3).scale(q3 * U[1] * (3 * (i - j))).tshift(2)
-        rhs = rhs + L(i + j - 2).scale(q2 * (i - j)).tshift(1)
-        return rhs.tshift(1)
+                rhs = rhs + tshift(scale(term, q3 * ONE_PLUS_B * c), 2)
+        rhs = rhs + tshift(scale(L(i + j - 3), q3 * U[1] * (3 * (i - j))), 2)
+        rhs = rhs + tshift(scale(L(i + j - 2), q2 * (i - j)), 1)
+        return tshift(rhs, 1)
 
     raise ValueError("unknown model %r" % (model.name,))
 
@@ -228,10 +238,10 @@ def structure_coefficient(model, i, j, l, working_degree):
 
 def structure_rhs(model, i, j, ls, d_outer):
     """t * sum_l D_{ij,l} . L_l with the l-sum truncated by the support bound."""
-    return TGradedOp.sum(
+    return tshift(TGradedOp.sum(
         structure_coefficient(model, i, j, l, d_outer).compose(L_l)
         for l, L_l in ls.items()
-    ).tshift(1)
+    ), 1)
 
 
 def _grouped_level(level, family, i, j, l_top, d_outer):
@@ -273,6 +283,6 @@ def summed_explicit_rhs(model, i, j, ls, d_outer):
             for factor, l, c in _grouped_level(level, family, i, j, max(ls), d_outer):
                 if l in ls:
                     op = ls[l] if factor is None else TGradedOp({0: factor}).compose(ls[l])
-                    yield op.scale(w * c).tshift(tpow + 1)
+                    yield tshift(scale(op, w * c), tpow + 1)
 
     return TGradedOp.sum(terms())

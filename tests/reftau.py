@@ -20,7 +20,7 @@ from bconstell.tau import TauSeries, h_series
 def _j_act(delta, series, charge):
     """Action of the current J_delta on a truncated series, slice by slice."""
     if delta < 0:
-        return series.map(lambda c: c * PPoly.gen(-delta))
+        return series.map(lambda c: c * PPoly.monomial(((-delta, 1),)))
     if delta > 0:
         return series.map(lambda c: c.dp(delta) * (ONE_PLUS_B * delta))
     return series.scale(charge)
@@ -37,7 +37,7 @@ def _lambda_series(entries, order, shift, charge, feedback):
     def accumulate(m, s):
         if s.is_zero():
             return
-        out[m] = out[m] + s if m in out else s
+        out[m] = TauSeries.sum((out[m], s), order) if m in out else s
 
     for j, s in entries.items():
         for delta in range(-j, order + 1):

@@ -6,6 +6,9 @@ contraction gamma, and only then drops the terms whose derivative part lies
 above the result's working degree.  The pruned kernel in ``bconstell.weyl``
 must give the same terms and the same working degree.
 
+``commutator`` is ``compose - compose`` for two ``WeylOp``: the package
+takes commutators of t-graded operators only (``TGradedOp.commutator``).
+
 ``apply`` and ``ppoly_mul`` are the stepwise accumulate loops that
 ``WeylOp.apply`` and ``PPoly.__mul__`` ran before they summed each output
 coefficient with ``coeffring.sum_products``: every product is formed with
@@ -113,3 +116,8 @@ def ppoly_mul(f, g):
             m = pm_mul(m1, m2)
             add_term(out, m, c1 * c2)
     return PPoly(out)
+
+
+def commutator(a, b):
+    """[a, b] = a . b - b . a of two WeylOps, both products composed."""
+    return a.compose(b) - b.compose(a)

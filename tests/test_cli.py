@@ -9,6 +9,7 @@ import pytest
 from bconstell.cli import EXIT_BROKEN_PIPE, main
 from bconstell.constraints import THREECONST
 from perturb import perturbed_tau
+from refring import coeff_power
 
 
 def run_cli(*argv, timeout=120):
@@ -349,7 +350,7 @@ def test_dump_scalar_ring_overflow_is_a_usage_error(monkeypatch, capsys):
 
     def overflowing(i, s, working_degree):
         # a b exponent past the ring's packed field, as a very deep level reaches
-        return B ** 2048
+        return coeff_power(B, 2048)
 
     monkeypatch.setattr(cli_mod, "build_A", overflowing)
     with pytest.raises(SystemExit) as exc:
@@ -382,7 +383,7 @@ def test_dump_overflow_below_the_level_limit_is_a_usage_error(monkeypatch, capsy
     from bconstell.coeffring import B
 
     def overflowing(i, s, working_degree):
-        return B ** 2048
+        return coeff_power(B, 2048)
 
     monkeypatch.setattr(cli_mod, "build_A", overflowing)
     with pytest.raises(SystemExit) as exc:

@@ -16,6 +16,7 @@ from bconstell.coeffring import (
 )
 
 import refring
+from refring import coeff, coeff_power, subs
 
 rational = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8))
 atoms = st.sampled_from([B, U[1], U[2], Q[1], ONE_PLUS_B, Coeff.one()])
@@ -30,7 +31,7 @@ def coeffs(draw):
         for atom in draw(st.lists(atoms, max_size=3)):
             term = term * atom
         value = value + term
-    return value * INV_1PB ** draw(st.integers(0, 3))
+    return value * Coeff.inv_one_plus_b(draw(st.integers(0, 3)))
 
 
 def divisible_by_one_plus_b(n):
@@ -51,17 +52,17 @@ def assert_canonical(x):
     assert gcd(x.den, *x.n.values()) == 1
     if x.dp > 0:
         assert not divisible_by_one_plus_b(x.n)
-    assert Coeff(x.num, x.dp) == x
+    assert coeff(x.num, x.dp) == x
 
 
 @given(coeffs(), coeffs(), rational, st.integers(0, 3))
 def test_operations_return_canonical_values(x, y, k, e):
-    for value in (x, y, x + y, x - y, x - x, x * y, x * k, x + k, x ** e):
+    for value in (x, y, x + y, x + -y, x + -x, x * y, x * k, x + k, coeff_power(x, e)):
         assert_canonical(value)
     assert_canonical(sum_products([(x, y, k), (y, ONE_PLUS_B, 1), (x, B, -k)]))
     assert_canonical(sum_products([(x, y, k), (y, x, -k)]))
-    assert_canonical(x.subs({"u1": k}))
-    assert_canonical(x.subs({"b": 2, "q1": Fraction(1, 3)}))
+    assert_canonical(subs(x, {"u1": k}))
+    assert_canonical(subs(x, {"b": 2, "q1": Fraction(1, 3)}))
     assert_canonical(refring.parse(str(x)))
 
 
@@ -78,12 +79,12 @@ def test_equal_values_built_differently_are_equal(x, y, k):
     for value in ways:
         assert value == ways[0]
         assert hash(value) == hash(ways[0])
-    assert x + y - y == x and hash(x + y - y) == hash(x)
+    assert x + y + -y == x and hash(x + y + -y) == hash(x)
 
 
 def with_and_without_denominators(x, y):
-    for left in (Coeff(x.num), x * INV_1PB ** 4):
-        for right in (Coeff(y.num), y * INV_1PB):
+    for left in (coeff(x.num), x * Coeff.inv_one_plus_b(4)):
+        for right in (coeff(y.num), y * INV_1PB):
             yield left, right
 
 
@@ -93,14 +94,14 @@ def with_and_without_denominators(x, y):
 def test_substituting_b_respects_products(x, y, r):
     s = {"b": r}
     for left, right in with_and_without_denominators(x, y):
-        assert (left * right).subs(s) == left.subs(s) * right.subs(s)
+        assert subs(left * right, s) == subs(left, s) * subs(right, s)
 
 
 @given(coeffs(), coeffs(), rational.filter(lambda r: r != -1))
 def test_substituting_b_respects_sums(x, y, r):
     s = {"b": r}
     for left, right in with_and_without_denominators(x, y):
-        assert (left + right).subs(s) == left.subs(s) + right.subs(s)
+        assert subs(left + right, s) == subs(left, s) + subs(right, s)
 
 
 @given(coeffs())
@@ -109,10 +110,10 @@ def test_substituting_b_minus_one_refuses_a_denominator(x):
     value = x * INV_1PB
     if value.dp:
         with pytest.raises(ZeroDivisionError):
-            value.subs({"b": -1})
+            subs(value, {"b": -1})
     else:
         # a polynomial in b once (1+b) cancels: defined at every b
-        assert value.subs({"b": -1}) == Coeff(value.num).subs({"b": -1})
+        assert subs(value, {"b": -1}) == subs(coeff(value.num), {"b": -1})
 
 
 def test_rational_factors_meet_one_canonical_form():
@@ -124,7 +125,7 @@ def test_rational_factors_meet_one_canonical_form():
         assert (value.n, value.den, value.dp) == (c.n, c.den, c.dp) == (U[1].n, 3, 0)
     half_sum = U[1] * Fraction(1, 2) + U[1] * Fraction(1, 2)
     assert (half_sum.n, half_sum.den) == (U[1].n, 1)
-    assert Coeff.zero() == U[1] * Fraction(1, 2) - U[1] * Fraction(1, 2)
+    assert Coeff.zero() == U[1] * Fraction(1, 2) + -U[1] * Fraction(1, 2)
 
 
 def test_num_is_a_read_only_rational_view():
@@ -132,7 +133,7 @@ def test_num_is_a_read_only_rational_view():
     assert (x.n, x.den, x.dp) == ({0: 2, 1 << _B_SHIFT: 3}, 4, 1)
     assert x.num == {0: Fraction(1, 2), 1 << _B_SHIFT: Fraction(3, 4)}
     assert type((x * 4).num[0]) is int
-    assert Coeff(x.num, x.dp) == x
+    assert coeff(x.num, x.dp) == x
     # over den = 2 one term is integral and one is not
     y = B * 2 + Fraction(1, 2)
     assert y.num == {0: Fraction(1, 2), 1 << _B_SHIFT: 2}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import refring
+from refring import coeff, coeff_power
 from bconstell import coeffring
 from bconstell.coeffring import (
     B, INV_1PB, MAX_EXP, NVARS, ONE_PLUS_B, Q, U, WIDTH_CLASS, Coeff, _digit_width, _grouped,
@@ -37,11 +38,11 @@ def build(spec):
     for c, mono in terms:
         term = Coeff.from_rational(c)
         for v, e in mono.items():
-            term = term * Coeff.var(v) ** e
+            term = term * coeff_power(Coeff.var(v), e)
         value = value + term
         exps = tuple(mono.get(v, 0) for v in refring.VARS)
         num = refring.poly_add(num, {exps: c})
-    value = value * content * ONE_PLUS_B ** j * INV_1PB ** k
+    value = value * content * coeff_power(ONE_PLUS_B, j) * Coeff.inv_one_plus_b(k)
     num = refring.poly_mul(num, {refring.ZERO_EXP: content})
     num = refring.poly_mul(num, refring.one_plus_b_pow(j))
     return value, refring.canon(num, k)
@@ -66,8 +67,8 @@ def test_ring_operations_match_reference(sx, sy):
     assert_matches(x, rx)
     assert_matches(y, ry)
     assert_matches(x + y, refring.add(rx, ry))
-    assert_matches(x - y, refring.add(rx, refring.neg(ry)))
-    assert_matches(x - x, ({}, 0))
+    assert_matches(x + -y, refring.add(rx, refring.neg(ry)))
+    assert_matches(x + -x, ({}, 0))
     assert_matches(x * y, refring.mul(rx, ry))
     # x*b + x = x*(1+b): a sum whose numerator loses a (1+b) factor
     rb = ({(1,) + refring.ZERO_EXP[1:]: Fraction(1)}, 0)
@@ -77,27 +78,27 @@ def test_ring_operations_match_reference(sx, sy):
 @given(spec_strategy, st.integers(0, 3))
 def test_power_matches_reference(sx, n):
     x, rx = build(sx)
-    assert_matches(x ** n, refring.power(rx, n))
+    assert_matches(coeff_power(x, n), refring.power(rx, n))
 
 
 def test_largest_exponent_is_exact():
-    top = B ** MAX_EXP
+    top = coeff_power(B, MAX_EXP)
     assert str(top) == "b^%d" % MAX_EXP
     assert refring.parse(str(top)) == top
-    assert str(Q[3] ** MAX_EXP * U[1]) == "u1*q3^%d" % MAX_EXP
+    assert str(coeff_power(Q[3], MAX_EXP) * U[1]) == "u1*q3^%d" % MAX_EXP
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: B ** (MAX_EXP + 1),
-        lambda: Q[3] ** (MAX_EXP + 1),
-        lambda: (U[2] ** MAX_EXP + Q[1]) * (U[2] * B + 1),
-        lambda: (Q[1] ** 1500 + B) * (Q[1] ** 1500 - U[3]),
+        lambda: coeff_power(B, MAX_EXP + 1),
+        lambda: coeff_power(Q[3], MAX_EXP + 1),
+        lambda: (coeff_power(U[2], MAX_EXP) + Q[1]) * (U[2] * B + 1),
+        lambda: (coeff_power(Q[1], 1500) + B) * (coeff_power(Q[1], 1500) + -U[3]),
         lambda: refring.parse("b^%d" % (MAX_EXP + 1)),
         lambda: refring.parse("u1*q2^%d" % (MAX_EXP + 1)),
         lambda: refring.parse("q1^%d*q1" % MAX_EXP),
-        lambda: INV_1PB ** (MAX_EXP + 1) + 1,
+        lambda: Coeff.inv_one_plus_b(MAX_EXP + 1) + 1,
     ],
 )
 def test_exponent_overflow_raises(make):
@@ -111,8 +112,8 @@ def test_integral_coefficients_are_int():
     half = Coeff.from_rational(Fraction(1, 2))
     assert (half * 2).num == {0: 1} and type((half * 2).num[0]) is int
     assert type(Coeff.from_rational(Fraction(6, 3)).num[0]) is int
-    assert type(Coeff({0: Fraction(4, 2)}).num[0]) is int
-    x = (half * B + half) * (B * 2 - 2)
+    assert type(coeff({0: Fraction(4, 2)}).num[0]) is int
+    x = (half * B + half) * (B * 2 + -2)
     assert all(type(c) is int for c in x.num.values())
     assert str(x) == "b^2 - 1"
 
@@ -166,7 +167,7 @@ def test_sum_products_cancels_to_canonical(sx, sy, k):
 
 
 def test_sum_products_edge_lists():
-    x = (U[1] + B) * INV_1PB ** 2
+    x = (U[1] + B) * Coeff.inv_one_plus_b(2)
     assert sum_products([]) == Coeff.zero() and sum_products([]).dp == 0
     assert sum_products([(x, U[2], Fraction(3, 2))]) == x * U[2] * Fraction(3, 2)
     assert sum_products([(x, U[2], 1)]) == x * U[2]
@@ -177,11 +178,12 @@ def test_sum_products_edge_lists():
 def test_sum_products_overflow_raises_even_when_cancelled(dp):
     # q1^1500 * q1^1500 passes the field limit; the two products cancel,
     # and the guard still refuses the key before the zero is dropped
-    big = Q[1] ** 1500 * INV_1PB ** dp
+    q = coeff_power(Q[1], 1500)
+    big = q * Coeff.inv_one_plus_b(dp)
     with pytest.raises(OverflowError, match="exponent"):
-        sum_products([(big, Q[1] ** 1500, 1), (big, Q[1] ** 1500, -1)])
+        sum_products([(big, q, 1), (big, q, -1)])
     with pytest.raises(OverflowError, match="exponent"):
-        sum_products([(U[1], U[2], 1), (big, Q[1] ** 1500, 2), (Q[1] ** 1500, big, -2)])
+        sum_products([(U[1], U[2], 1), (big, q, 2), (q, big, -2)])
 
 
 # -- the packed path of sum_products against the dict path ----------------------
@@ -193,7 +195,10 @@ wide = st.one_of(
 ).filter(bool)
 key_exps = st.tuples(st.integers(0, 6), *[st.integers(0, 3)] * (NVARS - 1))
 operand = st.builds(
-    lambda terms, q, dp: Coeff({_pack(e): c for e, c in terms.items()}) * Fraction(1, q) * INV_1PB ** dp,
+    lambda terms, q, dp: (
+        coeff({_pack(e): c for e, c in terms.items()}) * Fraction(1, q)
+        * Coeff.inv_one_plus_b(dp)
+    ),
     st.dictionaries(key_exps, wide, min_size=1, max_size=8),
     st.integers(1, 6),
     st.integers(0, 4),
@@ -218,7 +223,7 @@ def packed_sums(draw):
     triples = []
     for x, y, k, j in draw(st.lists(st.tuples(pick, pick, ratio, st.integers(0, 3)),
                                     min_size=1, max_size=5)):
-        triples += [(x * B ** i, y, k * comb(j, i)) for i in range(j + 1)]
+        triples += [(x * coeff_power(B, i), y, k * comb(j, i)) for i in range(j + 1)]
     if draw(st.booleans()):
         triples += [(x, y, -k) for x, y, k in triples]
     return triples
@@ -246,22 +251,22 @@ def at_least_width(groups):
 @pytest.mark.parametrize("packed", [_sum_packed, at_least_width], ids=["class", "least"])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("dp", [0, 2])
-@pytest.mark.parametrize("rest", [Coeff.one(), U[1] * Q[3] ** 2])
+@pytest.mark.parametrize("rest", [Coeff.one(), U[1] * coeff_power(Q[3], 2)])
 def test_packed_path_at_its_digit_bound(sign, dp, rest, packed):
     # with no b and one top power, every column coefficient reaches the bound
     # C = sum |kn| max|a| max|b| min(#a, #b) exactly; a digit one bit
     # narrower than 2^(B-1) > C reads it back as a wrong pair of digits, which
     # the least B shows and the rounding to a width class may hide
     c = 2 ** 70 - 1
-    a = rest * c * INV_1PB ** dp
+    a = rest * c * Coeff.inv_one_plus_b(dp)
     triples = [(a, Coeff.from_rational(sign * c), 1), (Coeff.from_rational(c), a, sign)]
     got = assert_paths_agree(triples, packed)
-    assert got == rest * (2 * sign * c * c) * INV_1PB ** dp
+    assert got == rest * (2 * sign * c * c) * Coeff.inv_one_plus_b(dp)
 
 
 def test_packed_path_cancels_to_zero():
-    x = (U[1] + B * Q[2] - 3) * INV_1PB ** 2
-    y = B ** 3 + U[3] * Fraction(1, 3)
+    x = (U[1] + B * Q[2] + -3) * Coeff.inv_one_plus_b(2)
+    y = coeff_power(B, 3) + U[3] * Fraction(1, 3)
     zero = assert_paths_agree([(x, y, 2), (y, x, Fraction(-1, 2)), (x * y, ONE_PLUS_B, Fraction(-3, 2)),
                                (x * y * B, Coeff.one(), Fraction(3, 2))])
     assert zero.n == {} and zero.den == 1 and zero.dp == 0
@@ -273,10 +278,10 @@ def test_packed_path_overflow_raises_even_when_cancelled(dp, var):
     # a product past the b field leaves the sum to the dict path, which
     # raises; a rest field is checked on the accumulated rest sums before
     # cancelled columns are dropped
-    big = var ** 1500 * INV_1PB ** dp
+    big = coeff_power(var, 1500) * Coeff.inv_one_plus_b(dp)
     for triples in (
-        [(big, var ** 1500, 1), (big, var ** 1500, -1)],
-        [(U[1], U[2], 1), (big, var ** 1500, 2), (var ** 1500, big, -2)],
+        [(big, coeff_power(var, 1500), 1), (big, coeff_power(var, 1500), -1)],
+        [(U[1], U[2], 1), (big, coeff_power(var, 1500), 2), (coeff_power(var, 1500), big, -2)],
     ):
         groups, _ = _grouped(triples)
         for path in (_sum_packed, _sum_dict):
@@ -287,7 +292,7 @@ def test_packed_path_overflow_raises_even_when_cancelled(dp, var):
 def test_packed_path_past_the_b_field_after_rescaling():
     # b^2000 rescaled by (1+b)^100 passes the b field although each product
     # fits; the dict path's rescale refuses it, and so does the packed path
-    triples = [(B ** 2000, U[1], 1), (INV_1PB ** 100, U[1], 1)]
+    triples = [(coeff_power(B, 2000), U[1], 1), (Coeff.inv_one_plus_b(100), U[1], 1)]
     groups, _ = _grouped(triples)
     for path in (_sum_packed, _sum_dict):
         with pytest.raises(OverflowError, match="exponent"):
@@ -297,13 +302,15 @@ def test_packed_path_past_the_b_field_after_rescaling():
 def test_large_sums_take_the_packed_path(monkeypatch):
     # 20 * 15 term pairs: sum_products takes the packed path, and an
     # overflowing product that cancels still raises there
-    x = sum((B ** i * U[1] ** j * (i + j + 1) for i in range(4) for j in range(5)), Coeff.zero())
-    y = sum((Q[2] ** i * B ** j * INV_1PB for i in range(5) for j in range(3)), Coeff.zero())
+    x = sum((coeff_power(B, i) * coeff_power(U[1], j) * (i + j + 1)
+             for i in range(4) for j in range(5)), Coeff.zero())
+    y = sum((coeff_power(Q[2], i) * coeff_power(B, j) * INV_1PB
+             for i in range(5) for j in range(3)), Coeff.zero())
     assert len(x.n) * len(y.n) >= coeffring.PACKED_PAIRS
     calls = []
     monkeypatch.setattr(coeffring, "_sum_packed", lambda groups: calls.append(1) or _sum_packed(groups))
     assert sum_products([(x, y, 1), (y, x, Fraction(1, 2))]) == x * y * Fraction(3, 2)
-    big = Q[1] ** 1500
+    big = coeff_power(Q[1], 1500)
     with pytest.raises(OverflowError, match="exponent"):
         sum_products([(x, y, 1), (big, big, 1), (big, big, -1)])
     assert len(calls) == 2
@@ -327,8 +334,8 @@ def test_shared_operands_across_width_classes(pool, sums):
 
 
 def test_a_coeff_keeps_one_packing_per_width_class():
-    x = (U[1] + B * 3 - B ** 2 * Q[2]) * INV_1PB
-    y = B * U[2] - 5
+    x = (U[1] + B * 3 + -coeff_power(B, 2) * Q[2]) * INV_1PB
+    y = B * U[2] + -5
     wide = [(x, y, 1), (y, x, 2 ** 300)]
     for triples in ([(x, y, 1), (y, x, 2)], wide, [(x, y, -1)], wide):
         assert_paths_agree(triples)
@@ -339,8 +346,8 @@ def test_a_coeff_keeps_one_packing_per_width_class():
 
 def test_a_coeff_keeps_the_sizes_that_bound_its_width():
     # _digit_width reads each operand's height and b-degree, computed once
-    x = (U[1] + B * 3 - B ** 2 * Q[2]) * INV_1PB
-    y = B * U[2] - 5
+    x = (U[1] + B * 3 + -coeff_power(B, 2) * Q[2]) * INV_1PB
+    y = B * U[2] + -5
     assert x.sizes is None and y.sizes is None
     for triples in ([(x, y, 1), (y, x, 2)], [(x, y, -1)]):
         assert_paths_agree(triples)
@@ -380,9 +387,10 @@ def test_series_packs_each_numerator_once_per_width_class(monkeypatch):
 
 PRINTED = [
     Coeff.zero(), Coeff.one(), -Coeff.one(), Coeff.from_rational(Fraction(-3, 4)),
-    Coeff.from_rational(7) * INV_1PB ** 2, -INV_1PB, -B * INV_1PB ** 3, B ** 5 * Fraction(2, 3),
-    U[1] * Q[3] ** 4 * Fraction(-1, 6) + 1, (U[2] - B * Fraction(5, 2)) * INV_1PB,
-    (Q[1] * Fraction(3, 2) - B * U[3] * Fraction(1, 2) + Fraction(1, 6)) * INV_1PB ** 4,
+    Coeff.from_rational(7) * Coeff.inv_one_plus_b(2), -INV_1PB, -B * Coeff.inv_one_plus_b(3),
+    coeff_power(B, 5) * Fraction(2, 3),
+    U[1] * coeff_power(Q[3], 4) * Fraction(-1, 6) + 1, (U[2] + -B * Fraction(5, 2)) * INV_1PB,
+    (Q[1] * Fraction(3, 2) + -B * U[3] * Fraction(1, 2) + Fraction(1, 6)) * Coeff.inv_one_plus_b(4),
 ]
 
 

@@ -25,7 +25,7 @@ def ppoly_from_json_obj(obj):
 
 
 def test_mul_add_examples():
-    p1, p2, p3 = PPoly.gen(1), PPoly.gen(2), PPoly.gen(3)
+    p1, p2, p3 = (PPoly.monomial(((i, 1),)) for i in (1, 2, 3))
     assert p1 * p1 == PPoly.monomial(((1, 2),))
     assert (p2 + p1 * p1) + (-(p1 * p1)) == p2
     prod = p2 * p3
@@ -34,7 +34,7 @@ def test_mul_add_examples():
 
 
 def test_degree_slice_examples():
-    p1, p3 = PPoly.gen(1), PPoly.gen(3)
+    p1, p3 = (PPoly.monomial(((i, 1),)) for i in (1, 3))
     f = p1 * p1 + p3
     assert degree_slice(f, 2) == p1 * p1
     assert degree_slice(f, 3) == p3
@@ -51,8 +51,8 @@ def test_partition_monomial_degree():
 
 
 def test_no_p0_or_negative():
-    assert PPoly.gen(0) == PPoly.zero()
-    assert PPoly.gen(-2) == PPoly.zero()
+    assert PPoly.monomial(((0, 1),)) == PPoly.zero()
+    assert PPoly.monomial(((-2, 1),)) == PPoly.zero()
 
 
 @pytest.mark.parametrize("pairs, mono", [
@@ -107,7 +107,7 @@ def test_homogeneous_product_degree():
 
 
 def test_derivative():
-    p1, p2 = PPoly.gen(1), PPoly.gen(2)
+    p1, p2 = (PPoly.monomial(((i, 1),)) for i in (1, 2))
     f = p1 * p1 * p2
     assert f.dp(1) == p1 * p2 * 2
     assert f.dp(2) == p1 * p1
@@ -119,7 +119,7 @@ def test_json_round_trip():
     for _ in range(25):
         f = random_ppoly(rng, 6)
         assert ppoly_from_json_obj(f.to_json_obj()) == f
-    f = PPoly.gen(1, coeff=U[1]) + PPoly.gen(2, coeff=B)
+    f = PPoly.monomial(((1, 1),), U[1]) + PPoly.monomial(((2, 1),), B)
     obj = f.to_json_obj()
     assert obj == [
         {"monomial": [[1, 1]], "coeff": "u1"},

@@ -22,6 +22,7 @@ from bconstell.tau import TauSeries
 from bconstell.weyl import WeylOp
 
 from randops import COEFF_POOL, random_op, random_ppoly
+from refstruct import scale, tshift
 from refsum import fold, ppoly_add, tau_add, tgraded_add, weyl_add
 
 MAX_D = 8
@@ -161,7 +162,7 @@ def test_products_sum_matches_fold(seed, count):
 
     got = C._products_sum(scalars, ls)
     want = fold(tgraded_add, [
-        product(x, l).scale(c).tshift(tpow) for (x, l, tpow), c in scalars.items()
+        tshift(scale(product(x, l), c), tpow) for (x, l, tpow), c in scalars.items()
     ], TGradedOp.zero())
     assert sorted(got.pieces) == sorted(want.pieces)
     for m, op in want.pieces.items():

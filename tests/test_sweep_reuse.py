@@ -14,6 +14,7 @@ from bconstell.coeffring import add_term
 from bconstell.weyl import EXACT, WeylOp
 
 import refstruct
+from refweyl import commutator
 
 
 def ordered_pairs(i_max):
@@ -59,16 +60,16 @@ def direct_simplified(model, which, levels, i_max, d_check):
     for s, sp in combos:
         for i, j in ordered_pairs(i_max):
             if which == "dstruct":
-                lhs = ops[s][i].commutator(ops[s][j])
+                lhs = commutator(ops[s][i], ops[s][j])
                 rhs = dsum(s, i, j, ops[s])
                 label = {"level": s}
             elif which == "mixed":
-                lhs = ops[s][i].commutator(ops[sp][j]) - ops[s][j].commutator(ops[sp][i])
+                lhs = commutator(ops[s][i], ops[sp][j]) - commutator(ops[s][j], ops[sp][i])
                 rhs = dsum(sp, i, j, ops[s]) + dsum(s, i, j, ops[sp])
                 label = {"level": s, "level2": sp}
             else:
-                lhs = (WeylOp.p_star(i).commutator(ops[s][j])
-                       - WeylOp.p_star(j).commutator(ops[s][i]))
+                lhs = (commutator(WeylOp.p_star(i), ops[s][j])
+                       - commutator(WeylOp.p_star(j), ops[s][i]))
                 pstars = {l: WeylOp.p_star(l) for l in ops[s]}
                 rhs = dsum(s, i, j, pstars)
                 label = {"level": s}
@@ -93,7 +94,7 @@ def direct_final(model, i_max, d_check):
     ops = {l: op for l, op in ops.items() if not op.is_zero()}
     items = []
     for i, j in ordered_pairs(i_max):
-        lhs = ops[i].commutator(ops[j])
+        lhs = commutator(ops[i], ops[j])
         rhs = refstruct.final_commutator_rhs(model, i, j, ops, d_outer)
         entry = {"level": 3, "i": i, "j": j, "status": "pass"}
         if not lhs.equal_up_to(rhs, d_check):
@@ -145,7 +146,7 @@ def test_failing_structure_rhs_mismatches_match_direct_loop(monkeypatch):
         rhs = real(model, i, j, ls, *products)
         # differ on both halves of the unordered pairs {1,2} and {2,3}
         if (i, j) in ((1, 2), (2, 1), (3, 2)):
-            return rhs + ls[i + j].tshift(i)
+            return rhs + refstruct.tshift(ls[i + j], i)
         return rhs
 
     monkeypatch.setattr(C, "structure_rhs", corrupted)

@@ -27,6 +27,7 @@ from bconstell.currents import build_A, build_M, current
 from bconstell.weyl import EXACT, DegreeBudgetError, WeylOp, live_terms
 
 import refcurrents
+from refstruct import scale, tshift
 from randops import COEFF_POOL, random_op
 
 D = 4
@@ -158,7 +159,7 @@ def test_graded_comparison_above_a_zero_piece_raises():
     with pytest.raises(DegreeBudgetError):
         TGradedOp({0: WeylOp.p_star(1).truncated(0)}).equal_up_to(TGradedOp.zero(), 5)
     assert dropped.equal_up_to(TGradedOp.zero(), 0)
-    for moved in (-dropped, dropped.tshift(2), dropped.scale(U[1]), dropped + dropped):
+    for moved in (-dropped, tshift(dropped, 2), scale(dropped, U[1]), dropped + dropped):
         with pytest.raises(DegreeBudgetError):
             moved.equal_up_to(TGradedOp.zero(), 5)
     # a piece that cancels in a sum keeps the least degree of its addends

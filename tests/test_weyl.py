@@ -10,6 +10,7 @@ from bconstell.weyl import EXACT, DegreeBudgetError, WeylOp
 
 from randops import random_op, random_homogeneous_op, random_ppoly
 import refring
+from refweyl import commutator
 
 
 def weyl_from_json_obj(obj):
@@ -22,7 +23,7 @@ def weyl_from_json_obj(obj):
     return WeylOp(terms, int(obj["working_degree"]))
 
 D = 8
-p1, p2, p3 = PPoly.gen(1), PPoly.gen(2), PPoly.gen(3)
+p1, p2, p3 = (PPoly.monomial(((i, 1),)) for i in (1, 2, 3))
 
 
 def p(i, d=D):
@@ -74,11 +75,11 @@ def test_compose_double_derivative():
 
 
 def test_commutator_examples():
-    assert p_star(1).commutator(p(1)).equal_up_to(WeylOp.identity(), D - 1)
-    assert p(2).commutator(p(3)).is_zero()
+    assert commutator(p_star(1), p(1)).equal_up_to(WeylOp.identity(), D - 1)
+    assert commutator(p(2), p(3)).is_zero()
     for i in range(1, 4):
         for j in range(1, 4):
-            comm = p_star(i).commutator(p_star(j))
+            comm = commutator(p_star(i), p_star(j))
             assert comm.is_zero()
 
 
@@ -107,10 +108,10 @@ def test_jacobi_antisymmetry_small():
         a = random_op(rng, 12)
         b = random_op(rng, 12)
         c = random_op(rng, 12)
-        ab = a.commutator(b)
-        ba = b.commutator(a)
+        ab = commutator(a, b)
+        ba = commutator(b, a)
         assert ab.equal_up_to(-ba, ab.working_degree)
-        jac = ab.commutator(c) + b.commutator(c).commutator(a) + c.commutator(a).commutator(b)
+        jac = commutator(ab, c) + commutator(commutator(b, c), a) + commutator(commutator(c, a), b)
         d = jac.working_degree
         if d >= 0:
             assert jac.equal_up_to(WeylOp.zero(d), d)
@@ -165,7 +166,7 @@ def test_scalars_come_in_through_the_scalar_ring():
     assert WeylOp.scalar(0).is_zero() and WeylOp.scalar(0).working_degree == float("inf")
     op = p(1) + p_star(2)
     assert op.scale(2).terms == op.scale(Coeff.from_rational(2)).terms
-    assert (op * Fraction(1, 2)).terms == op.scale(half).terms
+    assert op.scale(Fraction(1, 2)).terms == op.scale(half).terms
     for bad in ("1", 0.5, None, PPoly.one()):
         with pytest.raises(TypeError):
             WeylOp.scalar(bad)
