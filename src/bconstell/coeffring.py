@@ -17,7 +17,8 @@ the rationals exactly when it divides it over the integers: every
 reduction runs on ints.  ``num`` is a read-only view of ``n / den`` term by
 term, an ``int`` where integral and a ``Fraction`` otherwise; neither the
 arithmetic nor printing reads it (``str`` reduces each coefficient of ``n``
-against ``den`` by one gcd).  The operations are ``+``, unary ``-`` and
+against ``den`` by one gcd, none when ``den`` is 1, and reads each
+monomial's factor string from a bounded memo, ``_factors``).  The operations are ``+``, unary ``-`` and
 ``*``, with ``int`` and ``Fraction`` operands coerced; a rational constant
 equals, and hashes as, the ``int`` or ``Fraction`` it holds.  A product by a
 rational constant (a numerator ``{0: k}`` with ``dp == 0``) scales the other
@@ -51,13 +52,16 @@ width in its ``packed`` slot, so a numerator met by many sums is packed
 once per width class and the packing is freed with the ``Coeff``; its
 height and b-degree, which bound B, are kept beside it in ``sizes``.
 ``sum_grouped`` runs ``sum_products`` once per key of a dict of triple
-lists.  ``WeylOp.apply``, ``WeylOp.compose``, the structure sums of
+lists.  ``WeylOp.compose``, the accumulators of ``WeylOp.apply_into``
+(``weyl.sum_applied``: ``WeylOp.apply`` and both tau checks, whose every
+series coefficient gathers all its addends first), the structure sums of
 ``constraints._products_sum`` and ``PPoly`` products and t-convolutions
 (``PPoly.sum_products``) sum each output coefficient this way instead of
 canonicalising every partial sum.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 from types import MappingProxyType
 
@@ -442,7 +446,9 @@ def _unpack(cols, shift):
             if c >= half:
                 c -= base
             if c:
-                n[(e << _B_SHIFT) | rest] = c
+                # v & mask and c - base keep the allocation of a shift-bit
+                # int; c + 0 holds the digit at its own size
+                n[(e << _B_SHIFT) | rest] = c + 0
             v = (v - c) >> shift
             e += 1
     return n
@@ -475,8 +481,9 @@ def _times(x, k, d):
     return _make(n, x.den // g * (d // h), x.dp)
 
 
+@lru_cache(maxsize=1 << 12)
 def _factors(key):
-    """The printed factors of a monomial key, joined by '*'."""
+    """The printed factors of a monomial key, b first, joined by '*'; '' for 1."""
     factors = []
     for v, shift in _VAR_SHIFT.items():
         e = (key >> shift) & _FIELD_MASK
@@ -622,31 +629,22 @@ class Coeff:
         if not n:
             return "0"
         den = self.den
-        rests = {}  # the u, q factors of each u, q monomial, built once
         parts = []
         for key in sorted(n, reverse=True):
             c = n[key]
             neg = c < 0
             if neg:
                 c = -c
-            g = gcd(c, den)
             # a unit magnitude is printed only on the constant monomial
+            g = 1 if den == 1 else gcd(c, den)
             if g != den:
-                factors = ["%d/%d" % (c // g, den // g)]
+                mag = "%d/%d" % (c // g, den // g)
             elif c != den or not key:
-                factors = [str(c // den)]
+                mag = str(c // den)
             else:
-                factors = []
-            if key > _REST_MASK:
-                e = key >> _B_SHIFT
-                factors.append("b" if e == 1 else "b^%d" % e)
-            rest = key & _REST_MASK
-            if rest:
-                uq = rests.get(rest)
-                if uq is None:
-                    uq = rests[rest] = _factors(rest)
-                factors.append(uq)
-            body = "*".join(factors)
+                mag = ""
+            mono = _factors(key)
+            body = mag + "*" + mono if mag and mono else mag or mono
             if parts:
                 parts.append((" - " if neg else " + ") + body)
             else:

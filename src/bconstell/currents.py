@@ -25,14 +25,18 @@ test suite and the verification sweeps enforce this.
 import importlib
 from functools import lru_cache
 
-from .coeffring import Coeff, B, INV_1PB, ONE_PLUS_B, U, ZERO
+from .coeffring import Coeff, B, INV_1PB, ONE, ONE_PLUS_B, U, ZERO
 from .weyl import EXACT, WeylOp
 
 
 def current(i):
-    """The current J_i, exact; J_0 is zero."""
+    """The current J_i, exact; J_0 is zero.
+
+    Its coefficient is a module constant, so a packed sum packs it once per
+    width class (coeffring._packed).
+    """
     if i < 0:
-        return WeylOp.p(-i)
+        return WeylOp.p(-i, ONE)
     if i > 0:
         return WeylOp.p_star(i, ONE_PLUS_B)
     return WeylOp.zero(EXACT)

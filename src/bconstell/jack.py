@@ -55,7 +55,7 @@ from functools import lru_cache, reduce
 from math import comb, factorial, gcd, lcm
 
 from .coeffring import _B_SHIFT, VARS, _check_keys, _normal, _pack, add_term
-from .ppoly import PPoly, pm_normal
+from .ppoly import PPoly, first_difference, pm_normal
 
 
 JACK_BOUND = 12
@@ -182,17 +182,6 @@ def _gcd(f, g):
         f, g = g, _primitive(_prem(f, g))[1]
     c = gcd(fc, gc)
     return _mul_ground(f, -c if f and f[0] < 0 else c)
-
-
-def _lcm(f, g):
-    """lcm in ZZ[alpha] with a positive leading coefficient; [] if f or g is zero."""
-    if not f or not g:
-        return []
-    fc, f = _primitive(f)
-    gc, g = _primitive(g)
-    h = _exquo(_mul(f, g), _gcd(f, g))
-    c = lcm(fc, gc)
-    return _mul_ground(h, -c if h[0] < 0 else c)
 
 
 def alpha_str(f):
@@ -446,17 +435,57 @@ def _jack_table(n):
     return table
 
 
+def _norm_factors(lam):
+    """Stanley's closed form j_lam as (content, {(x, y): multiplicity}).
+
+    Each box gives the factors alpha a + l + 1 and alpha a + l + alpha
+    (_stanley_norm); a factor x alpha + y contributes gcd(x, y) to the
+    content and, unless x = 0, its primitive part (x, y) / gcd(x, y).
+    """
+    content = 1
+    factors = {}
+    for arm, leg in _arms_and_legs(lam):
+        for x, y in ((arm, leg + 1), (arm + 1, leg)):
+            g = gcd(x, y)
+            content *= g
+            if x:
+                key = (x // g, y // g)
+                factors[key] = factors.get(key, 0) + 1
+    return content, factors
+
+
+def _expand(content, factors):
+    """content * prod (x alpha + y)^e over {(x, y): e}, as a dense ZZ[alpha] list."""
+    acc = [content]
+    for (x, y), e in factors.items():
+        for _ in range(e):
+            acc = [x * a + y * b for a, b in zip(acc + [0], [0] + acc)]
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _norm_ratios(n):
     """The ratios D_n / j_lam by partition lam of n, and D_n, over dense ZZ[alpha].
 
     j_lam is Stanley's closed form, which _jack_table checked against
     <J_lam, J_lam>, and D_n is the lcm of the j_lam of size n in ZZ[alpha],
-    so the ratios are integer polynomials.
+    so the ratios are integer polynomials.  Every j_lam is an integer times
+    a product of primitive linear factors (_norm_factors), and distinct
+    primitive linear factors are coprime, so D_n is the lcm of the integers
+    times each factor to its largest multiplicity, and each ratio is the
+    leftover integer and factors.
     """
-    norms = {lam: _stanley_norm(lam) for lam in partitions(n)}
-    common = reduce(_lcm, norms.values())
-    return {lam: _exquo(common, norm) for lam, norm in norms.items()}, common
+    norms = {lam: _norm_factors(lam) for lam in partitions(n)}
+    content = lcm(*[c for c, _ in norms.values()])
+    top = {}
+    for _, factors in norms.values():
+        for key, e in factors.items():
+            top[key] = max(top.get(key, 0), e)
+    ratios = {
+        lam: _expand(content // c, {key: e - factors.get(key, 0) for key, e in top.items()})
+        for lam, (c, factors) in norms.items()
+    }
+    return ratios, _expand(content, top)
 
 
 def jack(lam):
@@ -703,9 +732,9 @@ def compare_with_engine(model, order, convention=None, engine=None):
     oracle = tau_jack(model, order, convention)
     first_diff = None
     for n in range(order + 1):
-        diff = engine.coeff(n) - oracle.coeff(n)
-        if diff:
-            (mono, coeff), = diff.first_term().terms.items()
+        if engine.coeff(n) != oracle.coeff(n):
+            first = first_difference(engine.coeff(n), oracle.coeff(n))
+            (mono, coeff), = first.terms.items()
             first_diff = {
                 "order": n,
                 "monomial": [[i, e] for i, e in mono],

@@ -143,12 +143,6 @@ class PPoly:
     def __eq__(self, other):
         return isinstance(other, PPoly) and self.terms == other.terms
 
-    def degree(self):
-        """Maximal monomial degree, 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(pm_degree(m) for m in self.terms)
-
     def is_homogeneous(self, d):
         return all(pm_degree(m) == d for m in self.terms)
 
@@ -191,3 +185,15 @@ class PPoly:
         return " + ".join(chunks)
 
     __repr__ = __str__
+
+
+def first_difference(f, g):
+    """The first term of f - g, as a one-term PPoly, for unequal f and g.
+
+    Canonical forms are unique, so f != g decides; a zero difference of
+    unequal sides means a canonical form is broken, and raises.
+    """
+    diff = f - g
+    if not diff:
+        raise AssertionError("unequal polynomials differ by zero: a canonical form is broken")
+    return diff.first_term()

@@ -15,18 +15,25 @@ transfer only times t^m, so round m runs through t^(N-m); an entry at marked
 degree j there has p-degree at most N - 1 - j, which bounds the currents
 J_delta that act on it by its own coefficient degree.
 
-One series type, TauSeries, carries tau, H and the rooted series alike;
-``TauSeries.sum`` merges its addends into one dict per power of t.
+TauSeries carries tau and H.  Both checks sum each output coefficient once:
+every addend of a slice, [t^n] L_i tau or a transfer step's (j', t^n),
+deposits its contraction triples into the slice's one accumulator
+(``WeylOp.apply_into``), and ``weyl.sum_applied`` sums that accumulator by
+one ``sum_grouped`` before the next slice starts.  No addend is
+canonicalised on its own.  The fixed point keeps its y-vectors as packed
+polynomials (``weyl.pack_poly``), so a transfer step neither packs nor
+unpacks a monomial; a scalar is the operator c * Id and a feedback product
+the multiplication operator by a coefficient of G_a.
 """
 
 import math
 from fractions import Fraction
 
-from .coeffring import Coeff, B, ONE_PLUS_B, add_terms
+from .coeffring import Coeff, B, ONE_PLUS_B
 from .constraints import build_L, sweep_entry, sweep_report
 from .currents import build_M, current
-from .ppoly import EMPTY, PPoly
-from .weyl import WeylOp
+from .ppoly import EMPTY, PPoly, first_difference
+from .weyl import WeylOp, pack_poly, sum_applied, unpack_poly
 
 
 class TauSeries:
@@ -38,67 +45,10 @@ class TauSeries:
         self.coeffs = list(coeffs)
         self.order = len(self.coeffs) - 1
 
-    @classmethod
-    def zero(cls, order):
-        return cls([PPoly.zero()] * (order + 1))
-
-    @classmethod
-    def one(cls, order):
-        return cls([PPoly.one()] + [PPoly.zero()] * order)
-
-    @classmethod
-    def sum(cls, series, order):
-        """The sum of the series in series, through t^order."""
-        return cls.sums(((0, s) for s in series), order).get(0) or cls.zero(order)
-
-    @classmethod
-    def sums(cls, pairs, order):
-        """{key: the sum of the series paired with key}; zero addends are skipped."""
-        parts = {}
-        for key, s in pairs:
-            if s.is_zero():
-                continue
-            part = parts.get(key)
-            if part is None:
-                part = parts[key] = [PPoly() for _ in range(order + 1)]
-            for out, c in zip(part, s.coeffs):
-                add_terms(out.terms, c.terms)
-        return {key: cls(part) for key, part in parts.items()}
-
     def coeff(self, n):
         if 0 <= n <= self.order:
             return self.coeffs[n]
         return PPoly.zero()
-
-    def __sub__(self, other):
-        return TauSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def mul_series(self, other):
-        """The product, truncated at this series' order."""
-        return TauSeries([
-            PPoly.sum_products([
-                (self.coeffs[a], other.coeffs[n - a], 1) for a in range(n + 1)
-            ])
-            for n in range(self.order + 1)
-        ])
-
-    def map(self, fn):
-        return TauSeries([fn(c) for c in self.coeffs])
-
-    def scale(self, c):
-        return self.map(lambda x: x * c)
-
-    def tshift(self, k, order=None):
-        """t^k times the series, through t^order (by default this series' order)."""
-        shifted = [PPoly.zero()] * k + self.coeffs
-        return TauSeries(shifted[: (self.order if order is None else order) + 1])
-
-    def truncated(self, order):
-        """The series through t^order; empty for a negative order."""
-        return TauSeries(self.coeffs[: order + 1])
-
-    def is_zero(self):
-        return not any(self.coeffs)
 
     def denom_pow_profile(self):
         """Observed maximal (1+b)-denominator power per order."""
@@ -139,6 +89,12 @@ def check_constraints(model, tau, i_max):
     cancellation; each (i, n) gives one entry, which names the first piece
     that is not homogeneous.  The check is symbolic in b, u and q, so a pass
     holds at every specialization of them (b != -1).
+
+    Each slice is summed once: every piece deposits its contraction triples
+    into the slice's one accumulator.  A piece homogeneous of degree m - i
+    maps a coefficient homogeneous of degree n - m into degree n - i, so
+    only a piece or a coefficient that is not homogeneous has its own part
+    summed, to read that part's degrees.
     """
     N = tau.order
     items = []
@@ -147,13 +103,23 @@ def check_constraints(model, tau, i_max):
         for n, bound in enumerate(tau.denom_pow_profile())
         if bound > n
     ]
+    packed = [pack_poly(c) for c in tau.coeffs]
+    homogeneous = [c.is_homogeneous(n) for n, c in enumerate(tau.coeffs)]
     for i in range(1, i_max + 1):
         L = build_L(model, i, N)
+        graded = {m: op.homogeneous_degree() == m - i for m, op in L.pieces.items()}
         for n in range(0, N + 1):
-            parts = {m: L.pieces[m].apply(tau.coeff(n - m)) for m in L.pieces if m <= n}
-            bad = [m for m, part in parts.items() if not part.is_homogeneous(n - i)]
+            acc = {}
+            bad = []
+            for m, op in L.pieces.items():
+                if m > n:
+                    continue
+                op.apply_into(packed[n - m], acc)
+                if not (graded[m] and homogeneous[n - m]):
+                    if not op.apply(tau.coeff(n - m)).is_homogeneous(n - i):
+                        bad.append(m)
             reason = bad and "t^%d piece is not homogeneous of degree %d" % (bad[0], n - i)
-            slice_sum = PPoly.sum(parts.values())
+            slice_sum = unpack_poly(sum_applied(acc))
             first = slice_sum and str(slice_sum.first_term())
             items.append(sweep_entry({"i": i, "n": n}, reason=reason, first_nonzero=first))
     params = {"model": model.name, "imax": i_max, "order": N}
@@ -183,40 +149,66 @@ def h_series(tau):
 def _lambda_series(entries, order, shift, feedback, j_max):
     """Shifted transfer step on a y-vector of truncated series, with rooted feedback.
 
-    The currents are exact and act coefficient by coefficient, and the
-    feedback term is a truncated product, so t^n of the result reads only
-    t^0..t^n of the entries and the feedback.  delta stops at the entry's
-    largest coefficient degree, past which J_delta annihilates every
+    entries maps a marked degree j to its series through t^order, one
+    packed polynomial (weyl.pack_poly) per power of t, and so does the
+    result; feedback maps a >= 1 to the multiplication operators by the
+    coefficients of the rooted series G_a = a dH/dp_a, through t^order at
+    least.  The currents are exact and act coefficient by coefficient, and
+    the feedback term is a truncated product, so t^n of the result reads
+    only t^0..t^n of the entries and the feedback.  delta stops at the
+    entry's largest coefficient degree, past which J_delta annihilates every
     coefficient; no order bound is needed on top, since in round m of the
     fixed point an entry at marked degree j and t^n, n <= N - m, has
-    p-degree n + m - 1 - j <= N - 1 - j.  feedback maps a >= 1 to the
-    rooted series G_a = a dH/dp_a; the feedback term moves the marked degree
-    up by a while multiplying by G_a.  Only the marked degrees <= j_max are
-    produced.
+    p-degree n + m - 1 - j <= N - 1 - j.  The feedback term moves the marked
+    degree up by a while multiplying by G_a.  Only the marked degrees
+    <= j_max are produced, and only those with a nonzero coefficient.
+
+    Each output slice (j', t^n) is summed once over all its addends: every
+    current, the diagonal scalar and every feedback product deposit their
+    triples into the slice's one accumulator, and the slice is summed
+    before the next one starts.
     """
+    if not entries:
+        return {}
+    tops = {j: max(degree for degree, _ in s) for j, s in entries.items()}
+    reach = max(j + max([tops[j], *feedback]) for j in entries)
+    out = {}
+    for jp in range(min(reach, j_max) + 1):
+        acting = [
+            (current(jp - j), s) for j, s in entries.items() if 0 != jp - j <= tops[j]
+        ]
+        c = B * jp + shift
+        if c and jp in entries:
+            acting.append((WeylOp.scalar(c), entries[jp]))
+        fed = [(g, entries[jp - a], a) for a, g in feedback.items() if jp - a in entries]
+        slices = []
+        for n in range(order + 1):
+            acc = {}
+            for op, s in acting:
+                op.apply_into(s[n], acc)
+            for g, s, a in fed:
+                # G_a starts at t^a
+                for k in range(n - a + 1):
+                    g[n - k].apply_into(s[k], acc)
+            slices.append(sum_applied(acc))
+        if any(terms for _, terms in slices):
+            out[jp] = slices
+    return out
 
-    def terms():
-        for j, s in entries.items():
-            top = max(c.degree() for c in s.coeffs)
-            for delta in range(-j, min(top, j_max - j) + 1):
-                cur = current(delta)
-                if not cur.is_zero():
-                    yield j + delta, s.map(cur.apply)
-        for j, s in entries.items():
-            c = B * j + shift
-            if c and j <= j_max:
-                yield j, s.scale(c)
-            for a, g in feedback.items():
-                if j + a <= j_max:
-                    yield j + a, s.mul_series(g)
 
-    return TauSeries.sums(terms(), order)
+def _truncated(entries, order):
+    """{j: s through t^order} for the entries whose truncation is nonzero."""
+    cut = {j: s[: order + 1] for j, s in entries.items()}
+    return {j: s for j, s in cut.items() if any(terms for _, terms in s)}
 
 
-def _truncated(series, order):
-    """{key: s through t^order} for the keys whose truncation is nonzero."""
-    cut = {key: s.truncated(order) for key, s in series.items()}
-    return {key: s for key, s in cut.items() if not s.is_zero()}
+def _rooted_series(tau):
+    """{a: the coefficients of G_a = a dH/dp_a through t^N}, for 1 <= a <= N.
+
+    H is not kept: the check reads it only through the G_a.
+    """
+    h = h_series(tau)
+    return {a: [c.dp(a) * a for c in h.coeffs] for a in range(1, tau.order + 1)}
 
 
 def check_rooted_fixed_point(model, tau, i_max):
@@ -226,37 +218,38 @@ def check_rooted_fixed_point(model, tau, i_max):
     runs through t^(N-m) on truncated entries and feedback (G_a starts at
     t^a); past m = N no entry is left.  The last step of the last round
     produces only the marked degrees <= i_max - 1, which the shift turns into
-    the y[i], i <= i_max, that are read.
+    the y[i], i <= i_max, that are read.  Each [t^n] of the right-hand side
+    is summed once over its rounds and compared by equality; only a mismatch
+    is subtracted, to name its first term.
     """
-    h = h_series(tau)
     N = tau.order
-
-    def rooted(a):
-        """G_a = a dH/dp_a through t^N."""
-        return TauSeries([h.coeff(n).dp(a) * a for n in range(N + 1)])
-
-    feedback = {a: rooted(a) for a in range(1, N + 1)}
-    qs = model.q_weights()
+    rooted = _rooted_series(tau)
+    feedback = {a: [WeylOp.multiplication(c) for c in g] for a, g in rooted.items()}
+    scales = {m: WeylOp.scalar(q) for m, q in model.q_weights().items()}
     shifts = model.us()
 
-    entries = {0: TauSeries.one(N)}
+    entries = {0: [pack_poly(PPoly.one())] + [pack_poly(PPoly.zero())] * N}
     per_round = []
     for m in range(1, model.r + 1):
-        order = N - m
-        entries = _truncated(entries, order)
-        fed = _truncated(feedback, order)
+        entries = _truncated(entries, N - m)
+        # G_a starts at t^a
+        fed = {a: g for a, g in feedback.items() if a <= N - m}
         for c, shift in enumerate(shifts, 1):
             j_max = i_max - 1 if (m, c) == (model.r, len(shifts)) else math.inf
-            entries = _lambda_series(entries, order, shift, fed, j_max)
+            entries = _lambda_series(entries, N - m, shift, fed, j_max)
         entries = {j + 1: s for j, s in entries.items()}
         per_round.append(entries)
 
     items = []
     for i in range(1, i_max + 1):
-        lhs = feedback.get(i, TauSeries.zero(N))
-        read = enumerate(per_round, 1)
-        rhs = TauSeries.sum((y[i].scale(qs[m]).tshift(m, N) for m, y in read if i in y), N)
-        for n, c in enumerate((lhs - rhs).coeffs):
-            first = c and str(c.first_term())
+        lhs = rooted.get(i)
+        for n in range(N + 1):
+            acc = {}
+            for m, y in enumerate(per_round, 1):
+                if i in y and m <= n:
+                    scales[m].apply_into(y[i][n - m], acc)
+            rhs = unpack_poly(sum_applied(acc))
+            side = lhs[n] if lhs else PPoly.zero()
+            first = side != rhs and str(first_difference(side, rhs))
             items.append(sweep_entry({"i": i, "n": n}, first_mismatch=first))
     return sweep_report({"model": model.name, "imax": i_max, "order": N}, items, "items")

@@ -22,22 +22,33 @@ every polynomial: they sit at working degree ``EXACT`` (infinity), and
 ``truncated(d)`` is the one way to cut one down.  A product with an exact
 left factor sits at its right operand's degree.
 
-``compose`` is the one contraction kernel and ``compose_degree`` the one
-budget rule: ``apply`` composes onto f as a multiplication operator at
-working degree 0, where only the fully contracted terms survive and a
-polynomial above the working degree exhausts the budget.
+``_contract`` is the one contraction loop and ``compose_degree`` the one
+budget rule.  The loop deposits the (c1, c2, k) triples of a product into
+an accumulator its caller passes in, keyed by output term; ``compose`` is
+the loop and its one ``sum_grouped``.  ``apply_into`` runs the loop onto a
+polynomial f as a multiplication operator at working degree 0, where only
+the fully contracted terms survive, under (creation monomial, 0), and a
+polynomial above the working degree exhausts the budget.  Many
+applications may deposit into one accumulator, which ``sum_applied`` sums
+once per monomial: the tau checks sum each series coefficient this way, and
+``apply`` is one application summed.
 
-Inside ``compose`` a monomial is one int with ``FIELD_BITS`` bits per index
+Inside the loop a monomial is one int with ``FIELD_BITS`` bits per index
 (p_i's exponent in the field at (i - 1) * FIELD_BITS) and a bitmask of its
 indices.  Each operator packs its terms once, on its first composition, and
-keeps them in its ``_packed`` slot (``_packed_terms``).  A term pair whose
-left annihilator and right creator masks do not meet shares no index, and
-its key is two int additions; a contraction subtracts one packed gamma from
-both sides.  Exponents stay at most ``MAX_EXP``, below each field's top bit,
-so adding two packed monomials never carries into a neighbouring field; a
-larger exponent raises OverflowError when its operator is packed.  The keys
-are read back into (index, exponent) tuples before ``sum_grouped``, each
-once per call, so every operator outside ``compose`` holds tuple monomials.
+keeps them in its ``_packed`` slot (``_packed_terms``); a polynomial is
+packed by ``pack_poly`` into (degree, terms), the form ``sum_applied``
+returns too, so a caller can keep a series packed from one application to
+the next.  A term pair whose left annihilator and right creator masks do not
+meet shares no index, and its key is two int additions; a contraction
+subtracts one packed gamma from both sides, and when even the smallest
+shared index cannot give one back within the budget only the full
+contraction is formed.  Exponents stay at most ``MAX_EXP``, below each
+field's top bit, so adding two packed monomials never carries into a
+neighbouring field; a larger exponent raises OverflowError when its
+operator, polynomial or summed monomial is packed.  The keys are read back
+into (index, exponent) tuples through a bounded memo (``_unpack_mono``),
+so every operator and PPoly outside the loop holds tuple monomials.
 
 A zero operator keeps its working degree: it is zero on every polynomial
 of degree <= D and unknown above, and this is the one zero that sums,
@@ -47,6 +58,7 @@ iterable into one dict as it arrives, at the least working degree among
 them, zero addends included, as a left fold of ``+`` gives.
 """
 
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
@@ -107,6 +119,7 @@ def _pack_mono(m):
     return key, mask
 
 
+@lru_cache(maxsize=1 << 12)
 def _unpack_mono(key):
     """The monomial of a packed key, as a sorted (index, exponent) tuple."""
     m = []
@@ -118,6 +131,13 @@ def _unpack_mono(key):
         key >>= FIELD_BITS
         i += 1
     return tuple(m)
+
+
+@lru_cache(maxsize=1 << 12)
+def _creation_shape(key):
+    """(mask, degree) of a packed monomial; OverflowError past MAX_EXP, as _pack_mono."""
+    m = _unpack_mono(key)
+    return _pack_mono(m)[1], pm_degree(m)
 
 
 def _pack_terms(terms):
@@ -141,18 +161,114 @@ def _packed_terms(op):
     return packed
 
 
+def pack_poly(f):
+    """The PPoly f as apply_into's operand: (degree, packed terms).
+
+    The terms are those of the multiplication operator by f, packed as
+    _pack_terms packs them.
+    """
+    terms = []
+    degree = 0
+    for m, c in f.terms.items():
+        key, mask = _pack_mono(m)
+        terms.append((key, 0, mask, 0, 0, c))
+        degree = max(degree, pm_degree(m))
+    return degree, terms
+
+
+def sum_applied(acc):
+    """The polynomial of an apply_into accumulator, each key summed once, packed."""
+    terms = []
+    degree = 0
+    for (cr, _), c in sum_grouped(acc).items():
+        mask, d = _creation_shape(cr)
+        terms.append((cr, 0, mask, 0, 0, c))
+        degree = max(degree, d)
+    return degree, terms
+
+
+def unpack_poly(packed):
+    """The PPoly of a packed polynomial."""
+    return PPoly({_unpack_mono(cr): c for cr, _, _, _, _, c in packed[1]})
+
+
+def _contract(lefts, rights, new_d, out):
+    """Deposit the normal-ordered product of two packed term lists into out.
+
+    out maps (packed create, packed annihilate) to a list of (c1, c2, k)
+    triples: the product's coefficient there is sum c1 * c2 * k.  Only the
+    terms with at most new_d derivatives are deposited.
+    """
+    # A contraction gamma (gamma_i p_i* of the left meeting gamma_i p_i of
+    # the right) leaves deg(an1) + deg(an2) - sum_i i * gamma_i
+    # derivatives.  Terms left above new_d are dropped by the truncation
+    # contract, so they are skipped before any coefficient or monomial is
+    # built: a whole term pair when even full contraction stays above, and
+    # every partial contraction when lowering the smallest shared index by
+    # one already passes new_d.  A pair whose index masks do not meet has
+    # the one contraction gamma = 0, which keeps every factor: its key is
+    # two additions.
+    for cr1, an1, _, an1m, an1_deg, c1 in lefts:
+        for cr2, an2, cr2m, _, an2_deg, c2 in rights:
+            an_deg = an1_deg + an2_deg
+            common = an1m & cr2m
+            if not common:
+                if an_deg <= new_d:
+                    out.setdefault((cr1 + cr2, an1 + an2), []).append((c1, c2, 1))
+                continue
+            # (index, field shift, p_i* power of an1, p_i power of cr2),
+            # by increasing index, and the largest gamma
+            fields = []
+            full = []
+            floor = an_deg
+            while common:
+                low = common & -common
+                common ^= low
+                i = low.bit_length()
+                s = (i - 1) * FIELD_BITS
+                a, c = (an1 >> s) & _FIELD_MASK, (cr2 >> s) & _FIELD_MASK
+                fields.append((i, s, a, c))
+                full.append(min(a, c))
+                floor -= i * full[-1]
+            if floor > new_d:
+                continue
+            if new_d - floor < fields[0][0]:
+                choices = (full,)
+            else:
+                choices = product(*[range(g + 1) for g in full])
+            for gammas in choices:
+                left = an_deg
+                for (i, _, _, _), g in zip(fields, gammas):
+                    left -= i * g
+                if left > new_d:
+                    continue
+                factor = 1
+                gm = 0
+                for (i, s, a, c), g in zip(fields, gammas):
+                    if g:
+                        factor *= comb(a, g) * comb(c, g) * factorial(g) * i ** g
+                        gm |= g << s
+                key = (cr1 + cr2 - gm, an1 - gm + an2)
+                out.setdefault(key, []).append((c1, c2, factor))
+
+
+def _budget(left_degree, right_degree, jump):
+    """Working degree of a product at left_degree onto right_degree with jump."""
+    new_d = min(right_degree, left_degree - jump)
+    if new_d < 0:
+        raise DegreeBudgetError(
+            "composition budget exhausted (degrees %s and %s, jump %d)"
+            % (left_degree, right_degree, jump)
+        )
+    return new_d
+
+
 def compose_degree(left_degree, right):
     """Working degree of L . right for an L at left_degree, as compose gives it.
 
     Raises DegreeBudgetError when no degree is left.
     """
-    new_d = min(right.working_degree, left_degree - right.max_jump())
-    if new_d < 0:
-        raise DegreeBudgetError(
-            "composition budget exhausted (degrees %s and %s, jump %d)"
-            % (left_degree, right.working_degree, right.max_jump())
-        )
-    return new_d
+    return _budget(left_degree, right.working_degree, right.max_jump())
 
 
 class WeylOp:
@@ -289,70 +405,37 @@ class WeylOp:
 
     # -- action and composition ---------------------------------------------
 
+    @classmethod
+    def multiplication(cls, f):
+        """Multiplication by the PPoly f, exact."""
+        return cls._live({(m, EMPTY): c for m, c in f.terms.items()}, EXACT)
+
     def apply(self, f):
-        """Image of the polynomial f; requires degree(f) <= working_degree.
+        """Image of the polynomial f; requires degree(f) <= working_degree."""
+        acc = {}
+        self.apply_into(pack_poly(f), acc)
+        return unpack_poly(sum_applied(acc))
+
+    def apply_into(self, packed, acc):
+        """Deposit the image of a packed polynomial (pack_poly) into acc.
 
         f acts as a multiplication operator at working degree 0, so the
-        composition keeps exactly the fully contracted terms and raises
-        when f's degree exceeds the budget.
+        contraction keeps exactly the fully contracted terms, under
+        (packed create, 0), and raises when f's degree exceeds the budget.
+        Many applications may share one accumulator; sum_applied sums it.
         """
-        mult = WeylOp._live({(m, EMPTY): c for m, c in f.terms.items()}, 0)
-        return PPoly({cr: c for (cr, _), c in self.compose(mult).terms.items()})
+        degree, rights = packed
+        _contract(_packed_terms(self), rights, _budget(self.working_degree, 0, degree), acc)
 
     def compose(self, other):
         """Normal-ordered product self . other (self acts second)."""
         if not isinstance(other, WeylOp):
             raise TypeError("compose expects a WeylOp")
         new_d = compose_degree(self.working_degree, other)
-        # A contraction gamma (gamma_i p_i* of the left meeting gamma_i p_i of
-        # the right) leaves deg(an1) + deg(an2) - sum_i i * gamma_i
-        # derivatives.  Terms left above new_d are dropped by the truncation
-        # contract, so they are skipped before any coefficient or monomial is
-        # built: a whole term pair when even full contraction stays above.
-        # A pair whose index masks do not meet has the one contraction
-        # gamma = 0, which keeps every factor: its key is two additions.
-        rights = _packed_terms(other)
         out = {}
-        for cr1, an1, _, an1m, an1_deg, c1 in _packed_terms(self):
-            for cr2, an2, cr2m, _, an2_deg, c2 in rights:
-                an_deg = an1_deg + an2_deg
-                common = an1m & cr2m
-                if not common:
-                    if an_deg <= new_d:
-                        out.setdefault((cr1 + cr2, an1 + an2), []).append((c1, c2, 1))
-                    continue
-                # (index, field shift, p_i* power of an1, p_i power of cr2),
-                # by increasing index
-                fields = []
-                floor = an_deg
-                while common:
-                    low = common & -common
-                    common ^= low
-                    i = low.bit_length()
-                    s = (i - 1) * FIELD_BITS
-                    a, c = (an1 >> s) & _FIELD_MASK, (cr2 >> s) & _FIELD_MASK
-                    fields.append((i, s, a, c))
-                    floor -= i * min(a, c)
-                if floor > new_d:
-                    continue
-                for gammas in product(*[range(min(a, c) + 1) for _, _, a, c in fields]):
-                    left = an_deg
-                    for (i, _, _, _), g in zip(fields, gammas):
-                        left -= i * g
-                    if left > new_d:
-                        continue
-                    factor = 1
-                    gm = 0
-                    for (i, s, a, c), g in zip(fields, gammas):
-                        if g:
-                            factor *= comb(a, g) * comb(c, g) * factorial(g) * i ** g
-                            gm |= g << s
-                    key = (cr1 + cr2 - gm, an1 - gm + an2)
-                    out.setdefault(key, []).append((c1, c2, factor))
-        # every key passed the new_d checks above and no zero sum is kept;
-        # each distinct packed monomial is read back once
-        monos = {k: _unpack_mono(k) for k in {k for pair in out for k in pair}}
-        grouped = {(monos[cr], monos[an]): triples for (cr, an), triples in out.items()}
+        _contract(_packed_terms(self), _packed_terms(other), new_d, out)
+        # every key passed the new_d checks of _contract and no zero sum is kept
+        grouped = {(_unpack_mono(cr), _unpack_mono(an)): t for (cr, an), t in out.items()}
         return WeylOp._live(sum_grouped(grouped), new_d)
 
     # -- comparison ----------------------------------------------------------

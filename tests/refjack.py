@@ -19,7 +19,10 @@ still give the same lists.  ``laplace_beltrami_rows`` applies the operator
 D(alpha) to monomial symmetric functions on sympy polynomials, for the
 eigenvalues and raising coefficients the triangular construction uses.
 ``jack_to_ppoly`` reads one of the package's dense tables into a ``PPoly``
-through the package's own conversion, ``_series_coeff``.
+through the package's own conversion, ``_series_coeff``.  ``norm_ratios``
+is the lcm D_n of the closed-form norms of size n by pseudo-remainder gcds
+(``_lcm``), as the package computed it before it read D_n from the
+multiplicities of the norms' linear factors; both must give the same lists.
 
 The field is built here, on sympy, and ``to_field`` reads the package's
 dense ``ZZ[alpha]`` values into it, so no field code of the package is
@@ -28,6 +31,7 @@ used to check the package.
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm
 
 from sympy import symbols
 from sympy.polys.domains import QQ
@@ -41,11 +45,16 @@ from bconstell.jack import (
     _NO_UQ,
     _add,
     _content_rows,
+    _exquo,
+    _gcd,
     _jack_table,
     _mul,
+    _mul_ground,
     _norm_ratios,
+    _primitive,
     _ppoly_key,
     _series_coeff,
+    _stanley_norm,
     _weight,
     jack as dense_jack,
     partitions,
@@ -452,3 +461,21 @@ def series_weights(model, n, convention):
         lam: _weight(v, ratios[lam], _content_rows(lam, convention), model)
         for lam, v in _jack_table(n).items()
     }
+
+
+def _lcm(f, g):
+    """lcm in ZZ[alpha] with a positive leading coefficient; [] if f or g is zero."""
+    if not f or not g:
+        return []
+    fc, f = _primitive(f)
+    gc, g = _primitive(g)
+    h = _exquo(_mul(f, g), _gcd(f, g))
+    c = lcm(fc, gc)
+    return _mul_ground(h, -c if h[0] < 0 else c)
+
+
+def norm_ratios(n):
+    """(the ratios D_n / j_lam by partition lam of n, D_n), D_n by a fold of _lcm."""
+    norms = {lam: _stanley_norm(lam) for lam in partitions(n)}
+    common = reduce(_lcm, norms.values())
+    return {lam: _exquo(common, norm) for lam, norm in norms.items()}, common

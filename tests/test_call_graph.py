@@ -33,7 +33,13 @@ ALLOWED = {
     "coeffring:Coeff.inv_one_plus_b": "import-time builder of INV_1PB",
     "coeffring:Coeff.num": "read by the benchmark's span counters (perfbench/spans.py)",
     "constraints:Model.__init__": "import-time builder of the three models",
+    "jack:_gcd": "error path: the reduced denominator an OracleDenominatorError names",
+    "jack:_prem": "error path: through jack._gcd",
     "ppoly:PPoly.first_term": "failure path: a failing tau check's first nonzero term",
+    "ppoly:first_difference": "failure path: the first term of two unequal series coefficients",
+    "ppoly:PPoly.__sub__": "failure path: first_difference subtracts the unequal sides",
+    "ppoly:PPoly.__neg__": "failure path: through PPoly.__sub__",
+    "ppoly:PPoly.__add__": "failure path: through PPoly.__sub__",
 }
 
 

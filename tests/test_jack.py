@@ -249,12 +249,19 @@ def fresh_tables():
     jackmod._jack_table.cache_clear()
 
 
+def test_norm_ratios_from_factor_multiplicities_match_the_lcm_fold():
+    # D_n read from the multiplicities of the norms' linear factors equals
+    # the fold of pseudo-remainder lcms, ratios included, at every size
+    for n in range(1, jackmod.JACK_BOUND + 1):
+        assert jackmod._norm_ratios(n) == refjack.norm_ratios(n), n
+
+
 def test_norm_ratios_are_memoised_and_cleared():
     import bconstell
 
     bconstell.clear_caches()
     calls = []
-    real = jackmod._stanley_norm
+    real = jackmod._norm_factors
 
     def counting(lam):
         calls.append(lam)
@@ -263,7 +270,7 @@ def test_norm_ratios_are_memoised_and_cleared():
     first = tau_jack(BIP, 3)
     assert jackmod._norm_ratios.cache_info().currsize == 3
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jackmod, "_stanley_norm", counting)
+        mp.setattr(jackmod, "_norm_factors", counting)
         again = tau_jack(BIP, 3)
     # the second call reads the ratios and denominators from the memo
     assert calls == []

@@ -1,7 +1,8 @@
 """The n-ary sums against a left fold of the stepwise additions in refsum.py.
 
-``WeylOp.sum``, ``WeylOp.sums``, ``TGradedOp.sum``, ``PPoly.sum`` and
-``TauSeries.sum`` merge each addend into one dict as it arrives.  Over random
+``WeylOp.sum``, ``WeylOp.sums``, ``TGradedOp.sum``, ``PPoly.sum`` and the
+reference checks' ``reftau.Series.sum`` merge each addend into one dict as it
+arrives.  Over random
 addend lists with mixed working degrees, zero addends and cancelling pairs
 (some at another working degree, so that a partial sum is cut down or
 cancels to zero) they must give the terms and working degrees of the fold,
@@ -18,12 +19,12 @@ from hypothesis import given, strategies as st
 import bconstell.constraints as C
 from bconstell.constraints import TGradedOp
 from bconstell.ppoly import PPoly
-from bconstell.tau import TauSeries
 from bconstell.weyl import WeylOp
 
 from randops import COEFF_POOL, random_op, random_ppoly
 from refstruct import scale, tshift
 from refsum import fold, ppoly_add, tau_add, tgraded_add, weyl_add
+from reftau import Series
 
 MAX_D = 8
 
@@ -135,11 +136,11 @@ def test_tau_series_sum_matches_fold(seed, count):
     rng = random.Random(seed)
 
     def series(rng):
-        return TauSeries([random_poly(rng) for _ in range(3)])
+        return Series([random_poly(rng) for _ in range(3)])
 
     items = random_addends(rng, count, series, lambda rng, s: s.scale(-1))
-    got = TauSeries.sum(one_shot(items), 2)
-    assert got.coeffs == fold(tau_add, items, TauSeries.zero(2)).coeffs
+    got = Series.sum(one_shot(items), 2)
+    assert got.coeffs == fold(tau_add, items, Series.zero(2)).coeffs
 
 
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 8))
